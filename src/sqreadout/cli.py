@@ -310,7 +310,8 @@ def _scheme_config(opts: dict):
     cfg = combined.CombinedConfig(r=opts["r"], theta=opts.get("theta") or 0.0,
                                   omega_sq=opts.get("omega_sq"), epsilon=opts["epsilon"],
                                   delta_r=opts["delta_r"], delta_p=opts["delta_p"])
-    return combined.operating_params(params, cfg), cfg
+    # solved once here: the moments, the oracle and the pointer states all reuse it
+    return combined.operating_params(params, cfg), combined.with_solved_omega_sq(params, cfg)
 
 
 def cmd_oracle_check(args) -> int:
@@ -396,7 +397,7 @@ def cmd_wigner(args) -> int:
                 params, cfg = figures.ics_optimal_setting(kt)
             else:
                 params = ReadoutParams(1.0, 0.5, 1.0, 0.0, 0.0, kt)
-                cfg = combined.CombinedConfig(r=1.0)
+                cfg = combined.with_solved_omega_sq(params, combined.CombinedConfig(r=1.0))
             _write_wigner(outdir, f"{args.preset}_kt{kt:g}", params, cfg,
                           args.resolution, args.window, diagnostics)
         stem = args.preset

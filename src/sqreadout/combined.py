@@ -14,8 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
+
+import numpy as np
 
 from .core import (MeasurementMoments, QubitState, ReadoutParams, BracketError,
                    psi_from_rate, reduce_angle)
@@ -209,6 +211,20 @@ def combined_signal(params: ReadoutParams, disp: DispersiveParams, r: float,
                    * (math.cos(thp + om * kt) * ch - math.cos(thm + theta + om * kt) * sh))
 
 
+def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down, fn=math):
+    """Signed perpendicular separation over 2 alpha_in/sqrt(kappa), before the e^{2r} gain.
+
+    phase_sigma = omega_sigma*tau.  fn is the function namespace: math for
+    scalars, numpy to broadcast over arrays of operating points.
+    """
+    return ((2.0 - kt + 2.0 * fn.cos(2 * psi_down)) * fn.sin(2 * psi_down)
+            - (2.0 - kt + 2.0 * fn.cos(2 * psi_up)) * fn.sin(2 * psi_up)
+            - fn.exp(-kt / 2.0)
+            * (fn.sin(phase_down) + 2.0 * fn.sin(2 * psi_down + phase_down)
+               + fn.sin(4 * psi_down + phase_down)
+               - 4.0 * fn.cos(psi_up) ** 2 * fn.sin(2 * psi_up + phase_up)))
+
+
 def _separation_components_signed(params: ReadoutParams,
                                   disp: DispersiveParams) -> tuple[float, float]:
     """Signed (parallel, perpendicular/e^{2r}) separations in units alpha_in/sqrt(kappa)."""
@@ -222,11 +238,24 @@ def _separation_components_signed(params: ReadoutParams,
            * (math.cos(2 * pm) - math.cos(2 * pp))
            - decay * (math.cos(vm) + 2.0 * math.cos(2 * pm + vm) + math.cos(4 * pm + vm)
                       - 4.0 * math.cos(pp) ** 2 * math.cos(2 * pp + vp)))
-    perp = ((2.0 - kt + 2.0 * math.cos(2 * pm)) * math.sin(2 * pm)
-            - (2.0 - kt + 2.0 * math.cos(2 * pp)) * math.sin(2 * pp)
-            - decay * (math.sin(vm) + 2.0 * math.sin(2 * pm + vm) + math.sin(4 * pm + vm)
-                       - 4.0 * math.cos(pp) ** 2 * math.sin(2 * pp + vp)))
+    perp = _perp_separation(kt, pp, pm, vp, vm)
     return 2.0 * p.alpha_in * par, 2.0 * p.alpha_in * perp
+
+
+def _perp_on_grid(params: ReadoutParams, r: float, omega_sq: np.ndarray,
+                  epsilon: float) -> np.ndarray:
+    """Signed perpendicular separation of _separation_components_signed at each omega_sq.
+
+    One numpy pass; np.arctan may differ from math.atan in the last bit, so
+    these values locate sign changes but do not replace the scalar path.
+    """
+    k = params.kappa
+    kt = params.kappa_tau
+    csq = chi_sq(params.chi / epsilon, r, omega_sq, epsilon)
+    up, down = omega_sq + csq, omega_sq - csq
+    perp = _perp_separation(kt, np.arctan(2.0 * up / k), np.arctan(2.0 * down / k),
+                            up / k * kt, down / k * kt, np)
+    return 2.0 * (params.alpha_in / math.sqrt(k)) * perp
 
 
 def separation_components(params: ReadoutParams, disp: DispersiveParams,
@@ -246,8 +275,9 @@ def solve_omega_sq(params: ReadoutParams, r: float,
                    grid_points: int = 4096) -> float:
     """Bogoliubov-mode frequency that nulls the perpendicular separation.
 
-    Scans a geometric grid from just below (kappa/2)sec(psi_sq) up to
-    max(10, 5/(kappa tau))*kappa and bisects the first sign change to
+    One array pass evaluates the perpendicular separation on a geometric grid
+    from just below (kappa/2)sec(psi_sq) up to max(10, 5/(kappa tau))*kappa
+    and picks the first sign change; scalar bisection refines that bracket to
     1e-10*kappa.  The root runs from ~pi/tau at short times to the
     time-independent (kappa/2)sec(psi_sq) at long times.
     """
@@ -267,19 +297,18 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     hi = max(10.0, 5.0 / params.kappa_tau) * k
 
     ratio = (hi / lo) ** (1.0 / grid_points)
-    a = lo
-    fa = perp_at(a)
-    for _ in range(grid_points):
-        b = a * ratio
-        fb = perp_at(b)
-        if fa == 0.0:
-            return a
-        if fa * fb < 0:
-            return bisect(perp_at, a, b, tol=1e-10 * k)
-        a, fa = b, fb
-    raise BracketError(
-        f"no perpendicular-separation sign change in omega_sq/kappa "
-        f"in [{lo / k:g}, {hi / k:g}]")
+    # running products lo*ratio**i, rounded step by step like repeated a *= ratio
+    grid = np.multiply.accumulate(np.concatenate(([lo], np.full(grid_points, ratio))))
+    f = _perp_on_grid(params, r, grid, epsilon)
+    hit = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
+    if hit.size == 0:
+        raise BracketError(
+            f"no perpendicular-separation sign change in omega_sq/kappa "
+            f"in [{lo / k:g}, {hi / k:g}]")
+    i = hit[0]
+    if f[i] == 0.0:
+        return float(grid[i])
+    return bisect(perp_at, float(grid[i]), float(grid[i + 1]), tol=1e-10 * k)
 
 
 def beta_photon_number(params: ReadoutParams, disp: DispersiveParams, r: float,
@@ -372,6 +401,8 @@ class CombinedConfig:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("squeeze parameter must be non-negative")
+        if not self.epsilon > 0 or not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon}")
         object.__setattr__(self, "theta", reduce_angle(self.theta))
 
     @property
@@ -387,15 +418,20 @@ class CombinedConfig:
         return self.delta_r == 0.0 and self.delta_p == 0.0
 
 
+def with_solved_omega_sq(params: ReadoutParams, cfg: CombinedConfig) -> CombinedConfig:
+    """cfg with omega_sq fixed to its root, so later calls at this point reuse it."""
+    if cfg.omega_sq is not None:
+        return cfg
+    return replace(cfg, omega_sq=solve_omega_sq(params, cfg.r_c, cfg.epsilon))
+
+
 def resolve_operating_point(params: ReadoutParams,
                             cfg: CombinedConfig) -> tuple[float, DispersiveParams]:
     """Resolve omega_sq (solving the root if unset) and the dispersive parameters.
 
     All signal-side quantities use the frame squeeze parameter r_c.
     """
-    w = cfg.omega_sq
-    if w is None:
-        w = solve_omega_sq(params, cfg.r_c, cfg.epsilon)
+    w = with_solved_omega_sq(params, cfg).omega_sq
     disp = DispersiveParams.derive(params.kappa, params.chi, cfg.r_c, w, cfg.epsilon)
     return w, disp
 

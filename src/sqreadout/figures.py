@@ -118,8 +118,10 @@ def _fig3_point(kt: float, r: float, chi: float, epsilon: float) -> dict:
     row = {"kappa_tau": kt}
     tau = kt
 
-    a_comb = required_tone_amplitude(combined_snr(kt, r, chi, epsilon), 1.0)
-    cfg = combined.CombinedConfig(r=r, epsilon=epsilon)
+    # the root does not depend on alpha_in, so one solve serves both amplitudes
+    p1 = _params(kt, chi)
+    cfg = combined.with_solved_omega_sq(p1, combined.CombinedConfig(r=r, epsilon=epsilon))
+    a_comb = required_tone_amplitude(snr(combined.combined_moments(p1, cfg)), 1.0)
     p = _params(kt, chi, a_comb)
     _, disp = combined.resolve_operating_point(p, cfg)
     n_comb = max(combined.beta_photon_number(p, disp, r, s, tau) for s in QubitState)
@@ -276,7 +278,7 @@ def figS5_rows(chi: float = CHI_DEFAULT, r: float = 1.0,
     rows = []
     for kt in (1.0, 2.0, 5.0):
         p = _params(kt, chi)
-        cfg = combined.CombinedConfig(r=r, epsilon=epsilon)
+        cfg = combined.with_solved_omega_sq(p, combined.CombinedConfig(r=r, epsilon=epsilon))
         row = {"kappa_tau": kt}
         for state in QubitState:
             st = phasespace.pointer_state(p, cfg, state)

@@ -58,6 +58,10 @@ class TestExitCodes:
         assert run_cli(["snr", "--scheme", "ics", "--chi", "0",
                         "--omega-2ph", "0.3"]) == 3
 
+    def test_zero_epsilon_is_config_error(self, capsys):
+        assert run_cli(["snr", "--scheme", "combined", "--epsilon", "0"]) == 2
+        assert "epsilon" in capsys.readouterr().err
+
     def test_sweep_count_too_small(self):
         assert run_cli(["sweep", "--scheme", "standard", "--var", "chi",
                         "--start", "0.1", "--stop", "1.0", "--count", "1"]) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,9 +174,14 @@ class TestSolveOmegaSq:
     def test_no_bracket_raises(self, monkeypatch):
         from sqreadout.core import BracketError
 
-        monkeypatch.setattr(combined, "_separation_components_signed",
-                            lambda *a, **k: (1.0, 1.0))
-        with pytest.raises(BracketError):
+        def never_called(*args, **kwargs):
+            raise AssertionError("bisection reached without a sign change")
+
+        # a sign-definite separation on the scanned grid; the scan itself must give up
+        monkeypatch.setattr(combined, "_perp_separation",
+                            lambda kt, psi_up, *rest: 0.0 * psi_up + 1.0)
+        monkeypatch.setattr(combined, "bisect", never_called)
+        with pytest.raises(BracketError, match=r"in omega_sq/kappa in \[4\.90\d*, 10\]"):
             combined.solve_omega_sq(make_params(), LN10)
 
     def test_monotone_bridge_between_limits(self):
@@ -185,6 +191,91 @@ class TestSolveOmegaSq:
                  for kt in (0.05, 0.2, 1.0, 5.0, 50.0)]
         assert all(b < a for a, b in zip(roots, roots[1:]))
         assert roots[-1] == pytest.approx(4.953, abs=0.01)
+
+
+def scalar_walk_omega_sq(params, r, epsilon=0.05, grid_points=4096):
+    """Reference: the point-by-point scan that picked the bracket before the array pass."""
+    from sqreadout.core import BracketError
+    from sqreadout.optimize import bisect
+
+    k = params.kappa
+    chi = params.chi
+
+    def perp_at(w):
+        disp = combined.DispersiveParams.derive(k, chi, r, w, epsilon)
+        return combined._separation_components_signed(params, disp)[1]
+
+    w = 0.5 * k
+    for _ in range(8):
+        csq = combined.chi_sq(chi / epsilon, r, w, epsilon)
+        w = 0.5 * k * math.sqrt(1.0 + (2.0 * csq / k) ** 2)
+    lo = 0.99 * w
+    hi = max(10.0, 5.0 / params.kappa_tau) * k
+
+    ratio = (hi / lo) ** (1.0 / grid_points)
+    a = lo
+    fa = perp_at(a)
+    for _ in range(grid_points):
+        b = a * ratio
+        fb = perp_at(b)
+        if fa == 0.0:
+            return a
+        if fa * fb < 0:
+            return bisect(perp_at, a, b, tol=1e-10 * k)
+        a, fa = b, fb
+    raise BracketError(
+        f"no perpendicular-separation sign change in omega_sq/kappa "
+        f"in [{lo / k:g}, {hi / k:g}]")
+
+
+def seeded_operating_points(count, seed):
+    """(params, r, epsilon) spanning kappa*tau in [1e-3, 1e3] and chi in [0.05, 1.5] kappa."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kappa = float(rng.choice([0.5, 1.0, 3.0]))
+        kt = 10.0 ** rng.uniform(-3.0, 3.0)
+        chi = rng.uniform(0.05, 1.5) * kappa
+        alpha_in = float(rng.choice([0.2, 1.0, 4.0]))
+        yield (ReadoutParams(kappa, chi, alpha_in, 0.0, 0.0, kt / kappa),
+               rng.uniform(0.0, 2.5), float(rng.choice([0.01, 0.05, 0.1, 0.2])))
+
+
+class TestOmegaSqArrayScan:
+    """The array pass must pick the bracket the scalar walk picked."""
+
+    def test_roots_identical_to_scalar_walk(self):
+        from sqreadout.core import BracketError
+
+        for p, r, eps in seeded_operating_points(200, seed=2024):
+            try:
+                expected = scalar_walk_omega_sq(p, r, eps)
+            except BracketError as exc:
+                with pytest.raises(BracketError, match=re.escape(str(exc))):
+                    combined.solve_omega_sq(p, r, eps)
+                continue
+            assert combined.solve_omega_sq(p, r, eps) == expected, (p, r, eps)
+
+    def test_first_of_several_sign_changes(self, monkeypatch):
+        # the physical separation changes sign once on the grid, so an oscillating
+        # stand-in checks that the first bracket is the one refined
+        monkeypatch.setattr(combined, "_perp_separation",
+                            lambda kt, psi_up, psi_down, phase_up, phase_down, fn=math:
+                            fn.cos(phase_up))
+        p = make_params(kappa_tau=3.0)
+        ws = np.geomspace(4.0, 10.0, 500)
+        assert np.count_nonzero(np.diff(np.sign(combined._perp_on_grid(p, LN10, ws, 0.05)))) > 2
+        assert combined.solve_omega_sq(p, LN10) == scalar_walk_omega_sq(p, LN10)
+
+    def test_grid_matches_scalar_perpendicular_separation(self):
+        for p, r, eps in seeded_operating_points(25, seed=7):
+            ws = np.geomspace(0.3, 3.0e3, 97) * p.kappa
+            scalar = np.array([combined._separation_components_signed(
+                p, combined.DispersiveParams.derive(p.kappa, p.chi, r, w, eps))[1]
+                for w in ws])
+            # every term is bounded by (4 + kappa*tau) in units 2 alpha_in/sqrt(kappa)
+            scale = 2.0 * p.alpha_in / math.sqrt(p.kappa) * (4.0 + p.kappa_tau)
+            np.testing.assert_allclose(combined._perp_on_grid(p, r, ws, eps), scalar,
+                                       rtol=0.0, atol=1e-12 * scale)
 
 
 class TestBetaPhotons:
@@ -320,6 +411,11 @@ class TestFrameAndMismatchTypes:
             frame.omega_sq, rel=1e-12)
         assert 0.5 * math.atanh(2.0 * frame.omega_2ph / frame.delta_c) == pytest.approx(
             frame.r_c, rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.05, math.nan, math.inf])
+    def test_config_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            combined.CombinedConfig(r=LN10, epsilon=epsilon)
 
     def test_frame_validation(self):
         with pytest.raises(ValueError):
