@@ -1,8 +1,8 @@
 """Command-line front end: scheme evaluation, figure data, sweeps, validation.
 
-Exit codes: 0 ok, 2 configuration error, 3 stability error, 4 solver failure,
-5 oracle non-convergence.  All CSV output is deterministic (12 significant
-digits, '.' decimal separator, no locale).
+Exit codes: 0 ok, 2 configuration error, 3 stability error, 4 solver or other
+numerical failure, 5 oracle non-convergence.  All CSV output is deterministic
+(12 significant digits, '.' decimal separator, no locale).
 """
 
 from __future__ import annotations
@@ -12,12 +12,10 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
-from .core import (BracketError, OracleConvergenceError, QubitState, ReadoutParams,
-                   SolverError, StabilityError, ZeroSignalError, psi_from_rate,
-                   snr, summarize)
+from .core import (OracleConvergenceError, QubitState, ReadoutError, ReadoutParams,
+                   StabilityError, psi_from_rate, snr, summarize)
 from . import combined, figures, ics, ies, oracle, phasespace
 
 SCHEMES = ("standard", "ies", "ics", "combined")
@@ -41,6 +39,8 @@ _DEFAULTS = {
     "r": math.log(10.0), "varphi": None, "omega_2ph": 0.1, "theta": None,
     "omega_sq": None, "epsilon": 0.05, "delta_r": 0.0, "delta_p": 0.0,
 }
+# _DEFAULTS is the one key table: the --flags, the option merge and the sweepable list
+_SWEEPABLE = ("kappa_tau", *(k for k in _DEFAULTS if k != "kappa"))
 
 
 def fmt(value) -> str:
@@ -101,10 +101,10 @@ def load_config(path: str, scheme_hint: str | None) -> dict:
 
 
 def _as_float(opts: dict, key: str):
-    value = opts.get(key, _DEFAULTS.get(key))
-    if value is None or value == "":
-        return None
-    return float(value)
+    value = opts.get(key)
+    if value in (None, ""):         # an empty config-file value means "not given"
+        value = _DEFAULTS[key]
+    return None if value is None else float(value)
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -112,8 +112,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
     opts: dict = {}
     if getattr(args, "config", None):
         opts.update(load_config(args.config, getattr(args, "scheme", None)))
-    for key in ("scheme", *(_PARAM_KEYS), "r", "varphi", "omega_2ph", "theta",
-                "omega_sq", "epsilon", "delta_r", "delta_p"):
+    for key in ("scheme", *_DEFAULTS):
         flag = getattr(args, key, None)
         if flag is not None:
             opts[key] = flag
@@ -131,91 +130,79 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return out
 
 
-def _params_from(opts: dict) -> ReadoutParams:
-    return ReadoutParams(opts["kappa"], opts["chi"], opts["alpha_in"],
-                         opts["phi_in"], opts["phi_h"], opts["tau"])
+def _scheme_point(opts: dict):
+    """Operating point of the chosen scheme: (params, cfg, moments, extra record fields).
 
-
-def evaluate_record(opts: dict) -> dict:
-    """Full summary record (inputs, SNR/fidelity, derived quantities) for one point."""
+    params carry the scheme's phase convention (combined: phi_h = phi_in =
+    theta/2) and a combined cfg has omega_sq solved, so the moments, the oracle
+    and the pointer states all use the same point.
+    """
     scheme = opts["scheme"]
-    params = _params_from(opts)
-    record = {"scheme": scheme}
-    for key in _PARAM_KEYS:
-        record[key] = opts[key]
-    record["kappa_tau"] = params.kappa_tau
-    record["psi"] = psi_from_rate(params.chi, params.kappa)
-
+    params = ReadoutParams(opts["kappa"], opts["chi"], opts["alpha_in"],
+                           opts["phi_in"], opts["phi_h"], opts["tau"])
     if scheme == "standard":
-        moments = ies.ies_moments(params, ies.IesConfig(0.0, 0.0))
-        record["n_tau"] = ies.ies_photon_number(params, ies.IesConfig(0.0, 0.0), params.tau)
+        cfg = ies.IesConfig(0.0, 0.0)
+        moments = ies.ies_moments(params, cfg)
+        extra = {"n_tau": ies.ies_photon_number(params, cfg, params.tau)}
     elif scheme == "ies":
-        varphi = opts.get("varphi")
+        varphi = opts["varphi"]
         if varphi is None:
             varphi = ies.optimal_varphi(params)
         cfg = ies.IesConfig(opts["r"], varphi)
         moments = ies.ies_moments(params, cfg)
-        record.update(r=cfg.r, varphi=cfg.varphi,
-                      noise_shape=ies.ies_noise_shape(params),
-                      n_tau=ies.ies_photon_number(params, cfg, params.tau))
+        extra = {"r": cfg.r, "varphi": cfg.varphi,
+                 "noise_shape": ies.ies_noise_shape(params),
+                 "n_tau": ies.ies_photon_number(params, cfg, params.tau)}
     elif scheme == "ics":
         omega = opts["omega_2ph"]
-        theta = opts.get("theta")
+        theta = opts["theta"]
         if theta is None:
             theta = ics.optimal_theta(params, omega)
         cfg = ics.IcsConfig(omega, theta)
-        verdict = ics.ics_stability(params, cfg)
-        if not verdict:
-            raise StabilityError(verdict.reason)
         moments = ics.ics_moments(params, cfg)
         lam = ics.ics_lambda(params.chi, omega)
-        record.update(omega_2ph=omega, theta=cfg.theta,
-                      lambda_re=lam.real, lambda_im=lam.imag,
-                      r_out=ics.ics_squeeze_param(params.kappa, omega),
-                      n_tau=ics.ics_photon_number(params, cfg, params.tau))
+        extra = {"omega_2ph": omega, "theta": cfg.theta,
+                 "lambda_re": lam.real, "lambda_im": lam.imag,
+                 "r_out": ics.ics_squeeze_param(params.kappa, omega),
+                 "n_tau": ics.ics_photon_number(params, cfg, params.tau)}
     else:
         cfg = combined.CombinedConfig(
-            r=opts["r"], theta=opts.get("theta") or 0.0,
-            omega_sq=opts.get("omega_sq"), epsilon=opts["epsilon"],
-            delta_r=opts["delta_r"], delta_p=opts["delta_p"])
-        omega_sq, disp = combined.resolve_operating_point(params, cfg)
+            r=opts["r"], theta=opts["theta"] or 0.0, omega_sq=opts["omega_sq"],
+            epsilon=opts["epsilon"], delta_r=opts["delta_r"], delta_p=opts["delta_p"])
+        params = combined.operating_params(params, cfg)
+        cfg = combined.with_solved_omega_sq(params, cfg)
+        _, disp = combined.resolve_operating_point(params, cfg)
         moments = combined.combined_moments(params, cfg, disp)
-        op = combined.operating_params(params, cfg)
-        frame = combined.BogoliubovFrame.from_squeeze(omega_sq, cfg.r_c, cfg.theta)
-        record.update(r=cfg.r, theta=cfg.theta, varphi=cfg.varphi,
-                      delta_r=cfg.delta_r, delta_p=cfg.delta_p,
-                      epsilon=cfg.epsilon, omega_sq=omega_sq,
-                      delta_c=frame.delta_c, omega_2ph=frame.omega_2ph,
-                      chi_sq=disp.chi_sq, psi_sq=disp.psi_sq,
-                      g=disp.g, delta_q=disp.delta_q,
-                      n_critical=disp.critical_photon_number,
-                      n_beta_up=combined.beta_photon_number(op, disp, cfg.r_c,
-                                                            QubitState.UP, params.tau),
-                      n_beta_down=combined.beta_photon_number(op, disp, cfg.r_c,
-                                                              QubitState.DOWN, params.tau))
+        frame = combined.BogoliubovFrame.from_squeeze(cfg.omega_sq, cfg.r_c, cfg.theta)
+        extra = {"r": cfg.r, "theta": cfg.theta, "varphi": cfg.varphi,
+                 "delta_r": cfg.delta_r, "delta_p": cfg.delta_p,
+                 "epsilon": cfg.epsilon, "omega_sq": cfg.omega_sq,
+                 "delta_c": frame.delta_c, "omega_2ph": frame.omega_2ph,
+                 "chi_sq": disp.chi_sq, "psi_sq": disp.psi_sq,
+                 "g": disp.g, "delta_q": disp.delta_q,
+                 "n_critical": disp.critical_photon_number,
+                 "n_beta_up": combined.beta_photon_number(params, disp, cfg.r_c,
+                                                          QubitState.UP, params.tau),
+                 "n_beta_down": combined.beta_photon_number(params, disp, cfg.r_c,
+                                                            QubitState.DOWN, params.tau)}
+    return params, cfg, moments, extra
 
+
+def evaluate_record(opts: dict) -> dict:
+    """Full summary record (inputs, SNR/fidelity, derived quantities) for one point."""
+    params, _, moments, extra = _scheme_point(opts)
+    record = {"scheme": opts["scheme"]}
+    for key in _PARAM_KEYS:
+        record[key] = opts[key]
+    record["kappa_tau"] = params.kappa_tau
+    record["psi"] = psi_from_rate(params.chi, params.kappa)
+    record.update(extra)
     summary = summarize(moments)
     record.update(signal_up=moments.signal_up, signal_down=moments.signal_down,
                   noise_up=moments.noise_up, noise_down=moments.noise_down,
                   separation=summary.separation, noise_sum=summary.noise_sum,
                   snr=summary.snr, fidelity=summary.fidelity, error=summary.error)
     return record
-
-
-def _sweep_point(payload: tuple[dict, str, float]) -> dict:
-    opts, var, value = payload
-    opts = dict(opts)
-    if var == "kappa_tau":
-        opts["tau"] = value / opts["kappa"]
-    else:
-        opts[var] = value
-    record = evaluate_record(opts)
-    return {var: value, **record}
-
-
-_SWEEPABLE = ("kappa_tau", "tau", "chi", "alpha_in", "phi_in", "phi_h",
-              "r", "varphi", "omega_2ph", "theta", "omega_sq", "epsilon",
-              "delta_r", "delta_p")
 
 
 def sweep_values(start: float, stop: float, count: int, spacing: str) -> list[float]:
@@ -232,11 +219,21 @@ def sweep_values(start: float, stop: float, count: int, spacing: str) -> list[fl
     raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
-def run_parallel(worker, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(worker, payloads))
+def run_parallel(opts: dict, var: str, values: Sequence[float]) -> list[dict]:
+    """Sweep rows, one record per value of var, evaluated in order.
+
+    The name predates the removal of the sweep process pool; perfbench/tracer.py
+    times the sweep under it.
+    """
+    rows = []
+    for value in values:
+        point = dict(opts)
+        if var == "kappa_tau":
+            point["tau"] = value / opts["kappa"]
+        else:
+            point[var] = value
+        rows.append({var: value, **evaluate_record(point)})
+    return rows
 
 
 # ---------------------------------------------------------------- commands
@@ -279,8 +276,7 @@ def cmd_sweep(args) -> int:
     if args.var not in ("kappa_tau", *(_PARAM_KEYS)) and args.var not in opts:
         raise ValueError(f"{args.var!r} is not a parameter of scheme {opts['scheme']!r}")
     values = sweep_values(args.start, args.stop, args.count, args.spacing)
-    payloads = [(opts, args.var, v) for v in values]
-    rows = run_parallel(_sweep_point, payloads, args.jobs)
+    rows = run_parallel(opts, args.var, values)
     stream, close = _open_out(args.output)
     try:
         write_csv(stream, rows)
@@ -292,37 +288,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _scheme_config(opts: dict):
-    scheme = opts["scheme"]
-    params = _params_from(opts)
-    if scheme in ("standard", "ies"):
-        r = opts.get("r", 0.0) if scheme == "ies" else 0.0
-        varphi = opts.get("varphi")
-        if varphi is None:
-            varphi = ies.optimal_varphi(params)
-        return params, ies.IesConfig(r, varphi)
-    if scheme == "ics":
-        omega = opts["omega_2ph"]
-        theta = opts.get("theta")
-        if theta is None:
-            theta = ics.optimal_theta(params, omega)
-        return params, ics.IcsConfig(omega, theta)
-    cfg = combined.CombinedConfig(r=opts["r"], theta=opts.get("theta") or 0.0,
-                                  omega_sq=opts.get("omega_sq"), epsilon=opts["epsilon"],
-                                  delta_r=opts["delta_r"], delta_p=opts["delta_p"])
-    # solved once here: the moments, the oracle and the pointer states all reuse it
-    return combined.operating_params(params, cfg), combined.with_solved_omega_sq(params, cfg)
-
-
 def cmd_oracle_check(args) -> int:
     opts = resolve_options(args)
-    params, cfg = _scheme_config(opts)
-    if isinstance(cfg, ies.IesConfig):
-        analytic = ies.ies_moments(params, cfg)
-    elif isinstance(cfg, ics.IcsConfig):
-        analytic = ics.ics_moments(params, cfg)
-    else:
-        analytic = combined.combined_moments(params, cfg)
+    params, cfg, analytic, _ = _scheme_point(opts)
     report = oracle.oracle_check(params, cfg, analytic, steps=args.steps, tol=args.tol)
     stream = sys.stdout
     stream.write(f"scheme={opts['scheme']} tol={fmt(report['tol'])}\n")
@@ -403,7 +371,7 @@ def cmd_wigner(args) -> int:
         stem = args.preset
     else:
         opts = resolve_options(args)
-        params, cfg = _scheme_config(opts)
+        params, cfg, _, _ = _scheme_point(opts)
         _write_wigner(outdir, f"wigner_{opts['scheme']}", params, cfg,
                       args.resolution, args.window, diagnostics)
         stem = f"wigner_{opts['scheme']}"
@@ -421,8 +389,7 @@ def cmd_mismatch(args) -> int:
     record = evaluate_record(opts)
     matched = dict(opts, delta_r=0.0, delta_p=0.0)
     record["snr_matched"] = evaluate_record(matched)["snr"]
-    std = dict(opts, scheme="standard")
-    snr_std = evaluate_record({k: std[k] for k in ("scheme", *(_PARAM_KEYS))})["snr"]
+    snr_std = evaluate_record(dict(opts, scheme="standard"))["snr"]
     record["snr_std"] = snr_std
     record["snr_over_e_r_snr_std"] = record["snr"] / (math.exp(opts["r"]) * snr_std)
     stream, close = _open_out(args.output)
@@ -440,22 +407,10 @@ def cmd_mismatch(args) -> int:
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value config file (INI sections)")
     sub.add_argument("--scheme", choices=SCHEMES)
-    sub.add_argument("--kappa", type=float)
-    sub.add_argument("--chi", type=float)
-    sub.add_argument("--alpha-in", dest="alpha_in", type=float)
-    sub.add_argument("--phi-in", dest="phi_in", type=float)
-    sub.add_argument("--phi-h", dest="phi_h", type=float)
-    sub.add_argument("--tau", type=float)
+    for key in _DEFAULTS:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     sub.add_argument("--kappa-tau", dest="kappa_tau", type=float,
                      help="set tau from kappa*tau")
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--varphi", type=float)
-    sub.add_argument("--omega-2ph", dest="omega_2ph", type=float)
-    sub.add_argument("--theta", type=float)
-    sub.add_argument("--omega-sq", dest="omega_sq", type=float)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--delta-r", dest="delta_r", type=float)
-    sub.add_argument("--delta-p", dest="delta_p", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stop", type=float, required=True)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     sp.add_argument("--output", "-o")
     sp.add_argument("--gnuplot", action="store_true")
     sp.set_defaults(func=cmd_sweep)
@@ -521,12 +475,12 @@ def main(argv: Iterable[str] | None = None) -> int:
     except StabilityError as exc:
         print(f"stability error: {exc}", file=sys.stderr)
         return EXIT_STABILITY
-    except (BracketError, SolverError, ZeroSignalError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OracleConvergenceError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except ReadoutError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

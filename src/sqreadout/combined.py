@@ -168,10 +168,6 @@ class MismatchParams:
             raise ValueError("input correlations lost purity; inconsistent (N, M) pair")
         return cls(delta_r, delta_p, math.sinh(r0) ** 2, m, r0, reduce_angle(phi0))
 
-    @property
-    def matched(self) -> bool:
-        return self.delta_r == 0.0 and self.delta_p == 0.0
-
 
 def _stable_squeeze_mix(r: float, c: float) -> float:
     """cosh(2r) - c*sinh(2r) without cancellation: ((1-c)e^{2r} + (1+c)e^{-2r})/2."""

@@ -33,10 +33,6 @@ class BracketError(ReadoutError):
     """Root bracketing failed."""
 
 
-class SolverError(ReadoutError):
-    """Iterative solver did not reach its target."""
-
-
 class OracleConvergenceError(ReadoutError):
     """Brute-force verifier failed to converge under step doubling."""
 

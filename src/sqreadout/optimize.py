@@ -170,49 +170,21 @@ def _ies_objective(kappa_tau: float, alpha_in: float) -> Callable[[float, float,
     return objective
 
 
-def _ics_objective(kappa_tau: float, alpha_in: float) -> Callable[[float, float, float], float]:
+def _ics_objective(kappa_tau: float, alpha_in: float,
+                   fix_chi: float | None = None) -> Callable[[float, float, float], float]:
     """SNR(psi, r, phase) for intracavity squeezing at unit kappa.
 
-    tan(psi) = 2 lambda / kappa fixes lambda; r fixes the drive amplitude;
-    phase is sin(2 phi_h - theta) in [-1, 1].
+    tan(psi) = 2 lambda / kappa fixes lambda, or fix_chi pins chi and psi is
+    ignored; r fixes the drive amplitude; phase is sin(2 phi_h - theta) in [-1, 1].
+    Unstable points score 0.
     """
     def objective(psi: float, r: float, phase_sin: float) -> float:
-        lam = 0.5 * math.tan(psi)
         omega = ics.ics_omega_from_r(1.0, r)
-        if 4.0 * omega >= 1.0:
-            return 0.0
-        chi = math.sqrt(lam * lam + 4.0 * omega * omega)
-        params = ReadoutParams(1.0, chi, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
-        cfg = ics.IcsConfig(omega, 0.0)
-        sep = abs(ics.ics_signal_separation(params, cfg))
-        g0, gs, _ = ics.ics_noise_components(params, cfg)
-        noise = 2.0 * g0 - 2.0 * phase_sin * gs
-        if noise <= 0:
-            return 0.0
-        return sep / math.sqrt(noise)
-
-    return objective
-
-
-def _std_objective(kappa_tau: float, alpha_in: float) -> Callable[[float, float, float], float]:
-    def objective(psi: float, r: float, phase: float) -> float:
-        chi = 0.5 * math.tan(psi)
-        params = ReadoutParams(1.0, chi, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
-        sep = ies.ies_moments(params, ies.IesConfig(0.0, 0.0)).separation
-        return sep / math.sqrt(2.0 * kappa_tau)
-
-    return objective
-
-
-_OBJECTIVES = {"ies": _ies_objective, "ics": _ics_objective, "standard": _std_objective}
-_PHASE_EXTREMES = {"ies": (-1.0, 1.0), "ics": (-1.0, 1.0), "standard": (0.0,)}
-
-
-def _ics_fixed_chi_objective(kappa_tau: float, alpha_in: float,
-                             chi: float) -> Callable[[float, float, float], float]:
-    """SNR(psi_ignored, r, phase) for intracavity squeezing at fixed chi."""
-    def objective(_psi: float, r: float, phase_sin: float) -> float:
-        omega = ics.ics_omega_from_r(1.0, r)
+        if fix_chi is None:
+            lam = 0.5 * math.tan(psi)
+            chi = math.sqrt(lam * lam + 4.0 * omega * omega)
+        else:
+            chi = fix_chi
         params = ReadoutParams(1.0, chi, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
         cfg = ics.IcsConfig(omega, 0.0)
         if not ics.ics_stability(params, cfg):
@@ -225,6 +197,9 @@ def _ics_fixed_chi_objective(kappa_tau: float, alpha_in: float,
         return sep / math.sqrt(noise)
 
     return objective
+
+
+_PHASE_EXTREMES = {"ies": (-1.0, 1.0), "ics": (-1.0, 1.0), "standard": (0.0,)}
 
 
 def maximize_snr(scheme: str, kappa_tau: float,
@@ -243,16 +218,18 @@ def maximize_snr(scheme: str, kappa_tau: float,
     convention of the fixed-coupling reference curves.  Deterministic:
     identical inputs yield identical reports.
     """
-    if scheme not in _OBJECTIVES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_OBJECTIVES)}")
+    if scheme not in _PHASE_EXTREMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_PHASE_EXTREMES)}")
     if not kappa_tau > 0:
         raise ValueError("kappa_tau must be positive")
 
-    if fix_chi is not None and scheme == "ics":
-        objective = _ics_fixed_chi_objective(kappa_tau, alpha_in, fix_chi)
-        psi_bounds = (0.0, 0.0)
+    if scheme == "ics":
+        objective = _ics_objective(kappa_tau, alpha_in, fix_chi)
+        if fix_chi is not None:
+            psi_bounds = (0.0, 0.0)
     else:
-        objective = _OBJECTIVES[scheme](kappa_tau, alpha_in)
+        # standard: the ies objective with r pinned to 0, where the noise is exactly 2 kappa tau
+        objective = _ies_objective(kappa_tau, alpha_in)
         if fix_chi is not None:
             psi_pin = math.atan(2.0 * fix_chi)
             psi_bounds = (psi_pin, psi_pin)

@@ -85,6 +85,20 @@ class TestExitCodes:
         monkeypatch.setattr(combined, "solve_omega_sq", no_root)
         assert run_cli(["snr", "--scheme", "combined"]) == 4
 
+    @pytest.mark.parametrize("command, message", [
+        ("snr", "total noise 0.0 is not positive"),              # DegenerateNoiseError
+        ("wigner", "covariance not positive definite"),         # IndefiniteCovarianceError
+    ], ids=["snr", "wigner"])
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys, tmp_path, command, message):
+        # zero noise on both quadratures: no SNR and a singular pointer-state covariance
+        monkeypatch.setattr(ies, "ies_noise", lambda *args, **kwargs: 0.0)
+        args = [command, "--scheme", "standard"]
+        if command == "wigner":
+            args += ["--resolution", "17", "--window", "2", "--output-dir", str(tmp_path)]
+        assert run_cli(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and message in err
+
     def test_oracle_error_exit_code(self, monkeypatch):
         from sqreadout import oracle
         from sqreadout.core import OracleConvergenceError
@@ -120,17 +134,30 @@ varphi = 3.141592653589793
                         "-o", str(out2)]) == 0
         assert float(parse_kv(out2.read_text())["r"]) == 0.9
 
+    @pytest.mark.parametrize("scheme, body, line", [
+        ("combined", "chi = 0.4\n", "epsilon =\n"),
+        ("ies", "tau = 2.0\n\n[ies]\nvarphi = 1.0\n", "r =\n"),
+    ], ids=["combined-epsilon", "ies-r"])
+    def test_empty_value_takes_default(self, tmp_path, capsys, scheme, body, line):
+        without = tmp_path / "without.ini"
+        with_empty = tmp_path / "empty.ini"
+        without.write_text(f"[readout]\nscheme = {scheme}\n{body}")
+        with_empty.write_text(f"[readout]\nscheme = {scheme}\n{body}{line}")
+        assert run_cli(["snr", "--config", str(without)]) == 0
+        expected = capsys.readouterr().out
+        assert run_cli(["snr", "--config", str(with_empty)]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestSweep:
-    def test_deterministic_and_parallel_agree(self, tmp_path):
+    def test_deterministic(self, tmp_path):
         args = ["sweep", "--scheme", "standard", "--var", "kappa_tau",
                 "--start", "0.2", "--stop", "2.0", "--count", "5",
                 "--spacing", "log"]
-        a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        assert run_cli(args + ["-o", str(a), "--jobs", "1"]) == 0
-        assert run_cli(args + ["-o", str(b), "--jobs", "1"]) == 0
-        assert run_cli(args + ["-o", str(c), "--jobs", "2"]) == 0
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(args + ["-o", str(a)]) == 0
+        assert run_cli(args + ["-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_values_spacing(self):
         lin = cli.sweep_values(0.0, 1.0, 5, "linear")
@@ -189,6 +216,26 @@ class TestOracleCheckCommand:
                         "--steps", "4096"]) == 0
         assert run_cli(["oracle-check", "--scheme", "combined",
                         "--steps", "8192"]) == 0
+
+    @pytest.mark.parametrize("scheme, extra", [
+        ("standard", []), ("ies", ["--r", "0.5"]), ("ics", ["--omega-2ph", "0.15"]),
+        ("combined", ["--kappa-tau", "2.0"]),
+    ], ids=["standard", "ies", "ics", "combined"])
+    def test_snr_record_matches_analytic_moments(self, capsys, scheme, extra):
+        args = ["--scheme", scheme, *extra]
+        assert run_cli(["snr", *args]) == 0
+        rec = parse_kv(capsys.readouterr().out)
+        assert run_cli(["oracle-check", *args, "--steps", "1024"]) == 0
+        analytic = {}
+        for line in capsys.readouterr().out.splitlines():
+            state, _, rest = line.partition(" ")
+            field, _, rest = rest.partition(": analytic=")
+            if field in ("mean", "var"):
+                analytic[(state, field)] = rest.split()[0]
+        assert len(analytic) == 4
+        for state in ("up", "down"):
+            assert analytic[(state, "mean")] == rec[f"signal_{state}"]
+            assert analytic[(state, "var")] == rec[f"noise_{state}"]
 
     def test_negative_control(self, monkeypatch):
         true_noise = ies.ies_noise

@@ -426,4 +426,4 @@ class TestFrameAndMismatchTypes:
         assert mm.n_thermal > 0
         assert mm.r0 == pytest.approx(math.asinh(math.sqrt(mm.n_thermal)), rel=1e-12)
         assert abs(mm.m_corr) == pytest.approx(0.5 * math.sinh(2 * mm.r0), rel=1e-9)
-        assert combined.MismatchParams.derive(1.0, 0.3, 0.0, 0.0).matched
+        assert combined.MismatchParams.derive(1.0, 0.3, 0.0, 0.0).n_thermal == 0.0
