@@ -272,7 +272,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     """Bogoliubov-mode frequency that nulls the perpendicular separation.
 
     One array pass evaluates the perpendicular separation on a geometric grid
-    from just below (kappa/2)sec(psi_sq) up to max(10, 5/(kappa tau))*kappa
+    from lo, just below (kappa/2)sec(psi_sq), up to max(10 kappa, 5/tau, 1.5 lo)
     and picks the first sign change; scalar bisection refines that bracket to
     1e-10*kappa.  The root runs from ~pi/tau at short times to the
     time-independent (kappa/2)sec(psi_sq) at long times.
@@ -290,7 +290,8 @@ def solve_omega_sq(params: ReadoutParams, r: float,
         csq = chi_sq(chi / epsilon, r, w, epsilon)
         w = 0.5 * k * math.sqrt(1.0 + (2.0 * csq / k) ** 2)
     lo = 0.99 * w
-    hi = max(10.0, 5.0 / params.kappa_tau) * k
+    # strong chi e^r at small epsilon can lift lo past 10 kappa
+    hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
 
     ratio = (hi / lo) ** (1.0 / grid_points)
     # running products lo*ratio**i, rounded step by step like repeated a *= ratio

@@ -41,6 +41,10 @@ class IndefiniteCovarianceError(ReadoutError):
     """Reconstructed quadrature covariance is not positive definite."""
 
 
+class ImaginaryResidueError(ReadoutError):
+    """A quantity that must be real kept a large imaginary part."""
+
+
 TWO_PI = 2.0 * math.pi
 
 

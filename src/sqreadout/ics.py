@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (MeasurementMoments, QubitState, ReadoutParams, StabilityError,
-                   reduce_angle)
+from .core import (ImaginaryResidueError, MeasurementMoments, QubitState,
+                   ReadoutParams, StabilityError, reduce_angle)
 
 # formulas are analytic in lambda^2; a tiny offset removes the removable
 # singularity of the cot(psi)/csc(psi) groupings at chi = 2 Omega
@@ -64,7 +64,7 @@ def _lambda_safe(chi: float, omega_2ph: float, kappa: float) -> complex:
 def _real(value: complex, scale: float = 1.0) -> float:
     residue = abs(value.imag)
     if residue > _IMAG_TOL * max(1.0, abs(value.real), scale):
-        raise ArithmeticError(f"imaginary residue {residue:g} too large in ICS evaluation")
+        raise ImaginaryResidueError(f"imaginary residue {residue:g} too large in ICS evaluation")
     return value.real
 
 

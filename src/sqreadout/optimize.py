@@ -1,4 +1,4 @@
-"""SNR maximization over (psi, r, phase) boxes and bracketed root finding.
+"""SNR maximization over (psi, r) boxes and bracketed root finding.
 
 The SNR surfaces carry trigonometric ripples from the exp(-kappa*tau/2)
 transients, so the search is a dense coarse grid followed by coordinate-wise
@@ -149,121 +149,94 @@ def maximize_over_box(objective: Callable[..., float],
     return best_val, x, evals, converged
 
 
-def _ies_objective(kappa_tau: float, alpha_in: float) -> Callable[[float, float, float], float]:
-    """SNR(psi, r, phase) for injected squeezing at unit kappa.
+def _ies_objective(kappa_tau: float, r_max: float) -> Callable[[float], tuple[float, float, float]]:
+    """(SNR, r, phase) at psi for injected squeezing at unit kappa and alpha_in.
 
-    phase is cos(varphi - 2 phi_h) in [-1, 1]; the separation uses the optimal
-    tone/homodyne phase difference phi_h - phi_in = pi/2.
+    The summed noise 2 kappa tau [cosh 2r + phase F sinh 2r] is linear in
+    phase = cos(varphi - 2 phi_h), so phase = -sign(F), and it is least at
+    tanh 2r = |F|, clipped to [0, r_max]; r_max = 0 is the standard readout.
+    The separation uses the optimal tone/homodyne phase difference
+    phi_h - phi_in = pi/2.
     """
-    def objective(psi: float, r: float, phase_cos: float) -> float:
+    def objective(psi: float) -> tuple[float, float, float]:
         chi = 0.5 * math.tan(psi)
-        params = ReadoutParams(1.0, chi, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
-        cfg0 = ies.IesConfig(0.0, 0.0)
-        sep = ies.ies_moments(params, cfg0).separation
+        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        sep = ies.ies_moments(params, ies.IesConfig(0.0, 0.0)).separation
         shape = ies.ies_noise_shape(params)
-        noise = 2.0 * kappa_tau * (math.cosh(2.0 * r)
-                                   + phase_cos * shape * math.sinh(2.0 * r))
-        if noise <= 0:
-            return 0.0
-        return sep / math.sqrt(noise)
+        f = abs(shape)
+        r = r_max if f >= math.tanh(2.0 * r_max) else 0.5 * math.atanh(f)
+        # positive while |F| < coth(2 r_max); a physical F has |F| <= 1
+        noise = 2.0 * kappa_tau * (math.cosh(2.0 * r) - f * math.sinh(2.0 * r))
+        return sep / math.sqrt(noise), r, (-1.0 if shape >= 0 else 1.0)
 
     return objective
 
 
-def _ics_objective(kappa_tau: float, alpha_in: float,
-                   fix_chi: float | None = None) -> Callable[[float, float, float], float]:
-    """SNR(psi, r, phase) for intracavity squeezing at unit kappa.
+def _ics_objective(kappa_tau: float,
+                   fix_chi: float | None = None) -> Callable[[float, float], tuple[float, float]]:
+    """(SNR, phase) at (psi, r) for intracavity squeezing at unit kappa and alpha_in.
 
     tan(psi) = 2 lambda / kappa fixes lambda, or fix_chi pins chi and psi is
-    ignored; r fixes the drive amplitude; phase is sin(2 phi_h - theta) in [-1, 1].
-    Unstable points score 0.
+    ignored; r fixes the drive amplitude.  The noise 2 G0 - 2 phase Gs is linear
+    in phase = sin(2 phi_h - theta), so the better extreme is phase = sign(Gs)
+    (-1 on a tie).  Unstable points score 0.
     """
-    def objective(psi: float, r: float, phase_sin: float) -> float:
+    def objective(psi: float, r: float) -> tuple[float, float]:
         omega = ics.ics_omega_from_r(1.0, r)
-        if fix_chi is None:
-            lam = 0.5 * math.tan(psi)
-            chi = math.sqrt(lam * lam + 4.0 * omega * omega)
-        else:
-            chi = fix_chi
-        params = ReadoutParams(1.0, chi, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
+        lam = 0.5 * math.tan(psi)
+        chi = math.sqrt(lam * lam + 4.0 * omega * omega) if fix_chi is None else fix_chi
+        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
         cfg = ics.IcsConfig(omega, 0.0)
         if not ics.ics_stability(params, cfg):
-            return 0.0
+            return 0.0, -1.0
         sep = abs(ics.ics_signal_separation(params, cfg))
         g0, gs, _ = ics.ics_noise_components(params, cfg)
-        noise = 2.0 * g0 - 2.0 * phase_sin * gs
-        if noise <= 0:
-            return 0.0
-        return sep / math.sqrt(noise)
+        noise = 2.0 * g0 - 2.0 * abs(gs)
+        return (sep / math.sqrt(noise) if noise > 0 else 0.0), (1.0 if gs > 0 else -1.0)
 
     return objective
-
-
-_PHASE_EXTREMES = {"ies": (-1.0, 1.0), "ics": (-1.0, 1.0), "standard": (0.0,)}
 
 
 def maximize_snr(scheme: str, kappa_tau: float,
-                 psi_bounds: tuple[float, float] = PSI_BOUNDS_DEFAULT,
-                 r_bounds: tuple[float, float] = (0.0, R_MAX_DEFAULT),
-                 alpha_in: float = 1.0, grid_points: int = 64,
-                 phase_continuous: bool = False,
                  fix_chi: float | None = None) -> OptimumReport:
-    """Maximize the scheme SNR over (psi, r) with the phase at its extremal settings.
+    """Maximize the scheme SNR at alpha_in = sqrt(kappa) over the (psi, r) box.
 
-    The phase coordinate is restricted to the analytic extrema (noise-phase
-    cosine/sine = +-1); phase_continuous additionally refines it on [-1, 1].
-    fix_chi pins the dispersive coupling (in units of kappa): for 'ies' and
-    'standard' this collapses the psi box to atan(2*chi/kappa); for 'ics' the
-    oscillation rate follows from (chi, r) and only r is searched.  This is the
-    convention of the fixed-coupling reference curves.  Deterministic:
-    identical inputs yield identical reports.
+    The box is PSI_BOUNDS_DEFAULT x [0, R_MAX_DEFAULT].  The noise phase (and,
+    for 'ies', the squeeze r) is set analytically at each point, so 'ies' and
+    'standard' search psi alone and 'ics' searches (psi, r).  fix_chi pins the
+    dispersive coupling (in units of kappa): for 'ies' and 'standard' this pins
+    psi = atan(2*chi/kappa) and needs no search; for 'ics' the oscillation rate
+    follows from (chi, r) and only r is searched.  This is the convention of
+    the fixed-coupling reference curves.  The SNR is linear in alpha_in, so
+    scale best_snr for another amplitude.  Deterministic: identical inputs
+    yield identical reports.
     """
-    if scheme not in _PHASE_EXTREMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_PHASE_EXTREMES)}")
+    if scheme not in ("ies", "ics", "standard"):
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of ['ics', 'ies', 'standard']")
     if not kappa_tau > 0:
         raise ValueError("kappa_tau must be positive")
 
     if scheme == "ics":
-        objective = _ics_objective(kappa_tau, alpha_in, fix_chi)
-        if fix_chi is not None:
-            psi_bounds = (0.0, 0.0)
-    else:
-        # standard: the ies objective with r pinned to 0, where the noise is exactly 2 kappa tau
-        objective = _ies_objective(kappa_tau, alpha_in)
-        if fix_chi is not None:
-            psi_pin = math.atan(2.0 * fix_chi)
-            psi_bounds = (psi_pin, psi_pin)
-    if scheme == "standard":
-        r_bounds = (0.0, 0.0)
-
-    best = None
-    total_evals = 0
-    for phase in _PHASE_EXTREMES[scheme]:
-        val, x, evals, conv = maximize_over_box(
-            lambda p, r, ph=phase: objective(p, r, ph),
-            [psi_bounds, r_bounds], grid_points=grid_points)
-        total_evals += evals
-        if best is None or val > best[0]:
-            best = (val, x, phase, conv)
-    val, x, phase, conv = best
-
-    if phase_continuous and scheme != "standard":
-        ph, vph, used = golden_section_max(lambda p: objective(x[0], x[1], p),
-                                           -1.0, 1.0, 1e-6)
-        total_evals += used
-        if vph > val:
-            val, phase = vph, ph
-
-    psi, r = x
-    argmax = {"psi": psi, "r": r, "phase": phase}
-    if scheme == "ics":
-        if fix_chi is not None:
-            argmax["chi_over_kappa"] = fix_chi
-            argmax["omega_2ph_over_kappa"] = ics.ics_omega_from_r(1.0, r)
-        else:
+        objective = _ics_objective(kappa_tau, fix_chi)
+        psi_bounds = PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0)
+        _, (psi, r), evals, conv = maximize_over_box(
+            lambda p, r: objective(p, r)[0], [psi_bounds, (0.0, R_MAX_DEFAULT)])
+        val, phase = objective(psi, r)
+        argmax = {"psi": psi, "r": r, "phase": phase,
+                  "omega_2ph_over_kappa": ics.ics_omega_from_r(1.0, r)}
+        if fix_chi is None:
             argmax["lambda_over_kappa"] = 0.5 * math.tan(psi)
-            argmax["omega_2ph_over_kappa"] = ics.ics_omega_from_r(1.0, r)
+        else:
+            argmax["chi_over_kappa"] = fix_chi
     else:
-        argmax["chi_over_kappa"] = 0.5 * math.tan(psi)
+        objective = _ies_objective(kappa_tau, R_MAX_DEFAULT if scheme == "ies" else 0.0)
+        if fix_chi is None:
+            _, (psi,), evals, conv = maximize_over_box(
+                lambda p: objective(p)[0], [PSI_BOUNDS_DEFAULT])
+        else:
+            psi, evals, conv = math.atan(2.0 * fix_chi), 0, True
+        val, r, phase = objective(psi)
+        argmax = {"psi": psi, "r": r, "phase": phase,
+                  "chi_over_kappa": 0.5 * math.tan(psi)}
     return OptimumReport(best_snr=val, argmax=argmax,
-                         evaluations=total_evals, converged=conv)
+                         evaluations=evals + 1, converged=conv)

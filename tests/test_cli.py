@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqreadout import cli, ies
+from sqreadout import cli, ics, ies
 
 
 def run_cli(args):
@@ -98,6 +98,13 @@ class TestExitCodes:
         assert run_cli(args) == 4
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and message in err
+
+    def test_ics_imaginary_residue_exit_code(self, monkeypatch, capsys):
+        # a negative tolerance makes every complex-to-real conversion fail
+        monkeypatch.setattr(ics, "_IMAG_TOL", -1.0)
+        assert run_cli(["snr", "--scheme", "ics"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and "imaginary residue" in err
 
     def test_oracle_error_exit_code(self, monkeypatch):
         from sqreadout import oracle

@@ -184,6 +184,20 @@ class TestSolveOmegaSq:
         with pytest.raises(BracketError, match=r"in omega_sq/kappa in \[4\.90\d*, 10\]"):
             combined.solve_omega_sq(make_params(), LN10)
 
+    @pytest.mark.parametrize("kappa_tau, chi, r, epsilon, root", [
+        (3.48, 1.34, 2.13, 0.02, 11.1619),   # lower edge 11.01 kappa above 10 kappa
+        (8.55, 1.08, 2.26, 0.1, 10.0762),    # lower edge 9.97 kappa, root above 10 kappa
+    ], ids=["inverted", "narrow"])
+    def test_upper_edge_clears_lower_edge(self, kappa_tau, chi, r, epsilon, root):
+        p = make_params(kappa_tau=kappa_tau, chi=chi)
+        w = combined.solve_omega_sq(p, r, epsilon)
+        assert w == pytest.approx(root, abs=1e-4)
+        # the signed perpendicular separation changes sign across the root
+        below, above = (combined._separation_components_signed(
+            p, combined.DispersiveParams.derive(1.0, chi, r, w * f, epsilon))[1]
+            for f in (1.0 - 1e-8, 1.0 + 1e-8))
+        assert below * above < 0
+
     def test_monotone_bridge_between_limits(self):
         # the root decreases monotonically from ~pi/tau at short times to the
         # time-independent (kappa/2) sec(psi_sq) at long times
@@ -210,7 +224,7 @@ def scalar_walk_omega_sq(params, r, epsilon=0.05, grid_points=4096):
         csq = combined.chi_sq(chi / epsilon, r, w, epsilon)
         w = 0.5 * k * math.sqrt(1.0 + (2.0 * csq / k) ** 2)
     lo = 0.99 * w
-    hi = max(10.0, 5.0 / params.kappa_tau) * k
+    hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
 
     ratio = (hi / lo) ** (1.0 / grid_points)
     a = lo

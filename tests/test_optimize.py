@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from sqreadout.core import BracketError
-from sqreadout import optimize
+from sqreadout.core import BracketError, QubitState, ReadoutParams
+from sqreadout import ics, ies, optimize
 
 
 class TestBisect:
@@ -98,7 +99,79 @@ class TestMaximizeSnr:
         with pytest.raises(ValueError):
             optimize.maximize_snr("laser", 1.0)
 
-    def test_phase_continuous_fallback_never_worse(self):
-        base = optimize.maximize_snr("ics", 0.7, fix_chi=0.5)
-        refined = optimize.maximize_snr("ics", 0.7, fix_chi=0.5, phase_continuous=True)
-        assert refined.best_snr >= base.best_snr
+
+class TestAnalyticIesSetting:
+    @pytest.mark.parametrize("kappa_tau, chi", [(0.03, 0.5), (1.0, 0.5), (3.0, 1.0)],
+                             ids=["r_max", "F>0", "F<0"])
+    def test_no_grid_point_beats_it(self, kappa_tau, chi):
+        best = optimize.maximize_snr("ies", kappa_tau, fix_chi=chi)
+        assert best.evaluations == 1 and best.converged
+        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        sep = ies.ies_moments(params, ies.IesConfig(0.0, 0.0)).separation
+        brute = 0.0
+        for phase in np.linspace(-1.0, 1.0, 21):
+            # cos(varphi - 2 phi_h) = phase at phi_h = pi/2
+            varphi = math.pi + math.acos(phase)
+            for r in np.linspace(0.0, optimize.R_MAX_DEFAULT, 4001):
+                cfg = ies.IesConfig(float(r), varphi)
+                noise = sum(ies.ies_noise(params, cfg, s) for s in QubitState)
+                brute = max(brute, sep / math.sqrt(noise))
+        assert brute <= best.best_snr * (1.0 + 1e-12)
+        assert brute >= best.best_snr * (1.0 - 1e-6)
+        shape = ies.ies_noise_shape(params)
+        r = best.argmax["r"]
+        if r < optimize.R_MAX_DEFAULT:
+            assert math.tanh(2.0 * r) == pytest.approx(abs(shape), rel=1e-12)
+        else:
+            assert abs(shape) >= math.tanh(2.0 * r)
+        assert best.argmax["phase"] == (-1.0 if shape >= 0 else 1.0)
+
+
+def two_phase_ics_search(kappa_tau, fix_chi=None):
+    """Reference: the ICS search before the phase was set per point.
+
+    One grid + golden-section box search per phase extreme sin(2 phi_h - theta)
+    = -1, +1; the better one wins, ties going to -1.
+    """
+    def objective(psi, r, phase_sin):
+        omega = ics.ics_omega_from_r(1.0, r)
+        if fix_chi is None:
+            lam = 0.5 * math.tan(psi)
+            chi = math.sqrt(lam * lam + 4.0 * omega * omega)
+        else:
+            chi = fix_chi
+        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        cfg = ics.IcsConfig(omega, 0.0)
+        if not ics.ics_stability(params, cfg):
+            return 0.0
+        sep = abs(ics.ics_signal_separation(params, cfg))
+        g0, gs, _ = ics.ics_noise_components(params, cfg)
+        noise = 2.0 * g0 - 2.0 * phase_sin * gs
+        if noise <= 0:
+            return 0.0
+        return sep / math.sqrt(noise)
+
+    psi_bounds = optimize.PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0)
+    best = None
+    for phase in (-1.0, 1.0):
+        val, x, _, _ = optimize.maximize_over_box(
+            lambda p, r, ph=phase: objective(p, r, ph),
+            [psi_bounds, (0.0, optimize.R_MAX_DEFAULT)])
+        if best is None or val > best[0]:
+            best = (val, x, phase)
+    return best
+
+
+class TestIcsOneSearch:
+    @pytest.mark.parametrize("kappa_tau, fix_chi", [
+        (0.05, 0.5), (0.3, 0.2), (1.0, 0.5), (3.0, 1.0), (30.0, 0.5), (2.0, None)])
+    def test_matches_two_phase_search(self, kappa_tau, fix_chi):
+        val, (psi, r), phase = two_phase_ics_search(kappa_tau, fix_chi)
+        report = optimize.maximize_snr("ics", kappa_tau, fix_chi=fix_chi)
+        assert report.best_snr == val
+        assert (report.argmax["psi"], report.argmax["r"], report.argmax["phase"]) == (psi, r, phase)
+        assert report.argmax["omega_2ph_over_kappa"] == ics.ics_omega_from_r(1.0, r)
+        if fix_chi is None:
+            assert report.argmax["lambda_over_kappa"] == 0.5 * math.tan(psi)
+        else:
+            assert report.argmax["chi_over_kappa"] == fix_chi
