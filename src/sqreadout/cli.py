@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -37,7 +38,7 @@ _DEFAULTS = {
     "kappa": 1.0, "chi": 0.5, "alpha_in": 1.0, "phi_in": 0.0,
     "phi_h": math.pi / 2.0, "tau": 1.0,
     "r": math.log(10.0), "varphi": None, "omega_2ph": 0.1, "theta": None,
-    "omega_sq": None, "epsilon": 0.05, "delta_r": 0.0, "delta_p": 0.0,
+    "omega_sq": None, "epsilon": combined.DEFAULT_EPSILON, "delta_r": 0.0, "delta_p": 0.0,
 }
 # _DEFAULTS is the one key table: the --flags, the option merge and the sweepable list
 _SWEEPABLE = ("kappa_tau", *(k for k in _DEFAULTS if k != "kappa"))
@@ -65,9 +66,10 @@ def write_kv(stream, record: dict) -> None:
 
 
 def _open_out(path: str | None):
+    """Context manager of the output stream: stdout for None or '-', else the file."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def write_gnuplot(path: str, csv_path: str, rows: Sequence[dict], logx: bool) -> None:
@@ -240,17 +242,12 @@ def run_parallel(opts: dict, var: str, values: Sequence[float]) -> list[dict]:
 
 
 def cmd_snr(args) -> int:
-    opts = resolve_options(args)
-    record = evaluate_record(opts)
-    stream, close = _open_out(args.output)
-    try:
+    record = evaluate_record(resolve_options(args))
+    with _open_out(args.output) as stream:
         if args.format == "csv":
             write_csv(stream, [record])
         else:
             write_kv(stream, record)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -277,12 +274,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{args.var!r} is not a parameter of scheme {opts['scheme']!r}")
     values = sweep_values(args.start, args.stop, args.count, args.spacing)
     rows = run_parallel(opts, args.var, values)
-    stream, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as stream:
         write_csv(stream, rows)
-    finally:
-        if close:
-            stream.close()
     if args.gnuplot and args.output not in (None, "-"):
         write_gnuplot(args.output + ".gp", args.output, rows, logx=args.spacing == "log")
     return EXIT_OK
@@ -312,9 +305,6 @@ def cmd_oracle_check(args) -> int:
                  f"rel_dev={fmt(abs(snr_a - snr_o) / max(snr_o, 1e-30))}\n")
     stream.write(f"passed={report['passed']}\n")
     return EXIT_OK if report["passed"] else 1
-
-
-_WIGNER_PRESETS = {"figS2", "figS4", "figS5"}
 
 
 def _wigner_window(states: list[phasespace.GaussianState2D]) -> float:
@@ -356,16 +346,12 @@ def cmd_wigner(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     diagnostics: list[dict] = []
     if args.preset:
-        if args.preset not in _WIGNER_PRESETS:
-            raise ValueError(f"unknown preset {args.preset!r}; options: {sorted(_WIGNER_PRESETS)}")
+        setting = figures.PHASE_SPACE_SETTINGS.get(args.preset)
+        if setting is None:
+            raise ValueError(f"unknown preset {args.preset!r}; "
+                             f"options: {sorted(figures.PHASE_SPACE_SETTINGS)}")
         for kt in (1.0, 2.0, 5.0):
-            if args.preset == "figS2":
-                params, cfg = figures.ies_optimal_setting(kt)
-            elif args.preset == "figS4":
-                params, cfg = figures.ics_optimal_setting(kt)
-            else:
-                params = ReadoutParams(1.0, 0.5, 1.0, 0.0, 0.0, kt)
-                cfg = combined.with_solved_omega_sq(params, combined.CombinedConfig(r=1.0))
+            params, cfg = setting(kt)
             _write_wigner(outdir, f"{args.preset}_kt{kt:g}", params, cfg,
                           args.resolution, args.window, diagnostics)
         stem = args.preset
@@ -387,17 +373,12 @@ def cmd_mismatch(args) -> int:
     if opts["scheme"] != "combined":
         raise ValueError("mismatch analysis applies to the combined scheme")
     record = evaluate_record(opts)
-    matched = dict(opts, delta_r=0.0, delta_p=0.0)
-    record["snr_matched"] = evaluate_record(matched)["snr"]
-    snr_std = evaluate_record(dict(opts, scheme="standard"))["snr"]
+    record["snr_matched"] = snr(_scheme_point(dict(opts, delta_r=0.0, delta_p=0.0))[2])
+    snr_std = snr(_scheme_point(dict(opts, scheme="standard"))[2])
     record["snr_std"] = snr_std
     record["snr_over_e_r_snr_std"] = record["snr"] / (math.exp(opts["r"]) * snr_std)
-    stream, close = _open_out(args.output)
-    try:
+    with _open_out(args.output) as stream:
         write_kv(stream, record)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 

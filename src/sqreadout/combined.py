@@ -25,6 +25,7 @@ from .optimize import bisect
 
 #: dispersive-approximation accuracy parameter used in the reference figures
 DEFAULT_EPSILON = 0.05
+_SCAN_POINTS = 4096     # geometric cells of the omega_sq root scan
 
 
 def chi_sq(g: float, r: float, omega_sq: float, epsilon: float) -> float:
@@ -267,8 +268,7 @@ def separation_components(params: ReadoutParams, disp: DispersiveParams,
 
 
 def solve_omega_sq(params: ReadoutParams, r: float,
-                   epsilon: float = DEFAULT_EPSILON,
-                   grid_points: int = 4096) -> float:
+                   epsilon: float = DEFAULT_EPSILON) -> float:
     """Bogoliubov-mode frequency that nulls the perpendicular separation.
 
     One array pass evaluates the perpendicular separation on a geometric grid
@@ -293,9 +293,9 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     # strong chi e^r at small epsilon can lift lo past 10 kappa
     hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
 
-    ratio = (hi / lo) ** (1.0 / grid_points)
+    ratio = (hi / lo) ** (1.0 / _SCAN_POINTS)
     # running products lo*ratio**i, rounded step by step like repeated a *= ratio
-    grid = np.multiply.accumulate(np.concatenate(([lo], np.full(grid_points, ratio))))
+    grid = np.multiply.accumulate(np.concatenate(([lo], np.full(_SCAN_POINTS, ratio))))
     f = _perp_on_grid(params, r, grid, epsilon)
     hit = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
     if hit.size == 0:

@@ -4,7 +4,9 @@ Conventions follow the fixed-coupling reference curves: chi = kappa/2,
 alpha_in = sqrt(kappa), e^r = 10 and epsilon = 1/20 for the combined scheme,
 with the injected/intracavity curves optimized over the squeeze parameter in
 1 <= e^r <= 10 at that same coupling.  The figS1/figS3 "optimal" data sets
-additionally free the cavity response angle psi.
+additionally free the cavity response angle psi.  The builders run at these
+constants and take only their kappa*tau grid (fig4b its kappa*tau and point
+count, figS5 its squeeze).
 """
 
 from __future__ import annotations
@@ -20,89 +22,81 @@ from . import combined, ics, ies, optimize, phasespace
 
 R_DEFAULT = math.log(10.0)
 CHI_DEFAULT = 0.5
-EPS_DEFAULT = 0.05
+EPS_DEFAULT = combined.DEFAULT_EPSILON
+R_FIGS5 = 1.0
 MISMATCH_SET = (0.1, 0.05, 0.01)
 
 FIGURES = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b",
            "figS1", "figS2", "figS3", "figS4", "figS5")
 
 
-def _params(kappa_tau: float, chi: float = CHI_DEFAULT, alpha_in: float = 1.0,
-            phi_h: float = math.pi / 2.0) -> ReadoutParams:
-    return ReadoutParams(1.0, chi, alpha_in, 0.0, phi_h, kappa_tau)
+def _params(kappa_tau: float, alpha_in: float = 1.0) -> ReadoutParams:
+    return ReadoutParams(1.0, CHI_DEFAULT, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
 
 
-def _std_snr(kappa_tau: float, chi: float = CHI_DEFAULT) -> float:
-    return snr(standard_readout_moments(_params(kappa_tau, chi)))
+def _std_snr(kappa_tau: float) -> float:
+    return snr(standard_readout_moments(_params(kappa_tau)))
 
 
-def combined_snr(kappa_tau: float, r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
-                 epsilon: float = EPS_DEFAULT, delta_r: float = 0.0,
-                 delta_p: float = 0.0, alpha_in: float = 1.0) -> float:
-    cfg = combined.CombinedConfig(r=r, epsilon=epsilon, delta_r=delta_r, delta_p=delta_p)
-    return snr(combined.combined_moments(_params(kappa_tau, chi, alpha_in), cfg))
+def combined_snr(kappa_tau: float, delta_r: float = 0.0, delta_p: float = 0.0) -> float:
+    cfg = combined.CombinedConfig(r=R_DEFAULT, delta_r=delta_r, delta_p=delta_p)
+    return snr(combined.combined_moments(_params(kappa_tau), cfg))
 
 
 def kappa_tau_grid(start: float = 1e-2, stop: float = 1e2, count: int = 25) -> np.ndarray:
     return np.geomspace(start, stop, count)
 
 
-def fig2a_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT) -> list[dict]:
+def fig2a_rows() -> list[dict]:
     """Dispersive-coupling enhancement chi_sq/chi versus omega_sq."""
     rows = []
     for w in np.linspace(0.0, 50.0, 201):
         row = {"omega_sq_over_kappa": w}
         for eps in (0.1, 0.05):
             tag = f"enhancement_eps_{eps:g}".replace(".", "_")
-            row[tag] = combined.chi_sq(chi / eps, r, w, eps) / chi
+            row[tag] = combined.chi_sq(CHI_DEFAULT / eps, R_DEFAULT, w, eps) / CHI_DEFAULT
         rows.append(row)
     return rows
 
 
-def fig2a_inset_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
-                     epsilon: float = EPS_DEFAULT,
-                     grid: Iterable[float] | None = None) -> list[dict]:
+def fig2a_inset_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """omega_sq nulling the perpendicular separation, versus kappa*tau."""
     kts = kappa_tau_grid(1e-3, 1e3, 25) if grid is None else np.asarray(list(grid))
     rows = []
     for kt in kts:
-        w = combined.solve_omega_sq(_params(kt, chi), r, epsilon)
+        w = combined.solve_omega_sq(_params(kt), R_DEFAULT)
         rows.append({"kappa_tau": kt, "omega_sq_over_kappa": w,
                      "omega_sq_tau": w * kt})
     return rows
 
 
-def _scheme_snrs(kt: float, r: float, chi: float, epsilon: float) -> dict:
-    std = _std_snr(kt, chi)
-    ies_opt = optimize.maximize_snr("ies", kt, fix_chi=chi)
-    ics_opt = optimize.maximize_snr("ics", kt, fix_chi=chi)
+def _scheme_snrs(kt: float) -> dict:
+    std = _std_snr(kt)
+    ies_opt = optimize.maximize_snr("ies", kt, fix_chi=CHI_DEFAULT)
+    ics_opt = optimize.maximize_snr("ics", kt, fix_chi=CHI_DEFAULT)
     return {
         "kappa_tau": kt,
-        "snr_combined": combined_snr(kt, r, chi, epsilon),
+        "snr_combined": combined_snr(kt),
         "snr_ies_opt": ies_opt.best_snr,
         "snr_ics_opt": ics_opt.best_snr,
         "snr_std": std,
-        "snr_std_e_r": math.exp(r) * std,
-        "snr_std_e_2r": math.exp(2.0 * r) * std,
+        "snr_std_e_r": math.exp(R_DEFAULT) * std,
+        "snr_std_e_2r": math.exp(2.0 * R_DEFAULT) * std,
         "r_opt_ies": ies_opt.argmax["r"],
         "r_opt_ics": ics_opt.argmax["r"],
     }
 
 
-def fig2b_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
-               epsilon: float = EPS_DEFAULT,
-               grid: Iterable[float] | None = None) -> list[dict]:
+def fig2b_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """SNR versus kappa*tau for all schemes plus the reference curves."""
     kts = kappa_tau_grid() if grid is None else np.asarray(list(grid))
-    return [_scheme_snrs(kt, r, chi, epsilon) for kt in kts]
+    return [_scheme_snrs(kt) for kt in kts]
 
 
-def fig2c_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
-               epsilon: float = EPS_DEFAULT,
-               grid: Iterable[float] | None = None) -> list[dict]:
+def fig2c_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Measurement error versus kappa*tau for all schemes."""
     rows = []
-    for base in fig2b_rows(r, chi, epsilon, grid):
+    for base in fig2b_rows(grid):
         rows.append({
             "kappa_tau": base["kappa_tau"],
             "error_combined": fidelity_and_error(base["snr_combined"])[1],
@@ -113,84 +107,75 @@ def fig2c_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
     return rows
 
 
-def _fig3_point(kt: float, r: float, chi: float, epsilon: float) -> dict:
+def _fig3_point(kt: float) -> dict:
     """Required tone amplitude for SNR = 1 and the implied photon numbers."""
     row = {"kappa_tau": kt}
     tau = kt
 
     # the root does not depend on alpha_in, so one solve serves both amplitudes
-    p1 = _params(kt, chi)
-    cfg = combined.with_solved_omega_sq(p1, combined.CombinedConfig(r=r, epsilon=epsilon))
+    p1 = _params(kt)
+    cfg = combined.with_solved_omega_sq(p1, combined.CombinedConfig(r=R_DEFAULT))
     a_comb = required_tone_amplitude(snr(combined.combined_moments(p1, cfg)), 1.0)
-    p = _params(kt, chi, a_comb)
+    p = _params(kt, a_comb)
     _, disp = combined.resolve_operating_point(p, cfg)
-    n_comb = max(combined.beta_photon_number(p, disp, r, s, tau) for s in QubitState)
+    n_comb = max(combined.beta_photon_number(p, disp, R_DEFAULT, s, tau) for s in QubitState)
     row["alpha_combined"] = a_comb
     row["n_combined"] = n_comb
 
-    ies_opt = optimize.maximize_snr("ies", kt, fix_chi=chi)
+    ies_opt = optimize.maximize_snr("ies", kt, fix_chi=CHI_DEFAULT)
     a_ies = required_tone_amplitude(ies_opt.best_snr, 1.0)
     cfg_i = ies.IesConfig(ies_opt.argmax["r"], 0.0)
     row["alpha_ies"] = a_ies
-    row["n_ies"] = ies.ies_photon_number(_params(kt, chi, a_ies), cfg_i, tau)
+    row["n_ies"] = ies.ies_photon_number(_params(kt, a_ies), cfg_i, tau)
 
-    ics_opt = optimize.maximize_snr("ics", kt, fix_chi=chi)
+    ics_opt = optimize.maximize_snr("ics", kt, fix_chi=CHI_DEFAULT)
     a_ics = required_tone_amplitude(ics_opt.best_snr, 1.0)
-    p_ics = _params(kt, chi, a_ics)
+    p_ics = _params(kt, a_ics)
     omega = ics.ics_omega_from_r(1.0, ics_opt.argmax["r"])
     cfg_c = ics.IcsConfig(omega, ics.optimal_theta(p_ics, omega))
     row["alpha_ics"] = a_ics
     row["n_ics"] = ics.ics_photon_number(p_ics, cfg_c, tau)
 
-    a_std = required_tone_amplitude(_std_snr(kt, chi), 1.0)
+    a_std = required_tone_amplitude(_std_snr(kt), 1.0)
     row["alpha_std"] = a_std
-    row["n_std"] = ies.ies_photon_number(_params(kt, chi, a_std),
-                                         ies.IesConfig(0.0, 0.0), tau)
-    row["n_critical"] = 1.0 / (4.0 * epsilon ** 2)
+    row["n_std"] = ies.ies_photon_number(_params(kt, a_std), ies.IesConfig(0.0, 0.0), tau)
+    row["n_critical"] = 1.0 / (4.0 * EPS_DEFAULT ** 2)
     return row
 
 
-def fig3_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
-              epsilon: float = EPS_DEFAULT,
-              grid: Iterable[float] | None = None) -> list[dict]:
+def fig3_rows(grid: Iterable[float] | None = None) -> list[dict]:
     if grid is None:
         # keep the reference points kappa*tau = 0.2 and 1 on the grid
         kts = np.unique(np.concatenate([kappa_tau_grid(0.05, 10.0, 20), [0.2, 1.0]]))
     else:
         kts = np.asarray(list(grid))
-    return [_fig3_point(kt, r, chi, epsilon) for kt in kts]
+    return [_fig3_point(kt) for kt in kts]
 
 
-def fig4a_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
-               epsilon: float = EPS_DEFAULT, delta_r: float = 0.1,
-               grid: Iterable[float] | None = None) -> list[dict]:
+def fig4a_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Mismatched-scheme SNR versus kappa*tau for the standard mismatch set."""
     kts = kappa_tau_grid() if grid is None else np.asarray(list(grid))
     rows = []
     for kt in kts:
-        std = _std_snr(kt, chi)
+        std = _std_snr(kt)
         row = {"kappa_tau": kt, "snr_std": std,
-               "snr_std_e_r": math.exp(r) * std,
-               "snr_std_e_2r": math.exp(2.0 * r) * std}
+               "snr_std_e_r": math.exp(R_DEFAULT) * std,
+               "snr_std_e_2r": math.exp(2.0 * R_DEFAULT) * std}
         for dp in MISMATCH_SET:
             tag = f"snr_dp_{dp:g}".replace(".", "_")
-            row[tag] = combined_snr(kt, r, chi, epsilon, delta_r=delta_r, delta_p=dp)
+            row[tag] = combined_snr(kt, delta_r=0.1, delta_p=dp)
         rows.append(row)
     return rows
 
 
-def fig4b_rows(r: float = R_DEFAULT, chi: float = CHI_DEFAULT,
-               epsilon: float = EPS_DEFAULT, kappa_tau: float = 1.0,
-               count: int = 41) -> list[dict]:
+def fig4b_rows(kappa_tau: float = 1.0, count: int = 41) -> list[dict]:
     """SNR versus the mismatch magnitude at fixed kappa*tau."""
     rows = []
     for d in np.linspace(0.0, 0.2, count):
         rows.append({
             "delta": d,
-            "snr_vs_delta_p": combined_snr(kappa_tau, r, chi, epsilon,
-                                           delta_r=0.1, delta_p=d),
-            "snr_vs_delta_r": combined_snr(kappa_tau, r, chi, epsilon,
-                                           delta_r=d, delta_p=0.05),
+            "snr_vs_delta_p": combined_snr(kappa_tau, delta_r=0.1, delta_p=d),
+            "snr_vs_delta_r": combined_snr(kappa_tau, delta_r=d, delta_p=0.05),
         })
     return rows
 
@@ -245,11 +230,26 @@ def ics_optimal_setting(kappa_tau: float) -> tuple[ReadoutParams, ics.IcsConfig]
     return p, ics.IcsConfig(omega, ics.optimal_theta(p, omega))
 
 
-def _ellipse_rows(setting_fn, grid: Iterable[float] | None) -> list[dict]:
+def _combined_setting(kappa_tau: float, r: float) -> tuple[ReadoutParams, combined.CombinedConfig]:
+    """Matched combined scheme at squeeze r with its omega_sq root solved."""
+    p = _params(kappa_tau)
+    return p, combined.with_solved_omega_sq(p, combined.CombinedConfig(r=r))
+
+
+#: pointer-state operating points versus kappa*tau, keyed by the figure that
+#: shows them; `readout wigner --preset` offers exactly these keys
+PHASE_SPACE_SETTINGS = {
+    "figS2": ies_optimal_setting,
+    "figS4": ics_optimal_setting,
+    "figS5": lambda kappa_tau: _combined_setting(kappa_tau, R_FIGS5),
+}
+
+
+def _ellipse_rows(name: str, grid: Iterable[float] | None) -> list[dict]:
     kts = kappa_tau_grid(0.1, 10.0, 17) if grid is None else np.asarray(list(grid))
     rows = []
     for kt in kts:
-        p, cfg = setting_fn(kt)
+        p, cfg = PHASE_SPACE_SETTINGS[name](kt)
         row = {"kappa_tau": kt}
         for state in QubitState:
             st = phasespace.pointer_state(p, cfg, state)
@@ -264,21 +264,19 @@ def _ellipse_rows(setting_fn, grid: Iterable[float] | None) -> list[dict]:
 
 def figS2_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Squeeze direction and degree of the optimal-IES pointer states."""
-    return _ellipse_rows(ies_optimal_setting, grid)
+    return _ellipse_rows("figS2", grid)
 
 
 def figS4_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Squeeze direction and degree of the optimal-ICS pointer states."""
-    return _ellipse_rows(ics_optimal_setting, grid)
+    return _ellipse_rows("figS4", grid)
 
 
-def figS5_rows(chi: float = CHI_DEFAULT, r: float = 1.0,
-               epsilon: float = EPS_DEFAULT) -> list[dict]:
+def figS5_rows(r: float = R_FIGS5) -> list[dict]:
     """Combined-scheme pointer-state diagnostics at kappa*tau in {1, 2, 5}."""
     rows = []
     for kt in (1.0, 2.0, 5.0):
-        p = _params(kt, chi)
-        cfg = combined.with_solved_omega_sq(p, combined.CombinedConfig(r=r, epsilon=epsilon))
+        p, cfg = _combined_setting(kt, r)
         row = {"kappa_tau": kt}
         for state in QubitState:
             st = phasespace.pointer_state(p, cfg, state)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (ImaginaryResidueError, MeasurementMoments, QubitState,
                    ReadoutParams, StabilityError, reduce_angle)
@@ -88,19 +87,6 @@ def _require_stable(params: ReadoutParams, cfg: IcsConfig) -> None:
         raise StabilityError(verdict.reason)
 
 
-@dataclass(frozen=True)
-class IcsPropagators:
-    """Time-domain propagators of the two-photon-driven cavity.
-
-    a(t) = Lambda(t) a(0) - Gamma(t) a^dag(0) + input terms; Lambda(0) = 1,
-    Gamma(0) = 0, both decaying as exp(-kappa t / 2) on stable points.
-    """
-
-    lam: complex
-    Lambda_t: Callable[[float], complex]
-    Gamma_t: Callable[[float], complex]
-
-
 def _sinc(z: complex) -> complex:
     """sin(z)/z, regular at z = 0."""
     if abs(z) < 1e-6:
@@ -108,46 +94,12 @@ def _sinc(z: complex) -> complex:
     return cmath.sin(z) / z
 
 
-def ics_propagators(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> IcsPropagators:
-    """Closed-form Lambda(t), Gamma(t) for one qubit state."""
+def _mean_field_terms(params: ReadoutParams, cfg: IcsConfig, sigma: int) -> tuple[complex, ...]:
+    """(lambda, pref, t0, ts, tc) of the driven mean field, from <a(0)> = 0:
+
+    <a(t)> = pref [t0 + (ts/lambda) sin(lambda t) e^{-kt/2} + tc cos(lambda t) e^{-kt/2}].
+    """
     k = params.kappa
-    s = int(state)
-    chi = params.chi
-    lam = ics_lambda(chi, cfg.omega_2ph)
-    phase = cmath.exp(1j * cfg.theta)
-
-    def Lambda_t(t: float) -> complex:
-        return (cmath.cos(lam * t) - 1j * s * chi * t * _sinc(lam * t)) * math.exp(-k * t / 2.0)
-
-    def Gamma_t(t: float) -> complex:
-        return 2j * phase * cfg.omega_2ph * t * _sinc(lam * t) * math.exp(-k * t / 2.0)
-
-    return IcsPropagators(lam, Lambda_t, Gamma_t)
-
-
-def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
-                   t: float) -> complex:
-    """Coherent cavity amplitude <a(t)> under the tone, from <a(0)> = 0."""
-    _require_stable(params, cfg)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    k = params.kappa
-    s = int(state)
-    chi, om = params.chi, cfg.omega_2ph
-    lam = _lambda_safe(chi, om, k)
-    pref = 2.0 * math.sqrt(k) * params.alpha_in / (k * k + 4.0 * lam * lam)
-    e_in = cmath.exp(1j * params.phi_in)
-    e_out = cmath.exp(1j * (cfg.theta - params.phi_in))
-    t0 = 4j * om * e_out - (k - 2j * s * chi) * e_in
-    ts = -((2.0 * lam * lam + 1j * k * s * chi) * e_in + 2j * om * k * e_out) / lam
-    tc = (k - 2j * s * chi) * e_in - 4j * om * e_out
-    decay = math.exp(-k * t / 2.0)
-    return pref * (t0 + ts * cmath.sin(lam * t) * decay + tc * cmath.cos(lam * t) * decay)
-
-
-def _integrated_output_mean(params: ReadoutParams, cfg: IcsConfig, sigma: int) -> complex:
-    """sqrt(kappa) * integral of <a_out(t)> dt over [0, tau], term-by-term closed form."""
-    k, tau = params.kappa, params.tau
     chi, om = params.chi, cfg.omega_2ph
     lam = _lambda_safe(chi, om, k)
     pref = 2.0 * math.sqrt(k) * params.alpha_in / (k * k + 4.0 * lam * lam)
@@ -156,6 +108,24 @@ def _integrated_output_mean(params: ReadoutParams, cfg: IcsConfig, sigma: int) -
     t0 = 4j * om * e_out - (k - 2j * sigma * chi) * e_in
     ts = -((2.0 * lam * lam + 1j * k * sigma * chi) * e_in + 2j * om * k * e_out)
     tc = (k - 2j * sigma * chi) * e_in - 4j * om * e_out
+    return lam, pref, t0, ts, tc
+
+
+def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
+                   t: float) -> complex:
+    """Coherent cavity amplitude <a(t)> under the tone, from <a(0)> = 0."""
+    _require_stable(params, cfg)
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    lam, pref, t0, ts, tc = _mean_field_terms(params, cfg, int(state))
+    decay = math.exp(-params.kappa * t / 2.0)
+    return pref * (t0 + ts / lam * cmath.sin(lam * t) * decay + tc * cmath.cos(lam * t) * decay)
+
+
+def _integrated_output_mean(params: ReadoutParams, cfg: IcsConfig, sigma: int) -> complex:
+    """sqrt(kappa) * integral of <a_out(t)> dt over [0, tau], term-by-term closed form."""
+    k, tau = params.kappa, params.tau
+    lam, pref, t0, ts, tc = _mean_field_terms(params, cfg, sigma)
     half_k = k / 2.0
     den = lam * lam + half_k * half_k
     decay = cmath.exp(-k * tau / 2.0)
@@ -163,7 +133,7 @@ def _integrated_output_mean(params: ReadoutParams, cfg: IcsConfig, sigma: int) -
     int_s = (1.0 - decay * (cmath.cos(lam * tau) + half_k * tau * _sinc(lam * tau))) / den
     int_c = (half_k + decay * (lam * cmath.sin(lam * tau) - half_k * cmath.cos(lam * tau))) / den
     integral = t0 * tau + ts * int_s + tc * int_c
-    a_bar = params.alpha_in * e_in
+    a_bar = params.alpha_in * cmath.exp(1j * params.phi_in)
     return math.sqrt(k) * (a_bar * tau + math.sqrt(k) * pref * integral)
 
 

@@ -85,15 +85,15 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 
 
 def maximize_over_box(objective: Callable[..., float],
-                      bounds: Sequence[tuple[float, float]],
-                      grid_points: int = 64, tol: float = 1e-6,
-                      max_sweeps: int = 200) -> tuple[float, list[float], int, bool]:
-    """Coarse grid plus coordinate-descent golden-section over a box.
+                      bounds: Sequence[tuple[float, float]]) -> tuple[float, list, int, bool]:
+    """64-point grid per axis, then coordinate-descent golden sections to 1e-6.
 
     Ties on the grid break deterministically toward the smallest coordinates,
     last coordinate first.  The returned value never falls below the best grid
-    sample.  Returns (best_value, argmax, evaluations, converged).
+    sample.  Returns (best_value, argmax, evaluations, converged); converged
+    means a sweep moved no coordinate by 1e-6 within 200 sweeps.
     """
+    n, tol = 64, 1e-6
     axes = []
     for lo, hi in bounds:
         if hi < lo:
@@ -101,7 +101,6 @@ def maximize_over_box(objective: Callable[..., float],
         if hi == lo:
             axes.append([lo])
         else:
-            n = grid_points
             axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
 
     best_val = -math.inf
@@ -123,12 +122,12 @@ def maximize_over_box(objective: Callable[..., float],
 
     x = list(best_x)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(200):
         moved = 0.0
         for i, (lo, hi) in enumerate(bounds):
             if hi == lo:
                 continue
-            cell = (hi - lo) / (grid_points - 1)
+            cell = (hi - lo) / (n - 1)
             a = max(lo, x[i] - cell)
             b = min(hi, x[i] + cell)
 

@@ -86,7 +86,7 @@ def reconstruct_state(signal: Callable[[float], float],
     return GaussianState2D(mean, np.array([[dxx, dxy], [dxy, dyy]]))
 
 
-def ellipse(state: GaussianState2D, measurement_angle: float = 0.0) -> EllipseDiagnostics:
+def ellipse(state: GaussianState2D) -> EllipseDiagnostics:
     """Eigen-analysis of the covariance into squeeze direction and degree."""
     cov = state.cov
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -101,9 +101,7 @@ def ellipse(state: GaussianState2D, measurement_angle: float = 0.0) -> EllipseDi
             theta -= math.pi
         elif theta <= -math.pi / 2.0:
             theta += math.pi
-    c, s = math.cos(measurement_angle), math.sin(measurement_angle)
-    xi2 = 4.0 * float(np.array([c, s]) @ cov @ np.array([c, s]))
-    return EllipseDiagnostics(theta_N=theta, xi2_N=xi2,
+    return EllipseDiagnostics(theta_N=theta, xi2_N=4.0 * float(cov[0, 0]),
                               xi2_dB=10.0 * math.log10(lam_min / VACUUM_VARIANCE))
 
 

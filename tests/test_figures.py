@@ -1,0 +1,62 @@
+"""Contract of the figure builders: the keywords they take and the tables they share."""
+
+from sqreadout import cli, figures
+from sqreadout.core import fidelity_and_error
+
+
+class TestBuilderKeywords:
+    def test_fig2b_on_a_given_grid(self):
+        rows = figures.fig2b_rows(grid=[0.7])
+        assert [row["kappa_tau"] for row in rows] == [0.7]
+        assert rows[0]["snr_combined"] > rows[0]["snr_std"] > 0
+
+    def test_fig4b_at_a_given_point_and_count(self):
+        rows = figures.fig4b_rows(kappa_tau=2.0, count=3)
+        assert [row["delta"] for row in rows] == [0.0, 0.1, 0.2]
+        for row in rows:
+            d = row["delta"]
+            assert row["snr_vs_delta_p"] == figures.combined_snr(2.0, delta_r=0.1, delta_p=d)
+            assert row["snr_vs_delta_r"] == figures.combined_snr(2.0, delta_r=d, delta_p=0.05)
+
+    def test_figS5_at_a_given_squeeze(self):
+        rows = figures.figS5_rows(r=1.05)
+        assert [row["kappa_tau"] for row in rows] == [1.0, 2.0, 5.0]
+        assert rows != figures.figS5_rows()
+
+
+def test_fig2c_is_the_error_of_fig2b():
+    kt = 0.3
+    snrs = figures.fig2b_rows(grid=[kt])[0]
+    errors = figures.fig2c_rows(grid=[kt])[0]
+    assert errors["kappa_tau"] == kt
+    for scheme in ("combined", "ies_opt", "ics_opt", "std"):
+        assert errors[f"error_{scheme}"] == fidelity_and_error(snrs[f"snr_{scheme}"])[1]
+
+
+class TestPhaseSpaceSettings:
+    def test_keys(self):
+        assert sorted(figures.PHASE_SPACE_SETTINGS) == ["figS2", "figS4", "figS5"]
+
+    def test_wigner_presets_are_the_table_keys(self, monkeypatch, tmp_path):
+        # the figS2/figS4/figS5 presets run in test_cli; a key added to the table
+        # becomes a preset too, so the CLI keeps no list of its own
+        monkeypatch.setitem(figures.PHASE_SPACE_SETTINGS, "figX",
+                            figures.PHASE_SPACE_SETTINGS["figS5"])
+        assert cli.main(["wigner", "--preset", "figX", "--resolution", "16",
+                         "--output-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "figX_diagnostics.csv").exists()
+
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        assert cli.main(["wigner", "--preset", "figS9", "--output-dir", str(tmp_path)]) == 2
+        assert "unknown preset 'figS9'" in capsys.readouterr().err
+
+    def test_figS5_rows_and_preset_share_the_point(self, tmp_path):
+        assert cli.main(["wigner", "--preset", "figS5", "--resolution", "16",
+                         "--output-dir", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "figS5_diagnostics.csv").read_text().splitlines()
+        diag = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        for row in figures.figS5_rows():
+            for state in ("up", "down"):
+                d = next(x for x in diag if x["grid"] == f"figS5_kt{row['kappa_tau']:g}_{state}")
+                for key in ("mean_x", "mean_y", "theta_N", "xi2_dB"):
+                    assert d[key] == cli.fmt(row[f"{key}_{state}"])

@@ -193,18 +193,31 @@ class TestPhotonNumber:
         assert ics.ics_photon_number(p, cfg, 0.0) == pytest.approx(n0, rel=1e-12)
 
     def test_independent_quadrature_check(self):
-        # fluctuation part via Lambda/Gamma propagators and an explicit
-        # Simpson integral of kappa*int |Gamma|^2
+        # fluctuation part via the closed-form propagators of
+        # a(t) = Lambda(t) a(0) - Gamma(t) a^dag(0) + input terms (qubit up)
+        # and an explicit Simpson integral of kappa*int |Gamma|^2
         p = make_params(chi=0.5, alpha_in=1.7, phi_in=0.0)
         cfg = ics.IcsConfig(0.1, 0.3)
         t = 5.0
-        prop = ics.ics_propagators(p, cfg, QubitState.UP)
+        k, s, chi = p.kappa, int(QubitState.UP), p.chi
+        lam = ics.ics_lambda(chi, cfg.omega_2ph)
+
+        def sinc(z):
+            return 1.0 - z * z / 6.0 if abs(z) < 1e-6 else cmath.sin(z) / z
+
+        def Lambda_t(u):
+            return (cmath.cos(lam * u) - 1j * s * chi * u * sinc(lam * u)) * math.exp(-k * u / 2.0)
+
+        def Gamma_t(u):
+            return (2j * cmath.exp(1j * cfg.theta) * cfg.omega_2ph * u * sinc(lam * u)
+                    * math.exp(-k * u / 2.0))
+
         n0, m0 = ics.ics_initial_correlations(1.0, cfg)
-        lt, gt = prop.Lambda_t(t), prop.Gamma_t(t)
+        lt, gt = Lambda_t(t), Gamma_t(t)
         nfl = (abs(lt) ** 2 * n0 + abs(gt) ** 2 * (1 + n0)
                - 2.0 * (np.conj(lt) * gt * np.conj(m0)).real)
         us = np.linspace(0.0, t, 8001)
-        g2 = np.array([abs(prop.Gamma_t(u)) ** 2 for u in us])
+        g2 = np.array([abs(Gamma_t(u)) ** 2 for u in us])
         w = np.ones(len(us))
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         nfl += (t / (len(us) - 1)) / 3.0 * float(np.sum(w * g2))
