@@ -8,7 +8,7 @@ reconstruction and a CLI for figure reproduction.
 from .core import (DegenerateNoiseError, MeasurementMoments, QubitState,
                    ReadoutParams, ReadoutSummary, ReadoutError, StabilityError,
                    fidelity_and_error, psi_from_rate, required_tone_amplitude,
-                   snr, standard_readout_moments, summarize)
+                   scheme_moments, snr, standard_readout_moments, summarize)
 from .ies import IesConfig, ies_moments, ies_noise, ies_noise_shape, ies_photon_number, ies_signal
 from .ics import (IcsConfig, ics_lambda, ics_mean_field, ics_moments, ics_noise,
                   ics_photon_number, ics_signal_separation, ics_squeeze_param,

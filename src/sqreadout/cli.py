@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .core import (OracleConvergenceError, QubitState, ReadoutError, ReadoutParams,
-                   StabilityError, psi_from_rate, snr, summarize)
+                   StabilityError, psi_from_rate, scheme_moments, snr, summarize)
 from . import combined, figures, ics, ies, oracle, phasespace
 
 SCHEMES = ("standard", "ies", "ics", "combined")
@@ -135,8 +135,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
 def _scheme_point(opts: dict):
     """Operating point of the chosen scheme: (params, cfg, moments, extra record fields).
 
-    params carry the scheme's phase convention (combined: phi_h = phi_in =
-    theta/2) and a combined cfg has omega_sq solved, so the moments, the oracle
+    cfg.operating_point applies the scheme's phase convention (combined:
+    phi_h = phi_in = theta/2, omega_sq solved), so the moments, the oracle
     and the pointer states all use the same point.
     """
     scheme = opts["scheme"]
@@ -144,50 +144,43 @@ def _scheme_point(opts: dict):
                            opts["phi_in"], opts["phi_h"], opts["tau"])
     if scheme == "standard":
         cfg = ies.IesConfig(0.0, 0.0)
-        moments = ies.ies_moments(params, cfg)
-        extra = {"n_tau": ies.ies_photon_number(params, cfg, params.tau)}
     elif scheme == "ies":
         varphi = opts["varphi"]
-        if varphi is None:
-            varphi = ies.optimal_varphi(params)
-        cfg = ies.IesConfig(opts["r"], varphi)
-        moments = ies.ies_moments(params, cfg)
-        extra = {"r": cfg.r, "varphi": cfg.varphi,
-                 "noise_shape": ies.ies_noise_shape(params),
-                 "n_tau": ies.ies_photon_number(params, cfg, params.tau)}
+        cfg = ies.IesConfig(opts["r"], ies.optimal_varphi(params) if varphi is None else varphi)
     elif scheme == "ics":
-        omega = opts["omega_2ph"]
-        theta = opts["theta"]
-        if theta is None:
-            theta = ics.optimal_theta(params, omega)
-        cfg = ics.IcsConfig(omega, theta)
-        moments = ics.ics_moments(params, cfg)
-        lam = ics.ics_lambda(params.chi, omega)
-        extra = {"omega_2ph": omega, "theta": cfg.theta,
-                 "lambda_re": lam.real, "lambda_im": lam.imag,
-                 "r_out": ics.ics_squeeze_param(params.kappa, omega),
-                 "n_tau": ics.ics_photon_number(params, cfg, params.tau)}
+        omega, theta = opts["omega_2ph"], opts["theta"]
+        cfg = ics.IcsConfig(omega, ics.optimal_theta(params, omega) if theta is None else theta)
     else:
         cfg = combined.CombinedConfig(
             r=opts["r"], theta=opts["theta"] or 0.0, omega_sq=opts["omega_sq"],
             epsilon=opts["epsilon"], delta_r=opts["delta_r"], delta_p=opts["delta_p"])
-        params = combined.operating_params(params, cfg)
-        cfg = combined.with_solved_omega_sq(params, cfg)
+    params, cfg = cfg.operating_point(params)
+    return params, cfg, scheme_moments(params, cfg), _record_fields(scheme, params, cfg)
+
+
+def _record_fields(scheme: str, params: ReadoutParams, cfg) -> dict:
+    """The scheme's own fields of the output record, at its operating point."""
+    if scheme == "ics":
+        lam = ics.ics_lambda(params.chi, cfg.omega_2ph)
+        return {"omega_2ph": cfg.omega_2ph, "theta": cfg.theta,
+                "lambda_re": lam.real, "lambda_im": lam.imag,
+                "r_out": ics.ics_squeeze_param(params.kappa, cfg.omega_2ph),
+                "n_tau": ics.ics_photon_number(params, cfg, params.tau)}
+    if scheme == "combined":
         _, disp = combined.resolve_operating_point(params, cfg)
-        moments = combined.combined_moments(params, cfg, disp)
         frame = combined.BogoliubovFrame.from_squeeze(cfg.omega_sq, cfg.r_c, cfg.theta)
-        extra = {"r": cfg.r, "theta": cfg.theta, "varphi": cfg.varphi,
-                 "delta_r": cfg.delta_r, "delta_p": cfg.delta_p,
-                 "epsilon": cfg.epsilon, "omega_sq": cfg.omega_sq,
-                 "delta_c": frame.delta_c, "omega_2ph": frame.omega_2ph,
-                 "chi_sq": disp.chi_sq, "psi_sq": disp.psi_sq,
-                 "g": disp.g, "delta_q": disp.delta_q,
-                 "n_critical": disp.critical_photon_number,
-                 "n_beta_up": combined.beta_photon_number(params, disp, cfg.r_c,
-                                                          QubitState.UP, params.tau),
-                 "n_beta_down": combined.beta_photon_number(params, disp, cfg.r_c,
-                                                            QubitState.DOWN, params.tau)}
-    return params, cfg, moments, extra
+        return {"r": cfg.r, "theta": cfg.theta, "varphi": cfg.varphi,
+                "delta_r": cfg.delta_r, "delta_p": cfg.delta_p,
+                "epsilon": cfg.epsilon, "omega_sq": cfg.omega_sq,
+                "delta_c": frame.delta_c, "omega_2ph": frame.omega_2ph,
+                "chi_sq": disp.chi_sq, "psi_sq": disp.psi_sq,
+                "g": disp.g, "delta_q": disp.delta_q,
+                "n_critical": disp.critical_photon_number,
+                **{f"n_beta_{s.name.lower()}": combined.beta_photon_number(
+                    params, disp, cfg.r_c, s, params.tau) for s in QubitState}}
+    fields = ({"r": cfg.r, "varphi": cfg.varphi, "noise_shape": ies.ies_noise_shape(params)}
+              if scheme == "ies" else {})
+    return {**fields, "n_tau": ies.ies_photon_number(params, cfg, params.tau)}
 
 
 def evaluate_record(opts: dict) -> dict:

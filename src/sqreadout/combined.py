@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (MeasurementMoments, QubitState, ReadoutParams, BracketError,
-                   psi_from_rate, reduce_angle)
+                   psi_from_rate, reduce_angle, scheme_moments)
 from .optimize import bisect
+from .oracle import LinearReadoutSystem
 
 #: dispersive-approximation accuracy parameter used in the reference figures
 DEFAULT_EPSILON = 0.05
@@ -329,17 +330,19 @@ def asymptotic_snr(limit: str, params: ReadoutParams, disp: DispersiveParams,
                    r: float, snr_std: float) -> float:
     """Short- and long-time SNR of the matched scheme relative to the standard one.
 
-    short: 0.81 e^{2r} SNR_std;  long: (sin psi_sq / sin 2 psi) e^r SNR_std,
-    with tan(psi) = 2 chi / kappa for the unsqueezed readout.
+    short: 6 |sin x/x^2 - 2(1 - cos x)/x^3| (chi_sq/chi) e^r SNR_std with
+    x = omega_sq*tau, the leading order in kappa*tau at disp's omega_sq;
+    long: (sin psi_sq / sin 2 psi) e^r SNR_std, with tan(psi) = 2 chi / kappa
+    for the unsqueezed readout.
 
-    To leading order in kappa*tau the short-time ratio is
-    6 |sin x/x^2 - 2(1 - cos x)/x^3| (chi_sq/chi) e^r with x = omega_sq*tau.
-    The "short" value is its peak, 0.8102 at the SNR-optimal x = 2.606, with
-    chi_sq ~ chi e^r (epsilon -> 0).  At the default root x = pi it is
-    0.774 (chi_sq/chi) e^r instead.
+    The short-time prefactor peaks at 0.8102 at x = 2.606, which with
+    chi_sq ~ chi e^r (epsilon -> 0) gives 0.81 e^{2r} SNR_std.  At the
+    default root x = pi it is 0.774 (chi_sq/chi) e^r instead.
     """
     if limit == "short":
-        return 0.81 * math.exp(2.0 * r) * snr_std
+        x = disp.omega_sq * params.tau
+        shape = 6.0 * abs(math.sin(x) / x ** 2 - 2.0 * (1.0 - math.cos(x)) / x ** 3)
+        return shape * disp.chi_sq / disp.chi * math.exp(r) * snr_std
     if limit == "long":
         psi = psi_from_rate(params.chi, params.kappa)
         return math.sin(disp.psi_sq) / math.sin(2.0 * psi) * math.exp(r) * snr_std
@@ -353,8 +356,12 @@ def mismatch_noise(params: ReadoutParams, disp: DispersiveParams, r: float,
 
     Sum of the white-noise floor R0, a transient filtered through the cavity R1,
     and the two-photon correlation contribution R2; collapses to
-    kappa*tau*exp(-2r) when both mismatches vanish.
+    kappa*tau*exp(-2r) when both mismatches vanish.  Off that angle the
+    formula does not hold, so any other phi_h raises ValueError.
     """
+    if abs(reduce_angle(2.0 * params.phi_h - theta)) > 1e-9:
+        raise ValueError("mismatched-scheme noise is known only on the squeezed "
+                         "quadrature 2*phi_h = theta")
     p = params.normalized()
     kt = p.tau
     r_c = r + mismatch.delta_r
@@ -414,6 +421,38 @@ class CombinedConfig:
     def matched(self) -> bool:
         return self.delta_r == 0.0 and self.delta_p == 0.0
 
+    def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "CombinedConfig"]:
+        """Squeezed-quadrature phases phi_h = phi_in = theta/2, with omega_sq solved once."""
+        op = operating_params(params, self)
+        return op, with_solved_omega_sq(op, self)
+
+    def signal(self, params: ReadoutParams, state: QubitState) -> float:
+        _, disp = resolve_operating_point(params, self)
+        return combined_signal(params, disp, self.r_c, self.theta, state)
+
+    def noise(self, params: ReadoutParams, state: QubitState) -> float:
+        if self.matched:
+            return combined_noise(params, self.r, self.theta)
+        _, disp = resolve_operating_point(params, self)
+        mm = MismatchParams.derive(self.r, self.theta, self.delta_r, self.delta_p)
+        return mismatch_noise(params, disp, self.r, mm, self.theta, state)
+
+    def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
+        """Oracle model: the Bogoliubov mode fed by its residual input noise, lab-frame output."""
+        k = params.kappa
+        a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
+        _, disp = resolve_operating_point(params, self)
+        om = disp.omega_sigma(state)
+        drift = np.diag([-1j * om - k / 2.0, 1j * om - k / 2.0])
+        budget = input_noise_budget(self.r_c, self.r, self.theta, self.varphi)
+        r_c = self.r_c
+        ph = complex(math.cos(self.theta), math.sin(self.theta))
+        beta_in = math.cosh(r_c) * a_bar + ph * math.sinh(r_c) * np.conj(a_bar)
+        out = np.array([[math.cosh(r_c), -ph * math.sinh(r_c)],
+                        [-np.conj(ph) * math.sinh(r_c), math.cosh(r_c)]])
+        return LinearReadoutSystem(drift, complex(beta_in), budget, 0.0, (0.0, 0.0),
+                                   out, params.phi_h, k, params.tau)
+
 
 def with_solved_omega_sq(params: ReadoutParams, cfg: CombinedConfig) -> CombinedConfig:
     """cfg with omega_sq fixed to its root, so later calls at this point reuse it."""
@@ -439,25 +478,11 @@ def operating_params(params: ReadoutParams, cfg: CombinedConfig) -> ReadoutParam
     return params.with_(phi_h=half, phi_in=half)
 
 
-def combined_moments(params: ReadoutParams, cfg: CombinedConfig,
-                     disp: Optional[DispersiveParams] = None) -> MeasurementMoments:
+def combined_moments(params: ReadoutParams, cfg: CombinedConfig) -> MeasurementMoments:
     """Signal and noise for both qubit states, matched or mismatched.
 
     The measurement runs on the squeezed quadrature (phi_h = theta/2) with the
     tone along it (phi_in = phi_h); caller-supplied phi_h/phi_in are overridden
-    by this operating convention.
+    by this operating convention (CombinedConfig.operating_point).
     """
-    if disp is None:
-        _, disp = resolve_operating_point(params, cfg)
-    op = operating_params(params, cfg)
-    signals = {s: combined_signal(op, disp, cfg.r_c, cfg.theta, s) for s in QubitState}
-    if cfg.matched:
-        noise = combined_noise(op, cfg.r, cfg.theta)
-        noises = {QubitState.UP: noise, QubitState.DOWN: noise}
-    else:
-        mm = MismatchParams.derive(cfg.r, cfg.theta, cfg.delta_r, cfg.delta_p)
-        noises = {s: mismatch_noise(op, disp, cfg.r, mm, cfg.theta, s) for s in QubitState}
-    return MeasurementMoments(signal_up=signals[QubitState.UP],
-                              signal_down=signals[QubitState.DOWN],
-                              noise_up=noises[QubitState.UP],
-                              noise_down=noises[QubitState.DOWN])
+    return scheme_moments(params, cfg)

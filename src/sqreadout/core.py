@@ -185,6 +185,19 @@ def required_tone_amplitude(snr_at_unit_amplitude: float, target_snr: float) -> 
     return target_snr / snr_at_unit_amplitude
 
 
+def scheme_moments(params: ReadoutParams, cfg) -> MeasurementMoments:
+    """Signal and noise for both qubit states at the scheme's operating point.
+
+    cfg is any scheme config: it supplies operating_point(params) -> (params,
+    cfg), signal(params, state) and noise(params, state), plus the oracle's
+    linear_system(params, state).
+    """
+    params, cfg = cfg.operating_point(params)
+    signals = [cfg.signal(params, s) for s in QubitState]     # UP, then DOWN
+    noises = [cfg.noise(params, s) for s in QubitState]
+    return MeasurementMoments(*signals, *noises)
+
+
 def standard_readout_moments(params: ReadoutParams) -> MeasurementMoments:
     """Moments of the plain dispersive readout (no squeezing anywhere)."""
     from . import ies

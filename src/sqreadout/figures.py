@@ -26,9 +26,6 @@ EPS_DEFAULT = combined.DEFAULT_EPSILON
 R_FIGS5 = 1.0
 MISMATCH_SET = (0.1, 0.05, 0.01)
 
-FIGURES = ("fig2a", "fig2b", "fig2c", "fig3a", "fig3b", "fig4a", "fig4b",
-           "figS1", "figS2", "figS3", "figS4", "figS5")
-
 
 def _params(kappa_tau: float, alpha_in: float = 1.0) -> ReadoutParams:
     return ReadoutParams(1.0, CHI_DEFAULT, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
@@ -231,9 +228,8 @@ def ics_optimal_setting(kappa_tau: float) -> tuple[ReadoutParams, ics.IcsConfig]
 
 
 def _combined_setting(kappa_tau: float, r: float) -> tuple[ReadoutParams, combined.CombinedConfig]:
-    """Matched combined scheme at squeeze r with its omega_sq root solved."""
-    p = _params(kappa_tau)
-    return p, combined.with_solved_omega_sq(p, combined.CombinedConfig(r=r))
+    """Matched combined scheme at squeeze r, at its operating point (omega_sq solved)."""
+    return combined.CombinedConfig(r=r).operating_point(_params(kappa_tau))
 
 
 #: pointer-state operating points versus kappa*tau, keyed by the figure that
@@ -294,8 +290,8 @@ _FIGURE_BUILDERS = {
     "fig2a": lambda: {"fig2a": fig2a_rows(), "fig2a_inset": fig2a_inset_rows()},
     "fig2b": lambda: {"fig2b": fig2b_rows()},
     "fig2c": lambda: {"fig2c": fig2c_rows()},
-    "fig3a": lambda: {"fig3a": fig3_rows()},
-    "fig3b": lambda: {"fig3b": fig3_rows()},
+    # fig3a and fig3b plot the same table: one build, written under both stems
+    "fig3a": lambda: dict.fromkeys(("fig3a", "fig3b"), fig3_rows()),
     "fig4a": lambda: {"fig4a": fig4a_rows()},
     "fig4b": lambda: {"fig4b": fig4b_rows()},
     "figS1": lambda: {"figS1": figS1_rows()},
@@ -304,6 +300,7 @@ _FIGURE_BUILDERS = {
     "figS4": lambda: {"figS4": figS4_rows()},
     "figS5": lambda: {"figS5": figS5_rows()},
 }
+FIGURES = tuple(_FIGURE_BUILDERS)
 
 
 def figure_tables(name: str) -> dict[str, list[dict]]:

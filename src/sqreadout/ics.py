@@ -14,8 +14,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (ImaginaryResidueError, MeasurementMoments, QubitState,
-                   ReadoutParams, StabilityError, reduce_angle)
+                   ReadoutParams, StabilityError, reduce_angle, scheme_moments)
+from .oracle import LinearReadoutSystem
 
 # formulas are analytic in lambda^2; a tiny offset removes the removable
 # singularity of the cot(psi)/csc(psi) groupings at chi = 2 Omega
@@ -34,6 +37,29 @@ class IcsConfig:
         if self.omega_2ph < 0:
             raise ValueError(f"two-photon amplitude must be non-negative, got {self.omega_2ph}")
         object.__setattr__(self, "theta", reduce_angle(self.theta))
+
+    def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "IcsConfig"]:
+        """The scheme runs at the phases it is given: params and cfg unchanged."""
+        return params, self
+
+    def signal(self, params: ReadoutParams, state: QubitState) -> float:
+        return ics_signal(params, self, state)
+
+    def noise(self, params: ReadoutParams, state: QubitState) -> float:
+        return ics_noise(params, self, state)
+
+    def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
+        """Oracle model: two-photon-driven cavity with vacuum input, from its stationary state."""
+        _require_stable(params, self)
+        k = params.kappa
+        s = int(state)
+        a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
+        ph = complex(math.cos(self.theta), math.sin(self.theta))
+        drift = np.array([[-1j * s * params.chi - k / 2.0, -2j * self.omega_2ph * ph],
+                          [2j * self.omega_2ph * np.conj(ph), 1j * s * params.chi - k / 2.0]])
+        init = ics_initial_correlations(k, self)
+        return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), 0.0, init,
+                                   np.eye(2), params.phi_h, k, params.tau)
 
 
 @dataclass(frozen=True)
@@ -265,12 +291,7 @@ def ics_initial_correlations(kappa: float, cfg: IcsConfig) -> tuple[float, compl
 
 def ics_moments(params: ReadoutParams, cfg: IcsConfig) -> MeasurementMoments:
     """Signal and noise for both qubit states."""
-    return MeasurementMoments(
-        signal_up=ics_signal(params, cfg, QubitState.UP),
-        signal_down=ics_signal(params, cfg, QubitState.DOWN),
-        noise_up=ics_noise(params, cfg, QubitState.UP),
-        noise_down=ics_noise(params, cfg, QubitState.DOWN),
-    )
+    return scheme_moments(params, cfg)
 
 
 def optimal_theta(params: ReadoutParams, cfg_omega: float) -> float:

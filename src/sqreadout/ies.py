@@ -12,8 +12,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (MeasurementMoments, QubitState, ReadoutParams, reduce_angle,
-                   psi_from_rate)
+                   psi_from_rate, scheme_moments)
+from .oracle import LinearReadoutSystem
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,28 @@ class IesConfig:
         if self.r < 0:
             raise ValueError(f"squeeze parameter must be non-negative, got {self.r}")
         object.__setattr__(self, "varphi", reduce_angle(self.varphi))
+
+    def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "IesConfig"]:
+        """The scheme runs at the phases it is given: params and cfg unchanged."""
+        return params, self
+
+    def signal(self, params: ReadoutParams, state: QubitState) -> float:
+        return ies_signal(params, state)
+
+    def noise(self, params: ReadoutParams, state: QubitState) -> float:
+        return ies_noise(params, self, state)
+
+    def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
+        """Oracle model: the squeezed white input also fills the cavity at t = 0."""
+        k = params.kappa
+        s = int(state)
+        a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
+        drift = np.diag([-1j * s * params.chi - k / 2.0, 1j * s * params.chi - k / 2.0])
+        n_in = math.sinh(self.r) ** 2
+        m_in = 0.5 * math.sinh(2.0 * self.r) * complex(math.cos(self.varphi),
+                                                       math.sin(self.varphi))
+        return LinearReadoutSystem(drift, a_bar, (n_in, m_in), 0.0, (n_in, m_in),
+                                   np.eye(2), params.phi_h, k, params.tau)
 
 
 def _integrated_output_mean(params: ReadoutParams, sigma: int) -> complex:
@@ -111,12 +136,7 @@ def ies_photon_number(params: ReadoutParams, cfg: IesConfig, t: float) -> float:
 
 def ies_moments(params: ReadoutParams, cfg: IesConfig) -> MeasurementMoments:
     """Signal and noise for both qubit states."""
-    return MeasurementMoments(
-        signal_up=ies_signal(params, QubitState.UP),
-        signal_down=ies_signal(params, QubitState.DOWN),
-        noise_up=ies_noise(params, cfg, QubitState.UP),
-        noise_down=ies_noise(params, cfg, QubitState.DOWN),
-    )
+    return scheme_moments(params, cfg)
 
 
 def optimal_varphi(params: ReadoutParams) -> float:

@@ -20,9 +20,6 @@ import numpy as np
 
 from .core import (MeasurementMoments, OracleConvergenceError, QubitState,
                    ReadoutParams, StabilityError)
-from .ies import IesConfig
-from .ics import IcsConfig, ics_initial_correlations, ics_stability
-from .combined import CombinedConfig, input_noise_budget, resolve_operating_point
 
 MeanInput = Union[complex, float, Callable[[float], complex]]
 
@@ -91,14 +88,10 @@ class OracleResult:
             raise ValueError("oracle produced a negative variance")
 
 
-def oscillation_rate(system: LinearReadoutSystem) -> float:
-    """Largest |Im eigenvalue| of the drift (fastest rotation to resolve)."""
-    return float(np.max(np.abs(np.linalg.eigvals(system.drift).imag)))
-
-
 def default_steps(system: LinearReadoutSystem) -> int:
-    """K = max(4096, ceil(64 (|omega| + kappa) tau)), per the fastest drift rate."""
-    return max(4096, math.ceil(64.0 * (oscillation_rate(system) + system.kappa) * system.tau))
+    """K = max(4096, ceil(64 (|omega| + kappa) tau)), omega the drift's fastest rotation."""
+    omega = float(np.max(np.abs(np.linalg.eigvals(system.drift).imag)))
+    return max(4096, math.ceil(64.0 * (omega + system.kappa) * system.tau))
 
 
 def _propagators(system: LinearReadoutSystem, steps: int):
@@ -216,52 +209,17 @@ def commutator_defect(system: LinearReadoutSystem, steps: int) -> float:
 
 def build_system(params: ReadoutParams, cfg, state: QubitState) -> LinearReadoutSystem:
     """Assemble the oracle-side description of a scheme for one qubit state."""
-    k = params.kappa
-    s = int(state)
-    a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
-
-    if isinstance(cfg, IesConfig):
-        drift = np.diag([-1j * s * params.chi - k / 2.0, 1j * s * params.chi - k / 2.0])
-        n_in = math.sinh(cfg.r) ** 2
-        m_in = 0.5 * math.sinh(2.0 * cfg.r) * complex(math.cos(cfg.varphi),
-                                                      math.sin(cfg.varphi))
-        return LinearReadoutSystem(drift, a_bar, (n_in, m_in), 0.0, (n_in, m_in),
-                                   np.eye(2), params.phi_h, k, params.tau)
-
-    if isinstance(cfg, IcsConfig):
-        verdict = ics_stability(params, cfg)
-        if not verdict:
-            raise StabilityError(verdict.reason)
-        ph = complex(math.cos(cfg.theta), math.sin(cfg.theta))
-        drift = np.array([[-1j * s * params.chi - k / 2.0, -2j * cfg.omega_2ph * ph],
-                          [2j * cfg.omega_2ph * np.conj(ph), 1j * s * params.chi - k / 2.0]])
-        init = ics_initial_correlations(k, cfg)
-        return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), 0.0, init,
-                                   np.eye(2), params.phi_h, k, params.tau)
-
-    if isinstance(cfg, CombinedConfig):
-        _, disp = resolve_operating_point(params, cfg)
-        om = disp.omega_sigma(state)
-        drift = np.diag([-1j * om - k / 2.0, 1j * om - k / 2.0])
-        budget = input_noise_budget(cfg.r_c, cfg.r, cfg.theta, cfg.varphi)
-        r_c = cfg.r_c
-        ph = complex(math.cos(cfg.theta), math.sin(cfg.theta))
-        beta_in = math.cosh(r_c) * a_bar + ph * math.sinh(r_c) * np.conj(a_bar)
-        out = np.array([[math.cosh(r_c), -ph * math.sinh(r_c)],
-                        [-np.conj(ph) * math.sinh(r_c), math.cosh(r_c)]])
-        return LinearReadoutSystem(drift, complex(beta_in), budget, 0.0, (0.0, 0.0),
-                                   out, params.phi_h, k, params.tau)
-
-    raise TypeError(f"unsupported scheme config {type(cfg).__name__}")
+    return cfg.linear_system(params, state)
 
 
 def oracle_check(params: ReadoutParams, cfg, analytic: MeasurementMoments,
                  steps: int | None = None, tol: float = 1e-3) -> dict:
-    """Compare analytic moments against the oracle for both qubit states.
+    """Compare analytic moments against the oracle at the scheme's operating point.
 
     Returns a report dict with per-state relative deviations and a 'passed' flag
     (deviation below max(tol relative, 1e-6 absolute) everywhere).
     """
+    params, cfg = cfg.operating_point(params)
     report = {"tol": tol, "passed": True, "states": {}}
     for state in QubitState:
         system = build_system(params, cfg, state)

@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (IndefiniteCovarianceError, QubitState, ReadoutParams)
-from . import combined, ics, ies
 
 DEFAULT_PROBE_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
 VACUUM_VARIANCE = 0.25
@@ -131,43 +130,16 @@ def pointer_state(params: ReadoutParams, cfg, state: QubitState,
                   angles: Sequence[float] = DEFAULT_PROBE_ANGLES) -> GaussianState2D:
     """Gaussian pointer state of a scheme, probed around its measurement angle.
 
-    The X axis of the returned state is the scheme's measurement direction
-    (params.phi_h for injected/intracavity squeezing, theta/2 for the combined
-    scheme).
+    The X axis of the returned state is the measurement direction phi_h of the
+    scheme's operating point (theta/2 for the combined scheme).
     """
-    if isinstance(cfg, ies.IesConfig):
-        base = params.phi_h
+    params, cfg = cfg.operating_point(params)
+    base = params.phi_h
 
-        def signal(phi):
-            return ies.ies_signal(params.with_(phi_h=base + phi), state)
+    def signal(phi):
+        return cfg.signal(params.with_(phi_h=base + phi), state)
 
-        def noise(phi):
-            return ies.ies_noise(params.with_(phi_h=base + phi), cfg, state)
-
-    elif isinstance(cfg, ics.IcsConfig):
-        base = params.phi_h
-
-        def signal(phi):
-            return ics.ics_signal(params.with_(phi_h=base + phi), cfg, state)
-
-        def noise(phi):
-            return ics.ics_noise(params.with_(phi_h=base + phi), cfg, state)
-
-    elif isinstance(cfg, combined.CombinedConfig):
-        _, disp = combined.resolve_operating_point(params, cfg)
-        base = cfg.theta / 2.0
-        op = params.with_(phi_in=base, phi_h=base)
-        if not cfg.matched:
-            raise ValueError("phase-space reconstruction supports the matched scheme only")
-
-        def signal(phi):
-            return combined.combined_signal(op.with_(phi_h=base + phi), disp,
-                                            cfg.r_c, cfg.theta, state)
-
-        def noise(phi):
-            return combined.combined_noise(op.with_(phi_h=base + phi), cfg.r, cfg.theta)
-
-    else:
-        raise TypeError(f"unsupported scheme config {type(cfg).__name__}")
+    def noise(phi):
+        return cfg.noise(params.with_(phi_h=base + phi), state)
 
     return reconstruct_state(signal, noise, params.kappa, params.tau, angles)

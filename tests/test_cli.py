@@ -305,6 +305,14 @@ class TestWignerCommand:
             assert up == pytest.approx(-down, abs=1e-6)
             assert up != 0.0
 
+    def test_mismatched_combined_exits_2(self, tmp_path, capsys):
+        # the mismatch noise is known on the squeezed quadrature only, so the
+        # off-axis probes of the pointer-state reconstruction are refused
+        assert run_cli(["wigner", "--scheme", "combined", "--delta-r", "0.1",
+                        "--delta-p", "0.05", "--resolution", "16",
+                        "--output-dir", str(tmp_path)]) == 2
+        assert "squeezed quadrature 2*phi_h = theta" in capsys.readouterr().err
+
 
 class TestMismatchCommand:
     def test_headline_ratio(self, tmp_path):

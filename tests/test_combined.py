@@ -308,10 +308,24 @@ class TestBetaPhotons:
 
 class TestAsymptoticSnr:
     def test_short_formula(self):
+        # 6 |sin x/x^2 - 2(1 - cos x)/x^3| (chi_sq/chi) e^r SNR_std at x = omega_sq*tau = 5
         p = make_params()
         disp = combined.DispersiveParams.derive(1.0, 0.5, LN10, 5.0, 0.05)
+        x = 5.0
+        shape = 6.0 * abs(math.sin(x) / x ** 2 - 2.0 * (1.0 - math.cos(x)) / x ** 3)
+        gain = combined.chi_sq(10.0, LN10, 5.0, 0.05) / 0.5
         assert combined.asymptotic_snr("short", p, disp, LN10, 0.18) == pytest.approx(
-            0.81 * 100.0 * 0.18, rel=1e-12)
+            shape * gain * 10.0 * 0.18, rel=1e-12)
+
+    def test_short_limit_matches_program_at_default_root(self):
+        # kappa*tau = 1e-3 at the solved omega_sq: 44.28832 against 44.28827 SNR_std
+        p = make_params(kappa_tau=1e-3, phi_h=math.pi / 2.0)
+        cfg = combined.CombinedConfig(r=LN10)
+        _, disp = combined.resolve_operating_point(p, cfg)
+        s_std = snr(standard_readout_moments(p))
+        s = snr(combined.combined_moments(p, cfg))
+        assert combined.asymptotic_snr("short", p, disp, LN10, s_std) == pytest.approx(
+            s, rel=1e-5)
 
     def test_long_formula_trivial_point(self):
         # craft psi_sq with sin(psi_sq) = sin(2 psi) so the prefactor is exp(r)
@@ -331,6 +345,24 @@ class TestAsymptoticSnr:
 
 
 class TestMismatch:
+    def test_refuses_off_axis_angles(self):
+        # the closed form holds on the squeezed quadrature 2 phi_h = theta only; its
+        # value there, 0.0679, is far off elsewhere, where even the matched noise is
+        # 8.74 (phi_h = 0.3) and 70.8 (phi_h = 1)
+        cfg = combined.CombinedConfig(r=LN10, delta_r=0.1, delta_p=0.05)
+        p, cfg = cfg.operating_point(make_params())
+        _, disp = combined.resolve_operating_point(p, cfg)
+        mm = combined.MismatchParams.derive(LN10, 0.0, 0.1, 0.05)
+        on_axis = combined.mismatch_noise(p, disp, LN10, mm, 0.0, QubitState.UP)
+        assert on_axis == pytest.approx(0.0679, abs=1e-4)
+        for phi_h in (0.3, 1.0, math.pi / 4.0):
+            with pytest.raises(ValueError, match="squeezed quadrature"):
+                combined.mismatch_noise(p.with_(phi_h=phi_h), disp, LN10, mm, 0.0,
+                                        QubitState.UP)
+        # phi_h = pi is the same quadrature as phi_h = 0
+        assert combined.mismatch_noise(p.with_(phi_h=math.pi), disp, LN10, mm, 0.0,
+                                       QubitState.UP) == on_axis
+
     def test_matched_limit_exact(self):
         p = make_params()
         disp = combined.DispersiveParams.derive(1.0, 0.5, LN10, 5.0, 0.05)

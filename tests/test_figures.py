@@ -1,5 +1,7 @@
 """Contract of the figure builders: the keywords they take and the tables they share."""
 
+import pytest
+
 from sqreadout import cli, figures
 from sqreadout.core import fidelity_and_error
 
@@ -60,3 +62,26 @@ class TestPhaseSpaceSettings:
                 d = next(x for x in diag if x["grid"] == f"figS5_kt{row['kappa_tau']:g}_{state}")
                 for key in ("mean_x", "mean_y", "theta_N", "xi2_dB"):
                     assert d[key] == cli.fmt(row[f"{key}_{state}"])
+
+
+class TestFig3OneTable:
+    def test_fig3a_writes_both_stems_from_one_build(self, monkeypatch, tmp_path):
+        calls = []
+        real = figures.fig3_rows
+
+        def counted():
+            calls.append(1)
+            return real(grid=[0.2, 1.0])
+
+        monkeypatch.setattr(figures, "fig3_rows", counted)
+        assert cli.main(["figure", "fig3a", "--output-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        a = (tmp_path / "fig3a.csv").read_bytes()
+        assert a == (tmp_path / "fig3b.csv").read_bytes()
+        assert a.count(b"\n") == 3
+
+    def test_fig3b_is_no_longer_a_figure(self, tmp_path):
+        assert "fig3b" not in figures.FIGURES
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figure", "fig3b", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2

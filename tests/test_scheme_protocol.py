@@ -1,0 +1,81 @@
+"""Contract of the scheme protocol: each config type answers for its own scheme.
+
+A config supplies operating_point, signal, noise and linear_system; the
+moments, the oracle and the phase-space reconstruction use nothing else.
+"""
+
+import math
+
+import pytest
+
+from sqreadout.core import QubitState, ReadoutParams, scheme_moments
+from sqreadout import combined, ies, oracle, phasespace
+
+
+def make_params(kappa_tau=1.0):
+    return ReadoutParams(1.0, 0.5, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+
+
+class DelegatingConfig:
+    """A scheme known only through the protocol methods, borrowed from another config."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def operating_point(self, params):
+        params, inner = self.inner.operating_point(params)
+        return params, DelegatingConfig(inner)
+
+    def signal(self, params, state):
+        return self.inner.signal(params, state)
+
+    def noise(self, params, state):
+        return self.inner.noise(params, state)
+
+    def linear_system(self, params, state):
+        return self.inner.linear_system(params, state)
+
+
+INNER = [ies.IesConfig(0.8, 1.1), combined.CombinedConfig(r=1.0, theta=0.4)]
+
+
+@pytest.mark.parametrize("inner", INNER, ids=["ies", "combined"])
+class TestSchemeProtocol:
+    """A new scheme plugs in through its config type alone: no consumer switches on it."""
+
+    def test_scheme_moments(self, inner):
+        p = make_params(kappa_tau=0.7)
+        assert scheme_moments(p, DelegatingConfig(inner)) == scheme_moments(p, inner)
+
+    def test_oracle_check(self, inner):
+        p = make_params(kappa_tau=0.7)
+        analytic = scheme_moments(p, inner)
+        got = oracle.oracle_check(p, DelegatingConfig(inner), analytic, steps=256)
+        assert got == oracle.oracle_check(p, inner, analytic, steps=256)
+
+    def test_pointer_state(self, inner):
+        p = make_params(kappa_tau=0.7)
+        for state in QubitState:
+            got = phasespace.pointer_state(p, DelegatingConfig(inner), state)
+            want = phasespace.pointer_state(p, inner, state)
+            assert got.mean == want.mean
+            assert (got.cov == want.cov).all()
+
+
+class TestCombinedOperatingPoint:
+    def test_oracle_runs_there(self):
+        # combined_moments overrides the caller's phases (here phi_h = pi/2); the
+        # oracle must too, or the correct closed form fails (UP mean 1.85 against 3.41)
+        p, cfg = make_params(), combined.CombinedConfig(r=1.0)
+        analytic = combined.combined_moments(p, cfg)
+        assert oracle.oracle_check(p, cfg, analytic, steps=1024)["passed"]
+
+    def test_phases_and_root(self):
+        # phi_h = phi_in = theta/2, and omega_sq solved once for every later call
+        p = make_params(kappa_tau=0.7)
+        cfg = combined.CombinedConfig(r=math.log(10.0), theta=0.6)
+        op, solved = cfg.operating_point(p)
+        assert op.phi_h == op.phi_in == 0.3
+        assert solved.omega_sq == combined.solve_omega_sq(p, cfg.r_c, cfg.epsilon)
+        assert solved.operating_point(op) == (op, solved)
+        assert scheme_moments(p, cfg) == combined.combined_moments(p, cfg)
