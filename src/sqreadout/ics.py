@@ -5,7 +5,9 @@ The cavity obeys
 with vacuum input, starting from the stationary state of the driven cavity.
 All closed forms are evaluated in complex arithmetic so that the degenerate-
 parametric branch lambda = sqrt(chi^2 - 4 Omega^2) imaginary needs no rewrites;
-results are projected back to the real axis with a residue check.
+results are projected back to the real axis with a residue check.  Each form
+is written once with a function namespace fn: math (and cmath) for the public
+scalar API, numpy for the optimizer's search grid.
 """
 
 from __future__ import annotations
@@ -74,37 +76,62 @@ class StabilityReport:
         return self.stable and self.steady_state_ok
 
 
+def _lambda(chi, omega_2ph, fn=math):
+    """lambda = sqrt(chi^2 - 4 Omega^2) on the principal branch.
+
+    fn is the function namespace of every closed form here: math for scalars,
+    numpy to broadcast over arrays of operating points.
+    """
+    x = chi * chi - 4.0 * omega_2ph * omega_2ph
+    return cmath.sqrt(complex(x, 0.0)) if fn is math else np.sqrt(x + 0j)
+
+
 def ics_lambda(chi: float, omega_2ph: float) -> complex:
     """Oscillation rate lambda = sqrt(chi^2 - 4 Omega^2), principal branch."""
-    return cmath.sqrt(complex(chi * chi - 4.0 * omega_2ph * omega_2ph, 0.0))
+    return _lambda(chi, omega_2ph)
 
 
-def _lambda_safe(chi: float, omega_2ph: float, kappa: float) -> complex:
-    lam = ics_lambda(chi, omega_2ph)
-    if abs(lam) < _LAMBDA_FLOOR * kappa:
-        return complex(_LAMBDA_FLOOR * kappa, 0.0)
-    return lam
+def _lambda_safe(chi, omega_2ph, kappa, fn=math):
+    lam = _lambda(chi, omega_2ph, fn)
+    floor = _LAMBDA_FLOOR * kappa
+    if fn is math:
+        return complex(floor, 0.0) if abs(lam) < floor else lam
+    return np.where(abs(lam) < floor, complex(floor, 0.0), lam)
 
 
-def _real(value: complex, scale: float = 1.0) -> float:
+def _real(value, scale=1.0, fn=math):
     residue = abs(value.imag)
-    if residue > _IMAG_TOL * max(1.0, abs(value.real), scale):
-        raise ImaginaryResidueError(f"imaginary residue {residue:g} too large in ICS evaluation")
+    if fn is math:
+        too_large = residue > _IMAG_TOL * max(1.0, abs(value.real), scale)
+    else:
+        bound = _IMAG_TOL * np.maximum(np.maximum(1.0, abs(value.real)), scale)
+        too_large = np.any(residue > bound)
+    if too_large:
+        raise ImaginaryResidueError(
+            f"imaginary residue {np.max(residue):g} too large in ICS evaluation")
     return value.real
+
+
+def _stability(kappa, chi, omega_2ph, fn=math):
+    """(lambda, unstable, steady): the mean field is unstable when lambda is
+    imaginary with |lambda| >= kappa/2, and a stationary state needs 4 Omega < kappa.
+
+    The verdicts are bools for scalars and boolean masks for arrays.
+    """
+    lam = _lambda(chi, omega_2ph, fn)
+    return lam, (abs(lam.imag) > 0) & (abs(lam) >= kappa / 2.0), 4.0 * omega_2ph < kappa
 
 
 def ics_stability(params: ReadoutParams, cfg: IcsConfig) -> StabilityReport:
     """Check mean-field stability and existence of the stationary fluctuation state."""
-    lam = ics_lambda(params.chi, cfg.omega_2ph)
-    if abs(lam.imag) > 0 and abs(lam) >= params.kappa / 2.0:
-        stable, reason = False, (f"imaginary lambda with |lambda|={abs(lam):g} "
-                                 f">= kappa/2={params.kappa / 2:g}")
+    lam, unstable, steady = _stability(params.kappa, params.chi, cfg.omega_2ph)
+    if unstable:
+        reason = f"imaginary lambda with |lambda|={abs(lam):g} >= kappa/2={params.kappa / 2:g}"
     else:
-        stable, reason = True, "lambda real" if lam.imag == 0 else "imaginary lambda below kappa/2"
-    steady = 4.0 * cfg.omega_2ph < params.kappa
+        reason = "lambda real" if lam.imag == 0 else "imaginary lambda below kappa/2"
     if not steady:
         reason += "; no stationary state: 4*Omega >= kappa"
-    return StabilityReport(stable, steady, reason)
+    return StabilityReport(not unstable, steady, reason)
 
 
 def _require_stable(params: ReadoutParams, cfg: IcsConfig) -> None:
@@ -113,24 +140,23 @@ def _require_stable(params: ReadoutParams, cfg: IcsConfig) -> None:
         raise StabilityError(verdict.reason)
 
 
-def _sinc(z: complex) -> complex:
+def _sinc(z, fn=math):
     """sin(z)/z, regular at z = 0."""
-    if abs(z) < 1e-6:
-        return 1.0 - z * z / 6.0
-    return cmath.sin(z) / z
+    if fn is math:
+        return 1.0 - z * z / 6.0 if abs(z) < 1e-6 else cmath.sin(z) / z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(abs(z) < 1e-6, 1.0 - z * z / 6.0, np.sin(z) / z)
 
 
-def _mean_field_terms(params: ReadoutParams, cfg: IcsConfig, sigma: int) -> tuple[complex, ...]:
+def _mean_field_terms(k, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
     """(lambda, pref, t0, ts, tc) of the driven mean field, from <a(0)> = 0:
 
     <a(t)> = pref [t0 + (ts/lambda) sin(lambda t) e^{-kt/2} + tc cos(lambda t) e^{-kt/2}].
     """
-    k = params.kappa
-    chi, om = params.chi, cfg.omega_2ph
-    lam = _lambda_safe(chi, om, k)
-    pref = 2.0 * math.sqrt(k) * params.alpha_in / (k * k + 4.0 * lam * lam)
-    e_in = cmath.exp(1j * params.phi_in)
-    e_out = cmath.exp(1j * (cfg.theta - params.phi_in))
+    lam = _lambda_safe(chi, om, k, fn)
+    pref = 2.0 * math.sqrt(k) * alpha_in / (k * k + 4.0 * lam * lam)
+    e_in = cmath.exp(1j * phi_in)
+    e_out = cmath.exp(1j * (theta - phi_in))
     t0 = 4j * om * e_out - (k - 2j * sigma * chi) * e_in
     ts = -((2.0 * lam * lam + 1j * k * sigma * chi) * e_in + 2j * om * k * e_out)
     tc = (k - 2j * sigma * chi) * e_in - 4j * om * e_out
@@ -143,33 +169,40 @@ def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
     _require_stable(params, cfg)
     if t < 0:
         raise ValueError("t must be non-negative")
-    lam, pref, t0, ts, tc = _mean_field_terms(params, cfg, int(state))
+    lam, pref, t0, ts, tc = _mean_field_terms(params.kappa, params.chi, cfg.omega_2ph,
+                                              params.alpha_in, params.phi_in, cfg.theta,
+                                              int(state))
     decay = math.exp(-params.kappa * t / 2.0)
     return pref * (t0 + ts / lam * cmath.sin(lam * t) * decay + tc * cmath.cos(lam * t) * decay)
 
 
-def _integrated_output_mean(params: ReadoutParams, cfg: IcsConfig, sigma: int) -> complex:
+def _integrated_output_mean(k, tau, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
     """sqrt(kappa) * integral of <a_out(t)> dt over [0, tau], term-by-term closed form."""
-    k, tau = params.kappa, params.tau
-    lam, pref, t0, ts, tc = _mean_field_terms(params, cfg, sigma)
+    cfn = cmath if fn is math else fn
+    lam, pref, t0, ts, tc = _mean_field_terms(k, chi, om, alpha_in, phi_in, theta, sigma, fn)
     half_k = k / 2.0
     den = lam * lam + half_k * half_k
     decay = cmath.exp(-k * tau / 2.0)
     # int sin(lam t)/lam e^{-kt/2} dt  and  int cos(lam t) e^{-kt/2} dt
-    int_s = (1.0 - decay * (cmath.cos(lam * tau) + half_k * tau * _sinc(lam * tau))) / den
-    int_c = (half_k + decay * (lam * cmath.sin(lam * tau) - half_k * cmath.cos(lam * tau))) / den
+    int_s = (1.0 - decay * (cfn.cos(lam * tau) + half_k * tau * _sinc(lam * tau, fn))) / den
+    int_c = (half_k + decay * (lam * cfn.sin(lam * tau) - half_k * cfn.cos(lam * tau))) / den
     integral = t0 * tau + ts * int_s + tc * int_c
-    a_bar = params.alpha_in * cmath.exp(1j * params.phi_in)
+    a_bar = alpha_in * cmath.exp(1j * phi_in)
     return math.sqrt(k) * (a_bar * tau + math.sqrt(k) * pref * integral)
+
+
+def _signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
+    """Mean homodyne record <M> at kappa = 1 for qubit state sigma = +-1."""
+    j = _integrated_output_mean(1.0, kt, chi, om, alpha_in, phi_in, theta, sigma, fn)
+    return 2.0 * (j * cmath.exp(-1j * phi_h)).real
 
 
 def ics_signal(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
     """Mean homodyne record <M> for one qubit state."""
     _require_stable(params, cfg)
     p = params.normalized()
-    cfg_n = IcsConfig(cfg.omega_2ph / params.kappa, cfg.theta)
-    j = _integrated_output_mean(p, cfg_n, int(state))
-    return 2.0 * (j * cmath.exp(-1j * p.phi_h)).real
+    return _signal(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in, p.phi_h,
+                   cfg.theta, int(state))
 
 
 def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
@@ -183,24 +216,18 @@ def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
     return ics_signal(params, cfg, QubitState.UP) - ics_signal(params, cfg, QubitState.DOWN)
 
 
-def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, float, float]:
-    """Noise decomposition (G0, Gs, Gc):
-
-    <M_N^2> = G0 - sin(2 phi_h - theta) Gs + (sigma chi / kappa) cos(2 phi_h - theta) Gc.
-    """
-    _require_stable(params, cfg)
-    p = params.normalized()
+def _noise_components(kt, chi, om, fn=math):
+    """(G0, Gs, Gc) at kappa = 1, each checked for an imaginary residue."""
+    cfn = cmath if fn is math else fn
     k = 1.0
-    kt = p.tau
-    om = cfg.omega_2ph / params.kappa
-    lam = _lambda_safe(p.chi, om, k)
-    psi = cmath.atan(2.0 * lam / k)
-    r = ics_squeeze_param(k, om)
-    lt = lam * p.tau
-    cs, sn = cmath.cos, cmath.sin
+    lam = _lambda_safe(chi, om, k, fn)
+    psi = (cmath.atan if fn is math else np.arctan)(2.0 * lam / k)
+    r = _squeeze_param(k, om, fn)
+    lt = lam * kt
+    cs, sn = cfn.cos, cfn.sin
     cot = cs(psi) / sn(psi)
-    th2 = math.tanh(r / 2.0)
-    ch = math.cosh(r)
+    th2 = fn.tanh(r / 2.0)
+    ch = fn.cosh(r)
     ekt = math.exp(-kt)
     ek2 = math.exp(-kt / 2.0)
 
@@ -210,27 +237,37 @@ def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, 
           - ekt * (2.0 - cs(2 * psi + 2 * lt) - cs(4 * psi + 2 * lt))
           * (cs(2 * psi) - ch) * cot ** 2 * th2 ** 2
           - 8.0 * ek2 * cs(psi) ** 2 * th2 ** 2 * (
-              (cs(lt) - cot * sn(4 * psi + lt)) * math.cosh(r / 2.0) ** 2
-              + 4.0 * cs(psi) ** 2 * cot * sn(2 * psi + lt) * math.sinh(r / 2.0) ** 2))
+              (cs(lt) - cot * sn(4 * psi + lt)) * fn.cosh(r / 2.0) ** 2
+              + 4.0 * cs(psi) ** 2 * cot * sn(2 * psi + lt) * fn.sinh(r / 2.0) ** 2))
 
     gs = (2.0 * cs(psi) ** 2 * (-1.0 - 3.0 * cs(4 * psi) + ch
                                 + cs(2 * psi) * (-3.0 + 2.0 * kt + 2.0 * ch)) * th2
           - 2.0 * ekt * cs(psi) * cot * sn(3 * psi + 2 * lt) * (cs(2 * psi) - ch) * th2
-          - 4.0 * ek2 * cs(psi) * cot * (sn(3 * psi + lt) * math.sinh(r)
+          - 4.0 * ek2 * cs(psi) * cot * (sn(3 * psi + lt) * fn.sinh(r)
                                          - 2.0 * cs(psi) * sn(4 * psi + lt) * th2))
 
     # sinh^2(r/2) coth(r/2) is rewritten as sinh(r)/2 so that r -> 0 stays finite
     gc = (8.0 * cs(psi) ** 4 * (3.0 - 2.0 * kt + 6.0 * cs(2 * psi) - 2.0 * ch) * th2
           - 16.0 * ek2 * cs(psi) ** 4 * cot * (
-              0.5 * math.sinh(r) / cs(psi) ** 2 * sn(4 * psi + lt)
-              - 4.0 * math.sinh(r / 2.0) ** 2 * th2 * sn(2 * psi + lt))
-          + 8.0 * ekt * cs(psi) ** 2 * math.sinh(r / 2.0) * (
-              cs(psi) * cs(3 * psi + 2 * lt) * math.cosh(r / 2.0)
+              0.5 * fn.sinh(r) / cs(psi) ** 2 * sn(4 * psi + lt)
+              - 4.0 * fn.sinh(r / 2.0) ** 2 * th2 * sn(2 * psi + lt))
+          + 8.0 * ekt * cs(psi) ** 2 * fn.sinh(r / 2.0) * (
+              cs(psi) * cs(3 * psi + 2 * lt) * fn.cosh(r / 2.0)
               - (1.0 - cs(psi) * cs(3 * psi + 2 * lt)) * cot ** 2
-              * math.sinh(r / 2.0) * th2))
+              * fn.sinh(r / 2.0) * th2))
 
-    scale = kt * math.cosh(r) + 1.0
-    return _real(g0, scale), _real(gs, scale), _real(gc, scale)
+    scale = kt * fn.cosh(r) + 1.0
+    return _real(g0, scale, fn), _real(gs, scale, fn), _real(gc, scale, fn)
+
+
+def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, float, float]:
+    """Noise decomposition (G0, Gs, Gc):
+
+    <M_N^2> = G0 - sin(2 phi_h - theta) Gs + (sigma chi / kappa) cos(2 phi_h - theta) Gc.
+    """
+    _require_stable(params, cfg)
+    p = params.normalized()
+    return _noise_components(p.tau, p.chi, cfg.omega_2ph / params.kappa)
 
 
 def ics_noise(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
@@ -241,18 +278,26 @@ def ics_noise(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float
     return g0 - math.sin(d) * gs + int(state) * p.chi * math.cos(d) * gc
 
 
+def _squeeze_param(kappa, omega_2ph, fn=math):
+    return fn.log((kappa + 4.0 * omega_2ph) / (kappa - 4.0 * omega_2ph))
+
+
 def ics_squeeze_param(kappa: float, omega_2ph: float) -> float:
     """Output-field squeeze parameter r = ln[(kappa + 4 Omega)/(kappa - 4 Omega)]."""
     if not 0 <= 4.0 * omega_2ph < kappa:
         raise ValueError(f"need 0 <= 4*Omega < kappa, got Omega={omega_2ph}, kappa={kappa}")
-    return math.log((kappa + 4.0 * omega_2ph) / (kappa - 4.0 * omega_2ph))
+    return _squeeze_param(kappa, omega_2ph)
+
+
+def _omega_from_r(kappa, r, fn=math):
+    return 0.25 * kappa * (fn.exp(r) - 1.0) / (fn.exp(r) + 1.0)
 
 
 def ics_omega_from_r(kappa: float, r: float) -> float:
     """Inverse map: two-photon amplitude giving output squeeze parameter r."""
     if r < 0:
         raise ValueError("squeeze parameter must be non-negative")
-    return 0.25 * kappa * (math.exp(r) - 1.0) / (math.exp(r) + 1.0)
+    return _omega_from_r(kappa, r)
 
 
 def ics_photon_number(params: ReadoutParams, cfg: IcsConfig, t: float) -> float:

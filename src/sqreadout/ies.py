@@ -3,7 +3,9 @@
 The cavity obeys  da/dt = -(i sigma chi + kappa/2) a - sqrt(kappa) a_in  with a
 white squeezed input of parameter r and reference phase varphi; the cavity
 fluctuations start in the corresponding stationary squeezed state while the
-coherent tone switches on at t = 0.
+coherent tone switches on at t = 0.  The signal and the noise shape F are
+written once with a function namespace fn: math for scalars, numpy for the
+optimizer's search grid.
 """
 
 from __future__ import annotations
@@ -54,17 +56,24 @@ class IesConfig:
                                    np.eye(2), params.phi_h, k, params.tau)
 
 
-def _integrated_output_mean(params: ReadoutParams, sigma: int) -> complex:
+def _integrated_output_mean(k, tau, chi, alpha_in, phi_in, sigma, fn=math):
     """sqrt(kappa) * integral of <a_out(t)> over [0, tau], from the exact mean field.
 
     <a(t)> = i sqrt(k) a_bar / z * (1 - exp(-izt)) with z = sigma chi - i kappa/2,
-    so the integral has a closed form that stays regular for every chi.
+    so the integral has a closed form that stays regular for every chi.  fn is
+    the function namespace: math for scalars, numpy to broadcast over arrays.
     """
-    k, tau = params.kappa, params.tau
-    a_bar = params.alpha_in * cmath.exp(1j * params.phi_in)
-    z = sigma * params.chi - 0.5j * k
-    cavity = 1j * math.sqrt(k) * a_bar / z * (tau - (1.0 - cmath.exp(-1j * z * tau)) / (1j * z))
+    cfn = cmath if fn is math else fn
+    a_bar = alpha_in * cmath.exp(1j * phi_in)
+    z = sigma * chi - 0.5j * k
+    cavity = 1j * math.sqrt(k) * a_bar / z * (tau - (1.0 - cfn.exp(-1j * z * tau)) / (1j * z))
     return math.sqrt(k) * (a_bar * tau + math.sqrt(k) * cavity)
+
+
+def _signal(kt, chi, alpha_in, phi_in, phi_h, sigma, fn=math):
+    """Mean homodyne record <M> at kappa = 1 for qubit state sigma = +-1."""
+    j = _integrated_output_mean(1.0, kt, chi, alpha_in, phi_in, sigma, fn)
+    return 2.0 * (j * cmath.exp(-1j * phi_h)).real
 
 
 def ies_signal(params: ReadoutParams, state: QubitState) -> float:
@@ -76,8 +85,7 @@ def ies_signal(params: ReadoutParams, state: QubitState) -> float:
     but is evaluated unfactored so sin(2 psi) = 0 needs no special casing.
     """
     p = params.normalized()
-    j = _integrated_output_mean(p, int(state))
-    return 2.0 * (j * cmath.exp(-1j * p.phi_h)).real
+    return _signal(p.tau, p.chi, p.alpha_in, p.phi_in, p.phi_h, int(state))
 
 
 def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float:
@@ -102,6 +110,18 @@ def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float
     return kt * math.cosh(2.0 * cfg.r) + 0.5 * bracket * math.sinh(2.0 * cfg.r)
 
 
+def _noise_shape(kt, chi, fn=math):
+    """F(tau) of ies_noise_shape at kappa = 1, for scalars (math) or arrays (numpy)."""
+    psi = (math.atan if fn is math else np.arctan)(2.0 * chi)
+    ct = chi * kt
+    return (1.0 / (2.0 * kt)) * (
+        3.0 + 3.0 * fn.cos(2.0 * psi) - (3.0 - 2.0 * kt) * fn.cos(4.0 * psi)
+        - 3.0 * fn.cos(6.0 * psi)
+        + 4.0 * fn.cos(psi) * fn.sin(2.0 * psi)
+        * (math.exp(-kt) * fn.sin(3.0 * psi + 2.0 * ct)
+           - 4.0 * math.exp(-kt / 2.0) * fn.sin(3.0 * psi + ct)))
+
+
 def ies_noise_shape(params: ReadoutParams) -> float:
     """Shape factor F(tau) of the squeezing-sensitive part of the summed noise.
 
@@ -110,17 +130,9 @@ def ies_noise_shape(params: ReadoutParams) -> float:
     so the phase-optimal choice is varphi - 2 phi_h = pi when F > 0 and 0 when F < 0.
     """
     p = params.normalized()
-    kt = p.tau
-    if not kt > 0:
+    if not p.tau > 0:
         raise ValueError("kappa*tau must be positive")
-    psi = psi_from_rate(p.chi, 1.0)
-    ct = p.chi * p.tau
-    return (1.0 / (2.0 * kt)) * (
-        3.0 + 3.0 * math.cos(2.0 * psi) - (3.0 - 2.0 * kt) * math.cos(4.0 * psi)
-        - 3.0 * math.cos(6.0 * psi)
-        + 4.0 * math.cos(psi) * math.sin(2.0 * psi)
-        * (math.exp(-kt) * math.sin(3.0 * psi + 2.0 * ct)
-           - 4.0 * math.exp(-kt / 2.0) * math.sin(3.0 * psi + ct)))
+    return _noise_shape(p.tau, p.chi)
 
 
 def ies_photon_number(params: ReadoutParams, cfg: IesConfig, t: float) -> float:

@@ -2,7 +2,10 @@
 
 The SNR surfaces carry trigonometric ripples from the exp(-kappa*tau/2)
 transients, so the search is a dense coarse grid followed by coordinate-wise
-golden-section refinement rather than anything gradient-based.
+golden-section refinement rather than anything gradient-based.  The grid is
+one array evaluation of the objective, which only picks the best cell; that
+cell and every refinement point are evaluated with floats, so each value a
+search returns comes from the scalar closed forms.
 """
 
 from __future__ import annotations
@@ -11,12 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BracketError, ReadoutParams
+import numpy as np
+
+from .core import BracketError
 from . import ies, ics
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 R_MAX_DEFAULT = math.log(10.0)
 PSI_BOUNDS_DEFAULT = (0.01, 1.56)
+# the searches read the tone at phi_in = 0 with homodyne angle phi_h = pi/2
+_PHI_H = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -88,10 +95,16 @@ def maximize_over_box(objective: Callable[..., float],
                       bounds: Sequence[tuple[float, float]]) -> tuple[float, list, int, bool]:
     """64-point grid per axis, then coordinate-descent golden sections to 1e-6.
 
-    Ties on the grid break deterministically toward the smallest coordinates,
-    last coordinate first.  The returned value never falls below the best grid
-    sample.  Returns (best_value, argmax, evaluations, converged); converged
-    means a sweep moved no coordinate by 1e-6 within 200 sweeps.
+    objective takes one coordinate per axis.  The grid is one call with the
+    ij-indexed numpy meshgrid of the axes, and it only picks the best cell:
+    ties break deterministically toward the smallest coordinates, last
+    coordinate first.  That cell and every refinement point are evaluated with
+    float coordinates, so the returned value never falls below the scalar value
+    of the chosen cell.  A refinement interval that reaches the box edge also
+    evaluates the edge, which wins if it is better.  Returns (best_value,
+    argmax, evaluations, converged); evaluations counts grid cells and
+    refinement points (the chosen cell once), and converged means a sweep
+    moved no coordinate by 1e-6 within 200 sweeps.
     """
     n, tol = 64, 1e-6
     axes = []
@@ -103,24 +116,15 @@ def maximize_over_box(objective: Callable[..., float],
         else:
             axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
 
-    best_val = -math.inf
-    best_x: list[float] = []
-    evals = 0
+    shape = tuple(len(axis) for axis in axes)
+    grid = np.broadcast_to(objective(*np.meshgrid(*axes, indexing="ij")), shape)
+    # a NaN cell never wins; the first maximum along the reversed axes breaks ties
+    ranked = np.where(np.isnan(grid), -np.inf, grid).transpose().ravel()
+    best = np.unravel_index(int(np.argmax(ranked)), shape[::-1])[::-1]
+    x = [axis[i] for axis, i in zip(axes, best)]
+    best_val = objective(*x)
+    evals = grid.size
 
-    def scan(prefix: list[float], depth: int):
-        nonlocal best_val, best_x, evals
-        if depth == len(axes):
-            v = objective(*prefix)
-            evals += 1
-            if v > best_val or (v == best_val and prefix[::-1] < best_x[::-1]):
-                best_val, best_x = v, list(prefix)
-            return
-        for x in axes[depth]:
-            scan(prefix + [x], depth + 1)
-
-    scan([], 0)
-
-    x = list(best_x)
     converged = False
     for _ in range(200):
         moved = 0.0
@@ -138,6 +142,13 @@ def maximize_over_box(objective: Callable[..., float],
 
             xi, vi, used = golden_section_max(slice_f, a, b, tol)
             evals += used
+            # golden sections never sample the ends of their interval
+            for edge, reached in ((lo, a == lo), (hi, b == hi)):
+                if reached:
+                    v_edge = slice_f(edge)
+                    evals += 1
+                    if v_edge > vi:
+                        xi, vi = edge, v_edge
             if vi > best_val:
                 moved = max(moved, abs(xi - x[i]))
                 x[i] = xi
@@ -148,50 +159,73 @@ def maximize_over_box(objective: Callable[..., float],
     return best_val, x, evals, converged
 
 
-def _ies_objective(kappa_tau: float, r_max: float) -> Callable[[float], tuple[float, float, float]]:
+def _ies_objective(kappa_tau: float, r_max: float) -> Callable:
     """(SNR, r, phase) at psi for injected squeezing at unit kappa and alpha_in.
 
     The summed noise 2 kappa tau [cosh 2r + phase F sinh 2r] is linear in
     phase = cos(varphi - 2 phi_h), so phase = -sign(F), and it is least at
     tanh 2r = |F|, clipped to [0, r_max]; r_max = 0 is the standard readout.
     The separation uses the optimal tone/homodyne phase difference
-    phi_h - phi_in = pi/2.
+    phi_h - phi_in = pi/2.  A float psi gives floats from the scalar closed
+    forms; a numpy array gives arrays, evaluated in one pass.
     """
-    def objective(psi: float) -> tuple[float, float, float]:
-        chi = 0.5 * math.tan(psi)
-        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
-        sep = ies.ies_moments(params, ies.IesConfig(0.0, 0.0)).separation
-        shape = ies.ies_noise_shape(params)
+    tanh_max = math.tanh(2.0 * r_max)
+
+    def objective(psi):
+        fn = np if isinstance(psi, np.ndarray) else math
+        chi = 0.5 * fn.tan(psi)
+        sep = abs(ies._signal(kappa_tau, chi, 1.0, 0.0, _PHI_H, 1, fn)
+                  - ies._signal(kappa_tau, chi, 1.0, 0.0, _PHI_H, -1, fn))
+        shape = ies._noise_shape(kappa_tau, chi, fn)
         f = abs(shape)
-        r = r_max if f >= math.tanh(2.0 * r_max) else 0.5 * math.atanh(f)
+        if fn is math:
+            r = r_max if f >= tanh_max else 0.5 * math.atanh(f)
+            phase = -1.0 if shape >= 0 else 1.0
+        else:
+            r = np.where(f >= tanh_max, r_max, 0.5 * np.arctanh(np.minimum(f, tanh_max)))
+            phase = np.where(shape >= 0, -1.0, 1.0)
         # positive while |F| < coth(2 r_max); a physical F has |F| <= 1
-        noise = 2.0 * kappa_tau * (math.cosh(2.0 * r) - f * math.sinh(2.0 * r))
-        return sep / math.sqrt(noise), r, (-1.0 if shape >= 0 else 1.0)
+        noise = 2.0 * kappa_tau * (fn.cosh(2.0 * r) - f * fn.sinh(2.0 * r))
+        return sep / fn.sqrt(noise), r, phase
 
     return objective
 
 
-def _ics_objective(kappa_tau: float,
-                   fix_chi: float | None = None) -> Callable[[float, float], tuple[float, float]]:
+def _ics_objective(kappa_tau: float, fix_chi: float | None = None) -> Callable:
     """(SNR, phase) at (psi, r) for intracavity squeezing at unit kappa and alpha_in.
 
     tan(psi) = 2 lambda / kappa fixes lambda, or fix_chi pins chi and psi is
     ignored; r fixes the drive amplitude.  The noise 2 G0 - 2 phase Gs is linear
     in phase = sin(2 phi_h - theta), so the better extreme is phase = sign(Gs)
-    (-1 on a tie).  Unstable points score 0.
+    (-1 on a tie).  Unstable points score 0.  Float coordinates give floats
+    from the scalar closed forms; numpy arrays give arrays in one pass, which
+    evaluates the stable points only, so each of them meets the same
+    imaginary-residue test as a scalar evaluation.
     """
-    def objective(psi: float, r: float) -> tuple[float, float]:
-        omega = ics.ics_omega_from_r(1.0, r)
-        lam = 0.5 * math.tan(psi)
-        chi = math.sqrt(lam * lam + 4.0 * omega * omega) if fix_chi is None else fix_chi
-        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
-        cfg = ics.IcsConfig(omega, 0.0)
-        if not ics.ics_stability(params, cfg):
-            return 0.0, -1.0
-        sep = abs(ics.ics_signal_separation(params, cfg))
-        g0, gs, _ = ics.ics_noise_components(params, cfg)
-        noise = 2.0 * g0 - 2.0 * abs(gs)
-        return (sep / math.sqrt(noise) if noise > 0 else 0.0), (1.0 if gs > 0 else -1.0)
+    def terms(chi, omega, fn):
+        sep = abs(ics._signal(kappa_tau, chi, omega, 1.0, 0.0, _PHI_H, 0.0, 1, fn)
+                  - ics._signal(kappa_tau, chi, omega, 1.0, 0.0, _PHI_H, 0.0, -1, fn))
+        g0, gs, _ = ics._noise_components(kappa_tau, chi, omega, fn)
+        return sep, 2.0 * g0 - 2.0 * abs(gs), gs
+
+    def objective(psi, r):
+        fn = np if isinstance(r, np.ndarray) else math
+        omega = ics._omega_from_r(1.0, r, fn)
+        lam = 0.5 * fn.tan(psi)
+        chi = fn.sqrt(lam * lam + 4.0 * omega * omega) if fix_chi is None else fix_chi
+        _, unstable, steady = ics._stability(1.0, chi, omega, fn)
+        if fn is math:
+            if unstable or not steady:
+                return 0.0, -1.0
+            sep, noise, gs = terms(chi, omega, math)
+            return (sep / math.sqrt(noise) if noise > 0 else 0.0), (1.0 if gs > 0 else -1.0)
+        stable = ~unstable & steady
+        snr, phase = np.zeros(stable.shape), np.full(stable.shape, -1.0)
+        sep, noise, gs = terms(np.broadcast_to(chi, stable.shape)[stable], omega[stable], np)
+        positive = noise > 0
+        snr[stable] = np.where(positive, sep / np.sqrt(np.where(positive, noise, 1.0)), 0.0)
+        phase[stable] = np.where(gs > 0, 1.0, -1.0)
+        return snr, phase
 
     return objective
 

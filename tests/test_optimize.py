@@ -1,10 +1,75 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sqreadout.core import BracketError, QubitState, ReadoutParams
+from sqreadout.core import BracketError, ImaginaryResidueError, QubitState, ReadoutParams
 from sqreadout import ics, ies, optimize
+
+R_MAX = optimize.R_MAX_DEFAULT
+
+
+def scan_maximize_over_box(objective, bounds):
+    """Reference: maximize_over_box with one scalar objective call per grid point.
+
+    The recursive grid scan and the coordinate-descent golden sections as they
+    were before the grid became one array call and the refinement evaluated
+    the box edges.
+    """
+    n, tol = 64, 1e-6
+    axes = []
+    for lo, hi in bounds:
+        if hi < lo:
+            raise ValueError("empty bounds")
+        if hi == lo:
+            axes.append([lo])
+        else:
+            axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+
+    best_val = -math.inf
+    best_x: list[float] = []
+    evals = 0
+
+    def scan(prefix: list[float], depth: int):
+        nonlocal best_val, best_x, evals
+        if depth == len(axes):
+            v = objective(*prefix)
+            evals += 1
+            if v > best_val or (v == best_val and prefix[::-1] < best_x[::-1]):
+                best_val, best_x = v, list(prefix)
+            return
+        for x in axes[depth]:
+            scan(prefix + [x], depth + 1)
+
+    scan([], 0)
+
+    x = list(best_x)
+    converged = False
+    for _ in range(200):
+        moved = 0.0
+        for i, (lo, hi) in enumerate(bounds):
+            if hi == lo:
+                continue
+            cell = (hi - lo) / (n - 1)
+            a = max(lo, x[i] - cell)
+            b = min(hi, x[i] + cell)
+
+            def slice_f(xi: float, i=i) -> float:
+                trial = list(x)
+                trial[i] = xi
+                return objective(*trial)
+
+            xi, vi, used = optimize.golden_section_max(slice_f, a, b, tol)
+            evals += used
+            if vi > best_val:
+                moved = max(moved, abs(xi - x[i]))
+                x[i] = xi
+                best_val = vi
+        if moved < tol:
+            converged = True
+            break
+    return best_val, x, evals, converged
 
 
 class TestBisect:
@@ -54,7 +119,7 @@ class TestMaximizeOverBox:
 
     def test_never_below_grid(self):
         def rippled(a, b):
-            return math.sin(7 * a) * math.cos(5 * b) + 0.3 * a
+            return np.sin(7 * a) * np.cos(5 * b) + 0.3 * a
 
         n = 64
         grid_best = max(
@@ -67,6 +132,35 @@ class TestMaximizeOverBox:
             lambda a, b: -(b - 0.25) ** 2, [(0.5, 0.5), (0.0, 1.0)])
         assert x[0] == 0.5
         assert x[1] == pytest.approx(0.25, abs=1e-6)
+
+    def test_edge_optimum_is_the_edge(self):
+        # a ridge through grid cell (38, 62) that climbs to the upper b edge between
+        # two a nodes: the grid picks an interior b and coordinate ascent walks b up
+        # to the edge, which golden sections alone never sample
+        c = 38 / 63 - 0.5 * 62 / 63
+
+        def ridge(a, b):
+            return b - 1000.0 * (a - c - 0.5 * b) ** 2
+
+        bounds = [(0.0, 1.0), (0.0, 1.0)]
+        val, x, _, converged = optimize.maximize_over_box(ridge, bounds)
+        assert converged and x[1] == 1.0
+        assert x[0] == pytest.approx(c + 0.5, abs=1e-6)
+        ref_val, ref_x, _, _ = scan_maximize_over_box(ridge, bounds)
+        assert ref_x[1] < 1.0 and val > ref_val
+
+    @pytest.mark.parametrize("objective", [
+        lambda a, b: -np.round(4.0 * ((a - 0.5) ** 2 + (b - 0.4) ** 2)),
+        lambda a, b: np.round(np.sin(7 * a) * np.cos(5 * b) + 0.3 * a, 1),
+        lambda a, b: -(a - 0.3) ** 2 - (b - 0.7) ** 2 + 0.5 * a * b,
+        lambda a, b: np.where(b < 0.6, np.nan, -(a - 0.3) ** 2 - (b - 0.7) ** 2),
+    ], ids=["plateau", "rippled_plateaus", "tilted_bowl", "nan_region"])
+    def test_matches_point_by_point_scan(self, objective):
+        # ties break toward the smallest coordinates, last coordinate first; NaN never wins
+        bounds = [(0.0, 1.0), (0.1, 0.9)]
+        val, x, _, converged = optimize.maximize_over_box(objective, bounds)
+        ref_val, ref_x, _, ref_converged = scan_maximize_over_box(objective, bounds)
+        assert (val, x, converged) == (ref_val, ref_x, ref_converged)
 
 
 class TestMaximizeSnr:
@@ -154,7 +248,7 @@ def two_phase_ics_search(kappa_tau, fix_chi=None):
     psi_bounds = optimize.PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0)
     best = None
     for phase in (-1.0, 1.0):
-        val, x, _, _ = optimize.maximize_over_box(
+        val, x, _, _ = scan_maximize_over_box(
             lambda p, r, ph=phase: objective(p, r, ph),
             [psi_bounds, (0.0, optimize.R_MAX_DEFAULT)])
         if best is None or val > best[0]:
@@ -175,3 +269,213 @@ class TestIcsOneSearch:
             assert report.argmax["lambda_over_kappa"] == 0.5 * math.tan(psi)
         else:
             assert report.argmax["chi_over_kappa"] == fix_chi
+
+
+def public_ies_objective(kappa_tau, r_max):
+    """Reference: the IES/standard search objective through the public API."""
+    def objective(psi):
+        chi = 0.5 * math.tan(psi)
+        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        sep = ies.ies_moments(params, ies.IesConfig(0.0, 0.0)).separation
+        shape = ies.ies_noise_shape(params)
+        f = abs(shape)
+        r = r_max if f >= math.tanh(2.0 * r_max) else 0.5 * math.atanh(f)
+        noise = 2.0 * kappa_tau * (math.cosh(2.0 * r) - f * math.sinh(2.0 * r))
+        return sep / math.sqrt(noise), r, (-1.0 if shape >= 0 else 1.0)
+
+    return objective
+
+
+def public_ics_objective(kappa_tau, fix_chi=None):
+    """Reference: the ICS search objective through the public API."""
+    def objective(psi, r):
+        omega = ics.ics_omega_from_r(1.0, r)
+        lam = 0.5 * math.tan(psi)
+        chi = math.sqrt(lam * lam + 4.0 * omega * omega) if fix_chi is None else fix_chi
+        params = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        cfg = ics.IcsConfig(omega, 0.0)
+        if not ics.ics_stability(params, cfg):
+            return 0.0, -1.0
+        sep = abs(ics.ics_signal_separation(params, cfg))
+        g0, gs, _ = ics.ics_noise_components(params, cfg)
+        noise = 2.0 * g0 - 2.0 * abs(gs)
+        return (sep / math.sqrt(noise) if noise > 0 else 0.0), (1.0 if gs > 0 else -1.0)
+
+    return objective
+
+
+def random_points(count, seed):
+    """(kappa_tau, psi, r, chi) drawn over the search boxes, log-uniform in kappa_tau."""
+    rng = np.random.default_rng(seed)
+    return [(float(10 ** rng.uniform(-2, 2)), float(rng.uniform(*optimize.PSI_BOUNDS_DEFAULT)),
+             float(rng.uniform(0.0, R_MAX)), float(rng.uniform(0.05, 2.0)))
+            for _ in range(count)]
+
+
+class TestScalarObjective:
+    def test_same_bits_as_public_api(self):
+        # the search objectives skip the params objects and the repeated stability
+        # checks of the public API, but perform the same float operations
+        for kt, psi, r, chi in random_points(3000, seed=0):
+            assert optimize._ics_objective(kt)(psi, r) == public_ics_objective(kt)(psi, r)
+            assert (optimize._ics_objective(kt, chi)(0.0, r)
+                    == public_ics_objective(kt, chi)(0.0, r))
+            for r_max in (R_MAX, 0.0):
+                assert optimize._ies_objective(kt, r_max)(psi) == public_ies_objective(
+                    kt, r_max)(psi)
+
+
+def near_exceptional_r(chi):
+    """Squeeze parameters around chi = 2 Omega, where lambda = 0 (needs chi < kappa/2)."""
+    r_ep = math.log((1.0 + 2.0 * chi) / (1.0 - 2.0 * chi))
+    return [r_ep * (1.0 + e) for e in (0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-9, -1e-9,
+                                        1e-6, -1e-6, 1e-3, -1e-3)]
+
+
+class TestArrayObjective:
+    """One array call over many points against one scalar call per point.
+
+    Both agree within 1e-9 relative or 1e-13 absolute (SNR at alpha_in =
+    sqrt(kappa)).  The absolute floor covers short times: there the SNR, down to
+    ~1e-6, is a small difference of O(kappa tau) terms, and last-bit
+    differences between numpy's and libm's elementary functions reach a few
+    1e-9 relative (below 2e-14 absolute).
+    """
+
+    @staticmethod
+    def near_exceptional_rtol(chi, r):
+        # the ICS noise terms carry cot^2 psi ~ 1/(4 lambda^2) times a cancelling
+        # difference, so near lambda = 0 the closed form's rounding noise grows as
+        # 1/lambda^2; below _LAMBDA_FLOOR both paths use the same floored lambda
+        lam = abs(ics.ics_lambda(chi, ics.ics_omega_from_r(1.0, r)))
+        return 1e-9 if lam < ics._LAMBDA_FLOOR else max(1e-9, 1e-14 / lam ** 2)
+
+    def test_stability_mask(self):
+        rng = np.random.default_rng(4)
+        chi, omega = rng.uniform(0.0, 2.0, 500), rng.uniform(0.0, 0.5, 500)
+        _, unstable, steady = ics._stability(1.0, chi, omega, np)
+        expected = [bool(ics.ics_stability(ReadoutParams(1.0, float(c), 1.0, 0.0, 0.0, 1.0),
+                                           ics.IcsConfig(float(o)))) for c, o in zip(chi, omega)]
+        assert list(~unstable & steady) == expected
+        assert 0 < sum(expected) < len(expected)
+
+    def test_ics_fixed_chi(self):
+        rng = np.random.default_rng(1)
+        for chi in (0.05, 0.2, 0.45, 0.5, 1.0, 2.0):
+            for kt in (0.01, 0.3, 1.0, 3.0, 100.0):
+                rs = list(rng.uniform(0.0, R_MAX, 40)) + [0.0, R_MAX]
+                if chi < 0.5:
+                    rs += near_exceptional_r(chi)
+                rs = np.array(rs)
+                objective = optimize._ics_objective(kt, chi)
+                snr, phase = objective(np.zeros_like(rs), rs)
+                for i, r in enumerate(rs):
+                    assert snr[i] == pytest.approx(
+                        objective(0.0, float(r))[0],
+                        rel=self.near_exceptional_rtol(chi, float(r)), abs=1e-13), (chi, kt, r)
+
+    def test_ics_free(self):
+        points = random_points(2000, seed=2)
+        by_kt = {}
+        for kt, psi, r, _ in points:
+            by_kt.setdefault(round(math.log10(kt), 1), []).append((psi, r))
+        for key, pairs in by_kt.items():
+            objective = optimize._ics_objective(10 ** key)
+            psi, r = np.array(pairs).T
+            snr, phase = objective(psi, r)
+            scalar = [objective(float(p), float(x)) for p, x in pairs]
+            np.testing.assert_allclose(snr, [s for s, _ in scalar], rtol=1e-9, atol=1e-13)
+            assert list(phase) == [ph for _, ph in scalar]
+
+    @pytest.mark.parametrize("r_max", [R_MAX, 0.0], ids=["ies", "standard"])
+    def test_ies(self, r_max):
+        rng = np.random.default_rng(3)
+        for kt in 10 ** rng.uniform(-2, 2, 30):
+            psi = np.concatenate([rng.uniform(*optimize.PSI_BOUNDS_DEFAULT, 60),
+                                  optimize.PSI_BOUNDS_DEFAULT])
+            objective = optimize._ies_objective(float(kt), r_max)
+            snr, r, phase = objective(psi)
+            scalar = [objective(float(p)) for p in psi]
+            np.testing.assert_allclose(snr, [v[0] for v in scalar], rtol=1e-9, atol=1e-13)
+            np.testing.assert_allclose(r, [v[1] for v in scalar], rtol=1e-9, atol=1e-12)
+            assert list(phase) == [v[2] for v in scalar]
+
+    def test_unstable_points_score_zero_and_skip_the_residue_test(self, monkeypatch):
+        # 4 Omega rounds to kappa at r = 40: no stationary state
+        objective = optimize._ics_objective(1.0, 0.5)
+        rs = np.array([40.0, 1.0, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # unstable cells are never evaluated
+            snr, phase = objective(np.zeros(3), rs)
+        assert snr[0] == snr[2] == 0.0 and phase[0] == phase[2] == -1.0
+        assert objective(0.0, 40.0) == (0.0, -1.0)
+        assert snr[1] == objective(0.0, 1.0)[0]
+        # with every residue too large, only stable points reach the test
+        monkeypatch.setattr(ics, "_IMAG_TOL", -1.0)
+        snr, _ = objective(np.zeros(2), np.array([40.0, 40.0]))
+        assert list(snr) == [0.0, 0.0]
+        with pytest.raises(ImaginaryResidueError):
+            objective(np.zeros(3), rs)
+
+    def test_one_residue_on_the_grid_raises(self, monkeypatch):
+        # a complex squeeze parameter at a single stable grid point puts an imaginary
+        # residue into its noise terms; the scalar path is left as it was
+        squeeze = ics._squeeze_param
+
+        def with_residue(kappa, omega_2ph, fn=math):
+            r = squeeze(kappa, omega_2ph, fn)
+            if fn is np:
+                r = r.astype(complex)
+                r[len(r) // 2] += 1e-3j
+            return r
+
+        monkeypatch.setattr(ics, "_squeeze_param", with_residue)
+        objective = optimize._ics_objective(1.0, 0.5)
+        assert objective(0.0, 1.0)[0] > 0.0
+        with pytest.raises(ImaginaryResidueError):
+            objective(np.zeros(64), np.linspace(0.0, R_MAX, 64))
+        with pytest.raises(ImaginaryResidueError):
+            optimize.maximize_snr("ics", 1.0, fix_chi=0.5)
+
+
+def scan_maximize_snr(scheme, kappa_tau, fix_chi=None):
+    """Reference: maximize_snr with its grid scanned one scalar call per point.
+
+    Returns (best_snr, (psi, r, phase)).
+    """
+    if scheme == "ics":
+        objective = optimize._ics_objective(kappa_tau, fix_chi)
+        psi_bounds = optimize.PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0)
+        _, (psi, r), _, _ = scan_maximize_over_box(lambda p, r: objective(p, r)[0],
+                                                   [psi_bounds, (0.0, R_MAX)])
+        val, phase = objective(psi, r)
+        return val, (psi, r, phase)
+    objective = optimize._ies_objective(kappa_tau, R_MAX if scheme == "ies" else 0.0)
+    if fix_chi is None:
+        _, (psi,), _, _ = scan_maximize_over_box(lambda p: objective(p)[0],
+                                                 [optimize.PSI_BOUNDS_DEFAULT])
+    else:
+        psi = math.atan(2.0 * fix_chi)
+    val, r, phase = objective(psi)
+    return val, (psi, r, phase)
+
+
+COMPARISON_GRID = [float(kt) for kt in np.geomspace(1e-2, 1e2, 61)]
+# free ICS optima on the r = ln 10 edge that the point-by-point scan reports up to
+# 3.5e-7 inside it, because its golden sections never sample the edge
+EDGE_MOVES = (13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 25, 26, 29)
+
+
+class TestMaximizeSnrMatchesScan:
+    @pytest.mark.parametrize("scheme", ["ies", "standard", "ics"])
+    @pytest.mark.parametrize("fix_chi", [0.5, None], ids=["fixed_chi", "free"])
+    def test_comparison_grid(self, scheme, fix_chi):
+        for i, kt in enumerate(COMPARISON_GRID):
+            report = optimize.maximize_snr(scheme, kt, fix_chi=fix_chi)
+            val, (psi, r, phase) = scan_maximize_snr(scheme, kt, fix_chi)
+            argmax = (report.argmax["psi"], report.argmax["r"], report.argmax["phase"])
+            if scheme == "ics" and fix_chi is None and i in EDGE_MOVES:
+                assert argmax == (psi, R_MAX, phase) and r < R_MAX
+                assert 0.0 < report.best_snr / val - 1.0 < 1.1e-9
+            else:
+                assert (report.best_snr, argmax) == (val, (psi, r, phase)), (i, kt)
