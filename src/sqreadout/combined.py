@@ -240,19 +240,20 @@ def _separation_components_signed(params: ReadoutParams,
     return 2.0 * p.alpha_in * par, 2.0 * p.alpha_in * perp
 
 
-def _perp_on_grid(params: ReadoutParams, r: float, omega_sq: np.ndarray,
-                  epsilon: float) -> np.ndarray:
-    """Signed perpendicular separation of _separation_components_signed at each omega_sq.
+def _perp_at(params: ReadoutParams, r: float, omega_sq, epsilon: float, fn=math):
+    """Signed perpendicular separation of _separation_components_signed at omega_sq.
 
-    One numpy pass; np.arctan may differ from math.atan in the last bit, so
-    these values locate sign changes but do not replace the scalar path.
+    fn = math gives the scalar value, bit for bit; fn = np evaluates a whole
+    grid in one pass, where np.arctan may differ from math.atan in the last
+    bit, so grid values locate sign changes but do not replace the scalar path.
     """
     k = params.kappa
     kt = params.kappa_tau
+    atan = math.atan if fn is math else np.arctan
     csq = chi_sq(params.chi / epsilon, r, omega_sq, epsilon)
     up, down = omega_sq + csq, omega_sq - csq
-    perp = _perp_separation(kt, np.arctan(2.0 * up / k), np.arctan(2.0 * down / k),
-                            up / k * kt, down / k * kt, np)
+    perp = _perp_separation(kt, atan(2.0 * up / k), atan(2.0 * down / k),
+                            up / k * kt, down / k * kt, fn)
     return 2.0 * (params.alpha_in / math.sqrt(k)) * perp
 
 
@@ -280,11 +281,6 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     """
     k = params.kappa
     chi = params.chi
-
-    def perp_at(w: float) -> float:
-        disp = DispersiveParams.derive(k, chi, r, w, epsilon)
-        return _separation_components_signed(params, disp)[1]
-
     # lower edge: self-consistent long-time frequency (kappa/2)sec(psi_sq)
     w = 0.5 * k
     for _ in range(8):
@@ -297,7 +293,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     ratio = (hi / lo) ** (1.0 / _SCAN_POINTS)
     # running products lo*ratio**i, rounded step by step like repeated a *= ratio
     grid = np.multiply.accumulate(np.concatenate(([lo], np.full(_SCAN_POINTS, ratio))))
-    f = _perp_on_grid(params, r, grid, epsilon)
+    f = _perp_at(params, r, grid, epsilon, np)
     hit = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
     if hit.size == 0:
         raise BracketError(
@@ -306,7 +302,8 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     i = hit[0]
     if f[i] == 0.0:
         return float(grid[i])
-    return bisect(perp_at, float(grid[i]), float(grid[i + 1]), tol=1e-10 * k)
+    return bisect(lambda w: _perp_at(params, r, w, epsilon), float(grid[i]), float(grid[i + 1]),
+                  tol=1e-10 * k)
 
 
 def beta_photon_number(params: ReadoutParams, disp: DispersiveParams, r: float,
@@ -450,7 +447,7 @@ class CombinedConfig:
         beta_in = math.cosh(r_c) * a_bar + ph * math.sinh(r_c) * np.conj(a_bar)
         out = np.array([[math.cosh(r_c), -ph * math.sinh(r_c)],
                         [-np.conj(ph) * math.sinh(r_c), math.cosh(r_c)]])
-        return LinearReadoutSystem(drift, complex(beta_in), budget, 0.0, (0.0, 0.0),
+        return LinearReadoutSystem(drift, complex(beta_in), budget, (0.0, 0.0),
                                    out, params.phi_h, k, params.tau)
 
 

@@ -117,7 +117,7 @@ class MeasurementMoments:
 
     def __post_init__(self):
         if self.noise_up < 0 or self.noise_down < 0:
-            raise ValueError("measurement noise must be non-negative")
+            raise DegenerateNoiseError("measurement noise must be non-negative")
 
     @property
     def separation(self) -> float:

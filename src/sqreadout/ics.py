@@ -60,7 +60,7 @@ class IcsConfig:
         drift = np.array([[-1j * s * params.chi - k / 2.0, -2j * self.omega_2ph * ph],
                           [2j * self.omega_2ph * np.conj(ph), 1j * s * params.chi - k / 2.0]])
         init = ics_initial_correlations(k, self)
-        return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), 0.0, init,
+        return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), init,
                                    np.eye(2), params.phi_h, k, params.tau)
 
 
@@ -73,7 +73,7 @@ class StabilityReport:
     reason: str
 
     def __bool__(self) -> bool:
-        return self.stable and self.steady_state_ok
+        return bool(self.stable and self.steady_state_ok)
 
 
 def _lambda(chi, omega_2ph, fn=math):

@@ -52,7 +52,7 @@ class IesConfig:
         n_in = math.sinh(self.r) ** 2
         m_in = 0.5 * math.sinh(2.0 * self.r) * complex(math.cos(self.varphi),
                                                        math.sin(self.varphi))
-        return LinearReadoutSystem(drift, a_bar, (n_in, m_in), 0.0, (n_in, m_in),
+        return LinearReadoutSystem(drift, a_bar, (n_in, m_in), (n_in, m_in),
                                    np.eye(2), params.phi_h, k, params.tau)
 
 

@@ -1,8 +1,10 @@
 """Brute-force verifier for homodyne moments via discretized Gaussian modes.
 
 The measurement interval is split into K bins; the white input noise in each
-bin is represented by one discrete Gaussian mode, the cavity is propagated
-exactly per bin with the 2x2 matrix exponential of the drift, and the
+bin is represented by one discrete Gaussian mode, the coherent drive is a
+constant, and the cavity is propagated exactly with the closed 2x2 matrix
+exponential of the drift, which needs no eigenbasis (so it holds at the ICS
+exceptional point chi = 2 Omega, where the drift is defective).  The
 integrated record M becomes a linear form over the initial mode plus all bin
 modes.  Means and variances are then exact quadratic forms of the mode
 statistics; the only approximation is the piecewise-constant noise kernel,
@@ -14,16 +16,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
 from .core import (MeasurementMoments, OracleConvergenceError, QubitState,
                    ReadoutParams, StabilityError)
 
-MeanInput = Union[complex, float, Callable[[float], complex]]
-
 MAX_STEPS = 2 ** 17
+
+
+def _split(a: np.ndarray):
+    """(s, B, mu): a = s I + B, s = tr a / 2, B^2 = mu^2 I, Re mu >= 0; eigenvalues s +- mu."""
+    s = 0.5 * (a[0, 0] + a[1, 1])
+    b = a - s * np.eye(2)
+    return s, b, np.sqrt(complex(b[0, 1] * b[1, 0] - b[0, 0] * b[1, 1]))
+
+
+def _expm_minus_one(a: np.ndarray, t):
+    """exp(a t) - I = c0 I + c1 B at one time or an array of times; returns (c0, c1, B).
+
+    exp(a t) = g [(1 + e^{-2 mu t})/2 I + (1 - e^{-2 mu t})/(2 mu) B], g = e^{(s+mu)t}
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Re mu >= 0, so no factor grows
+    at long times; expm1 of g - 1 and of e^{-2 mu t} - 1 keeps c0 accurate at
+    short times and c1 as mu -> 0, where it tends to t and no eigenbasis exists.
+    """
+    s, b, mu = _split(a)
+    t = np.asarray(t, dtype=float)
+    g_m1 = np.expm1((s + mu) * t)
+    if mu == 0:
+        return g_m1, (1.0 + g_m1) * t, b
+    gd = (1.0 + g_m1) * np.expm1(-2.0 * mu * t)
+    return g_m1 + 0.5 * gd, gd * (-0.5 / mu), b
 
 
 @dataclass(frozen=True)
@@ -31,19 +54,17 @@ class LinearReadoutSystem:
     """Linear cavity dynamics plus measurement chain, as the oracle sees it.
 
     drift            : 2x2 complex matrix acting on (mode, conjugate mode)
-    input_mean       : coherent drive amplitude in the working frame, constant
-                       or a function of time
+    input_mean       : constant coherent drive amplitude in the working frame
     input_corr       : white-noise pair (N_in, M_in)
-    init_mean        : initial coherent amplitude of the working mode
-    init_cov         : initial fluctuation pair (N0, M0)
+    init_cov         : fluctuation pair (N0, M0) of the initial mode, whose
+                       mean is zero
     output_transform : 2x2 Bogoliubov map from working-frame output to the
                        lab-frame field entering the homodyne detector
     """
 
     drift: np.ndarray
-    input_mean: MeanInput
+    input_mean: complex
     input_corr: tuple[float, complex]
-    init_mean: complex
     init_cov: tuple[float, complex]
     output_transform: np.ndarray
     homodyne_angle: float
@@ -54,23 +75,19 @@ class LinearReadoutSystem:
         drift = np.asarray(self.drift, dtype=complex).reshape(2, 2)
         out = np.asarray(self.output_transform, dtype=complex).reshape(2, 2)
         object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "input_mean", complex(self.input_mean))
         object.__setattr__(self, "output_transform", out)
         if not (self.kappa > 0 and self.tau > 0):
             raise ValueError("kappa and tau must be positive")
-        eigs = np.linalg.eigvals(drift)
-        if np.any(eigs.real > 1e-12 * self.kappa):
-            raise StabilityError(f"drift has growing eigenvalues: {eigs}")
+        s, _, mu = _split(drift)
+        if (s + mu).real > 1e-12 * self.kappa:
+            raise StabilityError(f"drift has growing eigenvalues: {s + mu}, {s - mu}")
         for n, m in (self.input_corr, self.init_cov):
             if n < 0 or abs(m) > math.sqrt(n * (n + 1.0)) + 1e-9 * (1.0 + n):
                 raise ValueError(f"unphysical Gaussian moments N={n}, M={m}")
         det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
         if abs(det - 1.0) > 1e-9:
             raise ValueError(f"output transform is not symplectic: det={det}")
-
-    def mean_at(self, t: np.ndarray) -> np.ndarray:
-        if callable(self.input_mean):
-            return np.asarray([complex(self.input_mean(ti)) for ti in t])
-        return np.full(len(t), complex(self.input_mean))
 
 
 @dataclass(frozen=True)
@@ -90,56 +107,46 @@ class OracleResult:
 
 def default_steps(system: LinearReadoutSystem) -> int:
     """K = max(4096, ceil(64 (|omega| + kappa) tau)), omega the drift's fastest rotation."""
-    omega = float(np.max(np.abs(np.linalg.eigvals(system.drift).imag)))
+    s, _, mu = _split(system.drift)
+    omega = abs(s.imag) + abs(mu.imag)
     return max(4096, math.ceil(64.0 * (omega + system.kappa) * system.tau))
 
 
 def _propagators(system: LinearReadoutSystem, steps: int):
-    """Eigen-factored per-bin propagator and its integrals."""
+    """Bin width dt, E - I for the bin propagator E = exp(A dt), and E's integrals over a bin."""
     dt = system.tau / steps
-    a = system.drift
-    evals, vecs = np.linalg.eig(a * dt)
-    if np.linalg.cond(vecs) > 1e10:
-        # defective drift (degenerate parametric point); nudge to split eigenvalues
-        a = a + 1e-9 * system.kappa * np.diag([1.0, -1.0])
-        evals, vecs = np.linalg.eig(a * dt)
-    vinv = np.linalg.inv(vecs)
-    lam = np.exp(evals)
-    expm = vecs @ np.diag(lam) @ vinv
-    ainv = np.linalg.inv(a)
-    f_int = ainv @ (expm - np.eye(2))              # int_0^dt e^{Au} du
-    g_int = ainv @ (f_int - dt * np.eye(2))        # int_0^dt int_0^u e^{Aw} dw du
-    return dt, lam, vecs, vinv, expm, f_int, g_int
+    c0, c1, b = _expm_minus_one(system.drift, dt)
+    e_m1 = c0 * np.eye(2) + c1 * b
+    f_int = np.linalg.solve(system.drift, e_m1)                   # int_0^dt e^{Au} du
+    g_int = np.linalg.solve(system.drift, f_int - dt * np.eye(2))  # int_0^dt int_0^u e^{Aw} dw du
+    return dt, e_m1, f_int, g_int
+
+
+def _row_powers(system: LinearReadoutSystem, steps: int, row: np.ndarray) -> np.ndarray:
+    """row @ (E^n - I) as column n of a (2, K+1) array, E^n = exp(A n dt) from the closed form."""
+    c0, c1, b = _expm_minus_one(system.drift, np.arange(steps + 1) * (system.tau / steps))
+    return np.outer(row, c0) + np.outer(row @ b, c1)
 
 
 def _linear_form(system: LinearReadoutSystem, steps: int):
     """Coefficients of M over (initial mode, bin modes).
 
     Returns (ell0, ell) where ell0 is the 2-vector weight of (a(0), a^dag(0))
-    and ell[j] the 2-vector weight of the j-th bin mode pair.
+    and ell[:, j] the 2-vector weight of the j-th bin mode pair.
     """
-    dt, lam, vecs, vinv, expm, f_int, g_int = _propagators(system, steps)
+    dt, e_m1, f_int, g_int = _propagators(system, steps)
     k = system.kappa
-    w = np.array([np.exp(-1j * system.homodyne_angle), np.exp(1j * system.homodyne_angle)])
-    wp = w @ system.output_transform
+    wp = np.exp([-1j * system.homodyne_angle, 1j * system.homodyne_angle]) @ system.output_transform
 
     dmat = -math.sqrt(k / dt) * f_int
     hmat = -math.sqrt(k / dt) * g_int
 
-    n = np.arange(steps)
-    lam_pow = np.exp(np.outer(n, np.log(lam)))            # lam^n, n = 0..K-1
-    geo = (lam_pow - 1.0) / (lam - 1.0)                   # S_n in the eigenbasis
-    lam_k = np.exp(steps * np.log(lam))
-    s_k = vecs @ np.diag((lam_k - 1.0) / (lam - 1.0)) @ vinv
-
-    p = (wp @ f_int) @ vecs
-    q = vinv @ dmat
+    # column n is p S_n, with S_n = sum_{m<n} E^m = (E^n - I)(E - I)^{-1}, n = 0..K
+    p_geo = np.linalg.inv(e_m1).T @ _row_powers(system, steps, wp @ f_int)
     base = math.sqrt(k * dt) * wp + k * (wp @ hmat)
-    # row n of geo corresponds to bin j = K-1-n
-    ell_rev = base[None, :] + k * ((geo * p[None, :]) @ q)
-    ell = ell_rev[::-1]
-    ell0 = k * (wp @ (f_int @ s_k))
-    return ell0, ell, dt
+    # column n corresponds to bin j = K-1-n
+    ell_rev = base[:, None] + k * (dmat.T @ p_geo[:, :steps])
+    return k * p_geo[:, steps], ell_rev[:, ::-1], dt
 
 
 def _pair_variance(u: np.ndarray, v: np.ndarray, n: float, m: complex) -> float:
@@ -149,13 +156,11 @@ def _pair_variance(u: np.ndarray, v: np.ndarray, n: float, m: complex) -> float:
 
 def _moments_once(system: LinearReadoutSystem, steps: int) -> tuple[float, float]:
     ell0, ell, dt = _linear_form(system, steps)
-    mids = (np.arange(steps) + 0.5) * dt
-    a_bar = system.mean_at(mids)
-    mean = math.sqrt(dt) * np.sum(ell[:, 0] * a_bar + ell[:, 1] * np.conj(a_bar))
-    mean += ell0[0] * system.init_mean + ell0[1] * np.conj(system.init_mean)
+    a_bar = system.input_mean
+    mean = math.sqrt(dt) * (np.sum(ell[0]) * a_bar + np.sum(ell[1]) * a_bar.conjugate())
     n_in, m_in = system.input_corr
     n0, m0 = system.init_cov
-    var = _pair_variance(ell[:, 0], ell[:, 1], n_in, m_in)
+    var = _pair_variance(ell[0], ell[1], n_in, m_in)
     var += _pair_variance(np.atleast_1d(ell0[0]), np.atleast_1d(ell0[1]), n0, m0)
     return float(mean.real), var
 
@@ -190,20 +195,14 @@ def oracle_moments_auto(system: LinearReadoutSystem, tol: float = 1e-4,
 
 def commutator_defect(system: LinearReadoutSystem, steps: int) -> float:
     """|[a(tau), a^dag(tau)] - 1| of the discretized propagation (symplectic check)."""
-    dt, lam, vecs, vinv, expm, f_int, g_int = _propagators(system, steps)
-    k = system.kappa
-    dmat = -math.sqrt(k / dt) * f_int
-    n = np.arange(steps)
-    lam_pow = np.exp(np.outer(n, np.log(lam)))
-    p = vecs[0, :]                       # row 0 of V
-    q = vinv @ dmat
-    # coefficients of a(tau) on bin j: row 0 of E^{K-1-j} D
-    coeff = (lam_pow * p[None, :]) @ q   # row n = coefficient for bin K-1-n
-    u, v = coeff[:, 0], coeff[:, 1]
-    lam_k = np.exp(steps * np.log(lam))
-    row0 = (vecs @ np.diag(lam_k) @ vinv)[0, :]
+    dt, _, f_int, _ = _propagators(system, steps)
+    dmat = -math.sqrt(system.kappa / dt) * f_int
+    e0 = np.array([1.0, 0.0])
+    rows = e0[:, None] + _row_powers(system, steps, e0)     # row 0 of E^n in column n
+    # a(tau) weighs bin j by row 0 of E^{K-1-j} D and a(0) by row 0 of E^K
+    u, v = dmat.T @ rows[:, :steps]
     comm = float(np.sum(np.abs(u) ** 2 - np.abs(v) ** 2)
-                 + abs(row0[0]) ** 2 - abs(row0[1]) ** 2)
+                 + abs(rows[0, steps]) ** 2 - abs(rows[1, steps]) ** 2)
     return abs(comm - 1.0)
 
 

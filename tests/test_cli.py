@@ -99,6 +99,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and message in err
 
+    def test_negative_noise_exit_code(self, monkeypatch, capsys):
+        # a closed form that goes negative (as the ICS noise does just below
+        # threshold at short times) is a numerical failure, not a bad option
+        monkeypatch.setattr(ies, "ies_noise", lambda *args, **kwargs: -1.0)
+        assert run_cli(["snr", "--scheme", "standard"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and "non-negative" in err
+
     def test_ics_imaginary_residue_exit_code(self, monkeypatch, capsys):
         # a negative tolerance makes every complex-to-real conversion fail
         monkeypatch.setattr(ics, "_IMAG_TOL", -1.0)
@@ -243,6 +251,13 @@ class TestOracleCheckCommand:
         for state in ("up", "down"):
             assert analytic[(state, "mean")] == rec[f"signal_{state}"]
             assert analytic[(state, "var")] == rec[f"noise_{state}"]
+
+    @pytest.mark.parametrize("steps", [[], ["--steps", "65536"]], ids=["default", "65536"])
+    def test_exceptional_point_passes(self, capsys, steps):
+        # chi = 2 Omega: the ICS drift is defective
+        assert run_cli(["oracle-check", "--scheme", "ics", "--chi", "0.2", "--omega-2ph", "0.1",
+                        "--kappa-tau", "1", *steps]) == 0
+        assert capsys.readouterr().out.strip().endswith("passed=True")
 
     def test_negative_control(self, monkeypatch):
         true_noise = ies.ies_noise

@@ -277,7 +277,7 @@ class TestOmegaSqArrayScan:
                             fn.cos(phase_up))
         p = make_params(kappa_tau=3.0)
         ws = np.geomspace(4.0, 10.0, 500)
-        assert np.count_nonzero(np.diff(np.sign(combined._perp_on_grid(p, LN10, ws, 0.05)))) > 2
+        assert np.count_nonzero(np.diff(np.sign(combined._perp_at(p, LN10, ws, 0.05, np)))) > 2
         assert combined.solve_omega_sq(p, LN10) == scalar_walk_omega_sq(p, LN10)
 
     def test_grid_matches_scalar_perpendicular_separation(self):
@@ -288,7 +288,7 @@ class TestOmegaSqArrayScan:
                 for w in ws])
             # every term is bounded by (4 + kappa*tau) in units 2 alpha_in/sqrt(kappa)
             scale = 2.0 * p.alpha_in / math.sqrt(p.kappa) * (4.0 + p.kappa_tau)
-            np.testing.assert_allclose(combined._perp_on_grid(p, r, ws, eps), scalar,
+            np.testing.assert_allclose(combined._perp_at(p, r, ws, eps, np), scalar,
                                        rtol=0.0, atol=1e-12 * scale)
 
 

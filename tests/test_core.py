@@ -47,7 +47,7 @@ class TestSnr:
         assert snr(m) == 0.0
 
     def test_degenerate_noise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateNoiseError):
             MeasurementMoments(1.0, 0.0, -1.0, 0.5)
         with pytest.raises(DegenerateNoiseError):
             snr(MeasurementMoments(1.0, 0.0, 0.0, 0.0))

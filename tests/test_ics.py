@@ -53,6 +53,19 @@ class TestStability:
         v = ics.ics_stability(make_params(chi=2.0), ics.IcsConfig(0.26))
         assert v.stable and not v.steady_state_ok
 
+    @pytest.mark.parametrize("omega", [0.1, 0.3])
+    def test_numpy_inputs_give_a_bool(self, omega):
+        # a sweep over np.linspace hands in numpy floats
+        p = make_params(chi=np.float64(0.5))
+        verdict = ics.ics_stability(p, ics.IcsConfig(np.float64(omega)))
+        assert bool(verdict) is (omega < 0.25)
+        if verdict:
+            assert ics.ics_moments(p, ics.IcsConfig(np.float64(omega))) == \
+                ics.ics_moments(make_params(), ics.IcsConfig(omega))
+        else:
+            with pytest.raises(StabilityError):
+                ics.ics_moments(p, ics.IcsConfig(np.float64(omega)))
+
 
 class TestSqueezeParam:
     def test_zero_drive(self):

@@ -60,6 +60,15 @@ class TestConvergence:
         res = oracle.oracle_moments(system, steps=128)
         assert res.mean_M == pytest.approx(analytic, abs=1e-10)
 
+    @pytest.mark.parametrize("kappa_tau, rel", [(1e-3, 1e-5), (1e-2, 1e-8)])
+    def test_short_time_mean(self, kappa_tau, rel):
+        # phi_h - phi_in = -pi/2 makes the mean a small difference of O(kappa*tau)
+        # terms; E^n - I written with expm1 keeps the bin weights accurate there
+        p = make_params(kappa_tau=kappa_tau, phi_in=math.pi / 2.0, phi_h=0.0)
+        system = oracle.build_system(p, ies.IesConfig(0.5, 0.0), QubitState.UP)
+        res = oracle.oracle_moments(system, steps=4096)
+        assert res.mean_M == pytest.approx(ies.ies_signal(p, QubitState.UP), rel=rel, abs=0.0)
+
     def test_auto_mode_converges(self):
         p = make_params()
         system = oracle.build_system(p, ies.IesConfig(0.5, 0.3), QubitState.UP)
@@ -89,7 +98,8 @@ class TestInvariants:
             assert shifted.var_M == pytest.approx(base.var_M, rel=1e-12)
 
     @pytest.mark.parametrize("scheme,steps", [("ies", 8192), ("ics", 8192),
-                                              ("combined", 65536)])
+                                              ("combined", 65536),
+                                              ("ics_exceptional", 8192)])
     def test_commutator_preserved(self, scheme, steps):
         # the defect scales as (|drift| tau)^3 / K^2, so the fast-rotating
         # combined frame needs more bins for the same 1e-9 budget
@@ -98,6 +108,10 @@ class TestInvariants:
             system = oracle.build_system(p, ies.IesConfig(0.5, 0.2), QubitState.UP)
         elif scheme == "ics":
             system = oracle.build_system(p, ics.IcsConfig(0.2, 0.4), QubitState.UP)
+        elif scheme == "ics_exceptional":
+            # chi = 2 Omega: the drift is defective
+            system = oracle.build_system(make_params(chi=0.2), ics.IcsConfig(0.1, 0.3),
+                                         QubitState.DOWN)
         else:
             cfg = combined.CombinedConfig(r=1.0, omega_sq=4.0)
             system = oracle.build_system(combined.operating_params(p, cfg), cfg,
@@ -160,14 +174,14 @@ class TestNegativeControl:
         with pytest.raises(ValueError):
             oracle.LinearReadoutSystem(
                 drift=np.diag([-0.5, -0.5]), input_mean=0.0,
-                input_corr=(0.1, 1.0), init_mean=0.0, init_cov=(0.0, 0.0),
+                input_corr=(0.1, 1.0), init_cov=(0.0, 0.0),
                 output_transform=np.eye(2), homodyne_angle=0.0, kappa=1.0, tau=1.0)
 
     def test_non_symplectic_transform_rejected(self):
         with pytest.raises(ValueError):
             oracle.LinearReadoutSystem(
                 drift=np.diag([-0.5, -0.5]), input_mean=0.0,
-                input_corr=(0.0, 0.0), init_mean=0.0, init_cov=(0.0, 0.0),
+                input_corr=(0.0, 0.0), init_cov=(0.0, 0.0),
                 output_transform=2.0 * np.eye(2), homodyne_angle=0.0,
                 kappa=1.0, tau=1.0)
 
@@ -203,17 +217,70 @@ class TestExtremeCorners:
                                    steps=16384)["passed"]
 
 
-class TestTimeDependentMean:
-    def test_callable_input_mean(self):
-        # a tone switched off half way: the oracle integrates whatever it is given
-        p = make_params()
-        base = oracle.build_system(p, ies.IesConfig(0.0, 0.0), QubitState.UP)
-        gated = oracle.LinearReadoutSystem(
-            drift=base.drift, input_mean=lambda t: 1.0 if t < 0.5 else 0.0,
-            input_corr=base.input_corr, init_mean=base.init_mean,
-            init_cov=base.init_cov, output_transform=base.output_transform,
-            homodyne_angle=base.homodyne_angle, kappa=base.kappa, tau=base.tau)
-        full = oracle.oracle_moments(base, steps=4096)
-        part = oracle.oracle_moments(gated, steps=4096)
-        assert 0 < abs(part.mean_M) < abs(full.mean_M)
-        assert part.var_M == pytest.approx(full.var_M, rel=1e-12)
+class TestClosedFormExponential:
+    """exp(A t) of the oracle's closed 2x2 form against exact references."""
+
+    @staticmethod
+    def expm(a, t):
+        c0, c1, b = oracle._expm_minus_one(np.asarray(a, dtype=complex), t)
+        return (1.0 + c0)[..., None, None] * np.eye(2) + c1[..., None, None] * b
+
+    @pytest.mark.parametrize("a", [-0.5, -0.5 - 0.3j, -2.0 + 1.5j, 0.0])
+    def test_jordan_block(self, a):
+        # mu = 0: the drift is defective and has no eigenbasis
+        ts = np.linspace(0.0, 20.0, 101)
+        want = np.exp(a * ts)[:, None, None] * np.array([[1.0, 1.0], [0.0, 1.0]])
+        want[:, 0, 1] *= ts
+        np.testing.assert_allclose(self.expm([[a, 1.0], [0.0, a]], ts), want,
+                                   rtol=0.0, atol=1e-13)
+        # a split of 1e-10 goes through the expm1 branch, O(1e-20 t^2) away
+        np.testing.assert_allclose(self.expm([[a, 1.0], [1e-20, a]], ts), want,
+                                   rtol=0.0, atol=1e-13)
+
+    def test_diagonalizable_matches_eigendecomposition(self):
+        rng = np.random.default_rng(9)
+        ts = np.linspace(0.0, 5.0, 51)
+        checked = 0
+        while checked < 50:
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            a -= (np.max(np.linalg.eigvals(a).real) + rng.uniform(0.0, 1.0)) * np.eye(2)
+            evals, vecs = np.linalg.eig(a)
+            if np.linalg.cond(vecs) > 10.0:
+                continue
+            want = np.einsum("ij,tj,jk->tik", vecs, np.exp(np.outer(ts, evals)),
+                             np.linalg.inv(vecs))
+            np.testing.assert_allclose(self.expm(a, ts), want, rtol=0.0, atol=1e-13)
+            checked += 1
+
+    def test_long_time_no_overflow(self):
+        # chi = 0, Omega = 0.24 kappa: the modes decay at kappa/2 -+ 2 Omega, so
+        # e^{st} cosh(mu t) would overflow (and e^{st} underflow) by kappa*tau = 3000
+        p = make_params(chi=0.0, kappa_tau=3000.0)
+        system = oracle.build_system(p, ics.IcsConfig(0.24, 0.0), QubitState.UP)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            res = oracle.oracle_moments(system)
+            # the discretization defect falls as 1/K^2; 4e-7 at this K
+            assert oracle.commutator_defect(system, steps=res.steps) < 1e-6
+        assert np.all(np.isfinite([res.mean_M, res.var_M, *res.richardson, *res.residual]))
+        assert res.var_M > 0.0
+        assert abs(res.residual[1]) < 1e-6 * res.var_M
+
+
+class TestExceptionalPoint:
+    """chi = 2 Omega, where the ICS drift is defective."""
+
+    @pytest.mark.parametrize("steps", [4096, 65536])
+    def test_oracle_check_passes(self, steps):
+        p = make_params(chi=0.2)
+        cfg = ics.IcsConfig(0.1, ics.optimal_theta(p, 0.1))
+        analytic = ics.ics_moments(p, cfg)
+        report = oracle.oracle_check(p, cfg, analytic, steps=steps)
+        assert report["passed"]
+        for entry in report["states"].values():
+            assert entry["mean_oracle"] == pytest.approx(entry["mean_analytic"], rel=1e-9)
+            assert abs(entry["residual"][0]) < 1e-9 * abs(entry["mean_oracle"])
+
+    def test_default_steps_at_defective_drift(self):
+        p = make_params(chi=0.2, kappa_tau=100.0)
+        system = oracle.build_system(p, ics.IcsConfig(0.1), QubitState.UP)
+        assert oracle.default_steps(system) == 6400
