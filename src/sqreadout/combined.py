@@ -27,6 +27,7 @@ from .oracle import LinearReadoutSystem
 #: dispersive-approximation accuracy parameter used in the reference figures
 DEFAULT_EPSILON = 0.05
 _SCAN_POINTS = 4096     # geometric cells of the omega_sq root scan
+_SCAN_CELL = 64         # fine cells per coarse cell: 65 + 65 points evaluated
 
 
 def chi_sq(g: float, r: float, omega_sq: float, epsilon: float) -> float:
@@ -243,9 +244,10 @@ def _separation_components_signed(params: ReadoutParams,
 def _perp_at(params: ReadoutParams, r: float, omega_sq, epsilon: float, fn=math):
     """Signed perpendicular separation of _separation_components_signed at omega_sq.
 
-    fn = math gives the scalar value, bit for bit; fn = np evaluates a whole
-    grid in one pass, where np.arctan may differ from math.atan in the last
-    bit, so grid values locate sign changes but do not replace the scalar path.
+    fn = math gives the scalar value, bit for bit; fn = np evaluates an array
+    of frequencies (a coarse scan or one fine cell of it) in one call, where
+    np.arctan may differ from math.atan in the last bit, so array values locate
+    sign changes but do not replace the scalar path.
     """
     k = params.kappa
     kt = params.kappa_tau
@@ -273,10 +275,14 @@ def solve_omega_sq(params: ReadoutParams, r: float,
                    epsilon: float = DEFAULT_EPSILON) -> float:
     """Bogoliubov-mode frequency that nulls the perpendicular separation.
 
-    One array pass evaluates the perpendicular separation on a geometric grid
-    from lo, just below (kappa/2)sec(psi_sq), up to max(10 kappa, 5/tau, 1.5 lo)
-    and picks the first sign change; scalar bisection refines that bracket to
-    1e-10*kappa.  The root runs from ~pi/tau at short times to the
+    The scan grid has _SCAN_POINTS geometric cells from lo, just below
+    (kappa/2)sec(psi_sq), up to max(10 kappa, 5/tau, 1.5 lo).  One array call
+    evaluates every _SCAN_CELL-th grid point and finds the first coarse cell
+    whose ends change sign; a second evaluates that cell's fine points and
+    picks its first sign change.  Scalar bisection refines that bracket to
+    1e-10*kappa.  This is the bracket of a full scan whenever no earlier coarse
+    cell holds an even number of sign changes; the physical separation changes
+    sign once on the grid.  The root runs from ~pi/tau at short times to the
     time-independent (kappa/2)sec(psi_sq) at long times.
     """
     k = params.kappa
@@ -293,17 +299,25 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     ratio = (hi / lo) ** (1.0 / _SCAN_POINTS)
     # running products lo*ratio**i, rounded step by step like repeated a *= ratio
     grid = np.multiply.accumulate(np.concatenate(([lo], np.full(_SCAN_POINTS, ratio))))
-    f = _perp_at(params, r, grid, epsilon, np)
-    hit = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
-    if hit.size == 0:
+    cell = _first_sign_change(_perp_at(params, r, grid[::_SCAN_CELL], epsilon, np))
+    if cell is None:
         raise BracketError(
             f"no perpendicular-separation sign change in omega_sq/kappa "
             f"in [{lo / k:g}, {hi / k:g}]")
-    i = hit[0]
-    if f[i] == 0.0:
+    start = cell * _SCAN_CELL
+    fine = _perp_at(params, r, grid[start:start + _SCAN_CELL + 1], epsilon, np)
+    j = _first_sign_change(fine)
+    i = start + j
+    if fine[j] == 0.0:
         return float(grid[i])
     return bisect(lambda w: _perp_at(params, r, w, epsilon), float(grid[i]), float(grid[i + 1]),
                   tol=1e-10 * k)
+
+
+def _first_sign_change(f) -> Optional[int]:
+    """Index i of the first cell [f[i], f[i+1]] with f[i] == 0 or a sign change."""
+    hit = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
+    return int(hit[0]) if hit.size else None
 
 
 def beta_photon_number(params: ReadoutParams, disp: DispersiveParams, r: float,

@@ -12,6 +12,7 @@ count, figS5 its squeeze).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -38,6 +39,16 @@ def _std_snr(kappa_tau: float) -> float:
 def combined_snr(kappa_tau: float, delta_r: float = 0.0, delta_p: float = 0.0) -> float:
     cfg = combined.CombinedConfig(r=R_DEFAULT, delta_r=delta_r, delta_p=delta_p)
     return snr(combined.combined_moments(_params(kappa_tau), cfg))
+
+
+def _mismatch_snrs(kappa_tau: float, delta_ps: Iterable[float]) -> list[float]:
+    """combined_snr(kappa_tau, delta_r=0.1, delta_p=dp) for each dp, from one omega_sq solve.
+
+    The root depends on r_c = r + delta_r but not on delta_p.
+    """
+    p = _params(kappa_tau)
+    cfg = combined.with_solved_omega_sq(p, combined.CombinedConfig(r=R_DEFAULT, delta_r=0.1))
+    return [snr(combined.combined_moments(p, replace(cfg, delta_p=dp))) for dp in delta_ps]
 
 
 def kappa_tau_grid(start: float = 1e-2, stop: float = 1e2, count: int = 25) -> np.ndarray:
@@ -158,23 +169,18 @@ def fig4a_rows(grid: Iterable[float] | None = None) -> list[dict]:
         row = {"kappa_tau": kt, "snr_std": std,
                "snr_std_e_r": math.exp(R_DEFAULT) * std,
                "snr_std_e_2r": math.exp(2.0 * R_DEFAULT) * std}
-        for dp in MISMATCH_SET:
-            tag = f"snr_dp_{dp:g}".replace(".", "_")
-            row[tag] = combined_snr(kt, delta_r=0.1, delta_p=dp)
+        for dp, value in zip(MISMATCH_SET, _mismatch_snrs(kt, MISMATCH_SET)):
+            row[f"snr_dp_{dp:g}".replace(".", "_")] = value
         rows.append(row)
     return rows
 
 
 def fig4b_rows(kappa_tau: float = 1.0, count: int = 41) -> list[dict]:
     """SNR versus the mismatch magnitude at fixed kappa*tau."""
-    rows = []
-    for d in np.linspace(0.0, 0.2, count):
-        rows.append({
-            "delta": d,
-            "snr_vs_delta_p": combined_snr(kappa_tau, delta_r=0.1, delta_p=d),
-            "snr_vs_delta_r": combined_snr(kappa_tau, delta_r=d, delta_p=0.05),
-        })
-    return rows
+    deltas = np.linspace(0.0, 0.2, count)
+    return [{"delta": d, "snr_vs_delta_p": snr_p,
+             "snr_vs_delta_r": combined_snr(kappa_tau, delta_r=d, delta_p=0.05)}
+            for d, snr_p in zip(deltas, _mismatch_snrs(kappa_tau, deltas))]
 
 
 def figS1_rows(grid: Iterable[float] | None = None) -> list[dict]:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ImaginaryResidueError, MeasurementMoments, QubitState,
+from .core import (ImaginaryResidueError, MeasurementMoments, QubitState, ReadoutError,
                    ReadoutParams, StabilityError, reduce_angle, scheme_moments)
 from .oracle import LinearReadoutSystem
 
@@ -140,6 +141,20 @@ def _require_stable(params: ReadoutParams, cfg: IcsConfig) -> None:
         raise StabilityError(verdict.reason)
 
 
+@contextmanager
+def _overflow_as_readout_error(kappa_tau: float):
+    """Report an overflow of the scalar closed forms as a ReadoutError naming kappa*tau.
+
+    On the imaginary-lambda branch cos(lambda tau) grows as cosh(|lambda| tau),
+    past the float range at long times, before the e^{-kappa tau} decay tames it.
+    """
+    try:
+        yield
+    except OverflowError as exc:
+        raise ReadoutError(f"ICS closed form overflows at kappa*tau = {kappa_tau:g} "
+                           f"(cosh(|lambda| tau) on the imaginary-lambda branch: {exc})") from exc
+
+
 def _sinc(z, fn=math):
     """sin(z)/z, regular at z = 0."""
     if fn is math:
@@ -173,7 +188,9 @@ def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
                                               params.alpha_in, params.phi_in, cfg.theta,
                                               int(state))
     decay = math.exp(-params.kappa * t / 2.0)
-    return pref * (t0 + ts / lam * cmath.sin(lam * t) * decay + tc * cmath.cos(lam * t) * decay)
+    with _overflow_as_readout_error(params.kappa * t):
+        return pref * (t0 + ts / lam * cmath.sin(lam * t) * decay
+                       + tc * cmath.cos(lam * t) * decay)
 
 
 def _integrated_output_mean(k, tau, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
@@ -201,8 +218,9 @@ def ics_signal(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> floa
     """Mean homodyne record <M> for one qubit state."""
     _require_stable(params, cfg)
     p = params.normalized()
-    return _signal(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in, p.phi_h,
-                   cfg.theta, int(state))
+    with _overflow_as_readout_error(p.tau):
+        return _signal(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in,
+                       p.phi_h, cfg.theta, int(state))
 
 
 def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
@@ -267,7 +285,8 @@ def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, 
     """
     _require_stable(params, cfg)
     p = params.normalized()
-    return _noise_components(p.tau, p.chi, cfg.omega_2ph / params.kappa)
+    with _overflow_as_readout_error(p.tau):
+        return _noise_components(p.tau, p.chi, cfg.omega_2ph / params.kappa)
 
 
 def ics_noise(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
@@ -316,8 +335,9 @@ def ics_photon_number(params: ReadoutParams, cfg: IcsConfig, t: float) -> float:
     psi = cmath.atan(2.0 * lam / k)
     r = ics_squeeze_param(k, om)
     lt = lam * t
-    q0 = ((2.0 - cmath.cos(2 * lt) - cmath.cos(2 * psi + 2 * lt))
-          * (cmath.cos(2 * psi) - math.cosh(r)) / cmath.sin(psi) ** 2)
+    with _overflow_as_readout_error(k * t):
+        q0 = ((2.0 - cmath.cos(2 * lt) - cmath.cos(2 * psi + 2 * lt))
+              * (cmath.cos(2 * psi) - math.cosh(r)) / cmath.sin(psi) ** 2)
     fluct = _real((4.0 * cmath.cos(psi) ** 2 - math.exp(-k * t) * q0)
                   * math.tanh(r / 2.0) ** 2 / 8.0)
     mean = ics_mean_field(params, cfg, QubitState.UP, t)

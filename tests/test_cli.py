@@ -114,6 +114,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and "imaginary residue" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--theta", "0"]], ids=["optimal-theta", "theta-0"])
+    def test_ics_long_time_overflow_exit_code(self, extra, capsys):
+        # stable, but cos(lambda tau) on the imaginary-lambda branch leaves the float range
+        argv = ["snr", "--scheme", "ics", "--chi", "0", "--omega-2ph", "0.24",
+                "--kappa-tau", "800", *extra]
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and "kappa*tau = 800" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_oracle_error_exit_code(self, monkeypatch):
         from sqreadout import oracle
         from sqreadout.core import OracleConvergenceError

@@ -254,6 +254,84 @@ def seeded_operating_points(count, seed):
                rng.uniform(0.0, 2.5), float(rng.choice([0.01, 0.05, 0.1, 0.2])))
 
 
+def full_scan(params, r, epsilon=0.05):
+    """Reference: (lo, hi, grid, f) with f on all 4,097 grid points in one array pass."""
+    k = params.kappa
+    w = 0.5 * k
+    for _ in range(8):
+        csq = combined.chi_sq(params.chi / epsilon, r, w, epsilon)
+        w = 0.5 * k * math.sqrt(1.0 + (2.0 * csq / k) ** 2)
+    lo = 0.99 * w
+    hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
+    ratio = (hi / lo) ** (1.0 / combined._SCAN_POINTS)
+    grid = np.multiply.accumulate(np.concatenate(([lo], np.full(combined._SCAN_POINTS, ratio))))
+    return lo, hi, grid, combined._perp_at(params, r, grid, epsilon, np)
+
+
+def sign_changes(f):
+    return np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
+
+
+def full_scan_omega_sq(params, r, epsilon=0.05):
+    """Reference: the root from the first sign change of the full scan, as before the coarse pass."""
+    from sqreadout.core import BracketError
+    from sqreadout.optimize import bisect
+
+    lo, hi, grid, f = full_scan(params, r, epsilon)
+    hit = sign_changes(f)
+    if hit.size == 0:
+        raise BracketError(
+            f"no perpendicular-separation sign change in omega_sq/kappa "
+            f"in [{lo / params.kappa:g}, {hi / params.kappa:g}]")
+    i = hit[0]
+    if f[i] == 0.0:
+        return float(grid[i])
+    return bisect(lambda w: combined._perp_at(params, r, w, epsilon), float(grid[i]),
+                  float(grid[i + 1]), tol=1e-10 * params.kappa)
+
+
+def figure_convention_points(count=101):
+    """(params, r, epsilon) at chi = kappa/2 over kappa*tau in [1e-3, 1e3], r and r_c of the figures."""
+    for r in (LN10, LN10 + 0.1, LN10 + 0.2, 1.0, 0.5):
+        for kt in np.geomspace(1e-3, 1e3, count):
+            yield ReadoutParams(1.0, 0.5, 1.0, 0.0, math.pi / 2.0, kt), r, 0.05
+
+
+class TestOmegaSqCoarseToFineScan:
+    """The coarse pass and its one fine cell pick the bracket of the full scan."""
+
+    @pytest.mark.parametrize("points", [
+        lambda: seeded_operating_points(1200, seed=11),
+        figure_convention_points,
+    ], ids=["seeded", "figure-convention"])
+    def test_roots_identical_to_full_scan(self, points):
+        from sqreadout.core import BracketError
+
+        for p, r, eps in points():
+            try:
+                expected = full_scan_omega_sq(p, r, eps)
+            except BracketError as exc:
+                with pytest.raises(BracketError, match=re.escape(str(exc))):
+                    combined.solve_omega_sq(p, r, eps)
+            else:
+                assert combined.solve_omega_sq(p, r, eps) == expected, (p, r, eps)
+            # one sign change on the full grid: no coarse cell can hide an even number
+            assert sign_changes(full_scan(p, r, eps)[3]).size == 1, (p, r, eps)
+
+    def test_evaluates_two_cells_of_65_points(self, monkeypatch):
+        sizes = []
+        real = combined._perp_at
+
+        def recorded(params, r, omega_sq, epsilon, fn=math):
+            if fn is np:
+                sizes.append(omega_sq.size)
+            return real(params, r, omega_sq, epsilon, fn)
+
+        monkeypatch.setattr(combined, "_perp_at", recorded)
+        combined.solve_omega_sq(make_params(kappa_tau=0.3), LN10)
+        assert sizes == [65, 65]
+
+
 class TestOmegaSqArrayScan:
     """The array pass must pick the bracket the scalar walk picked."""
 

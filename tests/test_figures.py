@@ -2,7 +2,7 @@
 
 import pytest
 
-from sqreadout import cli, figures
+from sqreadout import cli, combined, figures
 from sqreadout.core import fidelity_and_error
 
 
@@ -24,6 +24,38 @@ class TestBuilderKeywords:
         rows = figures.figS5_rows(r=1.05)
         assert [row["kappa_tau"] for row in rows] == [1.0, 2.0, 5.0]
         assert rows != figures.figS5_rows()
+
+
+class TestOneSolvePerRoot:
+    """The omega_sq root depends on r_c = r + delta_r, not on delta_p."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        real = combined.solve_omega_sq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(combined, "solve_omega_sq", counted)
+        return calls
+
+    def test_fig4a_solves_once_per_kappa_tau(self, solves):
+        kt = 0.7
+        row = figures.fig4a_rows(grid=[kt])[0]
+        assert len(solves) == 1
+        for dp in figures.MISMATCH_SET:
+            tag = f"snr_dp_{dp:g}".replace(".", "_")
+            assert row[tag] == figures.combined_snr(kt, delta_r=0.1, delta_p=dp)
+
+    def test_fig4b_delta_p_series_solves_once(self, solves):
+        rows = figures.fig4b_rows(count=11)
+        assert len(solves) <= 12
+        for row in rows:
+            d = row["delta"]
+            assert row["snr_vs_delta_p"] == figures.combined_snr(1.0, delta_r=0.1, delta_p=d)
+            assert row["snr_vs_delta_r"] == figures.combined_snr(1.0, delta_r=d, delta_p=0.05)
 
 
 def test_fig2c_is_the_error_of_fig2b():

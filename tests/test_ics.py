@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sqreadout.core import QubitState, ReadoutParams, StabilityError
+from sqreadout.core import QubitState, ReadoutError, ReadoutParams, StabilityError
 from sqreadout import ics, ies, oracle
 from sqreadout.core import standard_readout_moments
 
@@ -113,6 +113,18 @@ class TestMeanField:
         p = make_params(chi=0.0)
         with pytest.raises(StabilityError):
             ics.ics_mean_field(p, ics.IcsConfig(0.3, 0.0), QubitState.UP, 1.0)
+
+
+@pytest.mark.parametrize("closed_form, kappa_t", [
+    (lambda p, cfg: ics.ics_signal(p, cfg, QubitState.UP), 1600.0),
+    (lambda p, cfg: ics.ics_noise_components(p, cfg), 800.0),
+    (lambda p, cfg: ics.ics_photon_number(p, cfg, p.tau), 800.0),
+    (lambda p, cfg: ics.ics_mean_field(p, cfg, QubitState.UP, p.tau), 1600.0),
+], ids=["signal", "noise", "photon-number", "mean-field"])
+def test_long_time_overflow_is_a_readout_error(closed_form, kappa_t):
+    # stable (|lambda| = 0.48 kappa < kappa/2), but cos(lambda t) leaves the float range
+    with pytest.raises(ReadoutError, match=rf"kappa\*tau = {kappa_t:g}"):
+        closed_form(make_params(kappa_tau=kappa_t, chi=0.0), ics.IcsConfig(0.24, 0.0))
 
 
 class TestSignal:
