@@ -1,8 +1,9 @@
 """Command-line front end: scheme evaluation, figure data, sweeps, validation.
 
-Exit codes: 0 ok, 2 configuration error, 3 stability error, 4 solver or other
-numerical failure, 5 oracle non-convergence.  All CSV output is deterministic
-(12 significant digits, '.' decimal separator, no locale).
+Exit codes: 0 ok, 1 oracle disagreement (oracle-check only), 2 configuration
+error, 3 stability error, 4 solver or other numerical failure, 5 oracle
+non-convergence.  All CSV output is deterministic (12 significant digits, '.'
+decimal separator, no locale).
 """
 
 from __future__ import annotations

@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .core import (MeasurementMoments, QubitState, ReadoutParams, BracketError,
                    psi_from_rate, reduce_angle, scheme_moments)
 from .optimize import bisect
@@ -251,7 +249,7 @@ def _perp_at(params: ReadoutParams, r: float, omega_sq, epsilon: float, fn=math)
     """
     k = params.kappa
     kt = params.kappa_tau
-    atan = math.atan if fn is math else np.arctan
+    atan = math.atan if fn is math else fn.arctan
     csq = chi_sq(params.chi / epsilon, r, omega_sq, epsilon)
     up, down = omega_sq + csq, omega_sq - csq
     perp = _perp_separation(kt, atan(2.0 * up / k), atan(2.0 * down / k),
@@ -285,6 +283,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     sign once on the grid.  The root runs from ~pi/tau at short times to the
     time-independent (kappa/2)sec(psi_sq) at long times.
     """
+    import numpy as np
     k = params.kappa
     chi = params.chi
     # lower edge: self-consistent long-time frequency (kappa/2)sec(psi_sq)
@@ -316,7 +315,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
 
 def _first_sign_change(f) -> Optional[int]:
     """Index i of the first cell [f[i], f[i+1]] with f[i] == 0 or a sign change."""
-    hit = np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
+    hit = ((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0)).nonzero()[0]
     return int(hit[0]) if hit.size else None
 
 
@@ -450,6 +449,7 @@ class CombinedConfig:
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the Bogoliubov mode fed by its residual input noise, lab-frame output."""
+        import numpy as np
         k = params.kappa
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
         _, disp = resolve_operating_point(params, self)

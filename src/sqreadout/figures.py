@@ -15,8 +15,6 @@ import math
 from dataclasses import replace
 from typing import Iterable
 
-import numpy as np
-
 from .core import (QubitState, ReadoutParams, fidelity_and_error,
                    required_tone_amplitude, snr, standard_readout_moments)
 from . import combined, ics, ies, optimize, phasespace
@@ -52,11 +50,19 @@ def _mismatch_snrs(kappa_tau: float, delta_ps: Iterable[float]) -> list[float]:
 
 
 def kappa_tau_grid(start: float = 1e-2, stop: float = 1e2, count: int = 25) -> np.ndarray:
+    import numpy as np
     return np.geomspace(start, stop, count)
+
+
+def _kappa_taus(grid: Iterable[float] | None, *default: float) -> np.ndarray:
+    """A builder's kappa*tau values: its grid as an array, else kappa_tau_grid(*default)."""
+    import numpy as np
+    return kappa_tau_grid(*default) if grid is None else np.asarray(list(grid))
 
 
 def fig2a_rows() -> list[dict]:
     """Dispersive-coupling enhancement chi_sq/chi versus omega_sq."""
+    import numpy as np
     rows = []
     for w in np.linspace(0.0, 50.0, 201):
         row = {"omega_sq_over_kappa": w}
@@ -69,7 +75,7 @@ def fig2a_rows() -> list[dict]:
 
 def fig2a_inset_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """omega_sq nulling the perpendicular separation, versus kappa*tau."""
-    kts = kappa_tau_grid(1e-3, 1e3, 25) if grid is None else np.asarray(list(grid))
+    kts = _kappa_taus(grid, 1e-3, 1e3, 25)
     rows = []
     for kt in kts:
         w = combined.solve_omega_sq(_params(kt), R_DEFAULT)
@@ -97,7 +103,7 @@ def _scheme_snrs(kt: float) -> dict:
 
 def fig2b_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """SNR versus kappa*tau for all schemes plus the reference curves."""
-    kts = kappa_tau_grid() if grid is None else np.asarray(list(grid))
+    kts = _kappa_taus(grid)
     return [_scheme_snrs(kt) for kt in kts]
 
 
@@ -152,6 +158,7 @@ def _fig3_point(kt: float) -> dict:
 
 
 def fig3_rows(grid: Iterable[float] | None = None) -> list[dict]:
+    import numpy as np
     if grid is None:
         # keep the reference points kappa*tau = 0.2 and 1 on the grid
         kts = np.unique(np.concatenate([kappa_tau_grid(0.05, 10.0, 20), [0.2, 1.0]]))
@@ -162,7 +169,7 @@ def fig3_rows(grid: Iterable[float] | None = None) -> list[dict]:
 
 def fig4a_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Mismatched-scheme SNR versus kappa*tau for the standard mismatch set."""
-    kts = kappa_tau_grid() if grid is None else np.asarray(list(grid))
+    kts = _kappa_taus(grid)
     rows = []
     for kt in kts:
         std = _std_snr(kt)
@@ -177,6 +184,7 @@ def fig4a_rows(grid: Iterable[float] | None = None) -> list[dict]:
 
 def fig4b_rows(kappa_tau: float = 1.0, count: int = 41) -> list[dict]:
     """SNR versus the mismatch magnitude at fixed kappa*tau."""
+    import numpy as np
     deltas = np.linspace(0.0, 0.2, count)
     return [{"delta": d, "snr_vs_delta_p": snr_p,
              "snr_vs_delta_r": combined_snr(kappa_tau, delta_r=d, delta_p=0.05)}
@@ -185,7 +193,7 @@ def fig4b_rows(kappa_tau: float = 1.0, count: int = 41) -> list[dict]:
 
 def figS1_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Free (psi, r) optimum of the injected-squeezing readout versus kappa*tau."""
-    kts = kappa_tau_grid() if grid is None else np.asarray(list(grid))
+    kts = _kappa_taus(grid)
     rows = []
     for kt in kts:
         best = optimize.maximize_snr("ies", kt)
@@ -199,7 +207,7 @@ def figS1_rows(grid: Iterable[float] | None = None) -> list[dict]:
 
 def figS3_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Free (psi, r) optimum of the intracavity-squeezing readout versus kappa*tau."""
-    kts = kappa_tau_grid() if grid is None else np.asarray(list(grid))
+    kts = _kappa_taus(grid)
     rows = []
     for kt in kts:
         best = optimize.maximize_snr("ics", kt)
@@ -248,7 +256,7 @@ PHASE_SPACE_SETTINGS = {
 
 
 def _ellipse_rows(name: str, grid: Iterable[float] | None) -> list[dict]:
-    kts = kappa_tau_grid(0.1, 10.0, 17) if grid is None else np.asarray(list(grid))
+    kts = _kappa_taus(grid, 0.1, 10.0, 17)
     rows = []
     for kt in kts:
         p, cfg = PHASE_SPACE_SETTINGS[name](kt)

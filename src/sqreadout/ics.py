@@ -17,8 +17,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (ImaginaryResidueError, MeasurementMoments, QubitState, ReadoutError,
                    ReadoutParams, StabilityError, reduce_angle, scheme_moments)
 from .oracle import LinearReadoutSystem
@@ -53,6 +51,7 @@ class IcsConfig:
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: two-photon-driven cavity with vacuum input, from its stationary state."""
+        import numpy as np
         _require_stable(params, self)
         k = params.kappa
         s = int(state)
@@ -84,7 +83,7 @@ def _lambda(chi, omega_2ph, fn=math):
     numpy to broadcast over arrays of operating points.
     """
     x = chi * chi - 4.0 * omega_2ph * omega_2ph
-    return cmath.sqrt(complex(x, 0.0)) if fn is math else np.sqrt(x + 0j)
+    return cmath.sqrt(complex(x, 0.0)) if fn is math else fn.sqrt(x + 0j)
 
 
 def ics_lambda(chi: float, omega_2ph: float) -> complex:
@@ -97,7 +96,7 @@ def _lambda_safe(chi, omega_2ph, kappa, fn=math):
     floor = _LAMBDA_FLOOR * kappa
     if fn is math:
         return complex(floor, 0.0) if abs(lam) < floor else lam
-    return np.where(abs(lam) < floor, complex(floor, 0.0), lam)
+    return fn.where(abs(lam) < floor, complex(floor, 0.0), lam)
 
 
 def _real(value, scale=1.0, fn=math):
@@ -105,11 +104,11 @@ def _real(value, scale=1.0, fn=math):
     if fn is math:
         too_large = residue > _IMAG_TOL * max(1.0, abs(value.real), scale)
     else:
-        bound = _IMAG_TOL * np.maximum(np.maximum(1.0, abs(value.real)), scale)
-        too_large = np.any(residue > bound)
+        bound = _IMAG_TOL * fn.maximum(fn.maximum(1.0, abs(value.real)), scale)
+        too_large = fn.any(residue > bound)
     if too_large:
-        raise ImaginaryResidueError(
-            f"imaginary residue {np.max(residue):g} too large in ICS evaluation")
+        worst = residue if fn is math else fn.max(residue)
+        raise ImaginaryResidueError(f"imaginary residue {worst:g} too large in ICS evaluation")
     return value.real
 
 
@@ -159,8 +158,8 @@ def _sinc(z, fn=math):
     """sin(z)/z, regular at z = 0."""
     if fn is math:
         return 1.0 - z * z / 6.0 if abs(z) < 1e-6 else cmath.sin(z) / z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(abs(z) < 1e-6, 1.0 - z * z / 6.0, np.sin(z) / z)
+    with fn.errstate(divide="ignore", invalid="ignore"):
+        return fn.where(abs(z) < 1e-6, 1.0 - z * z / 6.0, fn.sin(z) / z)
 
 
 def _mean_field_terms(k, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
@@ -239,7 +238,7 @@ def _noise_components(kt, chi, om, fn=math):
     cfn = cmath if fn is math else fn
     k = 1.0
     lam = _lambda_safe(chi, om, k, fn)
-    psi = (cmath.atan if fn is math else np.arctan)(2.0 * lam / k)
+    psi = (cmath.atan if fn is math else fn.arctan)(2.0 * lam / k)
     r = _squeeze_param(k, om, fn)
     lt = lam * kt
     cs, sn = cfn.cos, cfn.sin

@@ -14,8 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (MeasurementMoments, QubitState, ReadoutParams, reduce_angle,
                    psi_from_rate, scheme_moments)
 from .oracle import LinearReadoutSystem
@@ -45,6 +43,7 @@ class IesConfig:
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""
+        import numpy as np
         k = params.kappa
         s = int(state)
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
@@ -112,7 +111,7 @@ def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float
 
 def _noise_shape(kt, chi, fn=math):
     """F(tau) of ies_noise_shape at kappa = 1, for scalars (math) or arrays (numpy)."""
-    psi = (math.atan if fn is math else np.arctan)(2.0 * chi)
+    psi = (math.atan if fn is math else fn.arctan)(2.0 * chi)
     ct = chi * kt
     return (1.0 / (2.0 * kt)) * (
         3.0 + 3.0 * fn.cos(2.0 * psi) - (3.0 - 2.0 * kt) * fn.cos(4.0 * psi)

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import BracketError
 from . import ies, ics
 
@@ -106,6 +104,7 @@ def maximize_over_box(objective: Callable[..., float],
     refinement points (the chosen cell once), and converged means a sweep
     moved no coordinate by 1e-6 within 200 sweeps.
     """
+    import numpy as np
     n, tol = 64, 1e-6
     axes = []
     for lo, hi in bounds:
@@ -169,6 +168,7 @@ def _ies_objective(kappa_tau: float, r_max: float) -> Callable:
     phi_h - phi_in = pi/2.  A float psi gives floats from the scalar closed
     forms; a numpy array gives arrays, evaluated in one pass.
     """
+    import numpy as np
     tanh_max = math.tanh(2.0 * r_max)
 
     def objective(psi):
@@ -202,6 +202,8 @@ def _ics_objective(kappa_tau: float, fix_chi: float | None = None) -> Callable:
     evaluates the stable points only, so each of them meets the same
     imaginary-residue test as a scalar evaluation.
     """
+    import numpy as np
+
     def terms(chi, omega, fn):
         sep = abs(ics._signal(kappa_tau, chi, omega, 1.0, 0.0, _PHI_H, 0.0, 1, fn)
                   - ics._signal(kappa_tau, chi, omega, 1.0, 0.0, _PHI_H, 0.0, -1, fn))

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (MeasurementMoments, OracleConvergenceError, QubitState,
                    ReadoutParams, StabilityError)
 
@@ -27,6 +25,7 @@ MAX_STEPS = 2 ** 17
 
 def _split(a: np.ndarray):
     """(s, B, mu): a = s I + B, s = tr a / 2, B^2 = mu^2 I, Re mu >= 0; eigenvalues s +- mu."""
+    import numpy as np
     s = 0.5 * (a[0, 0] + a[1, 1])
     b = a - s * np.eye(2)
     return s, b, np.sqrt(complex(b[0, 1] * b[1, 0] - b[0, 0] * b[1, 1]))
@@ -40,6 +39,7 @@ def _expm_minus_one(a: np.ndarray, t):
     at long times; expm1 of g - 1 and of e^{-2 mu t} - 1 keeps c0 accurate at
     short times and c1 as mu -> 0, where it tends to t and no eigenbasis exists.
     """
+    import numpy as np
     s, b, mu = _split(a)
     t = np.asarray(t, dtype=float)
     g_m1 = np.expm1((s + mu) * t)
@@ -72,6 +72,7 @@ class LinearReadoutSystem:
     tau: float
 
     def __post_init__(self):
+        import numpy as np
         drift = np.asarray(self.drift, dtype=complex).reshape(2, 2)
         out = np.asarray(self.output_transform, dtype=complex).reshape(2, 2)
         object.__setattr__(self, "drift", drift)
@@ -114,6 +115,7 @@ def default_steps(system: LinearReadoutSystem) -> int:
 
 def _propagators(system: LinearReadoutSystem, steps: int):
     """Bin width dt, E - I for the bin propagator E = exp(A dt), and E's integrals over a bin."""
+    import numpy as np
     dt = system.tau / steps
     c0, c1, b = _expm_minus_one(system.drift, dt)
     e_m1 = c0 * np.eye(2) + c1 * b
@@ -124,6 +126,7 @@ def _propagators(system: LinearReadoutSystem, steps: int):
 
 def _row_powers(system: LinearReadoutSystem, steps: int, row: np.ndarray) -> np.ndarray:
     """row @ (E^n - I) as column n of a (2, K+1) array, E^n = exp(A n dt) from the closed form."""
+    import numpy as np
     c0, c1, b = _expm_minus_one(system.drift, np.arange(steps + 1) * (system.tau / steps))
     return np.outer(row, c0) + np.outer(row @ b, c1)
 
@@ -134,6 +137,7 @@ def _linear_form(system: LinearReadoutSystem, steps: int):
     Returns (ell0, ell) where ell0 is the 2-vector weight of (a(0), a^dag(0))
     and ell[:, j] the 2-vector weight of the j-th bin mode pair.
     """
+    import numpy as np
     dt, e_m1, f_int, g_int = _propagators(system, steps)
     k = system.kappa
     wp = np.exp([-1j * system.homodyne_angle, 1j * system.homodyne_angle]) @ system.output_transform
@@ -151,10 +155,12 @@ def _linear_form(system: LinearReadoutSystem, steps: int):
 
 def _pair_variance(u: np.ndarray, v: np.ndarray, n: float, m: complex) -> float:
     """Variance contribution of modes with weights u b + v b^dag and moments (n, m)."""
+    import numpy as np
     return float(np.sum(u * u * m + v * v * np.conj(m) + u * v * (2.0 * n + 1.0)).real)
 
 
 def _moments_once(system: LinearReadoutSystem, steps: int) -> tuple[float, float]:
+    import numpy as np
     ell0, ell, dt = _linear_form(system, steps)
     a_bar = system.input_mean
     mean = math.sqrt(dt) * (np.sum(ell[0]) * a_bar + np.sum(ell[1]) * a_bar.conjugate())
@@ -195,6 +201,7 @@ def oracle_moments_auto(system: LinearReadoutSystem, tol: float = 1e-4,
 
 def commutator_defect(system: LinearReadoutSystem, steps: int) -> float:
     """|[a(tau), a^dag(tau)] - 1| of the discretized propagation (symplectic check)."""
+    import numpy as np
     dt, _, f_int, _ = _propagators(system, steps)
     dmat = -math.sqrt(system.kappa / dt) * f_int
     e0 = np.array([1.0, 0.0])

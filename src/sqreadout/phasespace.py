@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .core import (IndefiniteCovarianceError, QubitState, ReadoutParams)
 
 DEFAULT_PROBE_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
@@ -28,6 +26,7 @@ class GaussianState2D:
     cov: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
         object.__setattr__(self, "cov", cov)
         if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (1.0 + abs(cov[0, 1])):
@@ -39,6 +38,7 @@ class GaussianState2D:
 
     @property
     def det(self) -> float:
+        import numpy as np
         return float(np.linalg.det(self.cov))
 
 
@@ -66,6 +66,7 @@ def reconstruct_state(signal: Callable[[float], float],
     The probe angles are measured from the scheme's measurement direction;
     any three pairwise distinct angles (mod pi) determine the covariance.
     """
+    import numpy as np
     kt = kappa * tau
     if len(angles) != 3:
         raise ValueError("exactly three probe angles are required")
@@ -87,6 +88,7 @@ def reconstruct_state(signal: Callable[[float], float],
 
 def ellipse(state: GaussianState2D) -> EllipseDiagnostics:
     """Eigen-analysis of the covariance into squeeze direction and degree."""
+    import numpy as np
     cov = state.cov
     eigvals, eigvecs = np.linalg.eigh(cov)
     lam_min = float(eigvals[0])
@@ -111,6 +113,7 @@ def wigner_grid(state: GaussianState2D, window: tuple[float, float],
     W = exp(-G^T D^-1 G / 2) / (2 pi sqrt(det D)); the grid sum times the cell
     area approaches 1 once the window covers the state.
     """
+    import numpy as np
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     det = state.det

@@ -1,4 +1,10 @@
+import ast
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -357,3 +363,79 @@ class TestFormatting:
         assert cli.fmt(math.pi) == "3.14159265359"
         assert cli.fmt(1.0) == "1"
         assert cli.fmt(1e-13) == "1e-13"
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_interpreter(code, *args):
+    """JSON printed by code run in a new interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def module_level_imports(tree):
+    """Names of the modules a module imports when it is itself imported."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        stack.extend(ast.iter_child_nodes(node))
+
+
+class TestNumpyOnFirstUse:
+    # the numpy-free argvs of the cli_calls benchmark workload, with their exit codes
+    SCALAR_ARGVS = [
+        (["snr", "--scheme", "standard", "--kappa-tau", "0.1"], 0),
+        (["snr", "--scheme", "ies", "--kappa-tau", "1", "--r", "1"], 0),
+        (["snr", "--scheme", "ics", "--kappa-tau", "3.16", "--omega-2ph", "0.15"], 0),
+        (["sweep", "--scheme", "ies", "--var", "r", "--start", "0", "--stop", "2",
+          "--count", "21", "--kappa-tau", "1"], 0),
+        (["snr", "--scheme", "combined", "--kappa-tau", "1", "--epsilon", "0"], 2),
+        (["snr", "--scheme", "ics", "--kappa-tau", "1", "--omega-2ph", "0.4"], 3),
+    ]
+    RUN = """
+import contextlib, io, json, sys
+from sqreadout import cli, ics
+{prelude}
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    results.append([code, "numpy" in sys.modules])
+print(json.dumps(results))
+"""
+
+    def run(self, argvs, prelude=""):
+        return fresh_interpreter(self.RUN.format(prelude=prelude), json.dumps(argvs))
+
+    def test_import_leaves_numpy_unloaded(self):
+        assert fresh_interpreter(
+            "import json, sys, sqreadout, sqreadout.cli; "
+            "print(json.dumps('numpy' in sys.modules))") is False
+
+    def test_scalar_commands_run_without_numpy(self):
+        argvs = [argv for argv, _ in self.SCALAR_ARGVS]
+        assert self.run(argvs) == [[code, False] for _, code in self.SCALAR_ARGVS]
+
+    def test_scalar_residue_error_runs_without_numpy(self):
+        assert self.run([["snr", "--scheme", "ics"]],
+                        prelude="ics._IMAG_TOL = -1.0") == [[4, False]]
+
+    def test_array_commands_load_numpy_on_first_use(self):
+        argvs = [["snr", "--scheme", "combined"], ["oracle-check", "--scheme", "combined"]]
+        assert self.run(argvs) == [[0, True], [0, True]]
+
+    def test_no_module_imports_numpy_at_module_level(self):
+        modules = sorted(SRC.glob("sqreadout/*.py"))
+        assert len(modules) >= 10
+        for path in modules:
+            names = set(module_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
+            assert not {n for n in names if n == "numpy" or n.startswith("numpy.")}, path.name

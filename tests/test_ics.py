@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sqreadout.core import QubitState, ReadoutError, ReadoutParams, StabilityError
+from sqreadout.core import (ImaginaryResidueError, QubitState, ReadoutError, ReadoutParams,
+                            StabilityError)
 from sqreadout import ics, ies, oracle
 from sqreadout.core import standard_readout_moments
 
@@ -186,6 +187,16 @@ class TestNoise:
         for s in QubitState:
             val = ics.ics_noise(p, cfg, s)
             assert isinstance(val, float) and val > 0
+
+    def test_residue_error_names_the_largest_residue(self, monkeypatch):
+        with pytest.raises(ImaginaryResidueError, match=r"imaginary residue 0\.25 too large"):
+            ics._real(complex(1.0, 0.25))
+        with pytest.raises(ImaginaryResidueError, match=r"imaginary residue 0\.5 too large"):
+            ics._real(np.array([1.0 + 0.1j, 1.0 - 0.5j]), fn=np)
+        # a public scalar evaluation reaches the scalar message
+        monkeypatch.setattr(ics, "_IMAG_TOL", -1.0)
+        with pytest.raises(ImaginaryResidueError, match=r"imaginary residue \d\S* too large"):
+            ics.ics_noise(make_params(), ics.IcsConfig(0.1, 0.0), QubitState.UP)
 
 
 class TestInitialCorrelations:
