@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (MeasurementMoments, QubitState, ReadoutParams, BracketError,
-                   psi_from_rate, reduce_angle, scheme_moments)
+                   _stable_squeeze_mix, psi_from_rate, reduce_angle, scheme_moments)
 from .optimize import bisect
 from .oracle import LinearReadoutSystem
 
@@ -168,11 +168,6 @@ class MismatchParams:
         if abs(n - math.sinh(r0) ** 2) > rounding * (1.0 + n):
             raise ValueError("input correlations lost purity; inconsistent (N, M) pair")
         return cls(delta_r, delta_p, math.sinh(r0) ** 2, m, r0, reduce_angle(phi0))
-
-
-def _stable_squeeze_mix(r: float, c: float) -> float:
-    """cosh(2r) - c*sinh(2r) without cancellation: ((1-c)e^{2r} + (1+c)e^{-2r})/2."""
-    return 0.5 * ((1.0 - c) * math.exp(2.0 * r) + (1.0 + c) * math.exp(-2.0 * r))
 
 
 def combined_noise(params: ReadoutParams, r: float, theta: float = 0.0) -> float:

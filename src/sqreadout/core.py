@@ -41,10 +41,6 @@ class IndefiniteCovarianceError(ReadoutError):
     """Reconstructed quadrature covariance is not positive definite."""
 
 
-class ImaginaryResidueError(ReadoutError):
-    """A quantity that must be real kept a large imaginary part."""
-
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -161,6 +157,14 @@ def fidelity_and_error(snr_value: float) -> tuple[float, float]:
     # erfc avoids cancellation in the error for large SNR
     error = 0.5 * math.erfc(0.5 * snr_value)
     return 1.0 - error, error
+
+
+def _stable_squeeze_mix(r: float, c: float) -> float:
+    """cosh(2r) - c*sinh(2r) for |c| <= 1 without cancellation: e^{-2r} + (1-c) sinh(2r).
+
+    Exactly 1 at r = 0 and exactly e^{-2r} at c = 1.
+    """
+    return math.exp(-2.0 * r) + (1.0 - c) * math.sinh(2.0 * r)
 
 
 def summarize(moments: MeasurementMoments) -> ReadoutSummary:

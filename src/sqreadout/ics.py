@@ -2,29 +2,30 @@
 
 The cavity obeys
     da/dt = -(i sigma chi + kappa/2) a - 2i Omega e^{i theta} a^dag - sqrt(kappa) a_in
-with vacuum input, starting from the stationary state of the driven cavity.
-All closed forms are evaluated in complex arithmetic so that the degenerate-
-parametric branch lambda = sqrt(chi^2 - 4 Omega^2) imaginary needs no rewrites;
-results are projected back to the real axis with a residue check.  Each form
-is written once with a function namespace fn: math (and cmath) for the public
-scalar API, numpy for the optimizer's search grid.
+with vacuum input, starting from the stationary state of the driven cavity
+before the qubit shift acts.  The quadratures (X, P) of e^{-i theta/2} a obey
+dv/dt = M v - sqrt(kappa) v_in with M = -kappa/2 + N, N = [[0, a], [-b, 0]],
+a = sigma chi - 2 Omega and b = sigma chi + 2 Omega, so N^2 = -lambda^2 with
+lambda^2 = chi^2 - 4 Omega^2, and
+    e^{M t} = e^{-kappa t/2} [cos(lambda t) + (sin(lambda t)/lambda) N].
+Every closed form here is a real function of lambda^2 built on those two
+coefficients, which are entire in lambda^2 (cosh and sinh on the imaginary
+branch), so no branch of lambda, no complex arithmetic in lambda and no floor
+at the exceptional point chi = 2 Omega is needed.  The paper's angle psi,
+tan psi = 2 lambda/kappa, enters only as kappa^2/4 + lambda^2 =
+(kappa^2/4)/cos^2 psi.  Each form is written once with a function namespace
+fn: math for the public scalar API, numpy for the optimizer's search grid,
+mpmath for a high-precision check.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .core import (ImaginaryResidueError, MeasurementMoments, QubitState, ReadoutError,
-                   ReadoutParams, StabilityError, reduce_angle, scheme_moments)
+from .core import (MeasurementMoments, QubitState, ReadoutParams, StabilityError,
+                   reduce_angle, scheme_moments)
 from .oracle import LinearReadoutSystem
-
-# formulas are analytic in lambda^2; a tiny offset removes the removable
-# singularity of the cot(psi)/csc(psi) groupings at chi = 2 Omega
-_LAMBDA_FLOOR = 1e-7
-_IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,59 +77,35 @@ class StabilityReport:
         return bool(self.stable and self.steady_state_ok)
 
 
-def _lambda(chi, omega_2ph, fn=math):
-    """lambda = sqrt(chi^2 - 4 Omega^2) on the principal branch.
-
-    fn is the function namespace of every closed form here: math for scalars,
-    numpy to broadcast over arrays of operating points.
-    """
-    x = chi * chi - 4.0 * omega_2ph * omega_2ph
-    return cmath.sqrt(complex(x, 0.0)) if fn is math else fn.sqrt(x + 0j)
+def _lambda_sq(chi, omega_2ph):
+    """lambda^2 = chi^2 - 4 Omega^2."""
+    return chi * chi - 4.0 * omega_2ph * omega_2ph
 
 
 def ics_lambda(chi: float, omega_2ph: float) -> complex:
     """Oscillation rate lambda = sqrt(chi^2 - 4 Omega^2), principal branch."""
-    return _lambda(chi, omega_2ph)
+    x = _lambda_sq(chi, omega_2ph)
+    return complex(math.sqrt(x), 0.0) if x >= 0 else complex(0.0, math.sqrt(-x))
 
 
-def _lambda_safe(chi, omega_2ph, kappa, fn=math):
-    lam = _lambda(chi, omega_2ph, fn)
-    floor = _LAMBDA_FLOOR * kappa
-    if fn is math:
-        return complex(floor, 0.0) if abs(lam) < floor else lam
-    return fn.where(abs(lam) < floor, complex(floor, 0.0), lam)
-
-
-def _real(value, scale=1.0, fn=math):
-    residue = abs(value.imag)
-    if fn is math:
-        too_large = residue > _IMAG_TOL * max(1.0, abs(value.real), scale)
-    else:
-        bound = _IMAG_TOL * fn.maximum(fn.maximum(1.0, abs(value.real)), scale)
-        too_large = fn.any(residue > bound)
-    if too_large:
-        worst = residue if fn is math else fn.max(residue)
-        raise ImaginaryResidueError(f"imaginary residue {worst:g} too large in ICS evaluation")
-    return value.real
-
-
-def _stability(kappa, chi, omega_2ph, fn=math):
-    """(lambda, unstable, steady): the mean field is unstable when lambda is
+def _stability(kappa, chi, omega_2ph):
+    """(lambda^2, unstable, steady): the mean field is unstable when lambda is
     imaginary with |lambda| >= kappa/2, and a stationary state needs 4 Omega < kappa.
 
     The verdicts are bools for scalars and boolean masks for arrays.
     """
-    lam = _lambda(chi, omega_2ph, fn)
-    return lam, (abs(lam.imag) > 0) & (abs(lam) >= kappa / 2.0), 4.0 * omega_2ph < kappa
+    x = _lambda_sq(chi, omega_2ph)
+    return x, 4.0 * x <= -kappa * kappa, 4.0 * omega_2ph < kappa
 
 
 def ics_stability(params: ReadoutParams, cfg: IcsConfig) -> StabilityReport:
     """Check mean-field stability and existence of the stationary fluctuation state."""
-    lam, unstable, steady = _stability(params.kappa, params.chi, cfg.omega_2ph)
+    x, unstable, steady = _stability(params.kappa, params.chi, cfg.omega_2ph)
     if unstable:
-        reason = f"imaginary lambda with |lambda|={abs(lam):g} >= kappa/2={params.kappa / 2:g}"
+        reason = (f"imaginary lambda with |lambda|={math.sqrt(-x):g} "
+                  f">= kappa/2={params.kappa / 2:g}")
     else:
-        reason = "lambda real" if lam.imag == 0 else "imaginary lambda below kappa/2"
+        reason = "lambda real" if x >= 0 else "imaginary lambda below kappa/2"
     if not steady:
         reason += "; no stationary state: 4*Omega >= kappa"
     return StabilityReport(not unstable, steady, reason)
@@ -140,41 +117,68 @@ def _require_stable(params: ReadoutParams, cfg: IcsConfig) -> None:
         raise StabilityError(verdict.reason)
 
 
-@contextmanager
-def _overflow_as_readout_error(kappa_tau: float):
-    """Report an overflow of the scalar closed forms as a ReadoutError naming kappa*tau.
+def _oscillation(x, t, fn=math):
+    """(g, C, S, xS) at kappa = 1 and lambda^2 = x, where g C, g S and g xS are
+    e^{-t/2} times cos(lambda t), sin(lambda t)/lambda and lambda sin(lambda t).
 
-    On the imaginary-lambda branch cos(lambda tau) grows as cosh(|lambda| tau),
-    past the float range at long times, before the e^{-kappa tau} decay tames it.
+    All three are entire in x.  On the real branch g = e^{-t/2} and
+    S = t sin(lambda t)/(lambda t), which is t at x = 0.  On the imaginary
+    branch (x < 0, mu = sqrt(-x)) the growth e^{mu t} of cosh and sinh moves
+    into g = e^{(mu - 1/2) t}, which stays below 1 for mu < 1/2 at any t, and
+    C = (1 + e^{-2 mu t})/2, S = (1 - e^{-2 mu t})/(2 mu), xS = -mu (1 - e^{-2 mu t})/2,
+    with expm1 keeping S accurate as mu -> 0.  t is a scalar and x a scalar
+    or an array: this is the one place where the two take different paths.
     """
-    try:
-        yield
-    except OverflowError as exc:
-        raise ReadoutError(f"ICS closed form overflows at kappa*tau = {kappa_tau:g} "
-                           f"(cosh(|lambda| tau) on the imaginary-lambda branch: {exc})") from exc
+    mu = fn.sqrt(abs(x))
+    if getattr(x, "ndim", 0) == 0:
+        if x < 0:
+            em = fn.expm1(-2.0 * mu * t)
+            return fn.exp((mu - 0.5) * t), 1.0 + 0.5 * em, -0.5 * em / mu, 0.5 * mu * em
+        lt = mu * t
+        sn = fn.sin(lt)
+        return fn.exp(-0.5 * t), fn.cos(lt), (t * (sn / lt) if lt > 0 else t), mu * sn
+    neg = x < 0
+    mu_neg = fn.where(neg, mu, 0.0)
+    em = fn.expm1(-2.0 * mu_neg * t)
+    lt = fn.where(neg, 0.0, mu * t)
+    sn = fn.sin(lt)
+    c = fn.where(neg, 1.0 + 0.5 * em, fn.cos(lt))
+    s = fn.where(neg, -0.5 * em / fn.where(neg, mu, 1.0),
+                 fn.where(lt > 0, t * (sn / fn.where(lt > 0, lt, 1.0)), t))
+    return fn.exp((mu_neg - 0.5) * t), c, s, fn.where(neg, 0.5 * mu * em, mu * sn)
 
 
-def _sinc(z, fn=math):
-    """sin(z)/z, regular at z = 0."""
-    if fn is math:
-        return 1.0 - z * z / 6.0 if abs(z) < 1e-6 else cmath.sin(z) / z
-    with fn.errstate(divide="ignore", invalid="ignore"):
-        return fn.where(abs(z) < 1e-6, 1.0 - z * z / 6.0, fn.sin(z) / z)
+def _integrals(x, t, fn=math):
+    """(i_c, i_s): the integrals over [0, t] of e^{-u/2} cos(lambda u) and of
+    e^{-u/2} sin(lambda u)/lambda, at kappa = 1 and lambda^2 = x.
 
-
-def _mean_field_terms(k, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
-    """(lambda, pref, t0, ts, tc) of the driven mean field, from <a(0)> = 0:
-
-    <a(t)> = pref [t0 + (ts/lambda) sin(lambda t) e^{-kt/2} + tc cos(lambda t) e^{-kt/2}].
+    int_0^t e^{M u} du = M^{-1} (e^{M t} - 1) = i_c + i_s N, with
+    M^{-1} = -(1/2 + N)/(1/4 + lambda^2).  At small t, i_s and t - i_c are
+    O(t^2) differences of O(1) terms and keep about 16 + 2 log10(t) digits.
     """
-    lam = _lambda_safe(chi, om, k, fn)
-    pref = 2.0 * math.sqrt(k) * alpha_in / (k * k + 4.0 * lam * lam)
-    e_in = cmath.exp(1j * phi_in)
-    e_out = cmath.exp(1j * (theta - phi_in))
-    t0 = 4j * om * e_out - (k - 2j * sigma * chi) * e_in
-    ts = -((2.0 * lam * lam + 1j * k * sigma * chi) * e_in + 2j * om * k * e_out)
-    tc = (k - 2j * sigma * chi) * e_in - 4j * om * e_out
-    return lam, pref, t0, ts, tc
+    g, c, s, xs = _oscillation(x, t, fn)
+    den = x + 0.25
+    return (0.5 + g * (xs - 0.5 * c)) / den, (1.0 - g * (c + 0.5 * s)) / den
+
+
+def _mean_field_terms(chi, om, alpha_in, phi_in, theta, sigma, fn=math):
+    """(lambda^2, pref, t0, ts) of the driven mean field at kappa = 1, from <a(0)> = 0:
+
+    <a(t)> = pref [t0 (1 - g C) + ts g S], with (g, C, S) from _oscillation.
+    """
+    x = _lambda_sq(chi, om)
+    e_in = fn.cos(phi_in) + 1j * fn.sin(phi_in)
+    e_out = fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in)
+    t0 = 4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in
+    ts = -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out)
+    return x, 2.0 * alpha_in / (1.0 + 4.0 * x), t0, ts
+
+
+def _mean_field(t, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
+    """<a(t)> at kappa = 1 for qubit state sigma = +-1, from <a(0)> = 0."""
+    x, pref, t0, ts = _mean_field_terms(chi, om, alpha_in, phi_in, theta, sigma, fn)
+    g, c, s, _ = _oscillation(x, t, fn)
+    return pref * (t0 * (1.0 - g * c) + ts * (g * s))
 
 
 def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
@@ -183,43 +187,31 @@ def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
     _require_stable(params, cfg)
     if t < 0:
         raise ValueError("t must be non-negative")
-    lam, pref, t0, ts, tc = _mean_field_terms(params.kappa, params.chi, cfg.omega_2ph,
-                                              params.alpha_in, params.phi_in, cfg.theta,
-                                              int(state))
-    decay = math.exp(-params.kappa * t / 2.0)
-    with _overflow_as_readout_error(params.kappa * t):
-        return pref * (t0 + ts / lam * cmath.sin(lam * t) * decay
-                       + tc * cmath.cos(lam * t) * decay)
+    p = params.normalized()
+    return _mean_field(params.kappa * t, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in,
+                       p.phi_in, cfg.theta, int(state))
 
 
-def _integrated_output_mean(k, tau, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
-    """sqrt(kappa) * integral of <a_out(t)> dt over [0, tau], term-by-term closed form."""
-    cfn = cmath if fn is math else fn
-    lam, pref, t0, ts, tc = _mean_field_terms(k, chi, om, alpha_in, phi_in, theta, sigma, fn)
-    half_k = k / 2.0
-    den = lam * lam + half_k * half_k
-    decay = cmath.exp(-k * tau / 2.0)
-    # int sin(lam t)/lam e^{-kt/2} dt  and  int cos(lam t) e^{-kt/2} dt
-    int_s = (1.0 - decay * (cfn.cos(lam * tau) + half_k * tau * _sinc(lam * tau, fn))) / den
-    int_c = (half_k + decay * (lam * cfn.sin(lam * tau) - half_k * cfn.cos(lam * tau))) / den
-    integral = t0 * tau + ts * int_s + tc * int_c
-    a_bar = alpha_in * cmath.exp(1j * phi_in)
-    return math.sqrt(k) * (a_bar * tau + math.sqrt(k) * pref * integral)
+def _integrated_output_mean(tau, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
+    """Integral of <a_out(t)> over [0, tau] at kappa = 1, term-by-term closed form."""
+    x, pref, t0, ts = _mean_field_terms(chi, om, alpha_in, phi_in, theta, sigma, fn)
+    i_c, i_s = _integrals(x, tau, fn)
+    a_bar = alpha_in * (fn.cos(phi_in) + 1j * fn.sin(phi_in))
+    return a_bar * tau + pref * (t0 * tau + ts * i_s - t0 * i_c)
 
 
 def _signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
     """Mean homodyne record <M> at kappa = 1 for qubit state sigma = +-1."""
-    j = _integrated_output_mean(1.0, kt, chi, om, alpha_in, phi_in, theta, sigma, fn)
-    return 2.0 * (j * cmath.exp(-1j * phi_h)).real
+    j = _integrated_output_mean(kt, chi, om, alpha_in, phi_in, theta, sigma, fn)
+    return 2.0 * (j.real * fn.cos(phi_h) + j.imag * fn.sin(phi_h))
 
 
 def ics_signal(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
     """Mean homodyne record <M> for one qubit state."""
     _require_stable(params, cfg)
     p = params.normalized()
-    with _overflow_as_readout_error(p.tau):
-        return _signal(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in,
-                       p.phi_h, cfg.theta, int(state))
+    return _signal(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in,
+                   p.phi_h, cfg.theta, int(state))
 
 
 def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
@@ -233,48 +225,48 @@ def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
     return ics_signal(params, cfg, QubitState.UP) - ics_signal(params, cfg, QubitState.DOWN)
 
 
+def _sandwich(p, q, x, om, den):
+    """(tr T, T_12, (T_11 - T_22)/(a + b)) of T = (p + q N)(V_0 - V_s)(p + q N)^T
+    at kappa = 1; none of the three depends on sigma.
+
+    V_0 = 1 + (4 Omega/d0) [[4 Omega, -1], [-1, 4 Omega]], d0 = 1 - 16 Omega^2, is
+    the (X, P) covariance at t = 0 (vacuum = 1), and V_s = 1 - (Omega/den)
+    [[2a, 1], [1, -2b]], den = 1/4 + lambda^2, the stationary one under the
+    qubit shift, M V_s + V_s M^T = -1.
+    """
+    d0 = (1.0 - 4.0 * om) * (1.0 + 4.0 * om)
+    dd = 16.0 * om * om / d0                    # diagonal of V_0 - 1
+    d12 = om / den - 4.0 * om / d0              # off-diagonal of V_0 - V_s
+    pp, pq, qq, w2 = p * p, p * q, q * q, om * om
+    return (pp * (2.0 * dd - 8.0 * w2 / den) - 8.0 * om * pq * d12
+            + qq * (dd * (2.0 * x + 16.0 * w2) + 8.0 * w2 * x / den),
+            pp * d12 - 4.0 * om * pq * (dd + x / den) - qq * x * d12,
+            2.0 * om * pp / den + 2.0 * pq * d12 - 2.0 * om * qq * (2.0 * dd + x / den))
+
+
 def _noise_components(kt, chi, om, fn=math):
-    """(G0, Gs, Gc) at kappa = 1, each checked for an imaginary residue."""
-    cfn = cmath if fn is math else fn
-    k = 1.0
-    lam = _lambda_safe(chi, om, k, fn)
-    psi = (cmath.atan if fn is math else fn.arctan)(2.0 * lam / k)
-    r = _squeeze_param(k, om, fn)
-    lt = lam * kt
-    cs, sn = cfn.cos, cfn.sin
-    cot = cs(psi) / sn(psi)
-    th2 = fn.tanh(r / 2.0)
-    ch = fn.cosh(r)
-    ekt = math.exp(-kt)
-    ek2 = math.exp(-kt / 2.0)
+    """(G0, Gs, Gc) at kappa = 1.
 
-    g0 = (0.5 * kt * (1.0 + ch + (5.0 + 8.0 * cs(2 * psi) + 2.0 * cs(4 * psi) - ch) * th2 ** 2)
-          - 2.0 * cs(psi) ** 2 * (5.0 + 3.0 * cs(4 * psi) + cs(2 * psi) * (9.0 - 2.0 * ch)
-                                  - 3.0 * ch) * th2 ** 2
-          - ekt * (2.0 - cs(2 * psi + 2 * lt) - cs(4 * psi + 2 * lt))
-          * (cs(2 * psi) - ch) * cot ** 2 * th2 ** 2
-          - 8.0 * ek2 * cs(psi) ** 2 * th2 ** 2 * (
-              (cs(lt) - cot * sn(4 * psi + lt)) * fn.cosh(r / 2.0) ** 2
-              + 4.0 * cs(psi) ** 2 * cot * sn(2 * psi + lt) * fn.sinh(r / 2.0) ** 2))
-
-    gs = (2.0 * cs(psi) ** 2 * (-1.0 - 3.0 * cs(4 * psi) + ch
-                                + cs(2 * psi) * (-3.0 + 2.0 * kt + 2.0 * ch)) * th2
-          - 2.0 * ekt * cs(psi) * cot * sn(3 * psi + 2 * lt) * (cs(2 * psi) - ch) * th2
-          - 4.0 * ek2 * cs(psi) * cot * (sn(3 * psi + lt) * fn.sinh(r)
-                                         - 2.0 * cs(psi) * sn(4 * psi + lt) * th2))
-
-    # sinh^2(r/2) coth(r/2) is rewritten as sinh(r)/2 so that r -> 0 stays finite
-    gc = (8.0 * cs(psi) ** 4 * (3.0 - 2.0 * kt + 6.0 * cs(2 * psi) - 2.0 * ch) * th2
-          - 16.0 * ek2 * cs(psi) ** 4 * cot * (
-              0.5 * fn.sinh(r) / cs(psi) ** 2 * sn(4 * psi + lt)
-              - 4.0 * fn.sinh(r / 2.0) ** 2 * th2 * sn(2 * psi + lt))
-          + 8.0 * ekt * cs(psi) ** 2 * fn.sinh(r / 2.0) * (
-              cs(psi) * cs(3 * psi + 2 * lt) * fn.cosh(r / 2.0)
-              - (1.0 - cs(psi) * cs(3 * psi + 2 * lt)) * cot ** 2
-              * fn.sinh(r / 2.0) * th2))
-
-    scale = kt * fn.cosh(r) + 1.0
-    return _real(g0, scale, fn), _real(gs, scale, fn), _real(gc, scale, fn)
+    For the quadrature h = (cos phi, sin phi), phi = phi_h - theta/2, of the
+    record, <M_N^2> = kt + h^T W h with
+        W = 2 Phi2 (V_s - 1) + Psi (V_0 - V_s) Psi^T
+    (V_0 and V_s as in _sandwich), where Psi = int_0^kt e^{M u} du = i_c + i_s N and
+    Phi2 = int_0^kt Psi(u) du = M^{-1} (Psi - kt) = f0 + f1 N.  So G0 = kt + tr W/2,
+    Gs = -W_12 and sigma chi Gc = (W_11 - W_22)/2, whose factor a + b = 2 sigma chi
+    is divided out in closed form.  These equal the G0, Gs and Gc of the paper's
+    supplement identically, without its cot(psi) groupings.  The 1/(1 - 16 Omega^2)
+    of V_0 only multiplies entries of Psi, which are O(kt) without cancellation,
+    so the noise keeps its digits up to threshold.
+    """
+    x = _lambda_sq(chi, om)
+    i_c, i_s = _integrals(x, kt, fn)
+    den = 0.25 + x
+    f0 = (0.5 * (kt - i_c) + x * i_s) / den
+    f1 = (kt - i_c - 0.5 * i_s) / den
+    tr, t12, y = _sandwich(i_c, i_s, x, om, den)
+    return (kt + 4.0 * om * om * (2.0 * f0 + f1) / den + 0.5 * tr,
+            2.0 * om * (f0 - 2.0 * x * f1) / den - t12,
+            y - 2.0 * om * (2.0 * f0 + f1) / den)
 
 
 def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, float, float]:
@@ -284,8 +276,7 @@ def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, 
     """
     _require_stable(params, cfg)
     p = params.normalized()
-    with _overflow_as_readout_error(p.tau):
-        return _noise_components(p.tau, p.chi, cfg.omega_2ph / params.kappa)
+    return _noise_components(p.tau, p.chi, cfg.omega_2ph / params.kappa)
 
 
 def ics_noise(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
@@ -296,15 +287,11 @@ def ics_noise(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float
     return g0 - math.sin(d) * gs + int(state) * p.chi * math.cos(d) * gc
 
 
-def _squeeze_param(kappa, omega_2ph, fn=math):
-    return fn.log((kappa + 4.0 * omega_2ph) / (kappa - 4.0 * omega_2ph))
-
-
 def ics_squeeze_param(kappa: float, omega_2ph: float) -> float:
     """Output-field squeeze parameter r = ln[(kappa + 4 Omega)/(kappa - 4 Omega)]."""
     if not 0 <= 4.0 * omega_2ph < kappa:
         raise ValueError(f"need 0 <= 4*Omega < kappa, got Omega={omega_2ph}, kappa={kappa}")
-    return _squeeze_param(kappa, omega_2ph)
+    return math.log((kappa + 4.0 * omega_2ph) / (kappa - 4.0 * omega_2ph))
 
 
 def _omega_from_r(kappa, r, fn=math):
@@ -318,6 +305,15 @@ def ics_omega_from_r(kappa: float, r: float) -> float:
     return _omega_from_r(kappa, r)
 
 
+def _photon_fluctuation(t, chi, om, fn=math):
+    """Fluctuation part of n(t) at kappa = 1: (tr V(t) - 2)/4 with
+    V(t) = V_s + e^{M t} (V_0 - V_s) e^{M^T t} (see _sandwich)."""
+    x = _lambda_sq(chi, om)
+    g, c, s, _ = _oscillation(x, t, fn)
+    den = 0.25 + x
+    return 0.25 * (8.0 * om * om / den + _sandwich(g * c, g * s, x, om, den)[0])
+
+
 def ics_photon_number(params: ReadoutParams, cfg: IcsConfig, t: float) -> float:
     """Intracavity photon number n(t) = fluctuation part + |<a(t)>|^2.
 
@@ -328,19 +324,9 @@ def ics_photon_number(params: ReadoutParams, cfg: IcsConfig, t: float) -> float:
     _require_stable(params, cfg)
     if t < 0:
         raise ValueError("t must be non-negative")
-    k = params.kappa
-    om = cfg.omega_2ph
-    lam = _lambda_safe(params.chi, om, k)
-    psi = cmath.atan(2.0 * lam / k)
-    r = ics_squeeze_param(k, om)
-    lt = lam * t
-    with _overflow_as_readout_error(k * t):
-        q0 = ((2.0 - cmath.cos(2 * lt) - cmath.cos(2 * psi + 2 * lt))
-              * (cmath.cos(2 * psi) - math.cosh(r)) / cmath.sin(psi) ** 2)
-    fluct = _real((4.0 * cmath.cos(psi) ** 2 - math.exp(-k * t) * q0)
-                  * math.tanh(r / 2.0) ** 2 / 8.0)
-    mean = ics_mean_field(params, cfg, QubitState.UP, t)
-    return fluct + abs(mean) ** 2
+    fluct = _photon_fluctuation(params.kappa * t, params.chi / params.kappa,
+                                cfg.omega_2ph / params.kappa)
+    return fluct + abs(ics_mean_field(params, cfg, QubitState.UP, t)) ** 2
 
 
 def ics_initial_correlations(kappa: float, cfg: IcsConfig) -> tuple[float, complex]:
@@ -349,7 +335,7 @@ def ics_initial_correlations(kappa: float, cfg: IcsConfig) -> tuple[float, compl
         raise StabilityError("no stationary state: 4*Omega >= kappa")
     den = kappa * kappa - 16.0 * cfg.omega_2ph ** 2
     n0 = 8.0 * cfg.omega_2ph ** 2 / den
-    m0 = -1j * cmath.exp(1j * cfg.theta) * 2.0 * kappa * cfg.omega_2ph / den
+    m0 = complex(math.sin(cfg.theta), -math.cos(cfg.theta)) * 2.0 * kappa * cfg.omega_2ph / den
     return n0, m0
 
 

@@ -198,9 +198,8 @@ def _ics_objective(kappa_tau: float, fix_chi: float | None = None) -> Callable:
     ignored; r fixes the drive amplitude.  The noise 2 G0 - 2 phase Gs is linear
     in phase = sin(2 phi_h - theta), so the better extreme is phase = sign(Gs)
     (-1 on a tie).  Unstable points score 0.  Float coordinates give floats
-    from the scalar closed forms; numpy arrays give arrays in one pass, which
-    evaluates the stable points only, so each of them meets the same
-    imaginary-residue test as a scalar evaluation.
+    from the scalar closed forms; numpy arrays give arrays in one pass over the
+    stable points only, with the same real-valued forms.
     """
     import numpy as np
 
@@ -215,7 +214,7 @@ def _ics_objective(kappa_tau: float, fix_chi: float | None = None) -> Callable:
         omega = ics._omega_from_r(1.0, r, fn)
         lam = 0.5 * fn.tan(psi)
         chi = fn.sqrt(lam * lam + 4.0 * omega * omega) if fix_chi is None else fix_chi
-        _, unstable, steady = ics._stability(1.0, chi, omega, fn)
+        _, unstable, steady = ics._stability(1.0, chi, omega)
         if fn is math:
             if unstable or not steady:
                 return 0.0, -1.0
