@@ -42,9 +42,15 @@ def chi_sq(g: float, r: float, omega_sq: float, epsilon: float) -> float:
     if epsilon > 0.25:
         warnings.warn(f"epsilon={epsilon:g} is large; the dispersive picture is dubious",
                       stacklevel=2)
+    return _chi_sq_function(g, r, epsilon)(omega_sq)
+
+
+def _chi_sq_function(g: float, r: float, epsilon: float):
+    """omega_sq -> chi_sq(g, r, omega_sq, epsilon) for a float or an array, with
+    chi, cosh r and sinh^2 r computed once; chi_sq checks (g, epsilon), this does not."""
     chi = g * epsilon
-    return chi * (math.cosh(r) + math.sinh(r) ** 2
-                  / (math.cosh(r) + 2.0 * omega_sq * epsilon / g))
+    ch, sh2 = math.cosh(r), math.sinh(r) ** 2
+    return lambda omega_sq: chi * (ch + sh2 / (ch + 2.0 * omega_sq * epsilon / g))
 
 
 def input_noise_budget(r_c: float, r: float, theta: float,
@@ -234,22 +240,35 @@ def _separation_components_signed(params: ReadoutParams,
     return 2.0 * p.alpha_in * par, 2.0 * p.alpha_in * perp
 
 
-def _perp_at(params: ReadoutParams, r: float, omega_sq, epsilon: float, fn=math):
-    """Signed perpendicular separation of _separation_components_signed at omega_sq.
+def _perp_function(params: ReadoutParams, r: float, epsilon: float, fn=math):
+    """omega_sq -> the signed perpendicular separation of _separation_components_signed.
 
-    fn = math gives the scalar value, bit for bit; fn = np evaluates an array
-    of frequencies (a coarse scan or one fine cell of it) in one call, where
-    np.arctan may differ from math.atan in the last bit, so array values locate
-    sign changes but do not replace the scalar path.
+    Built once per solve: chi, cosh r, sinh^2 r and 2 alpha_in/sqrt(kappa) are
+    computed here, not per omega_sq; (g, epsilon) are checked by the chi_sq
+    calls of solve_omega_sq's lower-edge loop.  fn = math gives the scalar
+    value, bit for bit; fn = np evaluates an array of frequencies (a coarse
+    scan or one fine cell of it) in one call, where np.arctan may differ from
+    math.atan in the last bit, so array values locate sign changes but do not
+    replace the scalar path.
     """
     k = params.kappa
     kt = params.kappa_tau
     atan = math.atan if fn is math else fn.arctan
-    csq = chi_sq(params.chi / epsilon, r, omega_sq, epsilon)
-    up, down = omega_sq + csq, omega_sq - csq
-    perp = _perp_separation(kt, atan(2.0 * up / k), atan(2.0 * down / k),
-                            up / k * kt, down / k * kt, fn)
-    return 2.0 * (params.alpha_in / math.sqrt(k)) * perp
+    coupling = _chi_sq_function(params.chi / epsilon, r, epsilon)
+    amplitude = 2.0 * (params.alpha_in / math.sqrt(k))
+
+    def perp(omega_sq):
+        csq = coupling(omega_sq)
+        up, down = omega_sq + csq, omega_sq - csq
+        return amplitude * _perp_separation(kt, atan(2.0 * up / k), atan(2.0 * down / k),
+                                            up / k * kt, down / k * kt, fn)
+
+    return perp
+
+
+def _perp_at(params: ReadoutParams, r: float, omega_sq, epsilon: float, fn=math):
+    """The _perp_function value at omega_sq (a float, or an array with fn = np)."""
+    return _perp_function(params, r, epsilon, fn)(omega_sq)
 
 
 def separation_components(params: ReadoutParams, disp: DispersiveParams,
@@ -272,11 +291,14 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     (kappa/2)sec(psi_sq), up to max(10 kappa, 5/tau, 1.5 lo).  One array call
     evaluates every _SCAN_CELL-th grid point and finds the first coarse cell
     whose ends change sign; a second evaluates that cell's fine points and
-    picks its first sign change.  Scalar bisection refines that bracket to
-    1e-10*kappa.  This is the bracket of a full scan whenever no earlier coarse
-    cell holds an even number of sign changes; the physical separation changes
-    sign once on the grid.  The root runs from ~pi/tau at short times to the
-    time-independent (kappa/2)sec(psi_sq) at long times.
+    picks its first sign change.  This is the bracket of a full scan whenever
+    no earlier coarse cell holds an even number of sign changes; the physical
+    separation changes sign once on the grid.  Scalar bisection refines that
+    bracket to 1e-10*kappa on one _perp_function built for the solve: each step
+    gives the scalar _perp_at value bit for bit, while cosh r, sinh^2 r and
+    2 alpha_in/sqrt(kappa) are computed once and (g, epsilon) are checked only
+    by chi_sq in the lower-edge loop.  The root runs from ~pi/tau at short
+    times to the time-independent (kappa/2)sec(psi_sq) at long times.
     """
     import numpy as np
     k = params.kappa
@@ -304,7 +326,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     i = start + j
     if fine[j] == 0.0:
         return float(grid[i])
-    return bisect(lambda w: _perp_at(params, r, w, epsilon), float(grid[i]), float(grid[i + 1]),
+    return bisect(_perp_function(params, r, epsilon), float(grid[i]), float(grid[i + 1]),
                   tol=1e-10 * k)
 
 

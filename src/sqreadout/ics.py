@@ -15,7 +15,10 @@ at the exceptional point chi = 2 Omega is needed.  The paper's angle psi,
 tan psi = 2 lambda/kappa, enters only as kappa^2/4 + lambda^2 =
 (kappa^2/4)/cos^2 psi.  Each form is written once with a function namespace
 fn: math for the public scalar API, numpy for the optimizer's search grid,
-mpmath for a high-precision check.
+mpmath for a high-precision check.  One kernel, _signal_pair, gives the mean
+records of both qubit states together with the integrals i_c, i_s that the
+noise (_noise_components) takes from it, so an evaluation of signal and noise
+computes lambda^2, the integrals and the sigma-independent phase factors once.
 """
 
 from __future__ import annotations
@@ -161,22 +164,28 @@ def _integrals(x, t, fn=math):
     return (0.5 + g * (xs - 0.5 * c)) / den, (1.0 - g * (c + 0.5 * s)) / den
 
 
-def _mean_field_terms(chi, om, alpha_in, phi_in, theta, sigma, fn=math):
-    """(lambda^2, pref, t0, ts) of the driven mean field at kappa = 1, from <a(0)> = 0:
-
-    <a(t)> = pref [t0 (1 - g C) + ts g S], with (g, C, S) from _oscillation.
-    """
+def _mean_field_terms(chi, om, alpha_in, phi_in, theta, fn=math):
+    """(lambda^2, pref, e_in, e_out): the sigma-independent factors of the driven
+    mean field at kappa = 1, e_in = e^{i phi_in} and e_out = e^{i (theta - phi_in)}."""
     x = _lambda_sq(chi, om)
     e_in = fn.cos(phi_in) + 1j * fn.sin(phi_in)
     e_out = fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in)
-    t0 = 4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in
-    ts = -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out)
-    return x, 2.0 * alpha_in / (1.0 + 4.0 * x), t0, ts
+    return x, 2.0 * alpha_in / (1.0 + 4.0 * x), e_in, e_out
+
+
+def _state_terms(chi, om, x, e_in, e_out, sigma):
+    """(t0, ts) for qubit state sigma = +-1, from <a(0)> = 0:
+
+    <a(t)> = pref [t0 (1 - g C) + ts g S], with (g, C, S) from _oscillation.
+    """
+    return (4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in,
+            -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out))
 
 
 def _mean_field(t, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
     """<a(t)> at kappa = 1 for qubit state sigma = +-1, from <a(0)> = 0."""
-    x, pref, t0, ts = _mean_field_terms(chi, om, alpha_in, phi_in, theta, sigma, fn)
+    x, pref, e_in, e_out = _mean_field_terms(chi, om, alpha_in, phi_in, theta, fn)
+    t0, ts = _state_terms(chi, om, x, e_in, e_out, sigma)
     g, c, s, _ = _oscillation(x, t, fn)
     return pref * (t0 * (1.0 - g * c) + ts * (g * s))
 
@@ -192,26 +201,39 @@ def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
                        p.phi_in, cfg.theta, int(state))
 
 
-def _integrated_output_mean(tau, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
-    """Integral of <a_out(t)> over [0, tau] at kappa = 1, term-by-term closed form."""
-    x, pref, t0, ts = _mean_field_terms(chi, om, alpha_in, phi_in, theta, sigma, fn)
-    i_c, i_s = _integrals(x, tau, fn)
-    a_bar = alpha_in * (fn.cos(phi_in) + 1j * fn.sin(phi_in))
-    return a_bar * tau + pref * (t0 * tau + ts * i_s - t0 * i_c)
+def _signal_pair(kt, chi, om, alpha_in, phi_in, phi_h, theta, fn=math):
+    """((i_c, i_s), <M>_up, <M>_down) at kappa = 1: the mean homodyne record of
+    both qubit states and the integrals (see _integrals) that the noise shares.
+
+    The integral of <a_out(t)> over [0, kt] is, term by term,
+    a_bar kt + pref [t0 kt + ts i_s - t0 i_c].  lambda^2, the integrals, e_in,
+    e_out, pref, a_bar and the homodyne projection are computed once; only t0
+    and ts depend on sigma.
+    """
+    x, pref, e_in, e_out = _mean_field_terms(chi, om, alpha_in, phi_in, theta, fn)
+    i_c, i_s = _integrals(x, kt, fn)
+    a_bar = alpha_in * e_in
+    c_h, s_h = fn.cos(phi_h), fn.sin(phi_h)
+    means = []
+    for sigma in (1, -1):
+        t0, ts = _state_terms(chi, om, x, e_in, e_out, sigma)
+        j = a_bar * kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
+        means.append(2.0 * (j.real * c_h + j.imag * s_h))
+    return (i_c, i_s), means[0], means[1]
 
 
-def _signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
-    """Mean homodyne record <M> at kappa = 1 for qubit state sigma = +-1."""
-    j = _integrated_output_mean(kt, chi, om, alpha_in, phi_in, theta, sigma, fn)
-    return 2.0 * (j.real * fn.cos(phi_h) + j.imag * fn.sin(phi_h))
+def _normalized_pair(params: ReadoutParams, cfg: IcsConfig):
+    """_signal_pair at the stable operating point (params, cfg)."""
+    _require_stable(params, cfg)
+    p = params.normalized()
+    return _signal_pair(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in,
+                        p.phi_h, cfg.theta)
 
 
 def ics_signal(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
     """Mean homodyne record <M> for one qubit state."""
-    _require_stable(params, cfg)
-    p = params.normalized()
-    return _signal(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in,
-                   p.phi_h, cfg.theta, int(state))
+    _, up, down = _normalized_pair(params, cfg)
+    return up if state == QubitState.UP else down
 
 
 def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
@@ -220,9 +242,10 @@ def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
     Equals the factored closed form
     (16 (chi/kappa) a / sqrt(kappa)) cos^2 psi sin(phi_h - phi_in) {kappa tau - ...}
     with tan(psi) = 2 lambda / kappa, evaluated here through the per-state means
-    so it stays regular at sin(2 psi) = 0.
+    of one _signal_pair so it stays regular at sin(2 psi) = 0.
     """
-    return ics_signal(params, cfg, QubitState.UP) - ics_signal(params, cfg, QubitState.DOWN)
+    _, up, down = _normalized_pair(params, cfg)
+    return up - down
 
 
 def _sandwich(p, q, x, om, den):
@@ -244,8 +267,9 @@ def _sandwich(p, q, x, om, den):
             2.0 * om * pp / den + 2.0 * pq * d12 - 2.0 * om * qq * (2.0 * dd + x / den))
 
 
-def _noise_components(kt, chi, om, fn=math):
-    """(G0, Gs, Gc) at kappa = 1.
+def _noise_components(kt, chi, om, integrals):
+    """(G0, Gs, Gc) at kappa = 1, from integrals = (i_c, i_s) of _integrals at
+    lambda^2 and kt, as _signal_pair returns them; the rest is arithmetic.
 
     For the quadrature h = (cos phi, sin phi), phi = phi_h - theta/2, of the
     record, <M_N^2> = kt + h^T W h with
@@ -259,7 +283,7 @@ def _noise_components(kt, chi, om, fn=math):
     so the noise keeps its digits up to threshold.
     """
     x = _lambda_sq(chi, om)
-    i_c, i_s = _integrals(x, kt, fn)
+    i_c, i_s = integrals
     den = 0.25 + x
     f0 = (0.5 * (kt - i_c) + x * i_s) / den
     f1 = (kt - i_c - 0.5 * i_s) / den
@@ -276,7 +300,8 @@ def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, 
     """
     _require_stable(params, cfg)
     p = params.normalized()
-    return _noise_components(p.tau, p.chi, cfg.omega_2ph / params.kappa)
+    om = cfg.omega_2ph / params.kappa
+    return _noise_components(p.tau, p.chi, om, _integrals(_lambda_sq(p.chi, om), p.tau))
 
 
 def ics_noise(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
@@ -295,7 +320,8 @@ def ics_squeeze_param(kappa: float, omega_2ph: float) -> float:
 
 
 def _omega_from_r(kappa, r, fn=math):
-    return 0.25 * kappa * (fn.exp(r) - 1.0) / (fn.exp(r) + 1.0)
+    e = fn.exp(r)
+    return 0.25 * kappa * (e - 1.0) / (e + 1.0)
 
 
 def ics_omega_from_r(kappa: float, r: float) -> float:

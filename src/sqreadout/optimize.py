@@ -204,10 +204,9 @@ def _ics_objective(kappa_tau: float, fix_chi: float | None = None) -> Callable:
     import numpy as np
 
     def terms(chi, omega, fn):
-        sep = abs(ics._signal(kappa_tau, chi, omega, 1.0, 0.0, _PHI_H, 0.0, 1, fn)
-                  - ics._signal(kappa_tau, chi, omega, 1.0, 0.0, _PHI_H, 0.0, -1, fn))
-        g0, gs, _ = ics._noise_components(kappa_tau, chi, omega, fn)
-        return sep, 2.0 * g0 - 2.0 * abs(gs), gs
+        integrals, up, down = ics._signal_pair(kappa_tau, chi, omega, 1.0, 0.0, _PHI_H, 0.0, fn)
+        g0, gs, _ = ics._noise_components(kappa_tau, chi, omega, integrals)
+        return abs(up - down), 2.0 * g0 - 2.0 * abs(gs), gs
 
     def objective(psi, r):
         fn = np if isinstance(r, np.ndarray) else math

@@ -198,6 +198,29 @@ class TestSolveOmegaSq:
             for f in (1.0 - 1e-8, 1.0 + 1e-8))
         assert below * above < 0
 
+    @pytest.mark.parametrize("epsilon, chi", [(math.nan, 0.5), (0.05, 0.0), (0.05, -0.5),
+                                              (-0.05, 0.5)],
+                             ids=["epsilon-nan", "g-zero", "g-negative", "epsilon-negative"])
+    def test_invalid_coupling_raises(self, epsilon, chi):
+        with pytest.raises(ValueError, match="coupling g must be positive"):
+            combined.solve_omega_sq(make_params(chi=chi), LN10, epsilon)
+
+    def test_large_epsilon_warns(self):
+        with pytest.warns(UserWarning, match="epsilon=0.3 is large"):
+            w = combined.solve_omega_sq(make_params(), LN10, 0.3)
+        assert w > 0.5
+
+    def test_bisection_function_is_the_scalar_separation(self):
+        # the function bisect refines is built once per solve; at every omega_sq
+        # it gives the bits of _perp_at and of _separation_components_signed
+        rng = np.random.default_rng(17)
+        for p, r, eps in seeded_operating_points(60, seed=23):
+            perp = combined._perp_function(p, r, eps)
+            for w in (10.0 ** rng.uniform(-1.0, 2.0, 10) * p.kappa).tolist():
+                disp = combined.DispersiveParams.derive(p.kappa, p.chi, r, w, eps)
+                assert perp(w) == combined._perp_at(p, r, w, eps)
+                assert perp(w) == combined._separation_components_signed(p, disp)[1]
+
     def test_monotone_bridge_between_limits(self):
         # the root decreases monotonically from ~pi/tau at short times to the
         # time-independent (kappa/2) sec(psi_sq) at long times

@@ -153,6 +153,13 @@ class TestSignal:
         assert ics.ics_signal_separation(p, ics.IcsConfig(0.1, 0.5)) == pytest.approx(
             0.0, abs=1e-12)
 
+    def test_separation_is_the_difference_of_the_means(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            p, cfg = stable_draw(rng)
+            up, down = (ics.ics_signal(p, cfg, s) for s in (QubitState.UP, QubitState.DOWN))
+            assert ics.ics_signal_separation(p, cfg) == up - down
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_factored_form(self, seed):
         rng = np.random.default_rng(seed)
@@ -169,6 +176,66 @@ class TestSignal:
                      * math.exp(-kt / 2.0))))
         assert ics.ics_signal_separation(p, cfg) == pytest.approx(val.real, rel=1e-9,
                                                                   abs=1e-10)
+
+
+def per_state_signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
+    """<M> at kappa = 1 for one qubit state, as written before the pair kernel:
+    lambda^2, the integrals and every phase factor are computed again for each sigma."""
+    x = chi * chi - 4.0 * om * om
+    e_in = fn.cos(phi_in) + 1j * fn.sin(phi_in)
+    e_out = fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in)
+    t0 = 4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in
+    ts = -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out)
+    pref = 2.0 * alpha_in / (1.0 + 4.0 * x)
+    i_c, i_s = ics._integrals(x, kt, fn)
+    a_bar = alpha_in * (fn.cos(phi_in) + 1j * fn.sin(phi_in))
+    j = a_bar * kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
+    return 2.0 * (j.real * fn.cos(phi_h) + j.imag * fn.sin(phi_h))
+
+
+def pair_arguments(rng, kt, n):
+    """n stable (chi, Omega) pairs at one kappa*tau, a third each with real lambda,
+    imaginary lambda and lambda^2 = 0 exactly, plus the tone and drive phases."""
+    om = rng.uniform(0.0, 0.24, n)
+    chi = np.where(np.arange(n) % 3 == 0, rng.uniform(2.0 * om, 1.5),
+                   np.where(np.arange(n) % 3 == 1, rng.uniform(0.0, 2.0 * om), 2.0 * om))
+    return kt, chi, om, rng.uniform(0.3, 2.0), *rng.uniform(-math.pi, math.pi, 3)
+
+
+KAPPA_TAUS = [1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 100.0, 1e3]
+
+
+class TestSignalPair:
+    """One kernel for both qubit states and the noise, with the same bits as
+    the per-state forms and the public API."""
+
+    @pytest.mark.parametrize("kt", KAPPA_TAUS)
+    def test_floats(self, kt):
+        rng = np.random.default_rng(int(kt * 1e4))
+        kt, chi, om, a, phi_in, phi_h, theta = pair_arguments(rng, kt, 30)
+        assert np.count_nonzero(chi * chi - 4.0 * om * om == 0.0) == 10
+        for c, w in zip(chi.tolist(), om.tolist()):
+            integrals, up, down = ics._signal_pair(kt, c, w, a, phi_in, phi_h, theta)
+            assert up == per_state_signal(kt, c, w, a, phi_in, phi_h, theta, 1)
+            assert down == per_state_signal(kt, c, w, a, phi_in, phi_h, theta, -1)
+            p = ReadoutParams(1.0, c, a, phi_in, phi_h, kt)
+            cfg = ics.IcsConfig(w, theta)
+            assert (up, down) == (ics.ics_signal(p, cfg, QubitState.UP),
+                                  ics.ics_signal(p, cfg, QubitState.DOWN))
+            assert ics._noise_components(kt, c, w, integrals) == ics.ics_noise_components(p, cfg)
+
+    @pytest.mark.parametrize("kt", KAPPA_TAUS)
+    def test_arrays(self, kt):
+        rng = np.random.default_rng(int(kt * 1e4) + 1)
+        kt, chi, om, a, phi_in, phi_h, theta = pair_arguments(rng, kt, 30)
+        integrals, up, down = ics._signal_pair(kt, chi, om, a, phi_in, phi_h, theta, np)
+        assert np.array_equal(up, per_state_signal(kt, chi, om, a, phi_in, phi_h, theta, 1, np))
+        assert np.array_equal(down, per_state_signal(kt, chi, om, a, phi_in, phi_h, theta, -1,
+                                                     np))
+        for got, want in zip(ics._noise_components(kt, chi, om, integrals),
+                             ics._noise_components(kt, chi, om, ics._integrals(
+                                 ics._lambda_sq(chi, om), kt, np))):
+            assert np.array_equal(got, want)
 
 
 class TestNoise:

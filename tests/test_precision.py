@@ -116,11 +116,13 @@ class TestIcsRealFormsInMpmath:
         with mp.workdps(ref.DPS):
             kt_, chi_, om_, a_, pin_, ph_, th_ = map(mp.mpf, (kt, chi, om, a, phi_in, phi_h,
                                                                 theta))
-            for got, want in zip(ics._noise_components(kt_, chi_, om_, mp),
+            # one pair-kernel call gives both means and the integrals the noise takes
+            integrals, up, down = ics._signal_pair(kt_, chi_, om_, a_, pin_, ph_, th_, mp)
+            for got, want in zip(ics._noise_components(kt_, chi_, om_, integrals),
                                  ref.ics_noise_components(kt, chi, om)):
                 assert rel_err(got, want) < 1e-40
-            for s in (1, -1):
-                assert rel_err(ics._signal(kt_, chi_, om_, a_, pin_, ph_, th_, s, mp),
+            for s, mean in ((1, up), (-1, down)):
+                assert rel_err(mean,
                                ref.ics_signal(kt, chi, om, a, phi_in, phi_h, theta, s)) < 1e-40
                 assert rel_err(ics._mean_field(kt_, chi_, om_, a_, pin_, th_, s, mp),
                                ref.ics_mean_field(chi, om, a, phi_in, theta, s, kt)) < 1e-40
