@@ -10,9 +10,8 @@ from .core import (DegenerateNoiseError, MeasurementMoments, QubitState,
                    fidelity_and_error, psi_from_rate, required_tone_amplitude,
                    scheme_moments, snr, standard_readout_moments, summarize)
 from .ies import IesConfig, ies_moments, ies_noise, ies_noise_shape, ies_photon_number, ies_signal
-from .ics import (IcsConfig, ics_lambda, ics_mean_field, ics_moments, ics_noise,
-                  ics_photon_number, ics_signal_separation, ics_squeeze_param,
-                  ics_omega_from_r, ics_stability)
+from .ics import (IcsConfig, ics_lambda, ics_mean_field, ics_moments, ics_photon_number,
+                  ics_squeeze_param, ics_omega_from_r, ics_stability)
 from .combined import (BogoliubovFrame, CombinedConfig, DispersiveParams,
                        MismatchParams, asymptotic_snr, beta_photon_number,
                        chi_sq, combined_moments, combined_noise, combined_signal,

@@ -17,7 +17,7 @@ import sys
 from typing import Iterable, Sequence
 
 from .core import (OracleConvergenceError, QubitState, ReadoutError, ReadoutParams,
-                   StabilityError, psi_from_rate, scheme_moments, snr, summarize)
+                   StabilityError, psi_from_rate, snr, summarize)
 from . import combined, figures, ics, ies, oracle, phasespace
 
 SCHEMES = ("standard", "ies", "ics", "combined")
@@ -156,7 +156,7 @@ def _scheme_point(opts: dict):
             r=opts["r"], theta=opts["theta"] or 0.0, omega_sq=opts["omega_sq"],
             epsilon=opts["epsilon"], delta_r=opts["delta_r"], delta_p=opts["delta_p"])
     params, cfg = cfg.operating_point(params)
-    return params, cfg, scheme_moments(params, cfg), _record_fields(scheme, params, cfg)
+    return params, cfg, cfg.moments(params), _record_fields(scheme, params, cfg)
 
 
 def _record_fields(scheme: str, params: ReadoutParams, cfg) -> dict:

@@ -453,16 +453,16 @@ class CombinedConfig:
         op = operating_params(params, self)
         return op, with_solved_omega_sq(op, self)
 
-    def signal(self, params: ReadoutParams, state: QubitState) -> float:
+    def moments(self, params: ReadoutParams) -> MeasurementMoments:
         _, disp = resolve_operating_point(params, self)
-        return combined_signal(params, disp, self.r_c, self.theta, state)
-
-    def noise(self, params: ReadoutParams, state: QubitState) -> float:
+        signals = [combined_signal(params, disp, self.r_c, self.theta, s) for s in QubitState]
         if self.matched:
-            return combined_noise(params, self.r, self.theta)
-        _, disp = resolve_operating_point(params, self)
-        mm = MismatchParams.derive(self.r, self.theta, self.delta_r, self.delta_p)
-        return mismatch_noise(params, disp, self.r, mm, self.theta, state)
+            noises = [combined_noise(params, self.r, self.theta)] * 2
+        else:
+            mm = MismatchParams.derive(self.r, self.theta, self.delta_r, self.delta_p)
+            noises = [mismatch_noise(params, disp, self.r, mm, self.theta, s)
+                      for s in QubitState]
+        return MeasurementMoments(*signals, *noises)
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the Bogoliubov mode fed by its residual input noise, lab-frame output."""

@@ -115,6 +115,12 @@ class MeasurementMoments:
         if self.noise_up < 0 or self.noise_down < 0:
             raise DegenerateNoiseError("measurement noise must be non-negative")
 
+    def of(self, state: QubitState) -> tuple[float, float]:
+        """(signal, noise) of one qubit state."""
+        if state == QubitState.UP:
+            return self.signal_up, self.noise_up
+        return self.signal_down, self.noise_down
+
     @property
     def separation(self) -> float:
         return abs(self.signal_up - self.signal_down)
@@ -193,13 +199,11 @@ def scheme_moments(params: ReadoutParams, cfg) -> MeasurementMoments:
     """Signal and noise for both qubit states at the scheme's operating point.
 
     cfg is any scheme config: it supplies operating_point(params) -> (params,
-    cfg), signal(params, state) and noise(params, state), plus the oracle's
+    cfg), moments(params) of both states at that point, and the oracle's
     linear_system(params, state).
     """
     params, cfg = cfg.operating_point(params)
-    signals = [cfg.signal(params, s) for s in QubitState]     # UP, then DOWN
-    noises = [cfg.noise(params, s) for s in QubitState]
-    return MeasurementMoments(*signals, *noises)
+    return cfg.moments(params)
 
 
 def standard_readout_moments(params: ReadoutParams) -> MeasurementMoments:

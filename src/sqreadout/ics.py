@@ -15,10 +15,11 @@ at the exceptional point chi = 2 Omega is needed.  The paper's angle psi,
 tan psi = 2 lambda/kappa, enters only as kappa^2/4 + lambda^2 =
 (kappa^2/4)/cos^2 psi.  Each form is written once with a function namespace
 fn: math for the public scalar API, numpy for the optimizer's search grid,
-mpmath for a high-precision check.  One kernel, _signal_pair, gives the mean
-records of both qubit states together with the integrals i_c, i_s that the
-noise (_noise_components) takes from it, so an evaluation of signal and noise
-computes lambda^2, the integrals and the sigma-independent phase factors once.
+mpmath for a high-precision check.  ics_moments answers for both qubit states
+at once: one stability check and one kernel, _signal_pair, give the mean
+records of both states together with the integrals i_c, i_s that the noise
+(_noise_components) takes from it, so lambda^2, the integrals and the
+sigma-independent phase factors are computed once per evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (MeasurementMoments, QubitState, ReadoutParams, StabilityError,
-                   reduce_angle, scheme_moments)
+                   reduce_angle)
 from .oracle import LinearReadoutSystem
 
 
@@ -47,11 +48,8 @@ class IcsConfig:
         """The scheme runs at the phases it is given: params and cfg unchanged."""
         return params, self
 
-    def signal(self, params: ReadoutParams, state: QubitState) -> float:
-        return ics_signal(params, self, state)
-
-    def noise(self, params: ReadoutParams, state: QubitState) -> float:
-        return ics_noise(params, self, state)
+    def moments(self, params: ReadoutParams) -> MeasurementMoments:
+        return ics_moments(params, self)
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: two-photon-driven cavity with vacuum input, from its stationary state."""
@@ -222,32 +220,6 @@ def _signal_pair(kt, chi, om, alpha_in, phi_in, phi_h, theta, fn=math):
     return (i_c, i_s), means[0], means[1]
 
 
-def _normalized_pair(params: ReadoutParams, cfg: IcsConfig):
-    """_signal_pair at the stable operating point (params, cfg)."""
-    _require_stable(params, cfg)
-    p = params.normalized()
-    return _signal_pair(p.tau, p.chi, cfg.omega_2ph / params.kappa, p.alpha_in, p.phi_in,
-                        p.phi_h, cfg.theta)
-
-
-def ics_signal(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
-    """Mean homodyne record <M> for one qubit state."""
-    _, up, down = _normalized_pair(params, cfg)
-    return up if state == QubitState.UP else down
-
-
-def ics_signal_separation(params: ReadoutParams, cfg: IcsConfig) -> float:
-    """Pointer-state separation <M>_up - <M>_down.
-
-    Equals the factored closed form
-    (16 (chi/kappa) a / sqrt(kappa)) cos^2 psi sin(phi_h - phi_in) {kappa tau - ...}
-    with tan(psi) = 2 lambda / kappa, evaluated here through the per-state means
-    of one _signal_pair so it stays regular at sin(2 psi) = 0.
-    """
-    _, up, down = _normalized_pair(params, cfg)
-    return up - down
-
-
 def _sandwich(p, q, x, om, den):
     """(tr T, T_12, (T_11 - T_22)/(a + b)) of T = (p + q N)(V_0 - V_s)(p + q N)^T
     at kappa = 1; none of the three depends on sigma.
@@ -304,14 +276,6 @@ def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, 
     return _noise_components(p.tau, p.chi, om, _integrals(_lambda_sq(p.chi, om), p.tau))
 
 
-def ics_noise(params: ReadoutParams, cfg: IcsConfig, state: QubitState) -> float:
-    """Homodyne noise <M_N^2> for one qubit state under the two-photon drive."""
-    g0, gs, gc = ics_noise_components(params, cfg)
-    p = params.normalized()
-    d = 2.0 * p.phi_h - cfg.theta
-    return g0 - math.sin(d) * gs + int(state) * p.chi * math.cos(d) * gc
-
-
 def ics_squeeze_param(kappa: float, omega_2ph: float) -> float:
     """Output-field squeeze parameter r = ln[(kappa + 4 Omega)/(kappa - 4 Omega)]."""
     if not 0 <= 4.0 * omega_2ph < kappa:
@@ -350,9 +314,10 @@ def ics_photon_number(params: ReadoutParams, cfg: IcsConfig, t: float) -> float:
     _require_stable(params, cfg)
     if t < 0:
         raise ValueError("t must be non-negative")
-    fluct = _photon_fluctuation(params.kappa * t, params.chi / params.kappa,
-                                cfg.omega_2ph / params.kappa)
-    return fluct + abs(ics_mean_field(params, cfg, QubitState.UP, t)) ** 2
+    p = params.normalized()
+    kt, om = params.kappa * t, cfg.omega_2ph / params.kappa
+    return (_photon_fluctuation(kt, p.chi, om)
+            + abs(_mean_field(kt, p.chi, om, p.alpha_in, p.phi_in, cfg.theta, 1)) ** 2)
 
 
 def ics_initial_correlations(kappa: float, cfg: IcsConfig) -> tuple[float, complex]:
@@ -366,8 +331,24 @@ def ics_initial_correlations(kappa: float, cfg: IcsConfig) -> tuple[float, compl
 
 
 def ics_moments(params: ReadoutParams, cfg: IcsConfig) -> MeasurementMoments:
-    """Signal and noise for both qubit states."""
-    return scheme_moments(params, cfg)
+    """Signal and noise for both qubit states, from one _signal_pair.
+
+    The separation <M>_up - <M>_down equals the factored closed form
+    (16 (chi/kappa) a / sqrt(kappa)) cos^2 psi sin(phi_h - phi_in) {kappa tau - ...}
+    with tan(psi) = 2 lambda / kappa, evaluated here through the per-state means
+    so it stays regular at sin(2 psi) = 0.  The noises follow the decomposition of
+    ics_noise_components, taken on the pair's integrals.
+    """
+    _require_stable(params, cfg)
+    p = params.normalized()
+    om = cfg.omega_2ph / params.kappa
+    integrals, up, down = _signal_pair(p.tau, p.chi, om, p.alpha_in, p.phi_in, p.phi_h,
+                                       cfg.theta)
+    g0, gs, gc = _noise_components(p.tau, p.chi, om, integrals)
+    d = 2.0 * p.phi_h - cfg.theta
+    common = g0 - math.sin(d) * gs
+    split = p.chi * math.cos(d) * gc
+    return MeasurementMoments(up, down, common + split, common - split)
 
 
 def optimal_theta(params: ReadoutParams, cfg_omega: float) -> float:

@@ -35,11 +35,9 @@ class IesConfig:
         """The scheme runs at the phases it is given: params and cfg unchanged."""
         return params, self
 
-    def signal(self, params: ReadoutParams, state: QubitState) -> float:
-        return ies_signal(params, state)
-
-    def noise(self, params: ReadoutParams, state: QubitState) -> float:
-        return ies_noise(params, self, state)
+    def moments(self, params: ReadoutParams) -> MeasurementMoments:
+        return MeasurementMoments(*(ies_signal(params, s) for s in QubitState),
+                                  *(ies_noise(params, self, s) for s in QubitState))
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""

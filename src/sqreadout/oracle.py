@@ -230,8 +230,7 @@ def oracle_check(params: ReadoutParams, cfg, analytic: MeasurementMoments,
     for state in QubitState:
         system = build_system(params, cfg, state)
         res = oracle_moments(system, steps)
-        mean_a = analytic.signal_up if state == QubitState.UP else analytic.signal_down
-        var_a = analytic.noise_up if state == QubitState.UP else analytic.noise_down
+        mean_a, var_a = analytic.of(state)
         mean_o, var_o = res.richardson
         dev_mean = abs(mean_a - mean_o)
         dev_var = abs(var_a - var_o)

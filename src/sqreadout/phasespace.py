@@ -2,8 +2,8 @@
 
 The record M at homodyne angle phi relates to the quadratures of the
 time-integrated output mode A through M = 2 sqrt(kappa tau) (X cos phi + Y sin phi),
-so three noise probes and two signal probes reconstruct the full Gaussian
-state (mean, 2x2 covariance) without any new integrals.
+so the moments at the two mean angles and the three noise angles reconstruct
+the full Gaussian state (mean, 2x2 covariance) without any new integrals.
 """
 
 from __future__ import annotations
@@ -57,31 +57,31 @@ class EllipseDiagnostics:
     xi2_dB: float
 
 
-def reconstruct_state(signal: Callable[[float], float],
-                      noise: Callable[[float], float],
+def reconstruct_state(probe: Callable[[float], tuple[float, float]],
                       kappa: float, tau: float,
                       angles: Sequence[float] = DEFAULT_PROBE_ANGLES) -> GaussianState2D:
-    """Build the Gaussian state of A from signal(phi) and noise(phi) probes.
+    """Build the Gaussian state of A from probe(phi) -> (signal, noise).
 
-    The probe angles are measured from the scheme's measurement direction;
-    any three pairwise distinct angles (mod pi) determine the covariance.
+    The means come from the signals at 0 and pi/2, the covariance from the
+    noises at the three angles; each distinct angle is probed once.  Angles are
+    measured from the scheme's measurement direction; any three pairwise
+    distinct angles (mod pi) determine the covariance.
     """
     import numpy as np
     kt = kappa * tau
     if len(angles) != 3:
         raise ValueError("exactly three probe angles are required")
-    scale = 2.0 * math.sqrt(kt)
-    mean = (signal(0.0) / scale, signal(math.pi / 2.0) / scale)
-
     rows = []
-    rhs = []
     for phi in angles:
         c, s = math.cos(phi), math.sin(phi)
         rows.append([c * c, 2.0 * c * s, s * s])
-        rhs.append(noise(phi) / (4.0 * kt))
     matrix = np.asarray(rows)
     if np.linalg.cond(matrix) > 1e9:
         raise ValueError(f"probe angles {angles} are degenerate (mod pi)")
+    probed = {phi: probe(phi) for phi in dict.fromkeys((0.0, math.pi / 2.0, *angles))}
+    scale = 2.0 * math.sqrt(kt)
+    mean = (probed[0.0][0] / scale, probed[math.pi / 2.0][0] / scale)
+    rhs = [probed[phi][1] / (4.0 * kt) for phi in angles]
     dxx, dxy, dyy = np.linalg.solve(matrix, np.asarray(rhs))
     return GaussianState2D(mean, np.array([[dxx, dxy], [dxy, dyy]]))
 
@@ -139,10 +139,7 @@ def pointer_state(params: ReadoutParams, cfg, state: QubitState,
     params, cfg = cfg.operating_point(params)
     base = params.phi_h
 
-    def signal(phi):
-        return cfg.signal(params.with_(phi_h=base + phi), state)
+    def probe(phi):
+        return cfg.moments(params.with_(phi_h=base + phi)).of(state)
 
-    def noise(phi):
-        return cfg.noise(params.with_(phi_h=base + phi), state)
-
-    return reconstruct_state(signal, noise, params.kappa, params.tau, angles)
+    return reconstruct_state(probe, params.kappa, params.tau, angles)

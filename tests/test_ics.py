@@ -118,7 +118,7 @@ class TestMeanField:
 
 
 @pytest.mark.parametrize("closed_form, reference, kappa_t", [
-    (lambda p, cfg: ics.ics_signal(p, cfg, QubitState.UP),
+    (lambda p, cfg: ics.ics_moments(p, cfg).signal_up,
      lambda p, cfg: mp_reference.ics_signal(p.tau, p.chi, cfg.omega_2ph, p.alpha_in, p.phi_in,
                                             p.phi_h, cfg.theta, 1), 1600.0),
     (lambda p, cfg: ics.ics_noise_components(p, cfg),
@@ -144,21 +144,27 @@ def test_long_time_overflow_is_a_readout_error(closed_form, reference, kappa_t):
 class TestSignal:
     def test_no_drive_matches_plain_readout(self):
         p = make_params()
-        sep_ics = ics.ics_signal_separation(p, ics.IcsConfig(0.0, 0.0))
+        m_ics = ics.ics_moments(p, ics.IcsConfig(0.0, 0.0))
         m = standard_readout_moments(p)
-        assert sep_ics == pytest.approx(m.signal_up - m.signal_down, rel=1e-10)
+        assert m_ics.signal_up - m_ics.signal_down == pytest.approx(
+            m.signal_up - m.signal_down, rel=1e-10)
 
     def test_homodyne_aligned_with_tone(self):
         p = make_params(phi_h=0.2, phi_in=0.2)
-        assert ics.ics_signal_separation(p, ics.IcsConfig(0.1, 0.5)) == pytest.approx(
+        assert ics.ics_moments(p, ics.IcsConfig(0.1, 0.5)).separation == pytest.approx(
             0.0, abs=1e-12)
 
     def test_separation_is_the_difference_of_the_means(self):
+        # the moments carry the pair kernel's means at the normalized point unchanged
         rng = np.random.default_rng(21)
         for _ in range(50):
             p, cfg = stable_draw(rng)
-            up, down = (ics.ics_signal(p, cfg, s) for s in (QubitState.UP, QubitState.DOWN))
-            assert ics.ics_signal_separation(p, cfg) == up - down
+            q = p.normalized()
+            _, up, down = ics._signal_pair(q.tau, q.chi, cfg.omega_2ph / p.kappa, q.alpha_in,
+                                           q.phi_in, q.phi_h, cfg.theta)
+            m = ics.ics_moments(p, cfg)
+            assert (m.signal_up, m.signal_down) == (up, down)
+            assert m.separation == abs(up - down)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_factored_form(self, seed):
@@ -174,8 +180,8 @@ class TestSignal:
                * (kt - 4.0 * cmath.cos(psi) ** 2
                   * (1.0 - cmath.sin(2.0 * psi + lam * p.tau) / cmath.sin(2.0 * psi)
                      * math.exp(-kt / 2.0))))
-        assert ics.ics_signal_separation(p, cfg) == pytest.approx(val.real, rel=1e-9,
-                                                                  abs=1e-10)
+        m = ics.ics_moments(p, cfg)
+        assert m.signal_up - m.signal_down == pytest.approx(val.real, rel=1e-9, abs=1e-10)
 
 
 def per_state_signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
@@ -220,8 +226,8 @@ class TestSignalPair:
             assert down == per_state_signal(kt, c, w, a, phi_in, phi_h, theta, -1)
             p = ReadoutParams(1.0, c, a, phi_in, phi_h, kt)
             cfg = ics.IcsConfig(w, theta)
-            assert (up, down) == (ics.ics_signal(p, cfg, QubitState.UP),
-                                  ics.ics_signal(p, cfg, QubitState.DOWN))
+            m = ics.ics_moments(p, cfg)
+            assert (up, down) == (m.signal_up, m.signal_down)
             assert ics._noise_components(kt, c, w, integrals) == ics.ics_noise_components(p, cfg)
 
     @pytest.mark.parametrize("kt", KAPPA_TAUS)
@@ -242,9 +248,9 @@ class TestNoise:
     @pytest.mark.parametrize("kappa_tau", [0.3, 1.0, 5.0])
     def test_no_drive_vacuum(self, kappa_tau):
         p = make_params(kappa_tau=kappa_tau)
-        for s in QubitState:
-            assert ics.ics_noise(p, ics.IcsConfig(0.0, 0.0), s) == pytest.approx(
-                kappa_tau, rel=1e-14)
+        m = ics.ics_moments(p, ics.IcsConfig(0.0, 0.0))
+        for noise in (m.noise_up, m.noise_down):
+            assert noise == pytest.approx(kappa_tau, rel=1e-14)
 
     def test_phase_extremum(self):
         p = make_params()
@@ -252,7 +258,7 @@ class TestNoise:
 
         def summed(theta):
             cfg = ics.IcsConfig(omega, theta)
-            return sum(ics.ics_noise(p, cfg, s) for s in QubitState)
+            return ics.ics_moments(p, cfg).noise_sum
 
         _, gs, _ = ics.ics_noise_components(p, ics.IcsConfig(omega, 0.0))
         sign = 1.0 if gs > 0 else -1.0
@@ -264,8 +270,8 @@ class TestNoise:
     def test_imaginary_lambda_real_output(self):
         p = make_params(chi=0.2)
         cfg = ics.IcsConfig(0.15, 0.9)
-        for s in QubitState:
-            val = ics.ics_noise(p, cfg, s)
+        m = ics.ics_moments(p, cfg)
+        for val in (m.noise_up, m.noise_down):
             assert isinstance(val, float) and val > 0
 
 

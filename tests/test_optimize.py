@@ -238,7 +238,7 @@ def two_phase_ics_search(kappa_tau, fix_chi=None):
         cfg = ics.IcsConfig(omega, 0.0)
         if not ics.ics_stability(params, cfg):
             return 0.0
-        sep = abs(ics.ics_signal_separation(params, cfg))
+        sep = ics.ics_moments(params, cfg).separation
         g0, gs, _ = ics.ics_noise_components(params, cfg)
         noise = 2.0 * g0 - 2.0 * phase_sin * gs
         if noise <= 0:
@@ -296,7 +296,7 @@ def public_ics_objective(kappa_tau, fix_chi=None):
         cfg = ics.IcsConfig(omega, 0.0)
         if not ics.ics_stability(params, cfg):
             return 0.0, -1.0
-        sep = abs(ics.ics_signal_separation(params, cfg))
+        sep = ics.ics_moments(params, cfg).separation
         g0, gs, _ = ics.ics_noise_components(params, cfg)
         noise = 2.0 * g0 - 2.0 * abs(gs)
         return (sep / math.sqrt(noise) if noise > 0 else 0.0), (1.0 if gs > 0 else -1.0)

@@ -73,8 +73,38 @@ class TestReconstruct:
 
     def test_degenerate_angles_rejected(self):
         with pytest.raises(ValueError):
-            phasespace.reconstruct_state(lambda a: 0.0, lambda a: 1.0, 1.0, 1.0,
+            phasespace.reconstruct_state(lambda a: (0.0, 1.0), 1.0, 1.0,
                                          angles=(0.0, math.pi, 0.5))
+
+    @pytest.mark.parametrize("angles, count", [
+        (phasespace.DEFAULT_PROBE_ANGLES, 3),
+        ((math.pi / 6, math.pi / 3, math.pi / 2), 4),
+        ((0.1, 0.9, 2.0), 5)])
+    def test_each_angle_probed_once(self, angles, count):
+        # the means need 0 and pi/2, the covariance the three angles: a probe
+        # answers both, so an angle in both sets is probed once
+        probed = []
+
+        def probe(phi):
+            probed.append(phi)
+            return math.cos(phi), 1.0
+
+        st = phasespace.reconstruct_state(probe, 1.0, 1.0, angles)
+        assert sorted(probed) == sorted({0.0, math.pi / 2.0, *angles})
+        assert len(probed) == count
+        assert st.mean == (0.5, math.cos(math.pi / 2.0) / 2.0)
+        assert np.allclose(st.cov, 0.25 * np.eye(2), atol=1e-12)
+
+    def test_pointer_state_asks_three_moments(self):
+        calls = []
+
+        class Counting(ies.IesConfig):
+            def moments(self, params):
+                calls.append(params.phi_h)
+                return super().moments(params)
+
+        phasespace.pointer_state(make_params(), Counting(0.8, 0.9), QubitState.UP)
+        assert len(calls) == 3
 
 
 class TestEllipse:

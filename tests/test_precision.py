@@ -40,11 +40,13 @@ class TestIcsFloatAgainstReference:
     def test_random_stable_points(self, seed):
         for p, cfg in stable_points(seed, 25):
             kt, chi, om, th = p.tau, p.chi, cfg.omega_2ph, cfg.theta
+            m = ics.ics_moments(p, cfg)
             for s in QubitState:
-                assert ics.ics_noise(p, cfg, s) == pytest.approx(
+                signal, noise = m.of(s)
+                assert noise == pytest.approx(
                     float(ref.ics_noise(kt, chi, om, p.phi_h, th, int(s))), rel=1e-9)
                 # the means pass through zero with the phases: 1e-12 absolute floor
-                assert ics.ics_signal(p, cfg, s) == pytest.approx(float(ref.ics_signal(
+                assert signal == pytest.approx(float(ref.ics_signal(
                     kt, chi, om, p.alpha_in, p.phi_in, p.phi_h, th, int(s))), rel=1e-9, abs=1e-12)
                 assert ics.ics_mean_field(p, cfg, s, kt) == pytest.approx(complex(
                     ref.ics_mean_field(chi, om, p.alpha_in, p.phi_in, th, int(s), kt)),
@@ -62,15 +64,16 @@ class TestIcsFloatAgainstReference:
             p, cfg = ics_point(kt, math.sqrt(4.0 * om * om + lam2), om,
                                phi_h=rng.uniform(-math.pi, math.pi),
                                theta=rng.uniform(-math.pi, math.pi))
+            m = ics.ics_moments(p, cfg)
             for s in QubitState:
-                assert ics.ics_noise(p, cfg, s) == pytest.approx(float(ref.ics_noise(
+                assert m.of(s)[1] == pytest.approx(float(ref.ics_noise(
                     kt, p.chi, om, p.phi_h, cfg.theta, int(s))), rel=1e-9), (decade, i, s)
 
     def test_exceptional_point(self):
         # chi = 2 Omega: lambda = 0 exactly in floats, and the limit is regular
         p, cfg = ics_point(1.0, 0.2, 0.1)
         assert ics.ics_lambda(p.chi, cfg.omega_2ph) == 0.0
-        up = ics.ics_noise(p, cfg, QubitState.UP)
+        up = ics.ics_moments(p, cfg).noise_up
         assert up == pytest.approx(1.25557864538, rel=1e-9)
         assert up == pytest.approx(float(ref.ics_noise(1.0, 0.2, 0.1, p.phi_h, 0.0, 1)), rel=1e-12)
 
@@ -80,8 +83,9 @@ class TestIcsFloatAgainstReference:
         # 4 Omega within 4e-9 of kappa at chi = kappa/2, where threshold and the
         # exceptional point meet: cosh r ~ 2.5e8 multiplies O(kappa tau^2) terms
         p, cfg = ics_point(kt, 0.5, 0.25 - 1e-9)
+        m = ics.ics_moments(p, cfg)
         for s, value in zip(QubitState, printed):
-            got = ics.ics_noise(p, cfg, s)
+            got = m.of(s)[1]
             assert got == pytest.approx(value, rel=1e-9)
             assert got == pytest.approx(float(ref.ics_noise(kt, 0.5, 0.25 - 1e-9, p.phi_h, 0.0,
                                                             int(s))), rel=1e-9)

@@ -1,6 +1,6 @@
 """Contract of the scheme protocol: each config type answers for its own scheme.
 
-A config supplies operating_point, signal, noise and linear_system; the
+A config supplies operating_point, moments and linear_system; the scheme
 moments, the oracle and the phase-space reconstruction use nothing else.
 """
 
@@ -9,7 +9,7 @@ import math
 import pytest
 
 from sqreadout.core import QubitState, ReadoutParams, scheme_moments
-from sqreadout import combined, ies, oracle, phasespace
+from sqreadout import combined, ics, ies, oracle, phasespace
 
 
 def make_params(kappa_tau=1.0):
@@ -26,11 +26,8 @@ class DelegatingConfig:
         params, inner = self.inner.operating_point(params)
         return params, DelegatingConfig(inner)
 
-    def signal(self, params, state):
-        return self.inner.signal(params, state)
-
-    def noise(self, params, state):
-        return self.inner.noise(params, state)
+    def moments(self, params):
+        return self.inner.moments(params)
 
     def linear_system(self, params, state):
         return self.inner.linear_system(params, state)
@@ -79,3 +76,39 @@ class TestCombinedOperatingPoint:
         assert solved.omega_sq == combined.solve_omega_sq(p, cfg.r_c, cfg.epsilon)
         assert solved.operating_point(op) == (op, solved)
         assert scheme_moments(p, cfg) == combined.combined_moments(p, cfg)
+
+
+def counting(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that counts its calls under calls[name]."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, staticmethod(wrapper) if isinstance(owner, type)
+                        else wrapper)
+
+
+class TestSharedWork:
+    """One moments evaluation computes the work both qubit states share once."""
+
+    def test_ics_one_kernel(self, monkeypatch):
+        calls = {}
+        for name in ("_signal_pair", "_integrals", "_require_stable"):
+            counting(monkeypatch, ics, name, calls)
+        p = ReadoutParams(1.0, 0.5, 1.0, 0.0, math.pi / 2.0, 3.16)
+        ics.ics_moments(p, ics.IcsConfig(0.15, 0.3))
+        assert calls == {"_signal_pair": 1, "_integrals": 1, "_require_stable": 1}
+
+    @pytest.mark.parametrize("delta_r, delta_p, mismatch_derives", [
+        (0.0, 0.0, 0), (0.1, 0.05, 1)], ids=["matched", "mismatched"])
+    def test_combined_one_derive(self, monkeypatch, delta_r, delta_p, mismatch_derives):
+        cfg = combined.CombinedConfig(r=1.0, delta_r=delta_r, delta_p=delta_p)
+        op, solved = cfg.operating_point(make_params())
+        dispersive, mismatch = {}, {}
+        counting(monkeypatch, combined.DispersiveParams, "derive", dispersive)
+        counting(monkeypatch, combined.MismatchParams, "derive", mismatch)
+        combined.combined_moments(op, solved)
+        assert dispersive.get("derive", 0) == 1
+        assert mismatch.get("derive", 0) == mismatch_derives
