@@ -16,9 +16,8 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .core import (OracleConvergenceError, QubitState, ReadoutError, ReadoutParams,
-                   StabilityError, psi_from_rate, snr, summarize)
-from . import combined, figures, ics, ies, oracle, phasespace
+from .core import (DEFAULT_EPSILON, OracleConvergenceError, QubitState, ReadoutError,
+                   ReadoutParams, StabilityError, psi_from_rate, snr, summarize)
 
 SCHEMES = ("standard", "ies", "ics", "combined")
 
@@ -39,7 +38,7 @@ _DEFAULTS = {
     "kappa": 1.0, "chi": 0.5, "alpha_in": 1.0, "phi_in": 0.0,
     "phi_h": math.pi / 2.0, "tau": 1.0,
     "r": math.log(10.0), "varphi": None, "omega_2ph": 0.1, "theta": None,
-    "omega_sq": None, "epsilon": combined.DEFAULT_EPSILON, "delta_r": 0.0, "delta_p": 0.0,
+    "omega_sq": None, "epsilon": DEFAULT_EPSILON, "delta_r": 0.0, "delta_p": 0.0,
 }
 # _DEFAULTS is the one key table: the --flags, the option merge and the sweepable list
 _SWEEPABLE = ("kappa_tau", *(k for k in _DEFAULTS if k != "kappa"))
@@ -89,17 +88,12 @@ def write_gnuplot(path: str, csv_path: str, rows: Sequence[dict], logx: bool) ->
 def load_config(path: str, scheme_hint: str | None) -> dict:
     """Flat option dict from an INI-style key=value file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"cannot read config file {path!r}")
-    opts: dict = {}
-    if parser.has_section("readout"):
-        for key, value in parser.items("readout"):
-            opts[key] = value
+    opts = dict(parser.items("readout")) if parser.has_section("readout") else {}
     scheme = scheme_hint or opts.get("scheme")
     if scheme and parser.has_section(scheme):
-        for key, value in parser.items(scheme):
-            opts[key] = value
+        opts.update(parser.items(scheme))
     return opts
 
 
@@ -125,12 +119,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
     scheme = opts.get("scheme", "combined")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    out = {"scheme": scheme}
-    for key in _PARAM_KEYS:
-        out[key] = _as_float(opts, key)
-    for key in _SCHEME_KEYS[scheme]:
-        out[key] = _as_float(opts, key)
-    return out
+    return {"scheme": scheme,
+            **{key: _as_float(opts, key) for key in (*_PARAM_KEYS, *_SCHEME_KEYS[scheme])}}
 
 
 def _scheme_point(opts: dict):
@@ -143,16 +133,17 @@ def _scheme_point(opts: dict):
     scheme = opts["scheme"]
     params = ReadoutParams(opts["kappa"], opts["chi"], opts["alpha_in"],
                            opts["phi_in"], opts["phi_h"], opts["tau"])
-    if scheme == "standard":
-        cfg = ies.IesConfig(0.0, 0.0)
-    elif scheme == "ies":
-        varphi = opts["varphi"]
-        cfg = ies.IesConfig(opts["r"], ies.optimal_varphi(params) if varphi is None else varphi)
+    if scheme in ("standard", "ies"):
+        from . import ies
+        r, varphi = (opts["r"], opts["varphi"]) if scheme == "ies" else (0.0, 0.0)
+        cfg = ies.IesConfig(r, ies.optimal_varphi(params) if varphi is None else varphi)
     elif scheme == "ics":
+        from . import ics
         omega, theta = opts["omega_2ph"], opts["theta"]
         cfg = ics.IcsConfig(omega, ics.optimal_theta(params, omega) if theta is None else theta)
     else:
-        cfg = combined.CombinedConfig(
+        from .combined import CombinedConfig
+        cfg = CombinedConfig(
             r=opts["r"], theta=opts["theta"] or 0.0, omega_sq=opts["omega_sq"],
             epsilon=opts["epsilon"], delta_r=opts["delta_r"], delta_p=opts["delta_p"])
     params, cfg = cfg.operating_point(params)
@@ -162,12 +153,14 @@ def _scheme_point(opts: dict):
 def _record_fields(scheme: str, params: ReadoutParams, cfg) -> dict:
     """The scheme's own fields of the output record, at its operating point."""
     if scheme == "ics":
+        from . import ics
         lam = ics.ics_lambda(params.chi, cfg.omega_2ph)
         return {"omega_2ph": cfg.omega_2ph, "theta": cfg.theta,
                 "lambda_re": lam.real, "lambda_im": lam.imag,
                 "r_out": ics.ics_squeeze_param(params.kappa, cfg.omega_2ph),
                 "n_tau": ics.ics_photon_number(params, cfg, params.tau)}
     if scheme == "combined":
+        from . import combined
         _, disp = combined.resolve_operating_point(params, cfg)
         frame = combined.BogoliubovFrame.from_squeeze(cfg.omega_sq, cfg.r_c, cfg.theta)
         return {"r": cfg.r, "theta": cfg.theta, "varphi": cfg.varphi,
@@ -179,6 +172,7 @@ def _record_fields(scheme: str, params: ReadoutParams, cfg) -> dict:
                 "n_critical": disp.critical_photon_number,
                 **{f"n_beta_{s.name.lower()}": combined.beta_photon_number(
                     params, disp, cfg.r_c, s, params.tau) for s in QubitState}}
+    from . import ies
     fields = ({"r": cfg.r, "varphi": cfg.varphi, "noise_shape": ies.ies_noise_shape(params)}
               if scheme == "ies" else {})
     return {**fields, "n_tau": ies.ies_photon_number(params, cfg, params.tau)}
@@ -187,12 +181,9 @@ def _record_fields(scheme: str, params: ReadoutParams, cfg) -> dict:
 def evaluate_record(opts: dict) -> dict:
     """Full summary record (inputs, SNR/fidelity, derived quantities) for one point."""
     params, _, moments, extra = _scheme_point(opts)
-    record = {"scheme": opts["scheme"]}
-    for key in _PARAM_KEYS:
-        record[key] = opts[key]
-    record["kappa_tau"] = params.kappa_tau
-    record["psi"] = psi_from_rate(params.chi, params.kappa)
-    record.update(extra)
+    record = {"scheme": opts["scheme"], **{key: opts[key] for key in _PARAM_KEYS},
+              "kappa_tau": params.kappa_tau, "psi": psi_from_rate(params.chi, params.kappa),
+              **extra}
     summary = summarize(moments)
     record.update(signal_up=moments.signal_up, signal_down=moments.signal_down,
                   noise_up=moments.noise_up, noise_down=moments.noise_down,
@@ -221,15 +212,10 @@ def run_parallel(opts: dict, var: str, values: Sequence[float]) -> list[dict]:
     The name predates the removal of the sweep process pool; perfbench/tracer.py
     times the sweep under it.
     """
-    rows = []
-    for value in values:
-        point = dict(opts)
-        if var == "kappa_tau":
-            point["tau"] = value / opts["kappa"]
-        else:
-            point[var] = value
-        rows.append({var: value, **evaluate_record(point)})
-    return rows
+    def point(value):
+        return ({**opts, "tau": value / opts["kappa"]} if var == "kappa_tau"
+                else {**opts, var: value})
+    return [{var: value, **evaluate_record(point(value))} for value in values]
 
 
 # ---------------------------------------------------------------- commands
@@ -246,7 +232,8 @@ def cmd_snr(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    tables = figures.figure_tables(args.name)
+    from .figures import figure_tables
+    tables = figure_tables(args.name)
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     for stem, rows in tables.items():
@@ -276,15 +263,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle import oracle_check
     opts = resolve_options(args)
     params, cfg, analytic, _ = _scheme_point(opts)
-    report = oracle.oracle_check(params, cfg, analytic, steps=args.steps, tol=args.tol)
+    report = oracle_check(params, cfg, analytic, steps=args.steps, tol=args.tol)
     stream = sys.stdout
     stream.write(f"scheme={opts['scheme']} tol={fmt(report['tol'])}\n")
     for name, entry in report["states"].items():
         for field in ("mean", "var"):
-            a = entry[f"{field}_analytic"]
-            o = entry[f"{field}_oracle"]
+            a, o = entry[f"{field}_analytic"], entry[f"{field}_oracle"]
             dev = abs(a - o) / max(abs(o), 1e-30)
             stream.write(f"{name.lower()} {field}: analytic={fmt(a)} oracle={fmt(o)} "
                          f"rel_dev={fmt(dev)} ok={entry[f'{field}_ok']}\n")
@@ -313,6 +300,7 @@ def _wigner_window(states: list[phasespace.GaussianState2D]) -> float:
 
 def _write_wigner(outdir: str, stem: str, params, cfg, resolution: int,
                   window: float | None, diagnostics: list[dict]) -> None:
+    from . import phasespace
     states = {s: phasespace.pointer_state(params, cfg, s) for s in QubitState}
     half = window if window is not None else _wigner_window(list(states.values()))
     for state, st in states.items():
@@ -320,10 +308,9 @@ def _write_wigner(outdir: str, stem: str, params, cfg, resolution: int,
         path = os.path.join(outdir, f"{stem}_{state.name.lower()}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x,y,w\n")
-            for iy in range(len(y)):
-                for ix in range(len(x)):
-                    fh.write(f"{fmt(float(x[ix]))},{fmt(float(y[iy]))},"
-                             f"{fmt(float(w[iy, ix]))}\n")
+            for yv, row in zip(y.tolist(), w.tolist()):
+                fh.writelines(f"{fmt(xv)},{fmt(yv)},{fmt(wv)}\n"
+                              for xv, wv in zip(x.tolist(), row))
         diag = phasespace.ellipse(st)
         diagnostics.append({"grid": f"{stem}_{state.name.lower()}",
                             "kappa_tau": params.kappa_tau,
@@ -340,10 +327,11 @@ def cmd_wigner(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     diagnostics: list[dict] = []
     if args.preset:
-        setting = figures.PHASE_SPACE_SETTINGS.get(args.preset)
+        from .figures import PHASE_SPACE_SETTINGS
+        setting = PHASE_SPACE_SETTINGS.get(args.preset)
         if setting is None:
             raise ValueError(f"unknown preset {args.preset!r}; "
-                             f"options: {sorted(figures.PHASE_SPACE_SETTINGS)}")
+                             f"options: {sorted(PHASE_SPACE_SETTINGS)}")
         for kt in (1.0, 2.0, 5.0):
             params, cfg = setting(kt)
             _write_wigner(outdir, f"{args.preset}_kt{kt:g}", params, cfg,
@@ -388,6 +376,14 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
                      help="set tau from kappa*tau")
 
 
+class _FigureNames:
+    """figures.FIGURES, imported when first iterated; build_parser sets it as choices only
+    after add_argument, which iterates choices and so would import figures for every command."""
+    def __iter__(self):
+        from .figures import FIGURES
+        return iter(FIGURES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="readout",
@@ -401,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_snr)
 
     sp = subs.add_parser("figure", help="write reference-figure CSV data")
-    sp.add_argument("name", choices=figures.FIGURES)
+    sp.add_argument("name").choices = _FigureNames()
     sp.add_argument("--output-dir", default=".")
     sp.add_argument("--gnuplot", action="store_true")
     sp.set_defaults(func=cmd_figure)

@@ -12,20 +12,16 @@ signal rides the antisqueezed tone amplitude alpha_in*exp(r).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import (MeasurementMoments, QubitState, ReadoutParams, BracketError,
-                   _stable_squeeze_mix, psi_from_rate, reduce_angle, scheme_moments)
-from .optimize import bisect
-from .oracle import LinearReadoutSystem
+from .core import (DEFAULT_EPSILON, MeasurementMoments, QubitState, ReadoutParams, BracketError,
+                   _stable_squeeze_mix, bisect, psi_from_rate, reduce_angle, scheme_moments)
 
-#: dispersive-approximation accuracy parameter used in the reference figures
-DEFAULT_EPSILON = 0.05
 _SCAN_POINTS = 4096     # geometric cells of the omega_sq root scan
-_SCAN_CELL = 64         # fine cells per coarse cell: 65 + 65 points evaluated
 
 
 def chi_sq(g: float, r: float, omega_sq: float, epsilon: float) -> float:
@@ -246,10 +242,9 @@ def _perp_function(params: ReadoutParams, r: float, epsilon: float, fn=math):
     Built once per solve: chi, cosh r, sinh^2 r and 2 alpha_in/sqrt(kappa) are
     computed here, not per omega_sq; (g, epsilon) are checked by the chi_sq
     calls of solve_omega_sq's lower-edge loop.  fn = math gives the scalar
-    value, bit for bit; fn = np evaluates an array of frequencies (a coarse
-    scan or one fine cell of it) in one call, where np.arctan may differ from
-    math.atan in the last bit, so array values locate sign changes but do not
-    replace the scalar path.
+    value, bit for bit; fn = np evaluates an array of frequencies in one call,
+    where np.arctan may differ from math.atan in the last bit, so array values
+    locate sign changes but do not replace the scalar path.
     """
     k = params.kappa
     kt = params.kappa_tau
@@ -288,19 +283,16 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     """Bogoliubov-mode frequency that nulls the perpendicular separation.
 
     The scan grid has _SCAN_POINTS geometric cells from lo, just below
-    (kappa/2)sec(psi_sq), up to max(10 kappa, 5/tau, 1.5 lo).  One array call
-    evaluates every _SCAN_CELL-th grid point and finds the first coarse cell
-    whose ends change sign; a second evaluates that cell's fine points and
-    picks its first sign change.  This is the bracket of a full scan whenever
-    no earlier coarse cell holds an even number of sign changes; the physical
-    separation changes sign once on the grid.  Scalar bisection refines that
-    bracket to 1e-10*kappa on one _perp_function built for the solve: each step
-    gives the scalar _perp_at value bit for bit, while cosh r, sinh^2 r and
-    2 alpha_in/sqrt(kappa) are computed once and (g, epsilon) are checked only
-    by chi_sq in the lower-edge loop.  The root runs from ~pi/tau at short
-    times to the time-independent (kappa/2)sec(psi_sq) at long times.
+    (kappa/2)sec(psi_sq), up to max(10 kappa, 5/tau, 1.5 lo), its points the
+    running products lo*ratio*ratio*... rounded step by step.  A scalar walk
+    takes steps of 512 cells up to the first step whose ends change sign (or
+    whose start is a zero), then walks that step in strides of 64, 8 and 1.
+    Its one-cell bracket is a full scan's first sign change whenever no step
+    it passes over holds an even number of them; the physical separation
+    changes sign once on the grid.  Bisection refines the bracket to
+    1e-10*kappa on the same _perp_function, which gives _perp_at bit for bit.
+    The root runs from ~pi/tau at short times to (kappa/2)sec(psi_sq) at long times.
     """
-    import numpy as np
     k = params.kappa
     chi = params.chi
     # lower edge: self-consistent long-time frequency (kappa/2)sec(psi_sq)
@@ -313,27 +305,23 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
 
     ratio = (hi / lo) ** (1.0 / _SCAN_POINTS)
-    # running products lo*ratio**i, rounded step by step like repeated a *= ratio
-    grid = np.multiply.accumulate(np.concatenate(([lo], np.full(_SCAN_POINTS, ratio))))
-    cell = _first_sign_change(_perp_at(params, r, grid[::_SCAN_CELL], epsilon, np))
-    if cell is None:
-        raise BracketError(
-            f"no perpendicular-separation sign change in omega_sq/kappa "
-            f"in [{lo / k:g}, {hi / k:g}]")
-    start = cell * _SCAN_CELL
-    fine = _perp_at(params, r, grid[start:start + _SCAN_CELL + 1], epsilon, np)
-    j = _first_sign_change(fine)
-    i = start + j
-    if fine[j] == 0.0:
-        return float(grid[i])
-    return bisect(_perp_function(params, r, epsilon), float(grid[i]), float(grid[i + 1]),
-                  tol=1e-10 * k)
-
-
-def _first_sign_change(f) -> Optional[int]:
-    """Index i of the first cell [f[i], f[i+1]] with f[i] == 0 or a sign change."""
-    hit = ((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0)).nonzero()[0]
-    return int(hit[0]) if hit.size else None
+    perp = _perp_function(params, r, epsilon)
+    a, fa = lo, perp(lo)
+    for stride in (512, 64, 8, 1):      # cells per step, at most 8 steps per stride
+        for _ in range(8):
+            if fa == 0.0:
+                return a
+            # stride more factors of the running product, multiplied left to right
+            b = math.prod(itertools.repeat(ratio, stride), start=a)
+            fb = perp(b)
+            if fa * fb < 0:
+                break
+            a, fa = b, fb
+        else:   # only the first stride can end without a bracket
+            raise BracketError(
+                f"no perpendicular-separation sign change in omega_sq/kappa "
+                f"in [{lo / k:g}, {hi / k:g}]")
+    return bisect(perp, a, b, tol=1e-10 * k)
 
 
 def beta_photon_number(params: ReadoutParams, disp: DispersiveParams, r: float,
@@ -467,6 +455,7 @@ class CombinedConfig:
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the Bogoliubov mode fed by its residual input noise, lab-frame output."""
         import numpy as np
+        from .oracle import LinearReadoutSystem
         k = params.kappa
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
         _, disp = resolve_operating_point(params, self)

@@ -1,4 +1,4 @@
-"""Shared parameter types and SNR/fidelity arithmetic for dispersive readout.
+"""Shared parameter types, SNR/fidelity arithmetic and bisection for dispersive readout.
 
 All quantities are expressed in rate units of the cavity linewidth kappa:
 the homodyne record only ever depends on the dimensionless groups
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import Callable
 
 
 class ReadoutError(Exception):
@@ -42,6 +43,7 @@ class IndefiniteCovarianceError(ReadoutError):
 
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_EPSILON = 0.05  #: dispersive-approximation accuracy of the reference figures
 
 
 def reduce_angle(phi: float) -> float:
@@ -211,3 +213,36 @@ def standard_readout_moments(params: ReadoutParams) -> MeasurementMoments:
     from . import ies
 
     return ies.ies_moments(params, ies.IesConfig(r=0.0, varphi=0.0))
+
+
+def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Bracketed bisection; returns the midpoint of the final interval.
+
+    Requires f(lo) and f(hi) of opposite sign; uses at most
+    ceil(log2((hi-lo)/tol)) + 2 iterations.
+    """
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0:
+        return lo
+    if fb == 0.0:
+        return hi
+    if fa * fb > 0:
+        raise BracketError(f"f({lo:g})={fa:g} and f({hi:g})={fb:g} do not bracket a root")
+    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
+    a, b = lo, hi
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .core import (MeasurementMoments, QubitState, ReadoutParams, StabilityError,
                    reduce_angle)
-from .oracle import LinearReadoutSystem
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,7 @@ class IcsConfig:
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: two-photon-driven cavity with vacuum input, from its stationary state."""
         import numpy as np
+        from .oracle import LinearReadoutSystem
         _require_stable(params, self)
         k = params.kappa
         s = int(state)

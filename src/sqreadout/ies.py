@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .core import (MeasurementMoments, QubitState, ReadoutParams, _stable_squeeze_mix,
                    reduce_angle, psi_from_rate, scheme_moments)
-from .oracle import LinearReadoutSystem
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,7 @@ class IesConfig:
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""
         import numpy as np
+        from .oracle import LinearReadoutSystem
         k = params.kappa
         s = int(state)
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))

@@ -1,4 +1,4 @@
-"""SNR maximization over (psi, r) boxes and bracketed root finding.
+"""SNR maximization over (psi, r) boxes.
 
 The SNR surfaces carry trigonometric ripples from the exp(-kappa*tau/2)
 transients, so the search is a dense coarse grid followed by coordinate-wise
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import BracketError
+from .core import bisect  # noqa: F401  (optimize.bisect is core.bisect)
 from . import ies, ics
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -32,39 +32,6 @@ class OptimumReport:
     argmax: dict
     evaluations: int
     converged: bool
-
-
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Bracketed bisection; returns the midpoint of the final interval.
-
-    Requires f(lo) and f(hi) of opposite sign; uses at most
-    ceil(log2((hi-lo)/tol)) + 2 iterations.
-    """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if fa * fb > 0:
-        raise BracketError(f"f({lo:g})={fa:g} and f({hi:g})={fb:g} do not bracket a root")
-    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
-    a, b = lo, hi
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,

@@ -384,11 +384,17 @@ def module_level_imports(tree):
 
 
 class TestNumpyOnFirstUse:
-    # the numpy-free argvs of the cli_calls benchmark workload, with their exit codes
+    # the numpy-free argvs of the cli_calls benchmark workload (all but oracle-check),
+    # with their exit codes
     SCALAR_ARGVS = [
         (["snr", "--scheme", "standard", "--kappa-tau", "0.1"], 0),
         (["snr", "--scheme", "ies", "--kappa-tau", "1", "--r", "1"], 0),
         (["snr", "--scheme", "ics", "--kappa-tau", "3.16", "--omega-2ph", "0.15"], 0),
+        (["snr", "--scheme", "combined", "--kappa-tau", "1"], 0),
+        (["mismatch", "--scheme", "combined", "--kappa-tau", "2.15", "--delta-r", "0.1",
+          "--delta-p", "0.05"], 0),
+        (["sweep", "--scheme", "combined", "--var", "kappa_tau", "--start", "0.01",
+          "--stop", "100", "--count", "41", "--spacing", "log"], 0),
         (["sweep", "--scheme", "ies", "--var", "r", "--start", "0", "--stop", "2",
           "--count", "21", "--kappa-tau", "1"], 0),
         (["snr", "--scheme", "combined", "--kappa-tau", "1", "--epsilon", "0"], 2),
@@ -423,9 +429,28 @@ print(json.dumps(results))
                 "--kappa-tau", "0.0158489319246"]
         assert self.run([argv]) == [[0, False]]
 
-    def test_array_commands_load_numpy_on_first_use(self):
-        argvs = [["snr", "--scheme", "combined"], ["oracle-check", "--scheme", "combined"]]
-        assert self.run(argvs) == [[0, True], [0, True]]
+    def test_array_commands_load_numpy_on_first_use(self, tmp_path):
+        argvs = [["oracle-check", "--scheme", "combined"],
+                 ["figure", "fig2a", "--output-dir", str(tmp_path)],
+                 ["wigner", "--scheme", "ics", "--resolution", "16", "--output-dir", str(tmp_path)]]
+        assert [self.run([argv]) for argv in argvs] == [[[0, True]]] * 3
+
+    def test_each_command_loads_only_its_modules(self):
+        # fresh interpreters: the cli imports core alone, snr adds its scheme's module
+        code = """
+import contextlib, io, json, sys
+from sqreadout import cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "sqreadout")
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1])) if sys.argv[1:] else 0
+print(json.dumps([before, code, loaded()]))
+"""
+        base = ["sqreadout", "sqreadout.cli", "sqreadout.core"]
+        assert fresh_interpreter(code) == [base, 0, base]
+        for scheme in ("ies", "ics", "combined"):
+            assert fresh_interpreter(code, json.dumps(["snr", "--scheme", scheme])) == [
+                base, 0, sorted([*base, f"sqreadout.{scheme}"])], scheme
 
     def test_no_module_imports_numpy_at_module_level(self):
         modules = sorted(SRC.glob("sqreadout/*.py"))

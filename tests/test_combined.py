@@ -321,7 +321,7 @@ def figure_convention_points(count=101):
 
 
 class TestOmegaSqCoarseToFineScan:
-    """The coarse pass and its one fine cell pick the bracket of the full scan."""
+    """The strided walk, 512 down to 1 cell per step, picks the bracket of the full scan."""
 
     @pytest.mark.parametrize("points", [
         lambda: seeded_operating_points(1200, seed=11),
@@ -341,18 +341,32 @@ class TestOmegaSqCoarseToFineScan:
             # one sign change on the full grid: no coarse cell can hide an even number
             assert sign_changes(full_scan(p, r, eps)[3]).size == 1, (p, r, eps)
 
-    def test_evaluates_two_cells_of_65_points(self, monkeypatch):
-        sizes = []
-        real = combined._perp_at
+    def test_walk_evaluates_at_most_36_full_scan_points(self, monkeypatch):
+        # four strides of at most 8 steps each, every step ending on a full-scan grid point
+        real_function, real_bisect = combined._perp_function, combined.bisect
+        for kappa_tau in (1e-3, 0.3, 3.0, 300.0):
+            p = make_params(kappa_tau=kappa_tau)
+            grid = set(full_scan(p, LN10)[2].tolist())
+            scanned, before_bisection = [], []
 
-        def recorded(params, r, omega_sq, epsilon, fn=math):
-            if fn is np:
-                sizes.append(omega_sq.size)
-            return real(params, r, omega_sq, epsilon, fn)
+            def recorded(params, r, epsilon, fn=math):
+                perp = real_function(params, r, epsilon, fn)
 
-        monkeypatch.setattr(combined, "_perp_at", recorded)
-        combined.solve_omega_sq(make_params(kappa_tau=0.3), LN10)
-        assert sizes == [65, 65]
+                def record(omega_sq):
+                    scanned.append(omega_sq)
+                    return perp(omega_sq)
+                return record
+
+            def counted(f, lo, hi, tol):
+                before_bisection.append(len(scanned))
+                return real_bisect(f, lo, hi, tol)
+
+            with monkeypatch.context() as m:
+                m.setattr(combined, "_perp_function", recorded)
+                m.setattr(combined, "bisect", counted)
+                combined.solve_omega_sq(p, LN10)
+            assert len(before_bisection) == 1 and 0 < before_bisection[0] <= 4 * 9, kappa_tau
+            assert all(w in grid for w in scanned[:before_bisection[0]]), kappa_tau
 
 
 class TestOmegaSqArrayScan:
