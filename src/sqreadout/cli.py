@@ -1,9 +1,8 @@
 """Command-line front end: scheme evaluation, figure data, sweeps, validation.
 
 Exit codes: 0 ok, 1 oracle disagreement (oracle-check only), 2 configuration
-error, 3 stability error, 4 solver or other numerical failure, 5 oracle
-non-convergence.  All CSV output is deterministic (12 significant digits, '.'
-decimal separator, no locale).
+error, 3 stability error, 4 solver or other numerical failure.  All CSV output
+is deterministic (12 significant digits, '.' decimal separator, no locale).
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from .core import (DEFAULT_EPSILON, OracleConvergenceError, QubitState, ReadoutError,
-                   ReadoutParams, StabilityError, psi_from_rate, snr, summarize)
+from .core import (DEFAULT_EPSILON, QubitState, ReadoutError, ReadoutParams,
+                   StabilityError, psi_from_rate, snr, summarize)
 
 SCHEMES = ("standard", "ies", "ics", "combined")
 
@@ -25,7 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STABILITY = 3
 EXIT_SOLVER = 4
-EXIT_ORACLE = 5
 
 _PARAM_KEYS = ("kappa", "chi", "alpha_in", "phi_in", "phi_h", "tau")
 _SCHEME_KEYS = {
@@ -301,7 +299,7 @@ def _wigner_window(states: list[phasespace.GaussianState2D]) -> float:
 def _write_wigner(outdir: str, stem: str, params, cfg, resolution: int,
                   window: float | None, diagnostics: list[dict]) -> None:
     from . import phasespace
-    states = {s: phasespace.pointer_state(params, cfg, s) for s in QubitState}
+    states = phasespace.pointer_state(params, cfg)
     half = window if window is not None else _wigner_window(list(states.values()))
     for state, st in states.items():
         x, y, w = phasespace.wigner_grid(st, (-half, half), resolution)
@@ -446,9 +444,6 @@ def main(argv: Iterable[str] | None = None) -> int:
     except StabilityError as exc:
         print(f"stability error: {exc}", file=sys.stderr)
         return EXIT_STABILITY
-    except OracleConvergenceError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
     except ReadoutError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

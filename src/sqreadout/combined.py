@@ -205,18 +205,17 @@ def combined_signal(params: ReadoutParams, disp: DispersiveParams, r: float,
                    * (math.cos(thp + om * kt) * ch - math.cos(thm + theta + om * kt) * sh))
 
 
-def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down, fn=math):
+def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down):
     """Signed perpendicular separation over 2 alpha_in/sqrt(kappa), before the e^{2r} gain.
 
-    phase_sigma = omega_sigma*tau.  fn is the function namespace: math for
-    scalars, numpy to broadcast over arrays of operating points.
+    phase_sigma = omega_sigma*tau.
     """
-    return ((2.0 - kt + 2.0 * fn.cos(2 * psi_down)) * fn.sin(2 * psi_down)
-            - (2.0 - kt + 2.0 * fn.cos(2 * psi_up)) * fn.sin(2 * psi_up)
-            - fn.exp(-kt / 2.0)
-            * (fn.sin(phase_down) + 2.0 * fn.sin(2 * psi_down + phase_down)
-               + fn.sin(4 * psi_down + phase_down)
-               - 4.0 * fn.cos(psi_up) ** 2 * fn.sin(2 * psi_up + phase_up)))
+    return ((2.0 - kt + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
+            - (2.0 - kt + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
+            - math.exp(-kt / 2.0)
+            * (math.sin(phase_down) + 2.0 * math.sin(2 * psi_down + phase_down)
+               + math.sin(4 * psi_down + phase_down)
+               - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
 
 
 def _separation_components_signed(params: ReadoutParams,
@@ -236,34 +235,27 @@ def _separation_components_signed(params: ReadoutParams,
     return 2.0 * p.alpha_in * par, 2.0 * p.alpha_in * perp
 
 
-def _perp_function(params: ReadoutParams, r: float, epsilon: float, fn=math):
+def _perp_function(params: ReadoutParams, r: float, epsilon: float):
     """omega_sq -> the signed perpendicular separation of _separation_components_signed.
 
     Built once per solve: chi, cosh r, sinh^2 r and 2 alpha_in/sqrt(kappa) are
     computed here, not per omega_sq; (g, epsilon) are checked by the chi_sq
-    calls of solve_omega_sq's lower-edge loop.  fn = math gives the scalar
-    value, bit for bit; fn = np evaluates an array of frequencies in one call,
-    where np.arctan may differ from math.atan in the last bit, so array values
-    locate sign changes but do not replace the scalar path.
+    calls of solve_omega_sq's lower-edge loop.  It gives the bits of the
+    perpendicular part of _separation_components_signed.
     """
     k = params.kappa
     kt = params.kappa_tau
-    atan = math.atan if fn is math else fn.arctan
     coupling = _chi_sq_function(params.chi / epsilon, r, epsilon)
     amplitude = 2.0 * (params.alpha_in / math.sqrt(k))
 
     def perp(omega_sq):
         csq = coupling(omega_sq)
         up, down = omega_sq + csq, omega_sq - csq
-        return amplitude * _perp_separation(kt, atan(2.0 * up / k), atan(2.0 * down / k),
-                                            up / k * kt, down / k * kt, fn)
+        return amplitude * _perp_separation(kt, math.atan(2.0 * up / k),
+                                            math.atan(2.0 * down / k),
+                                            up / k * kt, down / k * kt)
 
     return perp
-
-
-def _perp_at(params: ReadoutParams, r: float, omega_sq, epsilon: float, fn=math):
-    """The _perp_function value at omega_sq (a float, or an array with fn = np)."""
-    return _perp_function(params, r, epsilon, fn)(omega_sq)
 
 
 def separation_components(params: ReadoutParams, disp: DispersiveParams,
@@ -290,7 +282,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     Its one-cell bracket is a full scan's first sign change whenever no step
     it passes over holds an even number of them; the physical separation
     changes sign once on the grid.  Bisection refines the bracket to
-    1e-10*kappa on the same _perp_function, which gives _perp_at bit for bit.
+    1e-10*kappa on the same _perp_function.
     The root runs from ~pi/tau at short times to (kappa/2)sec(psi_sq) at long times.
     """
     k = params.kappa

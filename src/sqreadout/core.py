@@ -34,10 +34,6 @@ class BracketError(ReadoutError):
     """Root bracketing failed."""
 
 
-class OracleConvergenceError(ReadoutError):
-    """Brute-force verifier failed to converge under step doubling."""
-
-
 class IndefiniteCovarianceError(ReadoutError):
     """Reconstructed quadrature covariance is not positive definite."""
 

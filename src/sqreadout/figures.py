@@ -261,8 +261,7 @@ def _ellipse_rows(name: str, grid: Iterable[float] | None) -> list[dict]:
     for kt in kts:
         p, cfg = PHASE_SPACE_SETTINGS[name](kt)
         row = {"kappa_tau": kt}
-        for state in QubitState:
-            st = phasespace.pointer_state(p, cfg, state)
+        for state, st in phasespace.pointer_state(p, cfg).items():
             diag = phasespace.ellipse(st)
             tag = state.name.lower()
             row[f"theta_N_{tag}"] = diag.theta_N
@@ -288,8 +287,7 @@ def figS5_rows(r: float = R_FIGS5) -> list[dict]:
     for kt in (1.0, 2.0, 5.0):
         p, cfg = _combined_setting(kt, r)
         row = {"kappa_tau": kt}
-        for state in QubitState:
-            st = phasespace.pointer_state(p, cfg, state)
+        for state, st in phasespace.pointer_state(p, cfg).items():
             diag = phasespace.ellipse(st)
             tag = state.name.lower()
             row[f"mean_x_{tag}"] = st.mean[0]

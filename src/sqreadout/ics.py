@@ -324,7 +324,8 @@ def ics_initial_correlations(kappa: float, cfg: IcsConfig) -> tuple[float, compl
     """Stationary cavity-fluctuation moments (<A^dag A>, <A A>) before the tone."""
     if not 4.0 * cfg.omega_2ph < kappa:
         raise StabilityError("no stationary state: 4*Omega >= kappa")
-    den = kappa * kappa - 16.0 * cfg.omega_2ph ** 2
+    # factored, or kappa^2 - 16 Omega^2 cancels as 4 Omega -> kappa
+    den = (kappa - 4.0 * cfg.omega_2ph) * (kappa + 4.0 * cfg.omega_2ph)
     n0 = 8.0 * cfg.omega_2ph ** 2 / den
     m0 = complex(math.sin(cfg.theta), -math.cos(cfg.theta)) * 2.0 * kappa * cfg.omega_2ph / den
     return n0, m0

@@ -17,10 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (MeasurementMoments, OracleConvergenceError, QubitState,
-                   ReadoutParams, StabilityError)
-
-MAX_STEPS = 2 ** 17
+from .core import MeasurementMoments, QubitState, ReadoutParams, StabilityError
 
 
 def _split(a: np.ndarray):
@@ -182,21 +179,6 @@ def oracle_moments(system: LinearReadoutSystem, steps: int | None = None) -> Ora
     rich = (2.0 * m2 - m1, 2.0 * v2 - v1)
     return OracleResult(mean_M=m2, var_M=v2, steps=steps, richardson=rich,
                         residual=(m2 - m1, v2 - v1))
-
-
-def oracle_moments_auto(system: LinearReadoutSystem, tol: float = 1e-4,
-                        start_steps: int | None = None) -> OracleResult:
-    """Double K until the K -> 2K change falls below 10*tol (relative)."""
-    steps = start_steps if start_steps is not None else default_steps(system)
-    while True:
-        result = oracle_moments(system, steps)
-        scale = max(abs(result.var_M), abs(result.mean_M), 1e-30)
-        if max(abs(result.residual[0]), abs(result.residual[1])) <= 10.0 * tol * scale:
-            return result
-        steps *= 2
-        if steps > MAX_STEPS:
-            raise OracleConvergenceError(
-                f"no convergence to {tol:g} by K={MAX_STEPS}; residual={result.residual}")
 
 
 def commutator_defect(system: LinearReadoutSystem, steps: int) -> float:

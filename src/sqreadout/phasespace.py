@@ -2,19 +2,19 @@
 
 The record M at homodyne angle phi relates to the quadratures of the
 time-integrated output mode A through M = 2 sqrt(kappa tau) (X cos phi + Y sin phi),
-so the moments at the two mean angles and the three noise angles reconstruct
-the full Gaussian state (mean, 2x2 covariance) without any new integrals.
+so the moments at three homodyne angles reconstruct the full Gaussian state
+(mean, 2x2 covariance) without any new integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (IndefiniteCovarianceError, QubitState, ReadoutParams)
 
-DEFAULT_PROBE_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
+PROBE_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
 VACUUM_VARIANCE = 0.25
 
 
@@ -57,32 +57,24 @@ class EllipseDiagnostics:
     xi2_dB: float
 
 
-def reconstruct_state(probe: Callable[[float], tuple[float, float]],
-                      kappa: float, tau: float,
-                      angles: Sequence[float] = DEFAULT_PROBE_ANGLES) -> GaussianState2D:
-    """Build the Gaussian state of A from probe(phi) -> (signal, noise).
+def reconstruct_state(samples: Sequence[tuple[float, float]], kappa: float,
+                      tau: float) -> GaussianState2D:
+    """Build the Gaussian state of A from the (signal, noise) at PROBE_ANGLES.
 
     The means come from the signals at 0 and pi/2, the covariance from the
-    noises at the three angles; each distinct angle is probed once.  Angles are
-    measured from the scheme's measurement direction; any three pairwise
-    distinct angles (mod pi) determine the covariance.
+    noises at all three angles.  Angles are measured from the scheme's
+    measurement direction.
     """
     import numpy as np
     kt = kappa * tau
-    if len(angles) != 3:
-        raise ValueError("exactly three probe angles are required")
     rows = []
-    for phi in angles:
+    for phi in PROBE_ANGLES:
         c, s = math.cos(phi), math.sin(phi)
         rows.append([c * c, 2.0 * c * s, s * s])
-    matrix = np.asarray(rows)
-    if np.linalg.cond(matrix) > 1e9:
-        raise ValueError(f"probe angles {angles} are degenerate (mod pi)")
-    probed = {phi: probe(phi) for phi in dict.fromkeys((0.0, math.pi / 2.0, *angles))}
     scale = 2.0 * math.sqrt(kt)
-    mean = (probed[0.0][0] / scale, probed[math.pi / 2.0][0] / scale)
-    rhs = [probed[phi][1] / (4.0 * kt) for phi in angles]
-    dxx, dxy, dyy = np.linalg.solve(matrix, np.asarray(rhs))
+    mean = (samples[0][0] / scale, samples[2][0] / scale)
+    rhs = [noise / (4.0 * kt) for _, noise in samples]
+    dxx, dxy, dyy = np.linalg.solve(np.asarray(rows), np.asarray(rhs))
     return GaussianState2D(mean, np.array([[dxx, dxy], [dxy, dyy]]))
 
 
@@ -129,17 +121,16 @@ def wigner_grid(state: GaussianState2D, window: tuple[float, float],
     return x, y, w
 
 
-def pointer_state(params: ReadoutParams, cfg, state: QubitState,
-                  angles: Sequence[float] = DEFAULT_PROBE_ANGLES) -> GaussianState2D:
-    """Gaussian pointer state of a scheme, probed around its measurement angle.
+def pointer_state(params: ReadoutParams, cfg) -> dict[QubitState, GaussianState2D]:
+    """Gaussian pointer states of a scheme for both qubit states.
 
-    The X axis of the returned state is the measurement direction phi_h of the
-    scheme's operating point (theta/2 for the combined scheme).
+    One cfg.moments call at the measurement angle turned by each of
+    PROBE_ANGLES answers for both states.  The X axis of each state is the
+    measurement direction phi_h of the scheme's operating point (theta/2 for
+    the combined scheme).
     """
     params, cfg = cfg.operating_point(params)
     base = params.phi_h
-
-    def probe(phi):
-        return cfg.moments(params.with_(phi_h=base + phi)).of(state)
-
-    return reconstruct_state(probe, params.kappa, params.tau, angles)
+    probed = [cfg.moments(params.with_(phi_h=base + phi)) for phi in PROBE_ANGLES]
+    return {state: reconstruct_state([m.of(state) for m in probed], params.kappa, params.tau)
+            for state in QubitState}

@@ -296,7 +296,7 @@ def test_criterion_09_ics_long_time_squeezing():
     ok = True
     for kt in (50.0, 200.0):
         p, cfg = figures.ics_optimal_setting(kt)
-        diag = phasespace.ellipse(phasespace.pointer_state(p, cfg, QubitState.UP))
+        diag = phasespace.ellipse(phasespace.pointer_state(p, cfg)[QubitState.UP])
         degrees[kt] = abs(diag.xi2_dB)
         ok = ok and abs(degrees[kt] - 1.27) <= 0.05
     detail = ", ".join(f"kt={k:g}: {v:.3f} dB" for k, v in degrees.items())
@@ -363,16 +363,20 @@ def test_criterion_11_phase_space_properties():
         p = make_params(kappa_tau=rng.uniform(0.2, 4.0), chi=rng.uniform(0.1, 1.5),
                         phi_h=rng.uniform(-math.pi, math.pi))
         cfg = ies.IesConfig(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
-        det_ok = det_ok and phasespace.pointer_state(p, cfg, QubitState.UP).det >= 1 / 16 - 1e-12
+        det_ok = det_ok and phasespace.pointer_state(p, cfg)[QubitState.UP].det >= 1 / 16 - 1e-12
         cfg2 = ics.IcsConfig(rng.uniform(0.0, 0.24), rng.uniform(-math.pi, math.pi))
-        det_ok = det_ok and phasespace.pointer_state(p, cfg2, QubitState.DOWN).det >= 1 / 16 - 1e-12
+        det_ok = det_ok and phasespace.pointer_state(p, cfg2)[QubitState.DOWN].det >= 1 / 16 - 1e-12
 
+    # the covariance built at 0, pi/4, pi/2 predicts the noise at pi/6 and pi/3
     p = make_params()
     cfg = ies.IesConfig(0.8, 0.9)
-    st1 = phasespace.pointer_state(p, cfg, QubitState.UP)
-    st2 = phasespace.pointer_state(p, cfg, QubitState.UP,
-                                   angles=(math.pi / 6, math.pi / 3, math.pi / 2))
-    angle_ok = bool(np.all(np.abs(st1.cov - st2.cov) < 1e-9))
+    st1 = phasespace.pointer_state(p, cfg)[QubitState.UP]
+    angle_ok = True
+    for phi in (math.pi / 6, math.pi / 3):
+        h = np.array([math.cos(phi), math.sin(phi)])
+        noise = cfg.moments(p.with_(phi_h=p.phi_h + phi)).noise_up
+        predicted = float(h @ st1.cov @ h) * 4.0 * p.kappa_tau
+        angle_ok = angle_ok and abs(predicted - noise) < 1e-9 * noise
 
     stc = phasespace.GaussianState2D((0.4, -0.2), np.array([[0.3, 0.1], [0.1, 0.5]]))
     x, y, w = phasespace.wigner_grid(stc, (-6.0, 6.0), 401)
@@ -381,13 +385,14 @@ def test_criterion_11_phase_space_properties():
 
     pc = make_params(phi_h=0.0)
     ccfg = combined.CombinedConfig(r=LN10)
-    up = phasespace.pointer_state(pc, ccfg, QubitState.UP)
-    down = phasespace.pointer_state(pc, ccfg, QubitState.DOWN)
+    states = phasespace.pointer_state(pc, ccfg)
+    up, down = states[QubitState.UP], states[QubitState.DOWN]
     state_ok = bool(np.all(np.abs(up.cov - down.cov) < 1e-12))
 
     pi_, ci = figures.ies_optimal_setting(1.0)
-    t_up = phasespace.ellipse(phasespace.pointer_state(pi_, ci, QubitState.UP)).theta_N
-    t_down = phasespace.ellipse(phasespace.pointer_state(pi_, ci, QubitState.DOWN)).theta_N
+    states = phasespace.pointer_state(pi_, ci)
+    t_up = phasespace.ellipse(states[QubitState.UP]).theta_N
+    t_down = phasespace.ellipse(states[QubitState.DOWN]).theta_N
     mirror_ok = abs(t_up + t_down) <= 1e-6 and t_up != 0.0
 
     ok = det_ok and angle_ok and norm_ok and state_ok and mirror_ok

@@ -123,16 +123,6 @@ class TestExitCodes:
         rec = parse_kv(out.read_text())
         assert all(math.isfinite(float(rec[key])) for key in ("n_tau", "noise_sum", "snr"))
 
-    def test_oracle_error_exit_code(self, monkeypatch):
-        from sqreadout import oracle
-        from sqreadout.core import OracleConvergenceError
-
-        def diverges(*args, **kwargs):
-            raise OracleConvergenceError("stuck")
-
-        monkeypatch.setattr(oracle, "oracle_check", diverges)
-        assert run_cli(["oracle-check", "--scheme", "standard"]) == 5
-
 
 class TestConfigFile:
     def test_sections_and_override(self, tmp_path):

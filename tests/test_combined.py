@@ -212,13 +212,12 @@ class TestSolveOmegaSq:
 
     def test_bisection_function_is_the_scalar_separation(self):
         # the function bisect refines is built once per solve; at every omega_sq
-        # it gives the bits of _perp_at and of _separation_components_signed
+        # it gives the bits of _separation_components_signed
         rng = np.random.default_rng(17)
         for p, r, eps in seeded_operating_points(60, seed=23):
             perp = combined._perp_function(p, r, eps)
             for w in (10.0 ** rng.uniform(-1.0, 2.0, 10) * p.kappa).tolist():
                 disp = combined.DispersiveParams.derive(p.kappa, p.chi, r, w, eps)
-                assert perp(w) == combined._perp_at(p, r, w, eps)
                 assert perp(w) == combined._separation_components_signed(p, disp)[1]
 
     def test_monotone_bridge_between_limits(self):
@@ -278,7 +277,7 @@ def seeded_operating_points(count, seed):
 
 
 def full_scan(params, r, epsilon=0.05):
-    """Reference: (lo, hi, grid, f) with f on all 4,097 grid points in one array pass."""
+    """Reference: (lo, hi, grid, f) with f the scalar separation on all 4,097 grid points."""
     k = params.kappa
     w = 0.5 * k
     for _ in range(8):
@@ -288,19 +287,20 @@ def full_scan(params, r, epsilon=0.05):
     hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
     ratio = (hi / lo) ** (1.0 / combined._SCAN_POINTS)
     grid = np.multiply.accumulate(np.concatenate(([lo], np.full(combined._SCAN_POINTS, ratio))))
-    return lo, hi, grid, combined._perp_at(params, r, grid, epsilon, np)
+    perp = combined._perp_function(params, r, epsilon)
+    return lo, hi, grid, np.array([perp(w) for w in grid.tolist()])
 
 
 def sign_changes(f):
     return np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
 
 
-def full_scan_omega_sq(params, r, epsilon=0.05):
-    """Reference: the root from the first sign change of the full scan, as before the coarse pass."""
+def full_scan_omega_sq(params, r, epsilon, scan):
+    """Reference: the root from the first sign change of full_scan, as before the coarse pass."""
     from sqreadout.core import BracketError
     from sqreadout.optimize import bisect
 
-    lo, hi, grid, f = full_scan(params, r, epsilon)
+    lo, hi, grid, f = scan
     hit = sign_changes(f)
     if hit.size == 0:
         raise BracketError(
@@ -309,7 +309,7 @@ def full_scan_omega_sq(params, r, epsilon=0.05):
     i = hit[0]
     if f[i] == 0.0:
         return float(grid[i])
-    return bisect(lambda w: combined._perp_at(params, r, w, epsilon), float(grid[i]),
+    return bisect(combined._perp_function(params, r, epsilon), float(grid[i]),
                   float(grid[i + 1]), tol=1e-10 * params.kappa)
 
 
@@ -331,15 +331,16 @@ class TestOmegaSqCoarseToFineScan:
         from sqreadout.core import BracketError
 
         for p, r, eps in points():
+            scan = full_scan(p, r, eps)
             try:
-                expected = full_scan_omega_sq(p, r, eps)
+                expected = full_scan_omega_sq(p, r, eps, scan)
             except BracketError as exc:
                 with pytest.raises(BracketError, match=re.escape(str(exc))):
                     combined.solve_omega_sq(p, r, eps)
             else:
                 assert combined.solve_omega_sq(p, r, eps) == expected, (p, r, eps)
             # one sign change on the full grid: no coarse cell can hide an even number
-            assert sign_changes(full_scan(p, r, eps)[3]).size == 1, (p, r, eps)
+            assert sign_changes(scan[3]).size == 1, (p, r, eps)
 
     def test_walk_evaluates_at_most_36_full_scan_points(self, monkeypatch):
         # four strides of at most 8 steps each, every step ending on a full-scan grid point
@@ -349,8 +350,8 @@ class TestOmegaSqCoarseToFineScan:
             grid = set(full_scan(p, LN10)[2].tolist())
             scanned, before_bisection = [], []
 
-            def recorded(params, r, epsilon, fn=math):
-                perp = real_function(params, r, epsilon, fn)
+            def recorded(params, r, epsilon):
+                perp = real_function(params, r, epsilon)
 
                 def record(omega_sq):
                     scanned.append(omega_sq)
@@ -388,23 +389,13 @@ class TestOmegaSqArrayScan:
         # the physical separation changes sign once on the grid, so an oscillating
         # stand-in checks that the first bracket is the one refined
         monkeypatch.setattr(combined, "_perp_separation",
-                            lambda kt, psi_up, psi_down, phase_up, phase_down, fn=math:
-                            fn.cos(phase_up))
+                            lambda kt, psi_up, psi_down, phase_up, phase_down:
+                            math.cos(phase_up))
         p = make_params(kappa_tau=3.0)
-        ws = np.geomspace(4.0, 10.0, 500)
-        assert np.count_nonzero(np.diff(np.sign(combined._perp_at(p, LN10, ws, 0.05, np)))) > 2
+        perp = combined._perp_function(p, LN10, 0.05)
+        f = [perp(w) for w in np.geomspace(4.0, 10.0, 500).tolist()]
+        assert np.count_nonzero(np.diff(np.sign(f))) > 2
         assert combined.solve_omega_sq(p, LN10) == scalar_walk_omega_sq(p, LN10)
-
-    def test_grid_matches_scalar_perpendicular_separation(self):
-        for p, r, eps in seeded_operating_points(25, seed=7):
-            ws = np.geomspace(0.3, 3.0e3, 97) * p.kappa
-            scalar = np.array([combined._separation_components_signed(
-                p, combined.DispersiveParams.derive(p.kappa, p.chi, r, w, eps))[1]
-                for w in ws])
-            # every term is bounded by (4 + kappa*tau) in units 2 alpha_in/sqrt(kappa)
-            scale = 2.0 * p.alpha_in / math.sqrt(p.kappa) * (4.0 + p.kappa_tau)
-            np.testing.assert_allclose(combined._perp_at(p, r, ws, eps, np), scalar,
-                                       rtol=0.0, atol=1e-12 * scale)
 
 
 class TestBetaPhotons:

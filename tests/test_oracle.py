@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqreadout.core import (OracleConvergenceError, QubitState, ReadoutParams,
-                            StabilityError)
+from sqreadout.core import QubitState, ReadoutParams, StabilityError
 from sqreadout import combined, ics, ies, oracle
 
 
@@ -68,18 +67,6 @@ class TestConvergence:
         system = oracle.build_system(p, ies.IesConfig(0.5, 0.0), QubitState.UP)
         res = oracle.oracle_moments(system, steps=4096)
         assert res.mean_M == pytest.approx(ies.ies_signal(p, QubitState.UP), rel=rel, abs=0.0)
-
-    def test_auto_mode_converges(self):
-        p = make_params()
-        system = oracle.build_system(p, ies.IesConfig(0.5, 0.3), QubitState.UP)
-        res = oracle.oracle_moments_auto(system, tol=1e-5, start_steps=1024)
-        assert res.steps >= 1024
-
-    def test_auto_mode_failure(self):
-        p = make_params()
-        system = oracle.build_system(p, ies.IesConfig(0.5, 0.3), QubitState.UP)
-        with pytest.raises(OracleConvergenceError):
-            oracle.oracle_moments_auto(system, tol=1e-14, start_steps=2 ** 16)
 
 
 class TestInvariants:

@@ -17,19 +17,25 @@ def make_params(kappa_tau=1.0, chi=0.5, alpha_in=1.0, phi_in=0.0,
 class TestReconstruct:
     def test_vacuum_state(self):
         p = make_params(alpha_in=0.0)
-        st = phasespace.pointer_state(p, ies.IesConfig(0.0, 0.0), QubitState.UP)
+        st = phasespace.pointer_state(p, ies.IesConfig(0.0, 0.0))[QubitState.UP]
         assert st.mean[0] == pytest.approx(0.0, abs=1e-12)
         assert st.mean[1] == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(st.cov, 0.25 * np.eye(2), atol=1e-12)
 
     def test_angle_set_independence(self):
+        # built from the noises at 0, pi/4 and pi/2, the covariance gives the
+        # noise h^T cov h 4 kappa tau at any other angle, h = (cos phi, sin phi)
         p = make_params()
-        cfg = ies.IesConfig(0.8, 0.9)
-        st1 = phasespace.pointer_state(p, cfg, QubitState.UP)
-        st2 = phasespace.pointer_state(p, cfg, QubitState.UP,
-                                       angles=(math.pi / 6, math.pi / 3, math.pi / 2))
-        assert np.allclose(st1.cov, st2.cov, atol=1e-9)
-        assert st1.mean == pytest.approx(st2.mean, abs=1e-12)
+        for cfg in (ies.IesConfig(0.8, 0.9), ics.IcsConfig(0.2, 0.4),
+                    combined.CombinedConfig(r=1.0, theta=0.4)):
+            states = phasespace.pointer_state(p, cfg)
+            op, solved = cfg.operating_point(p)
+            for phi in (math.pi / 6, math.pi / 3, 2.0):
+                moments = solved.moments(op.with_(phi_h=op.phi_h + phi))
+                h = np.array([math.cos(phi), math.sin(phi)])
+                for state, st in states.items():
+                    predicted = float(h @ st.cov @ h) * 4.0 * op.kappa_tau
+                    assert predicted == pytest.approx(moments.of(state)[1], rel=1e-9), cfg
 
     def test_uncertainty_bound_on_draws(self):
         rng = np.random.default_rng(17)
@@ -37,65 +43,49 @@ class TestReconstruct:
             p = make_params(kappa_tau=rng.uniform(0.2, 4.0), chi=rng.uniform(0.1, 1.5),
                             phi_h=rng.uniform(-math.pi, math.pi))
             cfg = ies.IesConfig(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
-            st = phasespace.pointer_state(p, cfg, QubitState.DOWN)
+            st = phasespace.pointer_state(p, cfg)[QubitState.DOWN]
             assert st.det >= 1.0 / 16.0 - 1e-12
         for _ in range(25):
             p = make_params(kappa_tau=rng.uniform(0.2, 4.0), chi=rng.uniform(0.1, 1.5),
                             phi_h=rng.uniform(-math.pi, math.pi))
             cfg = ics.IcsConfig(rng.uniform(0.0, 0.24), rng.uniform(-math.pi, math.pi))
-            st = phasespace.pointer_state(p, cfg, QubitState.UP)
+            st = phasespace.pointer_state(p, cfg)[QubitState.UP]
             assert st.det >= 1.0 / 16.0 - 1e-12
 
     def test_combined_covariance_state_independent(self):
         p = make_params(phi_h=0.0)
         cfg = combined.CombinedConfig(r=LN10)
-        st_up = phasespace.pointer_state(p, cfg, QubitState.UP)
-        st_down = phasespace.pointer_state(p, cfg, QubitState.DOWN)
+        states = phasespace.pointer_state(p, cfg)
+        st_up, st_down = states[QubitState.UP], states[QubitState.DOWN]
         assert np.allclose(st_up.cov, st_down.cov, atol=1e-12)
         assert st_up.mean != st_down.mean
 
     def test_combined_eigenvalues(self):
         p = make_params(phi_h=0.0)
-        st = phasespace.pointer_state(p, combined.CombinedConfig(r=LN10), QubitState.UP)
+        st = phasespace.pointer_state(p, combined.CombinedConfig(r=LN10))[QubitState.UP]
         eigs = np.linalg.eigvalsh(st.cov)
         assert eigs[0] == pytest.approx(math.exp(-2 * LN10) / 4.0, rel=1e-10)
         assert eigs[1] == pytest.approx(math.exp(2 * LN10) / 4.0, rel=1e-10)
 
     def test_schemes_covariances_differ_between_states(self):
         p = make_params()
-        st_up = phasespace.pointer_state(p, ies.IesConfig(0.8, 0.4), QubitState.UP)
-        st_down = phasespace.pointer_state(p, ies.IesConfig(0.8, 0.4), QubitState.DOWN)
+        states = phasespace.pointer_state(p, ies.IesConfig(0.8, 0.4))
+        st_up, st_down = states[QubitState.UP], states[QubitState.DOWN]
         assert not np.allclose(st_up.cov, st_down.cov, atol=1e-6)
         cfg = ics.IcsConfig(0.2, 0.4)
-        st_up = phasespace.pointer_state(p, cfg, QubitState.UP)
-        st_down = phasespace.pointer_state(p, cfg, QubitState.DOWN)
+        states = phasespace.pointer_state(p, cfg)
+        st_up, st_down = states[QubitState.UP], states[QubitState.DOWN]
         assert not np.allclose(st_up.cov, st_down.cov, atol=1e-6)
 
-    def test_degenerate_angles_rejected(self):
-        with pytest.raises(ValueError):
-            phasespace.reconstruct_state(lambda a: (0.0, 1.0), 1.0, 1.0,
-                                         angles=(0.0, math.pi, 0.5))
-
-    @pytest.mark.parametrize("angles, count", [
-        (phasespace.DEFAULT_PROBE_ANGLES, 3),
-        ((math.pi / 6, math.pi / 3, math.pi / 2), 4),
-        ((0.1, 0.9, 2.0), 5)])
-    def test_each_angle_probed_once(self, angles, count):
-        # the means need 0 and pi/2, the covariance the three angles: a probe
-        # answers both, so an angle in both sets is probed once
-        probed = []
-
-        def probe(phi):
-            probed.append(phi)
-            return math.cos(phi), 1.0
-
-        st = phasespace.reconstruct_state(probe, 1.0, 1.0, angles)
-        assert sorted(probed) == sorted({0.0, math.pi / 2.0, *angles})
-        assert len(probed) == count
+    def test_solve_from_three_samples(self):
+        # the means come from the signals at 0 and pi/2, the covariance from all three noises
+        samples = [(math.cos(phi), 1.0) for phi in phasespace.PROBE_ANGLES]
+        st = phasespace.reconstruct_state(samples, 1.0, 1.0)
         assert st.mean == (0.5, math.cos(math.pi / 2.0) / 2.0)
         assert np.allclose(st.cov, 0.25 * np.eye(2), atol=1e-12)
 
     def test_pointer_state_asks_three_moments(self):
+        # one moments call per probe angle answers for both qubit states
         calls = []
 
         class Counting(ies.IesConfig):
@@ -103,8 +93,23 @@ class TestReconstruct:
                 calls.append(params.phi_h)
                 return super().moments(params)
 
-        phasespace.pointer_state(make_params(), Counting(0.8, 0.9), QubitState.UP)
-        assert len(calls) == 3
+        p = make_params()
+        states = phasespace.pointer_state(p, Counting(0.8, 0.9))
+        assert list(states) == list(QubitState)
+        assert calls == [p.with_(phi_h=p.phi_h + phi).phi_h for phi in phasespace.PROBE_ANGLES]
+
+    def test_figS5_rows_make_nine_moments_calls(self, monkeypatch):
+        # three kappa*tau rows, one pointer_state each: three probe angles, both states
+        calls = []
+        real = combined.CombinedConfig.moments
+
+        def counted(self, params):
+            calls.append(params)
+            return real(self, params)
+
+        monkeypatch.setattr(combined.CombinedConfig, "moments", counted)
+        figures.figS5_rows()
+        assert len(calls) == 9
 
 
 class TestEllipse:
@@ -135,8 +140,9 @@ class TestEllipse:
 
     def test_mirror_symmetry_at_ies_optimum(self):
         p, cfg = figures.ies_optimal_setting(1.0)
-        up = phasespace.ellipse(phasespace.pointer_state(p, cfg, QubitState.UP))
-        down = phasespace.ellipse(phasespace.pointer_state(p, cfg, QubitState.DOWN))
+        states = phasespace.pointer_state(p, cfg)
+        up = phasespace.ellipse(states[QubitState.UP])
+        down = phasespace.ellipse(states[QubitState.DOWN])
         assert up.theta_N != 0.0
         assert up.theta_N == pytest.approx(-down.theta_N, abs=1e-6)
         assert up.xi2_N == pytest.approx(down.xi2_N, rel=1e-9)
@@ -160,8 +166,8 @@ class TestWigner:
     def test_combined_states_share_covariance(self):
         p = make_params(phi_h=0.0, kappa_tau=2.0)
         cfg = combined.CombinedConfig(r=1.0)
-        st_up = phasespace.pointer_state(p, cfg, QubitState.UP)
-        st_down = phasespace.pointer_state(p, cfg, QubitState.DOWN)
+        states = phasespace.pointer_state(p, cfg)
+        st_up, st_down = states[QubitState.UP], states[QubitState.DOWN]
         assert np.allclose(st_up.cov, st_down.cov, atol=1e-12)
         _, _, w_up = phasespace.wigner_grid(st_up, (-8.0, 8.0), 101)
         _, _, w_down = phasespace.wigner_grid(st_down, (-8.0, 8.0), 101)
@@ -180,5 +186,5 @@ class TestWigner:
 class TestIcsLongTimeSqueezing:
     def test_degree_converges_to_reference(self):
         p, cfg = figures.ics_optimal_setting(200.0)
-        diag = phasespace.ellipse(phasespace.pointer_state(p, cfg, QubitState.UP))
+        diag = phasespace.ellipse(phasespace.pointer_state(p, cfg)[QubitState.UP])
         assert abs(diag.xi2_dB) == pytest.approx(1.28, abs=0.02)

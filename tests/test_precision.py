@@ -108,6 +108,21 @@ class TestIcsFloatAgainstReference:
         assert oracle.oracle_check(p, cfg, m, steps=4096)["passed"]
 
 
+class TestIcsInitialCorrelationsNearThreshold:
+    """The stationary moments 8 Omega^2/den and 2 kappa Omega/den as 4 Omega -> kappa."""
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-6])
+    def test_against_50_digits(self, gap):
+        # den = kappa^2 - 16 Omega^2 unfactored is 2.0e-9 off at gap 1e-9
+        omega = 0.25 - gap
+        n0, m0 = ics.ics_initial_correlations(1.0, ics.IcsConfig(omega, 0.7))
+        with mp.workdps(50):
+            om = mp.mpf(omega)
+            den = 1 - 16 * om ** 2
+            assert rel_err(n0, 8 * om ** 2 / den) < 1e-15
+            assert rel_err(abs(m0), 2 * om / den) < 1e-15
+
+
 class TestIcsRealFormsInMpmath:
     """sqreadout's real-valued ICS forms run on mpmath numbers equal the references."""
 

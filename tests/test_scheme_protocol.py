@@ -52,9 +52,10 @@ class TestSchemeProtocol:
 
     def test_pointer_state(self, inner):
         p = make_params(kappa_tau=0.7)
+        got_states = phasespace.pointer_state(p, DelegatingConfig(inner))
+        want_states = phasespace.pointer_state(p, inner)
         for state in QubitState:
-            got = phasespace.pointer_state(p, DelegatingConfig(inner), state)
-            want = phasespace.pointer_state(p, inner, state)
+            got, want = got_states[state], want_states[state]
             assert got.mean == want.mean
             assert (got.cov == want.cov).all()
 
