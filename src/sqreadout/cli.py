@@ -8,7 +8,6 @@ is deterministic (12 significant digits, '.' decimal separator, no locale).
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import math
 import os
@@ -85,6 +84,8 @@ def write_gnuplot(path: str, csv_path: str, rows: Sequence[dict], logx: bool) ->
 
 def load_config(path: str, scheme_hint: str | None) -> dict:
     """Flat option dict from an INI-style key=value file."""
+    import configparser
+
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path!r}")

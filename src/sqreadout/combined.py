@@ -15,11 +15,11 @@ import cmath
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (DEFAULT_EPSILON, MeasurementMoments, QubitState, ReadoutParams, BracketError,
-                   _stable_squeeze_mix, bisect, psi_from_rate, reduce_angle, scheme_moments)
+                   Record, _stable_squeeze_mix, bisect, psi_from_rate, reduce_angle, replace,
+                   require_finite, scheme_moments)
 
 _SCAN_POINTS = 4096     # geometric cells of the omega_sq root scan
 
@@ -70,8 +70,7 @@ def input_noise_budget(r_c: float, r: float, theta: float,
     return max(n, 0.0), m
 
 
-@dataclass(frozen=True)
-class BogoliubovFrame:
+class BogoliubovFrame(Record):
     """Pump-frame cavity parameters that diagonalize to the Bogoliubov mode."""
 
     delta_c: float
@@ -100,8 +99,7 @@ class BogoliubovFrame:
         return cls(delta_c, omega_2ph, r_c, omega_sq, theta)
 
 
-@dataclass(frozen=True)
-class DispersiveParams:
+class DispersiveParams(Record):
     """Derived dispersive-frame quantities for one operating point."""
 
     g: float
@@ -145,8 +143,7 @@ class DispersiveParams:
         return 1.0 / (4.0 * self.epsilon ** 2)
 
 
-@dataclass(frozen=True)
-class MismatchParams:
+class MismatchParams(Record):
     """Imperfect matching r_c = r + delta_r, theta - varphi = pi + delta_p."""
 
     delta_r: float
@@ -394,8 +391,7 @@ def mismatch_noise(params: ReadoutParams, disp: DispersiveParams, r: float,
     return r0_term + r1_term + r2_term
 
 
-@dataclass(frozen=True)
-class CombinedConfig:
+class CombinedConfig(Record):
     """Operating point of the combined scheme.
 
     omega_sq = None requests the perpendicular-separation root solve.  The
@@ -414,6 +410,8 @@ class CombinedConfig:
             raise ValueError("squeeze parameter must be non-negative")
         if not self.epsilon > 0 or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon}")
+        require_finite(self, ("r", "theta", "delta_r", "delta_p")
+                       + (() if self.omega_sq is None else ("omega_sq",)))
         object.__setattr__(self, "theta", reduce_angle(self.theta))
 
     @property

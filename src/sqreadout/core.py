@@ -9,7 +9,6 @@ its inputs to kappa=1 on entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Callable
 
@@ -50,6 +49,71 @@ def reduce_angle(phi: float) -> float:
     return out
 
 
+def require_finite(record, names) -> None:
+    """Raise ValueError naming the first of the record's fields names that is not finite."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+class Record:
+    """Immutable value type that behaves as a frozen dataclass, without the import cost.
+
+    A subclass's fields are its parents' fields followed by its own annotations,
+    in order; a class attribute of a field's name is that field's default.
+    Each subclass gets one compiled __init__ taking the fields by position or
+    keyword, which then runs the class's __post_init__, if any.  Records are
+    equal, and hash, by their field tuple, and only against the same type.
+    Assignment raises; a __post_init__ rewrites a field through object.__setattr__,
+    which, unlike a write to __dict__, keeps the instance's compact attribute storage.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields = fields = (*cls._fields, *(f for f in own if f not in cls._fields))
+        defaults = {f"_{f}": getattr(cls, f) for f in fields if hasattr(cls, f)}
+        params = ", ".join(f"{f}=_{f}" if f"_{f}" in defaults else f for f in fields)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        namespace = {"__name__": cls.__module__, "_set": object.__setattr__, **defaults}
+        exec(f"def __init__(self, {params}):{body}{post}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A new record with some fields changed; the class's validation runs again."""
+    for f in record._fields:
+        if f not in changes:
+            changes[f] = getattr(record, f)
+    return type(record)(**changes)
+
+
 class QubitState(IntEnum):
     """Qubit eigenstate entering as the c-number sigma_z = +1 (up) or -1 (down)."""
 
@@ -57,8 +121,7 @@ class QubitState(IntEnum):
     DOWN = -1
 
 
-@dataclass(frozen=True)
-class ReadoutParams:
+class ReadoutParams(Record):
     """Cavity and measurement-tone parameters shared by every scheme.
 
     kappa     : cavity photon loss rate (> 0; sets the unit system)
@@ -83,8 +146,15 @@ class ReadoutParams:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.alpha_in < 0:
             raise ValueError(f"alpha_in must be non-negative, got {self.alpha_in}")
-        object.__setattr__(self, "phi_in", reduce_angle(self.phi_in))
-        object.__setattr__(self, "phi_h", reduce_angle(self.phi_h))
+        # the sum is non-finite if any field is (or on overflow, which require_finite passes)
+        if not math.isfinite(self.kappa + self.chi + self.alpha_in + self.phi_in + self.phi_h
+                             + self.tau):
+            require_finite(self, ("kappa", "chi", "alpha_in", "phi_in", "phi_h", "tau"))
+        # reduce_angle is the identity on (-pi, pi], where most angles already are
+        if not -math.pi < self.phi_in <= math.pi:
+            object.__setattr__(self, "phi_in", reduce_angle(self.phi_in))
+        if not -math.pi < self.phi_h <= math.pi:
+            object.__setattr__(self, "phi_h", reduce_angle(self.phi_h))
 
     @property
     def kappa_tau(self) -> float:
@@ -100,8 +170,7 @@ class ReadoutParams:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class MeasurementMoments:
+class MeasurementMoments(Record):
     """First and second moments of the measurement operator for both qubit states."""
 
     signal_up: float
@@ -128,8 +197,7 @@ class MeasurementMoments:
         return self.noise_up + self.noise_down
 
 
-@dataclass(frozen=True)
-class ReadoutSummary:
+class ReadoutSummary(Record):
     """Separation, noise, SNR and the implied single-shot fidelity."""
 
     separation: float

@@ -12,10 +12,9 @@ count, figS5 its squeeze).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Iterable
 
-from .core import (QubitState, ReadoutParams, fidelity_and_error,
+from .core import (QubitState, ReadoutParams, fidelity_and_error, replace,
                    required_tone_amplitude, snr, standard_readout_moments)
 from . import combined, ics, ies, optimize, phasespace
 

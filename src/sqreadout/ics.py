@@ -25,14 +25,12 @@ sigma-independent phase factors are computed once per evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import (MeasurementMoments, QubitState, ReadoutParams, StabilityError,
-                   reduce_angle)
+from .core import (MeasurementMoments, QubitState, ReadoutParams, Record, StabilityError,
+                   reduce_angle, require_finite)
 
 
-@dataclass(frozen=True)
-class IcsConfig:
+class IcsConfig(Record):
     """Two-photon drive setting: amplitude Omega >= 0 (rate units) and phase theta."""
 
     omega_2ph: float
@@ -41,6 +39,7 @@ class IcsConfig:
     def __post_init__(self):
         if self.omega_2ph < 0:
             raise ValueError(f"two-photon amplitude must be non-negative, got {self.omega_2ph}")
+        require_finite(self, ("omega_2ph", "theta"))
         object.__setattr__(self, "theta", reduce_angle(self.theta))
 
     def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "IcsConfig"]:
@@ -66,8 +65,7 @@ class IcsConfig:
                                    np.eye(2), params.phi_h, k, params.tau)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Verdict on the two-photon-driven cavity operating point."""
 
     stable: bool

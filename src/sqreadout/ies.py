@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .core import (MeasurementMoments, QubitState, ReadoutParams, _stable_squeeze_mix,
-                   reduce_angle, psi_from_rate, scheme_moments)
+from .core import (MeasurementMoments, QubitState, ReadoutParams, Record, _stable_squeeze_mix,
+                   reduce_angle, psi_from_rate, require_finite, scheme_moments)
 
 
-@dataclass(frozen=True)
-class IesConfig:
+class IesConfig(Record):
     """Injected-squeezing setting: squeeze parameter r >= 0 and reference phase."""
 
     r: float
@@ -28,6 +26,7 @@ class IesConfig:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError(f"squeeze parameter must be non-negative, got {self.r}")
+        require_finite(self, ("r", "varphi"))
         object.__setattr__(self, "varphi", reduce_angle(self.varphi))
 
     def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "IesConfig"]:

@@ -11,9 +11,9 @@ search returns comes from the scalar closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .core import Record
 from .core import bisect  # noqa: F401  (optimize.bisect is core.bisect)
 from . import ies, ics
 
@@ -24,8 +24,7 @@ PSI_BOUNDS_DEFAULT = (0.01, 1.56)
 _PHI_H = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class OptimumReport(Record):
     """Result of a box-constrained SNR maximization."""
 
     best_snr: float

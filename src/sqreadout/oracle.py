@@ -15,9 +15,8 @@ None of the analytic closed forms enter here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import MeasurementMoments, QubitState, ReadoutParams, StabilityError
+from .core import MeasurementMoments, QubitState, ReadoutParams, Record, StabilityError
 
 
 def _split(a: np.ndarray):
@@ -46,8 +45,7 @@ def _expm_minus_one(a: np.ndarray, t):
     return g_m1 + 0.5 * gd, gd * (-0.5 / mu), b
 
 
-@dataclass(frozen=True)
-class LinearReadoutSystem:
+class LinearReadoutSystem(Record):
     """Linear cavity dynamics plus measurement chain, as the oracle sees it.
 
     drift            : 2x2 complex matrix acting on (mode, conjugate mode)
@@ -88,8 +86,7 @@ class LinearReadoutSystem:
             raise ValueError(f"output transform is not symplectic: det={det}")
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Moments at K bins plus the K/2K Richardson extrapolation."""
 
     mean_M: float

@@ -9,17 +9,15 @@ so the moments at three homodyne angles reconstruct the full Gaussian state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (IndefiniteCovarianceError, QubitState, ReadoutParams)
+from .core import IndefiniteCovarianceError, QubitState, ReadoutParams, Record
 
 PROBE_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
 VACUUM_VARIANCE = 0.25
 
 
-@dataclass(frozen=True)
-class GaussianState2D:
+class GaussianState2D(Record):
     """Mean and covariance of (X_out, Y_out) with [X, Y] = i."""
 
     mean: tuple[float, float]
@@ -42,8 +40,7 @@ class GaussianState2D:
         return float(np.linalg.det(self.cov))
 
 
-@dataclass(frozen=True)
-class EllipseDiagnostics:
+class EllipseDiagnostics(Record):
     """Noise-ellipse orientation and squeezing measures.
 
     theta_N : angle of the minor-variance axis from the measurement direction,

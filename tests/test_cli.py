@@ -124,6 +124,25 @@ class TestExitCodes:
         assert all(math.isfinite(float(rec[key])) for key in ("n_tau", "noise_sum", "snr"))
 
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--scheme", "standard", "--alpha-in", "nan"], "alpha_in"),
+        (["--scheme", "standard", "--alpha-in", "inf"], "alpha_in"),
+        (["--scheme", "standard", "--chi", "nan"], "chi"),
+        (["--scheme", "standard", "--phi-h", "nan"], "phi_h"),
+        (["--scheme", "standard", "--kappa-tau", "inf"], "tau"),
+        (["--scheme", "ies", "--r", "nan"], "r"),
+        (["--scheme", "ies", "--varphi", "nan"], "varphi"),
+        (["--scheme", "ics", "--theta", "nan"], "theta"),
+        (["--scheme", "ics", "--omega-2ph", "inf"], "omega_2ph"),
+        (["--scheme", "combined", "--theta", "nan"], "theta"),
+        (["--scheme", "combined", "--omega-sq", "nan"], "omega_sq"),
+        (["--scheme", "combined", "--delta-p", "inf"], "delta_p"),
+    ])
+    def test_non_finite_input_is_config_error(self, capsys, argv, field):
+        assert run_cli(["snr", *argv]) == 2
+        assert f"configuration error: {field} must be finite" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_sections_and_override(self, tmp_path):
         cfg = tmp_path / "readout.ini"
@@ -425,8 +444,10 @@ print(json.dumps(results))
                  ["wigner", "--scheme", "ics", "--resolution", "16", "--output-dir", str(tmp_path)]]
         assert [self.run([argv]) for argv in argvs] == [[[0, True]]] * 3
 
-    def test_each_command_loads_only_its_modules(self):
-        # fresh interpreters: the cli imports core alone, snr adds its scheme's module
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        # fresh interpreters: the cli imports core alone, snr adds its scheme's module;
+        # no command loads dataclasses (or the inspect it pulls in), and configparser
+        # loads only to read --config
         code = """
 import contextlib, io, json, sys
 from sqreadout import cli
@@ -434,13 +455,27 @@ loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "sqreadout"
 before = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1])) if sys.argv[1:] else 0
-print(json.dumps([before, code, loaded()]))
+stdlib = [m for m in ("dataclasses", "inspect", "configparser") if m in sys.modules]
+print(json.dumps([before, code, loaded(), stdlib]))
 """
         base = ["sqreadout", "sqreadout.cli", "sqreadout.core"]
-        assert fresh_interpreter(code) == [base, 0, base]
-        for scheme in ("ies", "ics", "combined"):
+        assert fresh_interpreter(code) == [base, 0, base, []]
+        for scheme in ("standard", "ies", "ics", "combined"):
+            module = "ies" if scheme == "standard" else scheme
             assert fresh_interpreter(code, json.dumps(["snr", "--scheme", scheme])) == [
-                base, 0, sorted([*base, f"sqreadout.{scheme}"])], scheme
+                base, 0, sorted([*base, f"sqreadout.{module}"]), []], scheme
+        for argv in (["sweep", "--scheme", "ies", "--var", "r", "--start", "0", "--stop", "1",
+                      "--count", "3"],
+                     ["sweep", "--scheme", "combined", "--var", "kappa_tau", "--start", "0.1",
+                      "--stop", "1", "--count", "3"],
+                     ["mismatch", "--scheme", "combined", "--delta-r", "0.1"]):
+            _, exit_code, _, stdlib = fresh_interpreter(code, json.dumps(argv))
+            assert (exit_code, stdlib) == (0, []), argv
+        ini = tmp_path / "readout.ini"
+        ini.write_text("[readout]\nscheme = ies\n\n[ies]\nr = 0.5\n")
+        argv = ["snr", "--config", str(ini)]
+        _, exit_code, _, stdlib = fresh_interpreter(code, json.dumps(argv))
+        assert (exit_code, stdlib) == (0, ["configparser"])
 
     def test_no_module_imports_numpy_at_module_level(self):
         modules = sorted(SRC.glob("sqreadout/*.py"))

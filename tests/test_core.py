@@ -5,9 +5,11 @@ import pytest
 
 from sqreadout.core import (DegenerateNoiseError, MeasurementMoments, QubitState,
                             ReadoutParams, ZeroSignalError, fidelity_and_error,
-                            psi_from_rate, reduce_angle, required_tone_amplitude,
+                            psi_from_rate, reduce_angle, replace, required_tone_amplitude,
                             snr, standard_readout_moments, summarize)
 from sqreadout import combined
+from sqreadout.ics import IcsConfig
+from sqreadout.ies import IesConfig
 
 
 def make_params(kappa_tau=1.0, chi=0.5, alpha_in=1.0, phi_in=0.0,
@@ -144,8 +146,17 @@ class TestParams:
         assert reduce_angle(-math.pi) == pytest.approx(math.pi)
         assert reduce_angle(math.pi) == pytest.approx(math.pi)
 
+    def test_reduce_angle_is_identity_in_range(self):
+        # ReadoutParams stores an angle in (-pi, pi] as given, without reduce_angle
+        rng = np.random.default_rng(3)
+        for x in [math.pi, -0.0, 0.0, math.nextafter(-math.pi, 0.0), *rng.uniform(-4, 4, 200)]:
+            p = ReadoutParams(1.0, 0.5, 1.0, float(x), float(x), 1.0)
+            assert repr(p.phi_in) == repr(p.phi_h) == repr(reduce_angle(float(x)))
+
     @pytest.mark.parametrize("kwargs", [
         {"kappa": 0.0}, {"kappa": -1.0}, {"tau": 0.0}, {"alpha_in": -0.1},
+        {"kappa": math.inf}, {"chi": math.nan}, {"alpha_in": math.inf},
+        {"phi_in": math.inf}, {"phi_h": math.nan}, {"tau": math.inf},
     ])
     def test_validation(self, kwargs):
         base = dict(kappa=1.0, chi=0.5, alpha_in=1.0, phi_in=0.0, phi_h=0.0, tau=1.0)
@@ -159,6 +170,79 @@ class TestParams:
         assert s.snr == pytest.approx(s.separation / math.sqrt(s.noise_sum), rel=1e-15)
         assert s.error == pytest.approx(1.0 - s.fidelity, abs=1e-15)
         assert 0.5 <= s.fidelity <= 1.0
+
+
+class TestRecord:
+    ARGS = (1.0, 0.5, 1.0, 0.25, 1.5, 2.0)
+    FIELDS = ("kappa", "chi", "alpha_in", "phi_in", "phi_h", "tau")
+
+    def test_positional_keyword_and_default_construction(self):
+        p = ReadoutParams(*self.ARGS)
+        assert p == ReadoutParams(**dict(zip(self.FIELDS, self.ARGS)))
+        assert tuple(getattr(p, f) for f in self.FIELDS) == self.ARGS
+        assert IesConfig(0.5) == IesConfig(r=0.5, varphi=0.0)
+        assert combined.CombinedConfig(1.0).omega_sq is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: IesConfig(),                        # missing field
+        lambda: IesConfig(0.5, phi=1.0),            # unknown field
+        lambda: IesConfig(0.5, r=0.6),              # repeated field
+        lambda: ReadoutParams(1.0, 0.5, 1.0, 0.0, 0.0),
+    ], ids=["missing", "unknown", "repeated", "missing-positional"])
+    def test_bad_arguments_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_immutable(self):
+        cfg = IesConfig(0.5, 0.1)
+        with pytest.raises(AttributeError):
+            cfg.r = 0.7
+        with pytest.raises(AttributeError):
+            del cfg.varphi
+        assert cfg == IesConfig(0.5, 0.1)
+
+    def test_equality_and_hash_by_type_and_fields(self):
+        assert IesConfig(1.0, 0.0) != IcsConfig(1.0, 0.0)
+        assert IesConfig(1.0, 0.0) != (1.0, 0.0)
+        assert IesConfig(1.0, 0.2) != IesConfig(1.0, 0.3)
+        a, b = ReadoutParams(*self.ARGS), ReadoutParams(*self.ARGS)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({IesConfig(0.5, 0.1), IesConfig(0.5, 0.1), IcsConfig(0.5, 0.1)}) == 2
+
+    def test_repr_has_dataclass_format(self):
+        import dataclasses
+
+        twin = dataclasses.make_dataclass("IesConfig", [("r", float), ("varphi", float, 0.0)],
+                                          frozen=True)
+        assert repr(IesConfig(0.5, 0.25)) == repr(twin(0.5, 0.25)) == \
+            "IesConfig(r=0.5, varphi=0.25)"
+
+    def test_replace_validates_again(self):
+        p = ReadoutParams(*self.ARGS)
+        assert p.with_(tau=3.0) == ReadoutParams(*self.ARGS[:5], 3.0)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            p.with_(tau=-1.0)
+        cfg = replace(IcsConfig(0.1, 0.2), theta=7.0)
+        assert cfg.theta == reduce_angle(7.0) and cfg.omega_2ph == 0.1
+        assert replace(combined.CombinedConfig(1.0), theta=7.0).theta == reduce_angle(7.0)
+        with pytest.raises(TypeError):
+            replace(cfg, phi=1.0)
+
+    def test_subclass_inherits_fields(self):
+        class Tagged(IesConfig):
+            tag: str = "x"
+
+        class Plain(IesConfig):
+            pass
+
+        t = Tagged(0.5, 7.0, tag="y")
+        assert (t.r, t.varphi, t.tag) == (0.5, reduce_angle(7.0), "y")
+        assert repr(Tagged(0.5)) == "TestRecord.test_subclass_inherits_fields.<locals>." \
+            "Tagged(r=0.5, varphi=0.0, tag='x')"
+        assert Plain(0.5, 0.1) != IesConfig(0.5, 0.1)
+        assert replace(Plain(0.5), r=0.6) == Plain(0.6)
+        with pytest.raises(ValueError):
+            Plain(-1.0)
 
 
 def test_qubit_state_values():
