@@ -444,20 +444,19 @@ class CombinedConfig(Record):
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the Bogoliubov mode fed by its residual input noise, lab-frame output."""
-        import numpy as np
         from .oracle import LinearReadoutSystem
         k = params.kappa
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
         _, disp = resolve_operating_point(params, self)
         om = disp.omega_sigma(state)
-        drift = np.diag([-1j * om - k / 2.0, 1j * om - k / 2.0])
+        drift = ((-1j * om - k / 2.0, 0.0), (0.0, 1j * om - k / 2.0))
         budget = input_noise_budget(self.r_c, self.r, self.theta, self.varphi)
         r_c = self.r_c
         ph = complex(math.cos(self.theta), math.sin(self.theta))
-        beta_in = math.cosh(r_c) * a_bar + ph * math.sinh(r_c) * np.conj(a_bar)
-        out = np.array([[math.cosh(r_c), -ph * math.sinh(r_c)],
-                        [-np.conj(ph) * math.sinh(r_c), math.cosh(r_c)]])
-        return LinearReadoutSystem(drift, complex(beta_in), budget, (0.0, 0.0),
+        beta_in = math.cosh(r_c) * a_bar + ph * math.sinh(r_c) * a_bar.conjugate()
+        out = ((math.cosh(r_c), -ph * math.sinh(r_c)),
+               (-ph.conjugate() * math.sinh(r_c), math.cosh(r_c)))
+        return LinearReadoutSystem(drift, beta_in, budget, (0.0, 0.0),
                                    out, params.phi_h, k, params.tau)
 
 

@@ -51,18 +51,17 @@ class IcsConfig(Record):
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: two-photon-driven cavity with vacuum input, from its stationary state."""
-        import numpy as np
         from .oracle import LinearReadoutSystem
         _require_stable(params, self)
         k = params.kappa
         s = int(state)
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
         ph = complex(math.cos(self.theta), math.sin(self.theta))
-        drift = np.array([[-1j * s * params.chi - k / 2.0, -2j * self.omega_2ph * ph],
-                          [2j * self.omega_2ph * np.conj(ph), 1j * s * params.chi - k / 2.0]])
+        drift = ((-1j * s * params.chi - k / 2.0, -2j * self.omega_2ph * ph),
+                 (2j * self.omega_2ph * ph.conjugate(), 1j * s * params.chi - k / 2.0))
         init = ics_initial_correlations(k, self)
         return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), init,
-                                   np.eye(2), params.phi_h, k, params.tau)
+                                   ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
 
 
 class StabilityReport(Record):

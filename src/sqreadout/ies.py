@@ -39,17 +39,16 @@ class IesConfig(Record):
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""
-        import numpy as np
         from .oracle import LinearReadoutSystem
         k = params.kappa
         s = int(state)
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
-        drift = np.diag([-1j * s * params.chi - k / 2.0, 1j * s * params.chi - k / 2.0])
+        drift = ((-1j * s * params.chi - k / 2.0, 0.0), (0.0, 1j * s * params.chi - k / 2.0))
         n_in = math.sinh(self.r) ** 2
         m_in = 0.5 * math.sinh(2.0 * self.r) * complex(math.cos(self.varphi),
                                                        math.sin(self.varphi))
         return LinearReadoutSystem(drift, a_bar, (n_in, m_in), (n_in, m_in),
-                                   np.eye(2), params.phi_h, k, params.tau)
+                                   ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
 
 
 def _integrated_output_mean(tau, chi, alpha_in, phi_in, sigma, fn=math):

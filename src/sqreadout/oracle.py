@@ -9,79 +9,113 @@ integrated record M becomes a linear form over the initial mode plus all bin
 modes.  Means and variances are then exact quadratic forms of the mode
 statistics; the only approximation is the piecewise-constant noise kernel,
 whose error falls off as O(1/K) and is removed by Richardson extrapolation.
-None of the analytic closed forms enter here.
+The K-bin sums split over adjacent intervals, so the binary digits of K give
+them in O(log K) 2x2 products.  None of the analytic closed forms enter here.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .core import MeasurementMoments, QubitState, ReadoutParams, Record, StabilityError
 
 
-def _split(a: np.ndarray):
+class _Mat(tuple):
+    """2x2 complex matrix as its row-major 4-tuple, with the algebra the sums need."""
+
+    def __matmul__(x, y):
+        return _Mat((x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                     x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]))
+
+    def __add__(x, y):
+        return _Mat((x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]))
+
+    def __rmul__(x, c):
+        return _Mat((c * x[0], c * x[1], c * x[2], c * x[3]))
+
+    T = property(lambda x: _Mat((x[0], x[2], x[1], x[3])))
+    H = property(lambda x: _Mat(v.conjugate() for v in x.T))
+
+    def inv(x):
+        return (1.0 / (x[0] * x[3] - x[1] * x[2])) * _Mat((x[3], -x[1], -x[2], x[0]))
+
+    @staticmethod
+    def of(rows):
+        return _Mat((*rows[0], *rows[1]))
+
+
+_I = _Mat((1.0, 0.0, 0.0, 1.0))
+
+
+def _expm1(z: complex) -> complex:
+    """e^z - 1 without the cancellation of cmath.exp(z) - 1 at small |z| (numpy's formula)."""
+    half = math.sin(0.5 * z.imag)
+    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * half * half,
+                   math.exp(z.real) * math.sin(z.imag))
+
+
+def _split(a: _Mat):
     """(s, B, mu): a = s I + B, s = tr a / 2, B^2 = mu^2 I, Re mu >= 0; eigenvalues s +- mu."""
-    import numpy as np
-    s = 0.5 * (a[0, 0] + a[1, 1])
-    b = a - s * np.eye(2)
-    return s, b, np.sqrt(complex(b[0, 1] * b[1, 0] - b[0, 0] * b[1, 1]))
+    s = 0.5 * (a[0] + a[3])
+    b = _Mat((a[0] - s, a[1], a[2], a[3] - s))
+    return s, b, cmath.sqrt(b[1] * b[2] - b[0] * b[3])
 
 
-def _expm_minus_one(a: np.ndarray, t):
-    """exp(a t) - I = c0 I + c1 B at one time or an array of times; returns (c0, c1, B).
+def _expm_minus_one(a: _Mat, t: float) -> _Mat:
+    """exp(a t) - I = c0 I + c1 B.
 
     exp(a t) = g [(1 + e^{-2 mu t})/2 I + (1 - e^{-2 mu t})/(2 mu) B], g = e^{(s+mu)t}
     (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Re mu >= 0, so no factor grows
     at long times; expm1 of g - 1 and of e^{-2 mu t} - 1 keeps c0 accurate at
     short times and c1 as mu -> 0, where it tends to t and no eigenbasis exists.
     """
-    import numpy as np
     s, b, mu = _split(a)
-    t = np.asarray(t, dtype=float)
-    g_m1 = np.expm1((s + mu) * t)
+    g_m1 = _expm1((s + mu) * t)
     if mu == 0:
-        return g_m1, (1.0 + g_m1) * t, b
-    gd = (1.0 + g_m1) * np.expm1(-2.0 * mu * t)
-    return g_m1 + 0.5 * gd, gd * (-0.5 / mu), b
+        c0, c1 = g_m1, (1.0 + g_m1) * t
+    else:
+        gd = (1.0 + g_m1) * _expm1(-2.0 * mu * t)
+        c0, c1 = g_m1 + 0.5 * gd, gd * (-0.5 / mu)
+    return _Mat((c0 + c1 * b[0], c1 * b[1], c1 * b[2], c0 + c1 * b[3]))
 
 
 class LinearReadoutSystem(Record):
     """Linear cavity dynamics plus measurement chain, as the oracle sees it.
 
-    drift            : 2x2 complex matrix acting on (mode, conjugate mode)
+    drift            : 2x2 complex matrix acting on (mode, conjugate mode), as row pairs
     input_mean       : constant coherent drive amplitude in the working frame
     input_corr       : white-noise pair (N_in, M_in)
     init_cov         : fluctuation pair (N0, M0) of the initial mode, whose
                        mean is zero
     output_transform : 2x2 Bogoliubov map from working-frame output to the
-                       lab-frame field entering the homodyne detector
+                       lab-frame field entering the homodyne detector, as row pairs
     """
 
-    drift: np.ndarray
+    drift: tuple
     input_mean: complex
     input_corr: tuple[float, complex]
     init_cov: tuple[float, complex]
-    output_transform: np.ndarray
+    output_transform: tuple
     homodyne_angle: float
     kappa: float
     tau: float
 
     def __post_init__(self):
-        import numpy as np
-        drift = np.asarray(self.drift, dtype=complex).reshape(2, 2)
-        out = np.asarray(self.output_transform, dtype=complex).reshape(2, 2)
-        object.__setattr__(self, "drift", drift)
+        for name in ("drift", "output_transform"):
+            (a, b), (c, d) = getattr(self, name)
+            object.__setattr__(self, name, ((complex(a), complex(b)), (complex(c), complex(d))))
         object.__setattr__(self, "input_mean", complex(self.input_mean))
-        object.__setattr__(self, "output_transform", out)
         if not (self.kappa > 0 and self.tau > 0):
             raise ValueError("kappa and tau must be positive")
-        s, _, mu = _split(drift)
+        s, _, mu = _split(_Mat.of(self.drift))
         if (s + mu).real > 1e-12 * self.kappa:
             raise StabilityError(f"drift has growing eigenvalues: {s + mu}, {s - mu}")
         for n, m in (self.input_corr, self.init_cov):
             if n < 0 or abs(m) > math.sqrt(n * (n + 1.0)) + 1e-9 * (1.0 + n):
                 raise ValueError(f"unphysical Gaussian moments N={n}, M={m}")
-        det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
+        (a, b), (c, d) = self.output_transform
+        det = a * d - b * c
         if abs(det - 1.0) > 1e-9:
             raise ValueError(f"output transform is not symplectic: det={det}")
 
@@ -102,67 +136,56 @@ class OracleResult(Record):
 
 def default_steps(system: LinearReadoutSystem) -> int:
     """K = max(4096, ceil(64 (|omega| + kappa) tau)), omega the drift's fastest rotation."""
-    s, _, mu = _split(system.drift)
+    s, _, mu = _split(_Mat.of(system.drift))
     omega = abs(s.imag) + abs(mu.imag)
     return max(4096, math.ceil(64.0 * (omega + system.kappa) * system.tau))
 
 
-def _propagators(system: LinearReadoutSystem, steps: int):
-    """Bin width dt, E - I for the bin propagator E = exp(A dt), and E's integrals over a bin."""
-    import numpy as np
-    dt = system.tau / steps
-    c0, c1, b = _expm_minus_one(system.drift, dt)
-    e_m1 = c0 * np.eye(2) + c1 * b
-    f_int = np.linalg.solve(system.drift, e_m1)                   # int_0^dt e^{Au} du
-    g_int = np.linalg.solve(system.drift, f_int - dt * np.eye(2))  # int_0^dt int_0^u e^{Aw} dw du
-    return dt, e_m1, f_int, g_int
+def _fold(steps: int, drift: _Mat, dt: float, unit, join):
+    """A K-bin sum from its one-bin term in O(log K) joins, by the binary digits of K.
 
-
-def _row_powers(system: LinearReadoutSystem, steps: int, row: np.ndarray) -> np.ndarray:
-    """row @ (E^n - I) as column n of a (2, K+1) array, E^n = exp(A n dt) from the closed form."""
-    import numpy as np
-    c0, c1, b = _expm_minus_one(system.drift, np.arange(steps + 1) * (system.tau / steps))
-    return np.outer(row, c0) + np.outer(row @ b, c1)
-
-
-def _linear_form(system: LinearReadoutSystem, steps: int):
-    """Coefficients of M over (initial mode, bin modes).
-
-    Returns (ell0, ell) where ell0 is the 2-vector weight of (a(0), a^dag(0))
-    and ell[:, j] the 2-vector weight of the j-th bin mode pair.
+    join(x, y, b, d) sums a + b bins from x over a bins, y over b and d = E^a - I at a dt.
     """
-    import numpy as np
-    dt, e_m1, f_int, g_int = _propagators(system, steps)
-    k = system.kappa
-    wp = np.exp([-1j * system.homodyne_angle, 1j * system.homodyne_angle]) @ system.output_transform
-
-    dmat = -math.sqrt(k / dt) * f_int
-    hmat = -math.sqrt(k / dt) * g_int
-
-    # column n is p S_n, with S_n = sum_{m<n} E^m = (E^n - I)(E - I)^{-1}, n = 0..K
-    p_geo = np.linalg.inv(e_m1).T @ _row_powers(system, steps, wp @ f_int)
-    base = math.sqrt(k * dt) * wp + k * (wp @ hmat)
-    # column n corresponds to bin j = K-1-n
-    ell_rev = base[:, None] + k * (dmat.T @ p_geo[:, :steps])
-    return k * p_geo[:, steps], ell_rev[:, ::-1], dt
-
-
-def _pair_variance(u: np.ndarray, v: np.ndarray, n: float, m: complex) -> float:
-    """Variance contribution of modes with weights u b + v b^dag and moments (n, m)."""
-    import numpy as np
-    return float(np.sum(u * u * m + v * v * np.conj(m) + u * v * (2.0 * n + 1.0)).real)
+    acc, n, d1 = unit, 1, _expm_minus_one(drift, dt)
+    for bit in bin(steps)[3:]:
+        acc, n = join(acc, acc, n, _expm_minus_one(drift, n * dt)), 2 * n
+        if bit == "1":
+            acc, n = join(unit, acc, n, d1), n + 1
+    return acc
 
 
 def _moments_once(system: LinearReadoutSystem, steps: int) -> tuple[float, float]:
-    import numpy as np
-    ell0, ell, dt = _linear_form(system, steps)
+    """Mean and variance of M at K bins.
+
+    M weighs bin n back from the end by w (beta + zeta D_n), D_n = E^n - I, and the initial
+    mode by w lam; all but w are functions of A, so the sums need T1 = sum_{n<K} D_n and
+    T2 = sum_{n<K} D_n Q D_n^T, Q the bin-noise form, which split over a + b bins as
+    T1(a) + E^a T1(b) + b D_a and T2(a) + E^a T2(b) E^aT + X + X^T + b D_a Q D_a^T,
+    X = E^a T1(b) Q D_a^T.
+    """
+    k, dt, a = system.kappa, system.tau / steps, _Mat.of(system.drift)
+    a_inv = a.inv()
+    f = a_inv @ _expm_minus_one(a, dt)                # int_0^dt e^{Au} du = A^-1 (E - I)
+    beta = math.sqrt(k * dt) * _I + (-k * math.sqrt(k / dt)) * (a_inv @ (f + (-dt) * _I))
+    zeta = (-k * math.sqrt(k / dt)) * (a_inv @ f)
+    lam = k * (a_inv @ _expm_minus_one(a, steps * dt))
+    q, q0 = (_Mat((m, n + 0.5, n + 0.5, m.conjugate()))        # input and initial noise forms
+             for n, m in (system.input_corr, system.init_cov))
+
+    def join(x, y, b, d):
+        (x1, x2), (y1, y2), e = x, y, _I + d
+        ey = e @ y1
+        xm = ey @ q @ d.T
+        return x1 + ey + b * d, x2 + e @ y2 @ e.T + xm + xm.T + b * (d @ q @ d.T)
+
+    t1, t2 = _fold(steps, a, dt, (0.0 * _I, 0.0 * _I), join)
+    h = cmath.exp(-1j * system.homodyne_angle)
+    w = _Mat((h, h.conjugate(), 0.0, 0.0)) @ _Mat.of(system.output_transform)   # row 0
     a_bar = system.input_mean
-    mean = math.sqrt(dt) * (np.sum(ell[0]) * a_bar + np.sum(ell[1]) * a_bar.conjugate())
-    n_in, m_in = system.input_corr
-    n0, m0 = system.init_cov
-    var = _pair_variance(ell[0], ell[1], n_in, m_in)
-    var += _pair_variance(np.atleast_1d(ell0[0]), np.atleast_1d(ell0[1]), n0, m0)
-    return float(mean.real), var
+    mean = (w @ (steps * beta + zeta @ t1) @ _Mat((a_bar, a_bar.conjugate(), 0.0, 0.0)).T)[0]
+    xm = zeta @ t1 @ q @ beta.T
+    v = steps * (beta @ q @ beta.T) + xm + xm.T + zeta @ t2 @ zeta.T + lam @ q0 @ lam.T
+    return math.sqrt(dt) * mean.real, (w @ v @ w.T)[0].real
 
 
 def oracle_moments(system: LinearReadoutSystem, steps: int | None = None) -> OracleResult:
@@ -179,17 +202,17 @@ def oracle_moments(system: LinearReadoutSystem, steps: int | None = None) -> Ora
 
 
 def commutator_defect(system: LinearReadoutSystem, steps: int) -> float:
-    """|[a(tau), a^dag(tau)] - 1| of the discretized propagation (symplectic check)."""
-    import numpy as np
-    dt, _, f_int, _ = _propagators(system, steps)
-    dmat = -math.sqrt(system.kappa / dt) * f_int
-    e0 = np.array([1.0, 0.0])
-    rows = e0[:, None] + _row_powers(system, steps, e0)     # row 0 of E^n in column n
-    # a(tau) weighs bin j by row 0 of E^{K-1-j} D and a(0) by row 0 of E^K
-    u, v = dmat.T @ rows[:, :steps]
-    comm = float(np.sum(np.abs(u) ** 2 - np.abs(v) ** 2)
-                 + abs(rows[0, steps]) ** 2 - abs(rows[1, steps]) ** 2)
-    return abs(comm - 1.0)
+    """|[a(tau), a^dag(tau)] - 1| of the discretized propagation (symplectic check).
+
+    a(tau) weighs bin n back from the end by row 0 of E^n D and a(0) by row 0 of E^K: the
+    commutator is entry 00 of S + E^K J E^KH, J = diag(1, -1), S = sum_{n<K} E^n D J D^H E^nH.
+    """
+    dt, a = system.tau / steps, _Mat.of(system.drift)
+    d = -math.sqrt(system.kappa / dt) * (a.inv() @ _expm_minus_one(a, dt))
+    j = _Mat((1.0, 0.0, 0.0, -1.0))
+    s = _fold(steps, a, dt, d @ j @ d.H, lambda x, y, b, dn: x + (_I + dn) @ y @ (_I + dn).H)
+    e_k = _I + _expm_minus_one(a, steps * dt)
+    return abs((s + e_k @ j @ e_k.H)[0].real - 1.0)
 
 
 def build_system(params: ReadoutParams, cfg, state: QubitState) -> LinearReadoutSystem:

@@ -393,8 +393,8 @@ def module_level_imports(tree):
 
 
 class TestNumpyOnFirstUse:
-    # the numpy-free argvs of the cli_calls benchmark workload (all but oracle-check),
-    # with their exit codes
+    # the argvs of the cli_calls benchmark workload, none of which loads numpy, plus
+    # oracle-check for every scheme, with their exit codes
     SCALAR_ARGVS = [
         (["snr", "--scheme", "standard", "--kappa-tau", "0.1"], 0),
         (["snr", "--scheme", "ies", "--kappa-tau", "1", "--r", "1"], 0),
@@ -408,6 +408,10 @@ class TestNumpyOnFirstUse:
           "--count", "21", "--kappa-tau", "1"], 0),
         (["snr", "--scheme", "combined", "--kappa-tau", "1", "--epsilon", "0"], 2),
         (["snr", "--scheme", "ics", "--kappa-tau", "1", "--omega-2ph", "0.4"], 3),
+        (["oracle-check", "--scheme", "standard"], 0),
+        (["oracle-check", "--scheme", "ies", "--r", "1"], 0),
+        (["oracle-check", "--scheme", "ics", "--omega-2ph", "0.15"], 0),
+        (["oracle-check", "--scheme", "combined", "--kappa-tau", "0.46"], 0),
     ]
     RUN = """
 import contextlib, io, json, sys
@@ -439,15 +443,14 @@ print(json.dumps(results))
         assert self.run([argv]) == [[0, False]]
 
     def test_array_commands_load_numpy_on_first_use(self, tmp_path):
-        argvs = [["oracle-check", "--scheme", "combined"],
-                 ["figure", "fig2a", "--output-dir", str(tmp_path)],
+        argvs = [["figure", "fig2a", "--output-dir", str(tmp_path)],
                  ["wigner", "--scheme", "ics", "--resolution", "16", "--output-dir", str(tmp_path)]]
-        assert [self.run([argv]) for argv in argvs] == [[[0, True]]] * 3
+        assert [self.run([argv]) for argv in argvs] == [[[0, True]]] * 2
 
     def test_each_command_loads_only_its_modules(self, tmp_path):
-        # fresh interpreters: the cli imports core alone, snr adds its scheme's module;
-        # no command loads dataclasses (or the inspect it pulls in), and configparser
-        # loads only to read --config
+        # fresh interpreters: the cli imports core alone, snr adds its scheme's module and
+        # oracle-check also the oracle; no command loads dataclasses (or the inspect it
+        # pulls in), and configparser loads only to read --config
         code = """
 import contextlib, io, json, sys
 from sqreadout import cli
@@ -464,6 +467,8 @@ print(json.dumps([before, code, loaded(), stdlib]))
             module = "ies" if scheme == "standard" else scheme
             assert fresh_interpreter(code, json.dumps(["snr", "--scheme", scheme])) == [
                 base, 0, sorted([*base, f"sqreadout.{module}"]), []], scheme
+        assert fresh_interpreter(code, json.dumps(["oracle-check", "--scheme", "combined"])) == [
+            base, 0, sorted([*base, "sqreadout.combined", "sqreadout.oracle"]), []]
         for argv in (["sweep", "--scheme", "ies", "--var", "r", "--start", "0", "--stop", "1",
                       "--count", "3"],
                      ["sweep", "--scheme", "combined", "--var", "kappa_tau", "--start", "0.1",

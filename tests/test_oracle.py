@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,6 +11,86 @@ from sqreadout import combined, ics, ies, oracle
 def make_params(kappa_tau=1.0, chi=0.5, alpha_in=1.0, phi_in=0.0,
                 phi_h=math.pi / 2.0):
     return ReadoutParams(1.0, chi, alpha_in, phi_in, phi_h, kappa_tau)
+
+
+def ref_expm_minus_one(a, t):
+    """exp(a t) - I = c0 I + c1 B from the closed form, over an array of times."""
+    s = 0.5 * (a[0, 0] + a[1, 1])
+    b = a - s * np.eye(2)
+    mu = np.sqrt(complex(b[0, 1] * b[1, 0] - b[0, 0] * b[1, 1]))
+    t = np.asarray(t, dtype=float)
+    g_m1 = np.expm1((s + mu) * t)
+    if mu == 0:
+        return g_m1, (1.0 + g_m1) * t, b
+    gd = (1.0 + g_m1) * np.expm1(-2.0 * mu * t)
+    return g_m1 + 0.5 * gd, gd * (-0.5 / mu), b
+
+
+def ref_moments_once(system, steps):
+    """Reference: the K-bin mean and variance of M summed bin by bin.
+
+    The oracle's sums as they were before interval splitting: the weight of every
+    bin mode is one column of O(K) arrays, E^n - I comes from the closed form at
+    each n dt, and the quadratic forms are summed over all bins.
+    """
+    drift = np.array(system.drift)
+    k, dt = system.kappa, system.tau / steps
+    c0, c1, b = ref_expm_minus_one(drift, dt)
+    e_m1 = c0 * np.eye(2) + c1 * b
+    f_int = np.linalg.solve(drift, e_m1)                    # int_0^dt e^{Au} du
+    g_int = np.linalg.solve(drift, f_int - dt * np.eye(2))  # int_0^dt int_0^u e^{Aw} dw du
+    phi = system.homodyne_angle
+    wp = np.exp([-1j * phi, 1j * phi]) @ np.array(system.output_transform)
+    dmat = -math.sqrt(k / dt) * f_int
+    hmat = -math.sqrt(k / dt) * g_int
+    c0, c1, b = ref_expm_minus_one(drift, np.arange(steps + 1) * dt)
+    row = wp @ f_int
+    # column n is row S_n, S_n = sum_{m<n} E^m = (E^n - I)(E - I)^{-1}, n = 0..K
+    p_geo = np.linalg.inv(e_m1).T @ (np.outer(row, c0) + np.outer(row @ b, c1))
+    base = math.sqrt(k * dt) * wp + k * (wp @ hmat)
+    ell = (base[:, None] + k * (dmat.T @ p_geo[:, :steps]))[:, ::-1]   # column j: bin j
+    ell0 = k * p_geo[:, steps]
+
+    def pair_variance(u, v, n, m):
+        return float(np.sum(u * u * m + v * v * np.conj(m) + u * v * (2.0 * n + 1.0)).real)
+
+    a_bar = system.input_mean
+    mean = math.sqrt(dt) * (np.sum(ell[0]) * a_bar + np.sum(ell[1]) * a_bar.conjugate())
+    var = pair_variance(ell[0], ell[1], *system.input_corr)
+    var += pair_variance(ell0[:1], ell0[1:], *system.init_cov)
+    return float(mean.real), var
+
+
+def draw_system(rng, scheme):
+    """One seeded stable oracle system of a scheme, kappa*tau log-uniform on [1e-4, 1e3]."""
+    while True:
+        chi = rng.uniform(0.05, 2.0) if scheme == "combined" else rng.uniform(-2.0, 2.0)
+        p = ReadoutParams(1.0, chi, rng.uniform(0.0, 2.0), rng.uniform(-math.pi, math.pi),
+                          rng.uniform(-math.pi, math.pi), 10.0 ** rng.uniform(-4.0, 3.0))
+        state = QubitState.UP if rng.random() < 0.5 else QubitState.DOWN
+        if scheme == "ies":
+            cfg = ies.IesConfig(rng.uniform(0.0, 2.0), rng.uniform(-math.pi, math.pi))
+        elif scheme == "ics":
+            cfg = ics.IcsConfig(rng.uniform(0.0, 0.6), rng.uniform(-math.pi, math.pi))
+            if not ics.ics_stability(p, cfg):
+                continue
+        else:
+            delta = rng.uniform(-0.2, 0.2, size=2) if rng.random() < 0.5 else (0.0, 0.0)
+            cfg = combined.CombinedConfig(r=rng.uniform(0.0, math.log(10.0)),
+                                          theta=rng.uniform(-math.pi, math.pi),
+                                          omega_sq=rng.uniform(0.5, 200.0),
+                                          delta_r=float(delta[0]), delta_p=float(delta[1]))
+            p = combined.operating_params(p, cfg)
+        return oracle.build_system(p, cfg, state)
+
+
+def assert_matches_reference(system, steps):
+    # the split sums against the bin-by-bin sums: rounding of either order
+    mean, var = oracle._moments_once(system, steps)
+    mean_ref, var_ref = ref_moments_once(system, steps)
+    assert abs(var - var_ref) <= 1e-12 * abs(var_ref), (steps, var, var_ref)
+    scale = max(abs(mean_ref), math.sqrt(abs(var_ref)))
+    assert abs(mean - mean_ref) <= 1e-12 * scale, (steps, mean, mean_ref)
 
 
 class TestStandardReadout:
@@ -157,6 +238,21 @@ class TestNegativeControl:
         assert oracle.oracle_check(p, cfg, good, steps=4096)["passed"]
         assert not oracle.oracle_check(p, cfg, bad, steps=4096)["passed"]
 
+    def test_systems_compare_and_hash_by_value(self):
+        kwargs = dict(input_mean=0.3 + 0.1j, input_corr=(0.1, 0.2j), init_cov=(0.0, 0.0),
+                      homodyne_angle=0.4, kappa=1.0, tau=2.0)
+        a = oracle.LinearReadoutSystem(drift=np.diag([-0.5 - 1j, -0.5 + 1j]),
+                                       output_transform=np.eye(2), **kwargs)
+        b = oracle.LinearReadoutSystem(drift=((-0.5 - 1j, 0), (0, -0.5 + 1j)),
+                                       output_transform=[[1, 0], [0, 1]], **kwargs)
+        assert a == b and hash(a) == hash(b)
+        assert a.drift == ((-0.5 - 1j, 0j), (0j, -0.5 + 1j))
+        assert a != oracle.LinearReadoutSystem(drift=np.diag([-0.5 - 1j, -0.6 + 1j]),
+                                               output_transform=np.eye(2), **kwargs)
+        built = [oracle.build_system(make_params(), ies.IesConfig(0.5, 0.2), QubitState.UP)
+                 for _ in range(2)]
+        assert built[0] == built[1] and len(set(built)) == 1
+
     def test_unphysical_moments_rejected(self):
         with pytest.raises(ValueError):
             oracle.LinearReadoutSystem(
@@ -208,9 +304,9 @@ class TestClosedFormExponential:
     """exp(A t) of the oracle's closed 2x2 form against exact references."""
 
     @staticmethod
-    def expm(a, t):
-        c0, c1, b = oracle._expm_minus_one(np.asarray(a, dtype=complex), t)
-        return (1.0 + c0)[..., None, None] * np.eye(2) + c1[..., None, None] * b
+    def expm(a, ts):
+        a = oracle._Mat.of(np.asarray(a, dtype=complex).tolist())
+        return np.array([np.reshape(oracle._expm_minus_one(a, t), (2, 2)) for t in ts]) + np.eye(2)
 
     @pytest.mark.parametrize("a", [-0.5, -0.5 - 0.3j, -2.0 + 1.5j, 0.0])
     def test_jordan_block(self, a):
@@ -239,18 +335,76 @@ class TestClosedFormExponential:
             np.testing.assert_allclose(self.expm(a, ts), want, rtol=0.0, atol=1e-13)
             checked += 1
 
+    def test_complex_expm1_against_mpmath(self):
+        # |z| from 1e-20 to 30 in every direction, and on both axes
+        rng = np.random.default_rng(12)
+        mags = np.geomspace(1e-20, 30.0, 400)
+        zs = [complex(m * math.cos(w), m * math.sin(w))
+              for m, w in zip(mags, rng.uniform(-math.pi, math.pi, mags.size))]
+        zs += [complex(m, 0.0) for m in (-30.0, -1e-8, 1e-20, 0.7)]
+        zs += [complex(0.0, m) for m in (-30.0, 1e-12, 2.5)]
+        with mp.workdps(40):
+            for z in zs:
+                got = oracle._expm1(z)
+                want = mp.expm1(mp.mpc(z.real, z.imag))
+                assert abs(mp.mpc(got.real, got.imag) - want) <= 1e-15 * abs(want), z
+
     def test_long_time_no_overflow(self):
         # chi = 0, Omega = 0.24 kappa: the modes decay at kappa/2 -+ 2 Omega, so
         # e^{st} cosh(mu t) would overflow (and e^{st} underflow) by kappa*tau = 3000
         p = make_params(chi=0.0, kappa_tau=3000.0)
         system = oracle.build_system(p, ics.IcsConfig(0.24, 0.0), QubitState.UP)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            res = oracle.oracle_moments(system)
-            # the discretization defect falls as 1/K^2; 4e-7 at this K
-            assert oracle.commutator_defect(system, steps=res.steps) < 1e-6
+        res = oracle.oracle_moments(system)
+        # the discretization defect falls as 1/K^2; 4e-7 at this K
+        assert oracle.commutator_defect(system, steps=res.steps) < 1e-6
         assert np.all(np.isfinite([res.mean_M, res.var_M, *res.richardson, *res.residual]))
         assert res.var_M > 0.0
         assert abs(res.residual[1]) < 1e-6 * res.var_M
+
+
+class TestReferenceSums:
+    """The O(log K) interval-split sums against the O(K) bin-by-bin reference."""
+
+    @pytest.mark.parametrize("scheme", ["ies", "ics", "combined"])
+    def test_random_stable_points(self, scheme):
+        rng = np.random.default_rng({"ies": 31, "ics": 32, "combined": 33}[scheme])
+        for _ in range(300):
+            system = draw_system(rng, scheme)
+            steps = int(10.0 ** rng.uniform(math.log10(64), math.log10(8192)))
+            assert_matches_reference(system, steps)
+
+    @pytest.mark.parametrize("steps", [4097, 6400])
+    def test_non_power_of_two_bins(self, steps):
+        rng = np.random.default_rng(steps)
+        for scheme in ("ies", "ics", "combined"):
+            for _ in range(3):
+                assert_matches_reference(draw_system(rng, scheme), steps)
+
+    @pytest.mark.parametrize("kappa_tau", [1e-4, 1.0, 100.0])
+    def test_exceptional_point(self, kappa_tau):
+        # chi = 2 Omega: the drift is defective, mu = 0
+        p = make_params(chi=0.2, kappa_tau=kappa_tau, phi_in=0.4, phi_h=1.1)
+        system = oracle.build_system(p, ics.IcsConfig(0.1, 0.7), QubitState.DOWN)
+        assert oracle._split(oracle._Mat.of(system.drift))[2] == 0
+        for steps in (4096, 8192):
+            assert_matches_reference(system, steps)
+
+    @pytest.mark.parametrize("kappa_tau", [1e-4, 1.0, 100.0])
+    def test_near_threshold(self, kappa_tau):
+        # 4 Omega within 4e-9 of kappa: the slow mode decays at ~2e-9 kappa
+        p = make_params(chi=0.5, kappa_tau=kappa_tau, phi_in=0.2, phi_h=0.9)
+        system = oracle.build_system(p, ics.IcsConfig(0.25 - 1e-9, 0.3), QubitState.UP)
+        for steps in (4096, 8192):
+            assert_matches_reference(system, steps)
+
+    def test_long_time(self):
+        # kappa*tau = 3000: K = 192,000 and 2K through oracle_moments
+        p = make_params(chi=0.0, kappa_tau=3000.0)
+        system = oracle.build_system(p, ics.IcsConfig(0.24, 0.0), QubitState.UP)
+        res = oracle.oracle_moments(system)
+        assert res.steps == 192000
+        for steps in (res.steps, 2 * res.steps):
+            assert_matches_reference(system, steps)
 
 
 class TestExceptionalPoint:
