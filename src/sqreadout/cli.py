@@ -160,7 +160,7 @@ def _record_fields(scheme: str, params: ReadoutParams, cfg) -> dict:
                 "n_tau": ics.ics_photon_number(params, cfg, params.tau)}
     if scheme == "combined":
         from . import combined
-        _, disp = combined.resolve_operating_point(params, cfg)
+        disp = cfg.dispersive(params)
         frame = combined.BogoliubovFrame.from_squeeze(cfg.omega_sq, cfg.r_c, cfg.theta)
         return {"r": cfg.r, "theta": cfg.theta, "varphi": cfg.varphi,
                 "delta_r": cfg.delta_r, "delta_p": cfg.delta_p,
@@ -388,9 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="readout",
         description="Dispersive-readout SNR with injected and intracavity squeezing")
     subs = parser.add_subparsers(dest="command", required=True)
+    flags = argparse.ArgumentParser(add_help=False)     # the shared flags, declared once
+    _add_param_flags(flags)
 
-    sp = subs.add_parser("snr", help="evaluate one operating point")
-    _add_param_flags(sp)
+    sp = subs.add_parser("snr", parents=[flags], help="evaluate one operating point")
     sp.add_argument("--output", "-o")
     sp.add_argument("--format", choices=("kv", "csv"), default="kv")
     sp.set_defaults(func=cmd_snr)
@@ -401,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gnuplot", action="store_true")
     sp.set_defaults(func=cmd_figure)
 
-    sp = subs.add_parser("sweep", help="sweep one parameter to CSV")
-    _add_param_flags(sp)
+    sp = subs.add_parser("sweep", parents=[flags], help="sweep one parameter to CSV")
     sp.add_argument("--var", required=True)
     sp.add_argument("--start", type=float, required=True)
     sp.add_argument("--stop", type=float, required=True)
@@ -412,22 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gnuplot", action="store_true")
     sp.set_defaults(func=cmd_sweep)
 
-    sp = subs.add_parser("oracle-check", help="compare analytics with the brute-force oracle")
-    _add_param_flags(sp)
+    sp = subs.add_parser("oracle-check", parents=[flags],
+                         help="compare analytics with the brute-force oracle")
     sp.add_argument("--steps", type=int)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.set_defaults(func=cmd_oracle_check)
 
-    sp = subs.add_parser("wigner", help="phase-space grids of the pointer states")
-    _add_param_flags(sp)
+    sp = subs.add_parser("wigner", parents=[flags],
+                         help="phase-space grids of the pointer states")
     sp.add_argument("--preset", help="figS2, figS4 or figS5")
     sp.add_argument("--window", type=float, help="half-width of the square grid")
     sp.add_argument("--resolution", type=int, default=201)
     sp.add_argument("--output-dir", default=".")
     sp.set_defaults(func=cmd_wigner)
 
-    sp = subs.add_parser("mismatch", help="combined scheme with parameter mismatches")
-    _add_param_flags(sp)
+    sp = subs.add_parser("mismatch", parents=[flags],
+                         help="combined scheme with parameter mismatches")
     sp.add_argument("--output", "-o")
     sp.set_defaults(func=cmd_mismatch)
 
@@ -445,7 +445,7 @@ def main(argv: Iterable[str] | None = None) -> int:
     except StabilityError as exc:
         print(f"stability error: {exc}", file=sys.stderr)
         return EXIT_STABILITY
-    except ReadoutError as exc:
+    except (ReadoutError, ArithmeticError) as exc:     # overflow, division by zero
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

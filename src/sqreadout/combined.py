@@ -427,12 +427,22 @@ class CombinedConfig(Record):
         return self.delta_r == 0.0 and self.delta_p == 0.0
 
     def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "CombinedConfig"]:
-        """Squeezed-quadrature phases phi_h = phi_in = theta/2, with omega_sq solved once."""
+        """Squeezed-quadrature phases phi_h = phi_in = theta/2, with omega_sq solved once,
+        so later calls at this point reuse the root."""
         op = operating_params(params, self)
-        return op, with_solved_omega_sq(op, self)
+        if self.omega_sq is None:
+            return op, replace(self, omega_sq=solve_omega_sq(op, self.r_c, self.epsilon))
+        return op, self
+
+    def dispersive(self, params: ReadoutParams) -> DispersiveParams:
+        """Dispersive parameters at omega_sq (the root, if unset); the signal side uses r_c."""
+        w = self.omega_sq
+        if w is None:
+            w = solve_omega_sq(params, self.r_c, self.epsilon)
+        return DispersiveParams.derive(params.kappa, params.chi, self.r_c, w, self.epsilon)
 
     def moments(self, params: ReadoutParams) -> MeasurementMoments:
-        _, disp = resolve_operating_point(params, self)
+        disp = self.dispersive(params)
         signals = [combined_signal(params, disp, self.r_c, self.theta, s) for s in QubitState]
         if self.matched:
             noises = [combined_noise(params, self.r, self.theta)] * 2
@@ -447,8 +457,7 @@ class CombinedConfig(Record):
         from .oracle import LinearReadoutSystem
         k = params.kappa
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
-        _, disp = resolve_operating_point(params, self)
-        om = disp.omega_sigma(state)
+        om = self.dispersive(params).omega_sigma(state)
         drift = ((-1j * om - k / 2.0, 0.0), (0.0, 1j * om - k / 2.0))
         budget = input_noise_budget(self.r_c, self.r, self.theta, self.varphi)
         r_c = self.r_c
@@ -458,24 +467,6 @@ class CombinedConfig(Record):
                (-ph.conjugate() * math.sinh(r_c), math.cosh(r_c)))
         return LinearReadoutSystem(drift, beta_in, budget, (0.0, 0.0),
                                    out, params.phi_h, k, params.tau)
-
-
-def with_solved_omega_sq(params: ReadoutParams, cfg: CombinedConfig) -> CombinedConfig:
-    """cfg with omega_sq fixed to its root, so later calls at this point reuse it."""
-    if cfg.omega_sq is not None:
-        return cfg
-    return replace(cfg, omega_sq=solve_omega_sq(params, cfg.r_c, cfg.epsilon))
-
-
-def resolve_operating_point(params: ReadoutParams,
-                            cfg: CombinedConfig) -> tuple[float, DispersiveParams]:
-    """Resolve omega_sq (solving the root if unset) and the dispersive parameters.
-
-    All signal-side quantities use the frame squeeze parameter r_c.
-    """
-    w = with_solved_omega_sq(params, cfg).omega_sq
-    disp = DispersiveParams.derive(params.kappa, params.chi, cfg.r_c, w, cfg.epsilon)
-    return w, disp
 
 
 def operating_params(params: ReadoutParams, cfg: CombinedConfig) -> ReadoutParams:

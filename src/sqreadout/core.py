@@ -39,6 +39,10 @@ class IndefiniteCovarianceError(ReadoutError):
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_EPSILON = 0.05  #: dispersive-approximation accuracy of the reference figures
+# the SNR searches (IesConfig/IcsConfig.search): box psi x r, tone phi_in = 0, homodyne phi_h = pi/2
+PSI_BOUNDS_DEFAULT = (0.01, 1.56)
+R_MAX_DEFAULT = math.log(10.0)
+SEARCH_PHI_IN, SEARCH_PHI_H = 0.0, math.pi / 2.0
 
 
 def reduce_angle(phi: float) -> float:

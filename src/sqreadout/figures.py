@@ -44,7 +44,7 @@ def _mismatch_snrs(kappa_tau: float, delta_ps: Iterable[float]) -> list[float]:
     The root depends on r_c = r + delta_r but not on delta_p.
     """
     p = _params(kappa_tau)
-    cfg = combined.with_solved_omega_sq(p, combined.CombinedConfig(r=R_DEFAULT, delta_r=0.1))
+    _, cfg = combined.CombinedConfig(r=R_DEFAULT, delta_r=0.1).operating_point(p)
     return [snr(combined.combined_moments(p, replace(cfg, delta_p=dp))) for dp in delta_ps]
 
 
@@ -127,10 +127,10 @@ def _fig3_point(kt: float) -> dict:
 
     # the root does not depend on alpha_in, so one solve serves both amplitudes
     p1 = _params(kt)
-    cfg = combined.with_solved_omega_sq(p1, combined.CombinedConfig(r=R_DEFAULT))
+    _, cfg = combined.CombinedConfig(r=R_DEFAULT).operating_point(p1)
     a_comb = required_tone_amplitude(snr(combined.combined_moments(p1, cfg)), 1.0)
     p = _params(kt, a_comb)
-    _, disp = combined.resolve_operating_point(p, cfg)
+    disp = cfg.dispersive(p)
     n_comb = max(combined.beta_photon_number(p, disp, R_DEFAULT, s, tau) for s in QubitState)
     row["alpha_combined"] = a_comb
     row["n_combined"] = n_comb

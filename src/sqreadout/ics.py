@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 
-from .core import (MeasurementMoments, QubitState, ReadoutParams, Record, StabilityError,
-                   reduce_angle, require_finite)
+from .core import (PSI_BOUNDS_DEFAULT, SEARCH_PHI_H, SEARCH_PHI_IN, MeasurementMoments,
+                   QubitState, ReadoutParams, Record, StabilityError, reduce_angle,
+                   require_finite)
 
 
 class IcsConfig(Record):
@@ -62,6 +63,45 @@ class IcsConfig(Record):
         init = ics_initial_correlations(k, self)
         return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), init,
                                    ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
+
+    @staticmethod
+    def search(kappa_tau: float, r_max: float, fix_chi: float | None = None):
+        """(box, objective, point) of the SNR search at unit kappa and alpha_in.
+
+        The box is (psi, r) in PSI_BOUNDS_DEFAULT x [0, r_max]: tan(psi) =
+        2 lambda / kappa fixes lambda and r the drive amplitude, or fix_chi pins
+        chi and the psi axis is the point 0.  The noise 2 G0 - 2 phase Gs is
+        linear in phase = sin(2 phi_h - theta), so phase = sign(Gs) (-1 on a
+        tie).  At r_max <= ln 10 every point is stable and stationary: 4 Omega
+        <= 0.82 kappa and lambda^2 >= -4 Omega^2 > -kappa^2/4.  objective(psi, r)
+        is the SNR, a float from the scalar closed forms or an array in one
+        numpy pass; point(psi, r) is (SNR, argmax record).
+        """
+        import numpy as np
+
+        def scored(psi, r):
+            fn = np if isinstance(r, np.ndarray) else math
+            omega = _omega_from_r(1.0, r, fn)
+            lam = 0.5 * fn.tan(psi)
+            chi = fn.sqrt(lam * lam + 4.0 * omega * omega) if fix_chi is None else fix_chi
+            integrals, up, down = _signal_pair(kappa_tau, chi, omega, 1.0, SEARCH_PHI_IN,
+                                               SEARCH_PHI_H, 0.0, fn)
+            g0, gs, _ = _noise_components(kappa_tau, chi, omega, integrals)
+            sep, noise = abs(up - down), 2.0 * g0 - 2.0 * abs(gs)
+            if fn is math:
+                return (sep / math.sqrt(noise) if noise > 0 else 0.0), gs
+            positive = noise > 0
+            return np.where(positive, sep / np.sqrt(np.where(positive, noise, 1.0)), 0.0), gs
+
+        def point(psi, r):
+            snr, gs = scored(psi, r)
+            key, value = (("lambda_over_kappa", 0.5 * math.tan(psi)) if fix_chi is None
+                          else ("chi_over_kappa", fix_chi))
+            return snr, {"psi": psi, "r": r, "phase": 1.0 if gs > 0 else -1.0,
+                         "omega_2ph_over_kappa": _omega_from_r(1.0, r), key: value}
+
+        box = [PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0), (0.0, r_max)]
+        return box, lambda psi, r: scored(psi, r)[0], point
 
 
 class StabilityReport(Record):

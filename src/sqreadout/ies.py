@@ -13,8 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import (MeasurementMoments, QubitState, ReadoutParams, Record, _stable_squeeze_mix,
-                   reduce_angle, psi_from_rate, require_finite, scheme_moments)
+from .core import (PSI_BOUNDS_DEFAULT, SEARCH_PHI_H, SEARCH_PHI_IN, MeasurementMoments,
+                   QubitState, ReadoutParams, Record, _stable_squeeze_mix, reduce_angle,
+                   psi_from_rate, require_finite, scheme_moments)
 
 
 class IesConfig(Record):
@@ -49,6 +50,44 @@ class IesConfig(Record):
                                                        math.sin(self.varphi))
         return LinearReadoutSystem(drift, a_bar, (n_in, m_in), (n_in, m_in),
                                    ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
+
+    @staticmethod
+    def search(kappa_tau: float, r_max: float, fix_chi: float | None = None):
+        """(box, objective, point) of the SNR search at unit kappa and alpha_in.
+
+        The box is psi alone: PSI_BOUNDS_DEFAULT, or the point atan(2 fix_chi)
+        when fix_chi pins chi.  The summed noise 2 kappa tau [cosh 2r + phase F
+        sinh 2r] is linear in phase = cos(varphi - 2 phi_h), so phase = -sign(F),
+        and it is least at tanh 2r = |F|, clipped to [0, r_max]; r_max = 0 is
+        the standard readout.  objective(psi) is the SNR, a float from the
+        scalar closed forms or an array in one numpy pass; point(psi) is
+        (SNR, argmax record).
+        """
+        import numpy as np
+        tanh_max = math.tanh(2.0 * r_max)
+
+        def scored(psi):
+            fn = np if isinstance(psi, np.ndarray) else math
+            chi = 0.5 * fn.tan(psi)
+            sep = abs(_signal(kappa_tau, chi, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 1, fn)
+                      - _signal(kappa_tau, chi, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, -1, fn))
+            shape = _noise_shape(kappa_tau, chi, fn)
+            f = abs(shape)
+            if fn is math:
+                r = r_max if f >= tanh_max else 0.5 * math.atanh(f)
+            else:
+                r = np.where(f >= tanh_max, r_max, 0.5 * np.arctanh(np.minimum(f, tanh_max)))
+            # positive while |F| < coth(2 r_max); a physical F has |F| <= 1
+            noise = 2.0 * kappa_tau * (fn.cosh(2.0 * r) - f * fn.sinh(2.0 * r))
+            return sep / fn.sqrt(noise), r, shape
+
+        def point(psi):
+            snr, r, shape = scored(psi)
+            return snr, {"psi": psi, "r": r, "phase": -1.0 if shape >= 0 else 1.0,
+                         "chi_over_kappa": 0.5 * math.tan(psi)}
+
+        box = PSI_BOUNDS_DEFAULT if fix_chi is None else (math.atan(2.0 * fix_chi),) * 2
+        return [box], lambda psi: scored(psi)[0], point
 
 
 def _integrated_output_mean(tau, chi, alpha_in, phi_in, sigma, fn=math):

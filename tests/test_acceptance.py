@@ -96,7 +96,8 @@ def test_criterion_03_error_magnitudes():
 def _combined_at(kt):
     p = make_params(kappa_tau=kt)
     cfg = combined.CombinedConfig(r=LN10)
-    w, disp = combined.resolve_operating_point(p, cfg)
+    disp = cfg.dispersive(p)
+    w = disp.omega_sq
     s = snr(combined.combined_moments(p, cfg))
     s_std = snr(standard_readout_moments(p))
     return p, w, disp, s, s_std
@@ -171,7 +172,7 @@ def test_criterion_05_required_amplitudes_and_photons():
     results = {}
 
     cfg = combined.CombinedConfig(r=LN10)
-    _, disp = combined.resolve_operating_point(p, cfg)
+    disp = cfg.dispersive(p)
     a_comb = required_tone_amplitude(snr(combined.combined_moments(p, cfg)), 1.0)
     p_comb = p.with_(alpha_in=a_comb)
     n_comb = max(combined.beta_photon_number(p_comb, disp, LN10, s, p.tau)

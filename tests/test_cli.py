@@ -112,6 +112,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and "non-negative" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["snr", "--scheme", "ies", "--r", "400"],
+        ["snr", "--scheme", "combined", "--chi", "1e200"],
+        ["snr", "--scheme", "combined", "--epsilon", "1e-300"],
+        ["sweep", "--scheme", "ies", "--var", "r", "--start", "0", "--stop", "400", "--count", "3"],
+        ["oracle-check", "--scheme", "ies", "--r", "400"],
+    ], ids=["snr-ies-r", "snr-combined-chi", "snr-combined-epsilon", "sweep-ies-r", "oracle-check"])
+    def test_arithmetic_failure_is_solver_error(self, capsys, argv):
+        # overflow and division by zero are numerical failures, not the oracle
+        # disagreement that exit 1 stands for
+        assert run_cli(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("solver error:")
+
     @pytest.mark.parametrize("extra", [[], ["--theta", "0"]], ids=["optimal-theta", "theta-0"])
     def test_ics_long_time_overflow_exit_code(self, extra, tmp_path):
         # stable (|lambda| = 0.48 kappa) at a kappa*tau where cosh(|lambda| tau) alone

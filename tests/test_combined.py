@@ -140,7 +140,7 @@ class TestSeparationComponents:
     def test_parallel_matches_signal_difference(self):
         p = make_params()
         cfg = combined.CombinedConfig(r=LN10, omega_sq=4.0)
-        _, disp = combined.resolve_operating_point(p, cfg)
+        disp = cfg.dispersive(p)
         op = combined.operating_params(p, cfg)
         sep = abs(combined.combined_signal(op, disp, LN10, 0.0, QubitState.UP)
                   - combined.combined_signal(op, disp, LN10, 0.0, QubitState.DOWN))
@@ -427,7 +427,7 @@ class TestAsymptoticSnr:
         # kappa*tau = 1e-3 at the solved omega_sq: 44.28832 against 44.28827 SNR_std
         p = make_params(kappa_tau=1e-3, phi_h=math.pi / 2.0)
         cfg = combined.CombinedConfig(r=LN10)
-        _, disp = combined.resolve_operating_point(p, cfg)
+        disp = cfg.dispersive(p)
         s_std = snr(standard_readout_moments(p))
         s = snr(combined.combined_moments(p, cfg))
         assert combined.asymptotic_snr("short", p, disp, LN10, s_std) == pytest.approx(
@@ -457,7 +457,7 @@ class TestMismatch:
         # 8.74 (phi_h = 0.3) and 70.8 (phi_h = 1)
         cfg = combined.CombinedConfig(r=LN10, delta_r=0.1, delta_p=0.05)
         p, cfg = cfg.operating_point(make_params())
-        _, disp = combined.resolve_operating_point(p, cfg)
+        disp = cfg.dispersive(p)
         mm = combined.MismatchParams.derive(LN10, 0.0, 0.1, 0.05)
         on_axis = combined.mismatch_noise(p, disp, LN10, mm, 0.0, QubitState.UP)
         assert on_axis == pytest.approx(0.0679, abs=1e-4)
@@ -488,7 +488,7 @@ class TestMismatch:
             dr = rng.uniform(-0.02, 0.02)
             dp = rng.uniform(-0.02, 0.02)
             cfg = combined.CombinedConfig(r=LN10, delta_r=dr, delta_p=dp)
-            _, disp = combined.resolve_operating_point(p, cfg)
+            disp = cfg.dispersive(p)
             mm = combined.MismatchParams.derive(LN10, 0.0, dr, dp)
             for s in QubitState:
                 noise = combined.mismatch_noise(p, disp, LN10, mm, 0.0, s)
@@ -500,7 +500,7 @@ class TestMismatch:
         for scale in (1e-4, 1e-6):
             mm = combined.MismatchParams.derive(LN10, 0.0, scale, scale)
             cfg = combined.CombinedConfig(r=LN10, delta_r=scale, delta_p=scale)
-            _, disp = combined.resolve_operating_point(p, cfg)
+            disp = cfg.dispersive(p)
             noise = combined.mismatch_noise(p, disp, LN10, mm, 0.0, QubitState.UP)
             assert noise == pytest.approx(floor, rel=50.0 * scale + 1e-9)
 
@@ -531,6 +531,17 @@ class TestCombinedMoments:
         p = make_params()
         m = combined.combined_moments(p, combined.CombinedConfig(r=LN10))
         assert m.noise_up == m.noise_down
+
+    def test_dispersive_at_the_solved_root(self):
+        # an unset omega_sq is solved where it is needed, and the root does not
+        # depend on the phases operating_point sets
+        p = make_params(kappa_tau=0.3)
+        cfg = combined.CombinedConfig(r=LN10, delta_r=0.1)
+        op, solved = cfg.operating_point(p)
+        assert solved.omega_sq == combined.solve_omega_sq(p, LN10 + 0.1)
+        assert solved.operating_point(op) == (op, solved)
+        assert cfg.dispersive(p) == solved.dispersive(p) == combined.DispersiveParams.derive(
+            1.0, p.chi, LN10 + 0.1, solved.omega_sq)
 
     def test_zero_squeezing_is_a_detuned_readout(self):
         # at r = 0 the scheme is a plain readout of a detuned cavity measured

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +192,24 @@ class TestMaximizeSnr:
         with pytest.raises(ValueError):
             optimize.maximize_snr("laser", 1.0)
 
+    def test_any_config_search_plugs_in(self, monkeypatch):
+        # one path for every table entry: a box with a free axis is searched, a box
+        # without one is evaluated once
+        class Parabola:
+            @staticmethod
+            def search(kappa_tau, r_max, fix_chi=None):
+                def objective(psi):
+                    return -(psi - 0.3) ** 2
+                box = [(0.0, 1.0)] if fix_chi is None else [(fix_chi, fix_chi)]
+                return box, objective, lambda psi: (objective(psi), {"psi": psi})
+
+        monkeypatch.setitem(optimize._SEARCHES, "parabola", (Parabola, 0.0))
+        free = optimize.maximize_snr("parabola", 1.0)
+        assert free.argmax["psi"] == pytest.approx(0.3, abs=1e-6) and free.converged
+        assert free.evaluations > 64
+        fixed = optimize.maximize_snr("parabola", 1.0, fix_chi=0.5)
+        assert fixed == optimize.OptimumReport(-(0.5 - 0.3) ** 2, {"psi": 0.5}, 1, True)
+
 
 class TestAnalyticIesSetting:
     @pytest.mark.parametrize("kappa_tau, chi", [(0.03, 0.5), (1.0, 0.5), (3.0, 1.0)],
@@ -245,12 +262,10 @@ def two_phase_ics_search(kappa_tau, fix_chi=None):
             return 0.0
         return sep / math.sqrt(noise)
 
-    psi_bounds = optimize.PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0)
+    bounds, _, _ = ics.IcsConfig.search(kappa_tau, R_MAX, fix_chi)
     best = None
     for phase in (-1.0, 1.0):
-        val, x, _, _ = scan_maximize_over_box(
-            lambda p, r, ph=phase: objective(p, r, ph),
-            [psi_bounds, (0.0, optimize.R_MAX_DEFAULT)])
+        val, x, _, _ = scan_maximize_over_box(lambda p, r, ph=phase: objective(p, r, ph), bounds)
         if best is None or val > best[0]:
             best = (val, x, phase)
     return best
@@ -314,15 +329,20 @@ def random_points(count, seed):
 
 class TestScalarObjective:
     def test_same_bits_as_public_api(self):
-        # the search objectives skip the params objects and the repeated stability
-        # checks of the public API, but perform the same float operations
+        # the search objectives skip the params objects and the stability checks of
+        # the public API, but perform the same float operations
         for kt, psi, r, chi in random_points(3000, seed=0):
-            assert optimize._ics_objective(kt)(psi, r) == public_ics_objective(kt)(psi, r)
-            assert (optimize._ics_objective(kt, chi)(0.0, r)
-                    == public_ics_objective(kt, chi)(0.0, r))
+            for fix_chi, x in ((None, (psi, r)), (chi, (0.0, r))):
+                _, objective, point = ics.IcsConfig.search(kt, R_MAX, fix_chi)
+                val, phase = public_ics_objective(kt, fix_chi)(*x)
+                snr, argmax = point(*x)
+                assert objective(*x) == snr == val and argmax["phase"] == phase
             for r_max in (R_MAX, 0.0):
-                assert optimize._ies_objective(kt, r_max)(psi) == public_ies_objective(
-                    kt, r_max)(psi)
+                _, objective, point = ies.IesConfig.search(kt, r_max)
+                val, r_opt, phase = public_ies_objective(kt, r_max)(psi)
+                snr, argmax = point(psi)
+                assert objective(psi) == snr == val
+                assert (argmax["r"], argmax["phase"]) == (r_opt, phase)
 
 
 def near_exceptional_r(chi):
@@ -342,15 +362,6 @@ class TestArrayObjective:
     1e-9 relative (below 2e-14 absolute).
     """
 
-    def test_stability_mask(self):
-        rng = np.random.default_rng(4)
-        chi, omega = rng.uniform(0.0, 2.0, 500), rng.uniform(0.0, 0.5, 500)
-        _, unstable, steady = ics._stability(1.0, chi, omega)
-        expected = [bool(ics.ics_stability(ReadoutParams(1.0, float(c), 1.0, 0.0, 0.0, 1.0),
-                                           ics.IcsConfig(float(o)))) for c, o in zip(chi, omega)]
-        assert list(~unstable & steady) == expected
-        assert 0 < sum(expected) < len(expected)
-
     def test_ics_fixed_chi(self):
         rng = np.random.default_rng(1)
         for chi in (0.05, 0.2, 0.45, 0.5, 1.0, 2.0):
@@ -359,10 +370,10 @@ class TestArrayObjective:
                 if chi < 0.5:
                     rs += near_exceptional_r(chi)
                 rs = np.array(rs)
-                objective = optimize._ics_objective(kt, chi)
-                snr, phase = objective(np.zeros_like(rs), rs)
+                _, objective, _ = ics.IcsConfig.search(kt, R_MAX, chi)
+                snr = objective(np.zeros_like(rs), rs)
                 for i, r in enumerate(rs):
-                    assert snr[i] == pytest.approx(objective(0.0, float(r))[0],
+                    assert snr[i] == pytest.approx(objective(0.0, float(r)),
                                                    rel=1e-9, abs=1e-13), (chi, kt, r)
 
     def test_ics_free(self):
@@ -371,12 +382,10 @@ class TestArrayObjective:
         for kt, psi, r, _ in points:
             by_kt.setdefault(round(math.log10(kt), 1), []).append((psi, r))
         for key, pairs in by_kt.items():
-            objective = optimize._ics_objective(10 ** key)
+            _, objective, _ = ics.IcsConfig.search(10 ** key, R_MAX)
             psi, r = np.array(pairs).T
-            snr, phase = objective(psi, r)
             scalar = [objective(float(p), float(x)) for p, x in pairs]
-            np.testing.assert_allclose(snr, [s for s, _ in scalar], rtol=1e-9, atol=1e-13)
-            assert list(phase) == [ph for _, ph in scalar]
+            np.testing.assert_allclose(objective(psi, r), scalar, rtol=1e-9, atol=1e-13)
 
     @pytest.mark.parametrize("r_max", [R_MAX, 0.0], ids=["ies", "standard"])
     def test_ies(self, r_max):
@@ -384,24 +393,32 @@ class TestArrayObjective:
         for kt in 10 ** rng.uniform(-2, 2, 30):
             psi = np.concatenate([rng.uniform(*optimize.PSI_BOUNDS_DEFAULT, 60),
                                   optimize.PSI_BOUNDS_DEFAULT])
-            objective = optimize._ies_objective(float(kt), r_max)
-            snr, r, phase = objective(psi)
+            _, objective, _ = ies.IesConfig.search(float(kt), r_max)
             scalar = [objective(float(p)) for p in psi]
-            np.testing.assert_allclose(snr, [v[0] for v in scalar], rtol=1e-9, atol=1e-13)
-            np.testing.assert_allclose(r, [v[1] for v in scalar], rtol=1e-9, atol=1e-12)
-            assert list(phase) == [v[2] for v in scalar]
+            np.testing.assert_allclose(objective(psi), scalar, rtol=1e-9, atol=1e-13)
 
-    def test_unstable_points_score_zero_and_skip_the_residue_test(self):
-        # 4 Omega rounds to kappa at r = 40: no stationary state.  Unstable cells
-        # never reach the closed forms, so they raise no floating-point warning.
-        objective = optimize._ics_objective(1.0, 0.5)
-        rs = np.array([40.0, 1.0, 40.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            snr, phase = objective(np.zeros(3), rs)
-        assert snr[0] == snr[2] == 0.0 and phase[0] == phase[2] == -1.0
-        assert objective(0.0, 40.0) == (0.0, -1.0)
-        assert snr[1] == objective(0.0, 1.0)[0]
+
+class TestIcsSearchBox:
+    def test_every_point_is_stable_and_stationary(self):
+        # the ICS objective has no stability mask because no point of its box needs
+        # one: 4 Omega <= 0.82 kappa at r <= ln 10, lambda^2 >= 0 on the free box and
+        # lambda^2 >= -4 Omega^2 > -kappa^2/4 at any fixed chi
+        box, _, _ = ics.IcsConfig.search(1.0, R_MAX)
+        psi, r = np.meshgrid(*(np.linspace(lo, hi, 501) for lo, hi in box), indexing="ij")
+        omega = ics._omega_from_r(1.0, r, np)
+        lam = 0.5 * np.tan(psi)
+        _, unstable, steady = ics._stability(1.0, np.sqrt(lam * lam + 4.0 * omega * omega), omega)
+        assert not unstable.any() and steady.all()
+        for fix_chi in (0.0, 0.05, 0.5, 2.0):
+            (psi_box, (lo, hi)), _, _ = ics.IcsConfig.search(1.0, R_MAX, fix_chi)
+            omega = ics._omega_from_r(1.0, np.linspace(lo, hi, 100001), np)
+            _, unstable, steady = ics._stability(1.0, fix_chi, omega)
+            assert psi_box == (0.0, 0.0) and not unstable.any() and steady.all()
+
+
+#: the search of each scheme name, as maximize_snr runs it
+SEARCHES = {"ies": (ies.IesConfig, R_MAX), "standard": (ies.IesConfig, 0.0),
+            "ics": (ics.IcsConfig, R_MAX)}
 
 
 def scan_maximize_snr(scheme, kappa_tau, fix_chi=None):
@@ -409,21 +426,11 @@ def scan_maximize_snr(scheme, kappa_tau, fix_chi=None):
 
     Returns (best_snr, (psi, r, phase)).
     """
-    if scheme == "ics":
-        objective = optimize._ics_objective(kappa_tau, fix_chi)
-        psi_bounds = optimize.PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0)
-        _, (psi, r), _, _ = scan_maximize_over_box(lambda p, r: objective(p, r)[0],
-                                                   [psi_bounds, (0.0, R_MAX)])
-        val, phase = objective(psi, r)
-        return val, (psi, r, phase)
-    objective = optimize._ies_objective(kappa_tau, R_MAX if scheme == "ies" else 0.0)
-    if fix_chi is None:
-        _, (psi,), _, _ = scan_maximize_over_box(lambda p: objective(p)[0],
-                                                 [optimize.PSI_BOUNDS_DEFAULT])
-    else:
-        psi = math.atan(2.0 * fix_chi)
-    val, r, phase = objective(psi)
-    return val, (psi, r, phase)
+    config, r_max = SEARCHES[scheme]
+    bounds, objective, point = config.search(kappa_tau, r_max, fix_chi)
+    _, x, _, _ = scan_maximize_over_box(objective, bounds)
+    val, argmax = point(*x)
+    return val, (argmax["psi"], argmax["r"], argmax["phase"])
 
 
 COMPARISON_GRID = [float(kt) for kt in np.geomspace(1e-2, 1e2, 61)]
