@@ -288,11 +288,9 @@ def cmd_oracle_check(args) -> int:
 
 
 def _wigner_window(states: list[phasespace.GaussianState2D]) -> float:
-    import numpy as np
-
     half = 0.0
     for st in states:
-        sd = math.sqrt(float(np.linalg.eigvalsh(st.cov)[-1]))
+        sd = math.sqrt(st.eigenvalues[1])
         half = max(half, max(abs(st.mean[0]), abs(st.mean[1])) + 5.5 * sd)
     return math.ceil(2.0 * half) / 2.0
 

@@ -227,6 +227,8 @@ def oracle_check(params: ReadoutParams, cfg, analytic: MeasurementMoments,
     Returns a report dict with per-state relative deviations and a 'passed' flag
     (deviation below max(tol relative, 1e-6 absolute) everywhere).
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     params, cfg = cfg.operating_point(params)
     report = {"tol": tol, "passed": True, "states": {}}
     for state in QubitState:

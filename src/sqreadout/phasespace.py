@@ -18,33 +18,38 @@ VACUUM_VARIANCE = 0.25
 
 
 class GaussianState2D(Record):
-    """Mean and covariance of (X_out, Y_out) with [X, Y] = i."""
+    """Mean and covariance, as float rows ((xx, xy), (xy, yy)), of (X_out, Y_out), [X, Y] = i."""
 
     mean: tuple[float, float]
-    cov: np.ndarray
+    cov: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
-        import numpy as np
-        cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
-        object.__setattr__(self, "cov", cov)
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (1.0 + abs(cov[0, 1])):
+        (xx, xy), (yx, yy) = ((float(a), float(b)) for a, b in self.cov)
+        if abs(xy - yx) > 1e-12 * (1.0 + abs(xy)):
             raise ValueError("covariance must be symmetric")
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs[0] <= 0:
+        object.__setattr__(self, "cov", ((xx, xy), (xy, yy)))
+        if not (xx > 0.0 and self.det > 0.0):
             raise IndefiniteCovarianceError(
-                f"covariance not positive definite (eigenvalues {eigs})")
+                f"covariance not positive definite (xx={xx}, det={self.det})")
 
     @property
     def det(self) -> float:
-        import numpy as np
-        return float(np.linalg.det(self.cov))
+        (xx, xy), (_, yy) = self.cov
+        return xx * yy - xy * xy
+
+    @property
+    def eigenvalues(self) -> tuple[float, float]:
+        """(minor, major) variance; the minor one is det/major, free of cancellation."""
+        (xx, xy), (_, yy) = self.cov
+        major = 0.5 * (xx + yy) + math.hypot(0.5 * (xx - yy), xy)
+        return self.det / major, major
 
 
 class EllipseDiagnostics(Record):
     """Noise-ellipse orientation and squeezing measures.
 
     theta_N : angle of the minor-variance axis from the measurement direction,
-              folded into [-pi/2, pi/2]
+              in (-pi/2, pi/2]
     xi2_N   : normalized noise <M_N^2>/(kappa tau) at the measurement angle
     xi2_dB  : 10 log10 of the minor variance over the vacuum variance 1/4
     """
@@ -59,40 +64,29 @@ def reconstruct_state(samples: Sequence[tuple[float, float]], kappa: float,
     """Build the Gaussian state of A from the (signal, noise) at PROBE_ANGLES.
 
     The means come from the signals at 0 and pi/2, the covariance from the
-    noises at all three angles.  Angles are measured from the scheme's
-    measurement direction.
+    noises 4 kappa tau (xx cos^2 + 2 xy cos sin + yy sin^2) at all three
+    angles.  Angles are measured from the scheme's measurement direction.
     """
-    import numpy as np
     kt = kappa * tau
-    rows = []
-    for phi in PROBE_ANGLES:
-        c, s = math.cos(phi), math.sin(phi)
-        rows.append([c * c, 2.0 * c * s, s * s])
     scale = 2.0 * math.sqrt(kt)
-    mean = (samples[0][0] / scale, samples[2][0] / scale)
-    rhs = [noise / (4.0 * kt) for _, noise in samples]
-    dxx, dxy, dyy = np.linalg.solve(np.asarray(rows), np.asarray(rhs))
-    return GaussianState2D(mean, np.array([[dxx, dxy], [dxy, dyy]]))
+    (sx, nx), (_, nd), (sy, ny) = samples
+    xx, yy = nx / (4.0 * kt), ny / (4.0 * kt)
+    xy = nd / (4.0 * kt) - 0.5 * (xx + yy)
+    return GaussianState2D((sx / scale, sy / scale), ((xx, xy), (xy, yy)))
 
 
 def ellipse(state: GaussianState2D) -> EllipseDiagnostics:
-    """Eigen-analysis of the covariance into squeeze direction and degree."""
-    import numpy as np
-    cov = state.cov
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    lam_min = float(eigvals[0])
-    lam_max = float(eigvals[-1])
-    if lam_max - lam_min <= 1e-12 * lam_max:
+    """Squeeze direction and degree of the covariance, in closed form."""
+    (xx, xy), (_, yy) = state.cov
+    minor, major = state.eigenvalues
+    if major - minor <= 1e-12 * major:     # round
         theta = 0.0
+    elif abs(xy) <= 1e-12 * major:         # diagonal up to rounding: the axes are X and Y
+        theta = 0.0 if xx <= yy else math.pi / 2.0
     else:
-        vx, vy = eigvecs[:, 0]
-        theta = math.atan2(vy, vx)
-        if theta > math.pi / 2.0:
-            theta -= math.pi
-        elif theta <= -math.pi / 2.0:
-            theta += math.pi
-    return EllipseDiagnostics(theta_N=theta, xi2_N=4.0 * float(cov[0, 0]),
-                              xi2_dB=10.0 * math.log10(lam_min / VACUUM_VARIANCE))
+        theta = 0.5 * math.atan2(-2.0 * xy, yy - xx)
+    return EllipseDiagnostics(theta_N=theta, xi2_N=4.0 * xx,
+                              xi2_dB=10.0 * math.log10(minor / VACUUM_VARIANCE))
 
 
 def wigner_grid(state: GaussianState2D, window: tuple[float, float],
@@ -103,17 +97,18 @@ def wigner_grid(state: GaussianState2D, window: tuple[float, float],
     area approaches 1 once the window covers the state.
     """
     import numpy as np
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window must be finite with lo < hi, got {window}")
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
+    (xx, xy), (_, yy) = state.cov
     det = state.det
-    if det <= 0:
-        raise IndefiniteCovarianceError("singular covariance")
-    inv = np.linalg.inv(state.cov)
-    x = np.linspace(window[0], window[1], resolution)
-    y = np.linspace(window[0], window[1], resolution)
+    x = np.linspace(lo, hi, resolution)
+    y = np.linspace(lo, hi, resolution)
     gx = x[None, :] - state.mean[0]
     gy = y[:, None] - state.mean[1]
-    quad = inv[0, 0] * gx ** 2 + 2.0 * inv[0, 1] * gx * gy + inv[1, 1] * gy ** 2
+    quad = (yy * gx ** 2 - 2.0 * xy * gx * gy + xx * gy ** 2) / det
     w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
     return x, y, w
 

@@ -388,7 +388,7 @@ def test_criterion_11_phase_space_properties():
     ccfg = combined.CombinedConfig(r=LN10)
     states = phasespace.pointer_state(pc, ccfg)
     up, down = states[QubitState.UP], states[QubitState.DOWN]
-    state_ok = bool(np.all(np.abs(up.cov - down.cov) < 1e-12))
+    state_ok = bool(np.all(np.abs(np.subtract(up.cov, down.cov)) < 1e-12))
 
     pi_, ci = figures.ies_optimal_setting(1.0)
     states = phasespace.pointer_state(pi_, ci)

@@ -138,6 +138,21 @@ class TestExitCodes:
         assert all(math.isfinite(float(rec[key])) for key in ("n_tau", "noise_sum", "snr"))
 
 
+    @pytest.mark.parametrize("window", ["0", "-2", "nan", "inf"])
+    def test_bad_wigner_window_is_config_error(self, capsys, tmp_path, window):
+        # a zero, reversed or non-finite window would draw one point, a mirrored grid or NaN rows
+        argv = ["wigner", "--scheme", "ies", "--window", window, "--resolution", "16",
+                "--output-dir", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert "configuration error: window must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_oracle_tol_is_config_error(self, capsys, tol):
+        # nan would fail every check (exit 1), -1 and inf would pass on the floor or on anything
+        assert run_cli(["oracle-check", "--scheme", "ies", "--tol", tol]) == 2
+        assert "configuration error: tol must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, field", [
         (["--scheme", "standard", "--alpha-in", "nan"], "alpha_in"),
         (["--scheme", "standard", "--alpha-in", "inf"], "alpha_in"),
@@ -460,6 +475,12 @@ print(json.dumps(results))
         argvs = [["figure", "fig2a", "--output-dir", str(tmp_path)],
                  ["wigner", "--scheme", "ics", "--resolution", "16", "--output-dir", str(tmp_path)]]
         assert [self.run([argv]) for argv in argvs] == [[[0, True]]] * 2
+
+    def test_figS5_runs_without_numpy(self, tmp_path):
+        # the pointer states' 2x2 algebra is closed form; only the Wigner grid makes arrays
+        argvs = [["figure", "figS5", "--output-dir", str(tmp_path)],
+                 ["wigner", "--preset", "figS5", "--resolution", "16", "--output-dir", str(tmp_path)]]
+        assert self.run(argvs) == [[0, False], [0, True]]
 
     def test_each_command_loads_only_its_modules(self, tmp_path):
         # fresh interpreters: the cli imports core alone, snr adds its scheme's module and

@@ -112,6 +112,87 @@ class TestReconstruct:
         assert len(calls) == 9
 
 
+class TestRecordContract:
+    def test_equal_fields_compare_and_hash_equal(self):
+        a = phasespace.GaussianState2D((0.4, -0.2), np.array([[0.3, 0.1], [0.1, 0.5]]))
+        b = phasespace.GaussianState2D((0.4, -0.2), ((0.3, 0.1), (0.1, 0.5)))
+        assert a == b and hash(a) == hash(b)
+        assert a.cov == ((0.3, 0.1), (0.1, 0.5))
+        assert a != phasespace.GaussianState2D((0.4, -0.2), ((0.3, 0.1), (0.1, 0.6)))
+
+    def test_pointer_states_compare_by_value(self):
+        p = make_params()
+        first, second = (phasespace.pointer_state(p, ies.IesConfig(0.8, 0.9)) for _ in range(2))
+        assert first == second
+        assert len(set(first.values()) | set(second.values())) == 2
+
+    def test_zero_covariance_rejected(self):
+        # no major variance to divide by: the check reads xx and det only
+        with pytest.raises(IndefiniteCovarianceError, match="not positive definite"):
+            phasespace.GaussianState2D((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
+
+
+def seeded_covariances():
+    """General, near-round and diagonal-up-to-rounding covariances, xy of both signs."""
+    rng = np.random.default_rng(20)
+    covs = []
+    for _ in range(40):
+        a, b = rng.uniform(0.05, 3.0, 2)
+        c = rng.uniform(-0.95, 0.95) * math.sqrt(a * b)
+        covs.append(((a, c), (c, b)))
+    for _ in range(20):
+        # strongly squeezed (up to e^{+-2 ln 10}) along a random axis
+        r, t = rng.uniform(0.0, LN10), rng.uniform(-math.pi, math.pi)
+        lo, hi = math.exp(-2.0 * r) / 4.0, math.exp(2.0 * r) / 4.0
+        c, s = math.cos(t), math.sin(t)
+        xy = (lo - hi) * c * s
+        covs.append(((lo * c * c + hi * s * s, xy), (xy, lo * s * s + hi * c * c)))
+    for spread in (1e-6, 1e-9, 1e-14):
+        for _ in range(10):
+            a = rng.uniform(0.1, 2.0)
+            d1, d2, d3 = rng.uniform(-spread, spread, 3) * a
+            covs.append(((a + d1, d3), (d3, a + d2)))
+    for _ in range(20):
+        a, b = 10.0 ** rng.uniform(-6.0, 1.0, 2)
+        c = rng.uniform(-4.0, 4.0) * 1e-16 * max(a, b)
+        covs.append(((a, c), (c, b)))
+    return covs
+
+
+class TestClosedForms:
+    def test_against_eigh(self):
+        # numpy's symmetric eigensolver is the reference for the 2x2 closed forms
+        for cov in seeded_covariances():
+            st = phasespace.GaussianState2D((0.0, 0.0), cov)
+            (xx, xy), (_, yy) = cov
+            ref_vals, ref_vecs = np.linalg.eigh(np.array(cov))
+            minor, major = st.eigenvalues
+            assert abs(minor - ref_vals[0]) <= 1e-13 * major, cov
+            assert abs(major - ref_vals[1]) <= 1e-13 * major, cov
+            assert abs(st.det - np.linalg.det(np.array(cov))) <= 1e-14 * (xx * yy + xy * xy), cov
+            diag = phasespace.ellipse(st)
+            assert diag.xi2_dB == pytest.approx(10.0 * math.log10(ref_vals[0] / 0.25),
+                                                abs=1e-12 * major / minor), cov
+            assert -math.pi / 2.0 < diag.theta_N <= math.pi / 2.0, cov
+            gap = major - minor
+            if gap <= 1e-12 * major:
+                assert diag.theta_N == 0.0, cov
+                continue
+            # the axis of eigh's minor eigenvector, to its conditioning eps major / gap
+            ref = math.atan2(ref_vecs[1, 0], ref_vecs[0, 0])
+            assert abs(math.remainder(diag.theta_N - ref, math.pi)) <= 1e-12 * major / gap, cov
+            if abs(xy) <= 1e-12 * major:
+                # diagonal up to rounding: the axes are X and Y, the minor variance keeps
+                # its relative accuracy however strong the squeeze
+                assert diag.theta_N == (0.0 if xx <= yy else math.pi / 2.0), cov
+                assert minor == pytest.approx(min(xx, yy), rel=1e-14, abs=0.0), cov
+
+    def test_figS5_axes_exactly_on_x(self):
+        # the combined states are diagonal up to rounding: theta_N is 0.0, not +-1e-17
+        rows = figures.figS5_rows()
+        assert [(row["theta_N_up"], row["theta_N_down"]) for row in rows] == [(0.0, 0.0)] * 3
+
+
 class TestEllipse:
     def test_round_state_conventions(self):
         st = phasespace.GaussianState2D((0.0, 0.0), 0.25 * np.eye(2))
