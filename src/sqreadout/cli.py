@@ -9,15 +9,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import math
 import os
 import sys
 from typing import Iterable, Sequence
 
-from .core import (DEFAULT_EPSILON, QubitState, ReadoutError, ReadoutParams,
-                   StabilityError, psi_from_rate, snr, summarize)
+from .core import (DEFAULT_EPSILON, ReadoutError, ReadoutParams, StabilityError, psi_from_rate,
+                   snr, standard_readout_moments, summarize)
 
-SCHEMES = ("standard", "ies", "ics", "combined")
+# scheme -> (module, config type, the options the config takes), imported by the command
+SCHEMES = {
+    "standard": (".ies", "StandardConfig", ()),
+    "ies": (".ies", "IesConfig", ("r", "varphi")),
+    "ics": (".ics", "IcsConfig", ("omega_2ph", "theta")),
+    "combined": (".combined", "CombinedConfig",
+                 ("r", "theta", "omega_sq", "epsilon", "delta_r", "delta_p")),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -25,12 +33,6 @@ EXIT_STABILITY = 3
 EXIT_SOLVER = 4
 
 _PARAM_KEYS = ("kappa", "chi", "alpha_in", "phi_in", "phi_h", "tau")
-_SCHEME_KEYS = {
-    "standard": (),
-    "ies": ("r", "varphi"),
-    "ics": ("omega_2ph", "theta"),
-    "combined": ("r", "theta", "omega_sq", "epsilon", "delta_r", "delta_p"),
-}
 _DEFAULTS = {
     "kappa": 1.0, "chi": 0.5, "alpha_in": 1.0, "phi_in": 0.0,
     "phi_h": math.pi / 2.0, "tau": 1.0,
@@ -115,66 +117,24 @@ def resolve_options(args: argparse.Namespace) -> dict:
     if getattr(args, "kappa_tau", None) is not None:
         kappa = _as_float(opts, "kappa") or 1.0
         opts["tau"] = float(args.kappa_tau) / kappa
-    scheme = opts.get("scheme", "combined")
+    scheme = opts.get("scheme", [*SCHEMES][-1])       # the last, combined, is the default
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
     return {"scheme": scheme,
-            **{key: _as_float(opts, key) for key in (*_PARAM_KEYS, *_SCHEME_KEYS[scheme])}}
+            **{key: _as_float(opts, key) for key in (*_PARAM_KEYS, *SCHEMES[scheme][2])}}
 
 
 def _scheme_point(opts: dict):
     """Operating point of the chosen scheme: (params, cfg, moments, extra record fields).
 
-    cfg.operating_point applies the scheme's phase convention (combined:
-    phi_h = phi_in = theta/2, omega_sq solved), so the moments, the oracle
-    and the pointer states all use the same point.
+    cfg.operating_point resolves unset fields (None) and applies the scheme's phase
+    convention, so the moments, the oracle and the pointer states share one point.
     """
-    scheme = opts["scheme"]
-    params = ReadoutParams(opts["kappa"], opts["chi"], opts["alpha_in"],
-                           opts["phi_in"], opts["phi_h"], opts["tau"])
-    if scheme in ("standard", "ies"):
-        from . import ies
-        r, varphi = (opts["r"], opts["varphi"]) if scheme == "ies" else (0.0, 0.0)
-        cfg = ies.IesConfig(r, ies.optimal_varphi(params) if varphi is None else varphi)
-    elif scheme == "ics":
-        from . import ics
-        omega, theta = opts["omega_2ph"], opts["theta"]
-        cfg = ics.IcsConfig(omega, ics.optimal_theta(params, omega) if theta is None else theta)
-    else:
-        from .combined import CombinedConfig
-        cfg = CombinedConfig(
-            r=opts["r"], theta=opts["theta"] or 0.0, omega_sq=opts["omega_sq"],
-            epsilon=opts["epsilon"], delta_r=opts["delta_r"], delta_p=opts["delta_p"])
+    module, name, keys = SCHEMES[opts["scheme"]]
+    params = ReadoutParams(*(opts[key] for key in _PARAM_KEYS))
+    cfg = getattr(importlib.import_module(module, __package__), name)(**{k: opts[k] for k in keys})
     params, cfg = cfg.operating_point(params)
-    return params, cfg, cfg.moments(params), _record_fields(scheme, params, cfg)
-
-
-def _record_fields(scheme: str, params: ReadoutParams, cfg) -> dict:
-    """The scheme's own fields of the output record, at its operating point."""
-    if scheme == "ics":
-        from . import ics
-        lam = ics.ics_lambda(params.chi, cfg.omega_2ph)
-        return {"omega_2ph": cfg.omega_2ph, "theta": cfg.theta,
-                "lambda_re": lam.real, "lambda_im": lam.imag,
-                "r_out": ics.ics_squeeze_param(params.kappa, cfg.omega_2ph),
-                "n_tau": ics.ics_photon_number(params, cfg, params.tau)}
-    if scheme == "combined":
-        from . import combined
-        disp = cfg.dispersive(params)
-        frame = combined.BogoliubovFrame.from_squeeze(cfg.omega_sq, cfg.r_c, cfg.theta)
-        return {"r": cfg.r, "theta": cfg.theta, "varphi": cfg.varphi,
-                "delta_r": cfg.delta_r, "delta_p": cfg.delta_p,
-                "epsilon": cfg.epsilon, "omega_sq": cfg.omega_sq,
-                "delta_c": frame.delta_c, "omega_2ph": frame.omega_2ph,
-                "chi_sq": disp.chi_sq, "psi_sq": disp.psi_sq,
-                "g": disp.g, "delta_q": disp.delta_q,
-                "n_critical": disp.critical_photon_number,
-                **{f"n_beta_{s.name.lower()}": combined.beta_photon_number(
-                    params, disp, cfg.r_c, s, params.tau) for s in QubitState}}
-    from . import ies
-    fields = ({"r": cfg.r, "varphi": cfg.varphi, "noise_shape": ies.ies_noise_shape(params)}
-              if scheme == "ies" else {})
-    return {**fields, "n_tau": ies.ies_photon_number(params, cfg, params.tau)}
+    return params, cfg, cfg.moments(params), cfg.record_fields(params)
 
 
 def evaluate_record(opts: dict) -> dict:
@@ -349,11 +309,11 @@ def cmd_wigner(args) -> int:
 
 def cmd_mismatch(args) -> int:
     opts = resolve_options(args)
-    if opts["scheme"] != "combined":
+    if "delta_p" not in opts:       # a config without delta_p has no mismatch to analyse
         raise ValueError("mismatch analysis applies to the combined scheme")
     record = evaluate_record(opts)
     record["snr_matched"] = snr(_scheme_point(dict(opts, delta_r=0.0, delta_p=0.0))[2])
-    snr_std = snr(_scheme_point(dict(opts, scheme="standard"))[2])
+    snr_std = snr(standard_readout_moments(ReadoutParams(*(opts[k] for k in _PARAM_KEYS))))
     record["snr_std"] = snr_std
     record["snr_over_e_r_snr_std"] = record["snr"] / (math.exp(opts["r"]) * snr_std)
     with _open_out(args.output) as stream:

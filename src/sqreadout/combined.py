@@ -15,7 +15,6 @@ import cmath
 import itertools
 import math
 import warnings
-from typing import Optional
 
 from .core import (DEFAULT_EPSILON, MeasurementMoments, QubitState, ReadoutParams, BracketError,
                    Record, _stable_squeeze_mix, bisect, psi_from_rate, reduce_angle, replace,
@@ -394,13 +393,14 @@ def mismatch_noise(params: ReadoutParams, disp: DispersiveParams, r: float,
 class CombinedConfig(Record):
     """Operating point of the combined scheme.
 
-    omega_sq = None requests the perpendicular-separation root solve.  The
-    injected-squeezing phase is tied to the drive by theta - varphi = pi + delta_p.
+    omega_sq = None requests the perpendicular-separation root solve, and
+    theta = None means 0.  The injected-squeezing phase is tied to the drive by
+    theta - varphi = pi + delta_p.
     """
 
     r: float
-    theta: float = 0.0
-    omega_sq: Optional[float] = None
+    theta: float | None = 0.0
+    omega_sq: float | None = None
     epsilon: float = DEFAULT_EPSILON
     delta_r: float = 0.0
     delta_p: float = 0.0
@@ -410,9 +410,9 @@ class CombinedConfig(Record):
             raise ValueError("squeeze parameter must be non-negative")
         if not self.epsilon > 0 or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon}")
-        require_finite(self, ("r", "theta", "delta_r", "delta_p")
-                       + (() if self.omega_sq is None else ("omega_sq",)))
-        object.__setattr__(self, "theta", reduce_angle(self.theta))
+        require_finite(self, ("r", "theta", "delta_r", "delta_p", "omega_sq"))
+        object.__setattr__(self, "theta", reduce_angle(self.theta or 0.0))
+        object.__setattr__(self, "delta_p", reduce_angle(self.delta_p))
 
     @property
     def r_c(self) -> float:
@@ -433,6 +433,20 @@ class CombinedConfig(Record):
         if self.omega_sq is None:
             return op, replace(self, omega_sq=solve_omega_sq(op, self.r_c, self.epsilon))
         return op, self
+
+    def record_fields(self, params: ReadoutParams) -> dict:
+        """The scheme's own fields of the output record, at its operating point."""
+        disp = self.dispersive(params)
+        frame = BogoliubovFrame.from_squeeze(self.omega_sq, self.r_c, self.theta)
+        return {"r": self.r, "theta": self.theta, "varphi": self.varphi,
+                "delta_r": self.delta_r, "delta_p": self.delta_p,
+                "epsilon": self.epsilon, "omega_sq": self.omega_sq,
+                "delta_c": frame.delta_c, "omega_2ph": frame.omega_2ph,
+                "chi_sq": disp.chi_sq, "psi_sq": disp.psi_sq,
+                "g": disp.g, "delta_q": disp.delta_q,
+                "n_critical": disp.critical_photon_number,
+                **{f"n_beta_{s.name.lower()}": beta_photon_number(
+                    params, disp, self.r_c, s, params.tau) for s in QubitState}}
 
     def dispersive(self, params: ReadoutParams) -> DispersiveParams:
         """Dispersive parameters at omega_sq (the root, if unset); the signal side uses r_c."""

@@ -54,10 +54,11 @@ def reduce_angle(phi: float) -> float:
 
 
 def require_finite(record, names) -> None:
-    """Raise ValueError naming the first of the record's fields names that is not finite."""
+    """Raise ValueError naming the first of the record's fields names that is not finite;
+    None, an unset field, passes."""
     for name in names:
         value = getattr(record, name)
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -269,8 +270,8 @@ def scheme_moments(params: ReadoutParams, cfg) -> MeasurementMoments:
     """Signal and noise for both qubit states at the scheme's operating point.
 
     cfg is any scheme config: it supplies operating_point(params) -> (params,
-    cfg), moments(params) of both states at that point, and the oracle's
-    linear_system(params, state).
+    cfg), moments(params) of both states at that point, the oracle's
+    linear_system(params, state) and the CLI's record_fields(params).
     """
     params, cfg = cfg.operating_point(params)
     return cfg.moments(params)
@@ -280,7 +281,7 @@ def standard_readout_moments(params: ReadoutParams) -> MeasurementMoments:
     """Moments of the plain dispersive readout (no squeezing anywhere)."""
     from . import ies
 
-    return ies.ies_moments(params, ies.IesConfig(r=0.0, varphi=0.0))
+    return ies.ies_moments(params, ies.StandardConfig())
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:

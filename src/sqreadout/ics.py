@@ -28,24 +28,35 @@ import math
 
 from .core import (PSI_BOUNDS_DEFAULT, SEARCH_PHI_H, SEARCH_PHI_IN, MeasurementMoments,
                    QubitState, ReadoutParams, Record, StabilityError, reduce_angle,
-                   require_finite)
+                   replace, require_finite)
 
 
 class IcsConfig(Record):
-    """Two-photon drive setting: amplitude Omega >= 0 (rate units) and phase theta."""
+    """Two-photon drive setting: amplitude Omega >= 0 (rate units), phase theta (None: optimal)."""
 
     omega_2ph: float
-    theta: float = 0.0
+    theta: float | None = 0.0
 
     def __post_init__(self):
         if self.omega_2ph < 0:
             raise ValueError(f"two-photon amplitude must be non-negative, got {self.omega_2ph}")
         require_finite(self, ("omega_2ph", "theta"))
-        object.__setattr__(self, "theta", reduce_angle(self.theta))
+        if self.theta is not None:
+            object.__setattr__(self, "theta", reduce_angle(self.theta))
 
     def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "IcsConfig"]:
-        """The scheme runs at the phases it is given: params and cfg unchanged."""
+        """The scheme runs at the phases it is given, an unset theta made the optimal one."""
+        if self.theta is None:
+            return params, replace(self, theta=optimal_theta(params, self.omega_2ph))
         return params, self
+
+    def record_fields(self, params: ReadoutParams) -> dict:
+        """The scheme's own fields of the output record, at its operating point."""
+        lam = ics_lambda(params.chi, self.omega_2ph)
+        return {"omega_2ph": self.omega_2ph, "theta": self.theta,
+                "lambda_re": lam.real, "lambda_im": lam.imag,
+                "r_out": ics_squeeze_param(params.kappa, self.omega_2ph),
+                "n_tau": ics_photon_number(params, self, params.tau)}
 
     def moments(self, params: ReadoutParams) -> MeasurementMoments:
         return ics_moments(params, self)
@@ -377,6 +388,7 @@ def ics_moments(params: ReadoutParams, cfg: IcsConfig) -> MeasurementMoments:
     so it stays regular at sin(2 psi) = 0.  The noises follow the decomposition of
     ics_noise_components, taken on the pair's integrals.
     """
+    params, cfg = cfg.operating_point(params)       # an unset theta: the optimal one
     _require_stable(params, cfg)
     p = params.normalized()
     om = cfg.omega_2ph / params.kappa

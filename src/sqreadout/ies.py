@@ -15,24 +15,32 @@ import math
 
 from .core import (PSI_BOUNDS_DEFAULT, SEARCH_PHI_H, SEARCH_PHI_IN, MeasurementMoments,
                    QubitState, ReadoutParams, Record, _stable_squeeze_mix, reduce_angle,
-                   psi_from_rate, require_finite, scheme_moments)
+                   replace, psi_from_rate, require_finite, scheme_moments)
 
 
 class IesConfig(Record):
-    """Injected-squeezing setting: squeeze parameter r >= 0 and reference phase."""
+    """Injected-squeezing setting: squeeze r >= 0 and reference phase varphi (None: optimal)."""
 
     r: float
-    varphi: float = 0.0
+    varphi: float | None = 0.0
 
     def __post_init__(self):
         if self.r < 0:
             raise ValueError(f"squeeze parameter must be non-negative, got {self.r}")
         require_finite(self, ("r", "varphi"))
-        object.__setattr__(self, "varphi", reduce_angle(self.varphi))
+        if self.varphi is not None:
+            object.__setattr__(self, "varphi", reduce_angle(self.varphi))
 
     def operating_point(self, params: ReadoutParams) -> tuple[ReadoutParams, "IesConfig"]:
-        """The scheme runs at the phases it is given: params and cfg unchanged."""
+        """The scheme runs at the phases it is given, an unset varphi made the optimal one."""
+        if self.varphi is None:
+            return params, replace(self, varphi=optimal_varphi(params))
         return params, self
+
+    def record_fields(self, params: ReadoutParams) -> dict:
+        """The scheme's own fields of the output record, at its operating point."""
+        return {"r": self.r, "varphi": self.varphi, "noise_shape": ies_noise_shape(params),
+                "n_tau": ies_photon_number(params, self, params.tau)}
 
     def moments(self, params: ReadoutParams) -> MeasurementMoments:
         return MeasurementMoments(*(ies_signal(params, s) for s in QubitState),
@@ -88,6 +96,20 @@ class IesConfig(Record):
 
         box = PSI_BOUNDS_DEFAULT if fix_chi is None else (math.atan(2.0 * fix_chi),) * 2
         return [box], lambda psi: scored(psi)[0], point
+
+
+class StandardConfig(IesConfig):
+    """The plain dispersive readout: injected squeezing fixed at r = 0 and varphi = 0."""
+
+    r = 0.0
+    varphi = 0.0
+
+    def __post_init__(self):
+        if self.r != 0.0 or self.varphi != 0.0:
+            raise ValueError(f"the standard readout has r = 0 and varphi = 0, got {self}")
+
+    def record_fields(self, params: ReadoutParams) -> dict:
+        return {"n_tau": ies_photon_number(params, self, params.tau)}
 
 
 def _integrated_output_mean(tau, chi, alpha_in, phi_in, sigma, fn=math):

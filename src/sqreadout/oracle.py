@@ -18,7 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import MeasurementMoments, QubitState, ReadoutParams, Record, StabilityError
+from .core import (MeasurementMoments, QubitState, ReadoutError, ReadoutParams, Record,
+                   StabilityError)
 
 
 class _Mat(tuple):
@@ -225,7 +226,8 @@ def oracle_check(params: ReadoutParams, cfg, analytic: MeasurementMoments,
     """Compare analytic moments against the oracle at the scheme's operating point.
 
     Returns a report dict with per-state relative deviations and a 'passed' flag
-    (deviation below max(tol relative, 1e-6 absolute) everywhere).
+    (deviation below max(tol relative, 1e-6 absolute) everywhere).  A non-finite
+    oracle moment is a numerical failure, not a disagreement: it raises ReadoutError.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
@@ -236,6 +238,8 @@ def oracle_check(params: ReadoutParams, cfg, analytic: MeasurementMoments,
         res = oracle_moments(system, steps)
         mean_a, var_a = analytic.of(state)
         mean_o, var_o = res.richardson
+        if not (math.isfinite(mean_o) and math.isfinite(var_o)):
+            raise ReadoutError(f"oracle moments of {state.name} not finite: {mean_o}, {var_o}")
         dev_mean = abs(mean_a - mean_o)
         dev_var = abs(var_a - var_o)
         ok_mean = dev_mean <= max(tol * abs(mean_o), 1e-6)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sqreadout import cli, ies
+from sqreadout.core import MeasurementMoments, Record, standard_readout_moments
 
 
 def run_cli(args):
@@ -38,6 +39,9 @@ class TestSnrCommand:
         assert run_cli(["snr", "--scheme", "standard", "-o", str(out)]) == 0
         rec = parse_kv(out.read_text())
         assert float(rec["snr"]) == pytest.approx(0.1826, abs=1e-3)
+        # the standard record names no squeezing: n_tau is its one own field
+        keys = list(rec)
+        assert keys[keys.index("psi") + 1:keys.index("signal_up")] == ["n_tau"]
 
     def test_ics_zero_drive_matches_standard(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -118,7 +122,11 @@ class TestExitCodes:
         ["snr", "--scheme", "combined", "--epsilon", "1e-300"],
         ["sweep", "--scheme", "ies", "--var", "r", "--start", "0", "--stop", "400", "--count", "3"],
         ["oracle-check", "--scheme", "ies", "--r", "400"],
-    ], ids=["snr-ies-r", "snr-combined-chi", "snr-combined-epsilon", "sweep-ies-r", "oracle-check"])
+        # the oracle's K = 64 (|omega| + kappa) tau overflows its sums to nan
+        ["oracle-check", "--scheme", "ics", "--phi-in", "-1", "--kappa", "1e300",
+         "--omega-2ph", "1e5"],
+    ], ids=["snr-ies-r", "snr-combined-chi", "snr-combined-epsilon", "sweep-ies-r", "oracle-check",
+            "oracle-check-nan"])
     def test_arithmetic_failure_is_solver_error(self, capsys, argv):
         # overflow and division by zero are numerical failures, not the oracle
         # disagreement that exit 1 stands for
@@ -299,6 +307,12 @@ class TestOracleCheckCommand:
             assert analytic[(state, "mean")] == rec[f"signal_{state}"]
             assert analytic[(state, "var")] == rec[f"noise_{state}"]
 
+    def test_large_delta_p_passes(self, capsys):
+        # delta_p is reduced on construction, so both sides see the same phase
+        assert run_cli(["oracle-check", "--scheme", "combined", "--kappa-tau", "1",
+                        "--delta-p", "1e15"]) == 0
+        assert capsys.readouterr().out.strip().endswith("passed=True")
+
     @pytest.mark.parametrize("steps", [[], ["--steps", "65536"]], ids=["default", "65536"])
     def test_exceptional_point_passes(self, capsys, steps):
         # chi = 2 Omega: the ICS drift is defective
@@ -394,6 +408,23 @@ class TestFormatting:
         assert cli.fmt(math.pi) == "3.14159265359"
         assert cli.fmt(1.0) == "1"
         assert cli.fmt(1e-13) == "1e-13"
+
+
+class NoisyStandard(Record):
+    """A scheme the package does not ship: the standard readout with its noise times e^{2r}."""
+
+    r: float
+
+    def operating_point(self, params):
+        return params, self
+
+    def moments(self, params):
+        m, gain = standard_readout_moments(params), math.exp(2.0 * self.r)
+        return MeasurementMoments(m.signal_up, m.signal_down, gain * m.noise_up,
+                                  gain * m.noise_down)
+
+    def record_fields(self, params):
+        return {"r": self.r}
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -523,3 +554,31 @@ print(json.dumps([before, code, loaded(), stdlib]))
         for path in modules:
             names = set(module_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
             assert not {n for n in names if n == "numpy" or n.startswith("numpy.")}, path.name
+
+
+class TestSchemeTable:
+    def test_any_config_plugs_in(self, monkeypatch, capsys):
+        # one path for every table entry: the config is built from its options and
+        # answers for its operating point, moments and record fields
+        monkeypatch.setitem(cli.SCHEMES, "noisy", (__name__, "NoisyStandard", ("r",)))
+        assert run_cli(["snr", "--scheme", "noisy", "--r", "0.5"]) == 0
+        rec = parse_kv(capsys.readouterr().out)
+        assert run_cli(["snr", "--scheme", "standard"]) == 0
+        std = parse_kv(capsys.readouterr().out)
+        assert (rec["scheme"], rec["r"], rec["separation"]) == ("noisy", "0.5", std["separation"])
+        assert float(rec["snr"]) == pytest.approx(float(std["snr"]) * math.exp(-0.5), rel=1e-12)
+        # mismatch asks whether the config takes delta_p, not which scheme it is
+        assert run_cli(["mismatch", "--scheme", "noisy"]) == 2
+
+    def test_cli_names_schemes_only_in_its_table(self):
+        # no scheme switch: a scheme name is a key of cli.SCHEMES and no other string in cli.py
+        tree = ast.parse((SRC / "sqreadout" / "cli.py").read_text(encoding="utf-8"))
+        table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["SCHEMES"])
+        assert isinstance(table, ast.Dict)
+        keys = {id(key) for key in table.keys}
+        stray = [(node.lineno, node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and node.value in cli.SCHEMES and id(node) not in keys]
+        assert stray == []
+        assert len(keys) == len(cli.SCHEMES) == 4

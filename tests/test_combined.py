@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sqreadout.core import QubitState, ReadoutParams, snr, standard_readout_moments
+from sqreadout.core import QubitState, ReadoutParams, reduce_angle, snr, standard_readout_moments
 from sqreadout import combined, ies, oracle
 
 LN10 = math.log(10.0)
@@ -503,6 +503,17 @@ class TestMismatch:
             disp = cfg.dispersive(p)
             noise = combined.mismatch_noise(p, disp, LN10, mm, 0.0, QubitState.UP)
             assert noise == pytest.approx(floor, rel=50.0 * scale + 1e-9)
+
+    def test_delta_p_reduced_like_theta(self):
+        # unreduced, theta - pi - delta_p in the closed form and the reduced varphi of the
+        # oracle split by about |delta_p| * 1e-16 rad: at 1e15, UP variance 72.73 against 74.35
+        cfg = combined.CombinedConfig(r=LN10, theta=7.0, delta_r=0.1, delta_p=1e15)
+        assert cfg.delta_p == reduce_angle(1e15) and cfg.theta == reduce_angle(7.0)
+        assert cfg == combined.CombinedConfig(LN10, 7.0, delta_r=0.1, delta_p=reduce_angle(1e15))
+        # shipped values lie in (-pi, pi] and keep their bits
+        assert combined.CombinedConfig(r=LN10, delta_p=-0.2).delta_p == -0.2
+        p, cfg = cfg.operating_point(make_params())
+        assert oracle.oracle_check(p, cfg, cfg.moments(p), steps=4096)["passed"]
 
     def test_oracle_agreement(self):
         p = make_params()

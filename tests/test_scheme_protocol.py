@@ -1,7 +1,8 @@
 """Contract of the scheme protocol: each config type answers for its own scheme.
 
-A config supplies operating_point, moments and linear_system; the scheme
-moments, the oracle and the phase-space reconstruction use nothing else.
+A config supplies operating_point, moments, linear_system and record_fields;
+the scheme moments, the oracle, the phase-space reconstruction and the CLI
+record use nothing else.
 """
 
 import math
@@ -73,6 +74,65 @@ class TestCombinedOperatingPoint:
         assert solved.omega_sq == combined.solve_omega_sq(p, cfg.r_c, cfg.epsilon)
         assert solved.operating_point(op) == (op, solved)
         assert scheme_moments(p, cfg) == combined.combined_moments(p, cfg)
+
+
+class TestUnsetFields:
+    """None leaves a field to the config: operating_point makes a phase the noise-optimal one."""
+
+    # the noise shape F and the ICS Gs are positive at the first point and negative at the second
+    POINTS = [(0.5, 1.0), (1.0, 3.0)]
+
+    @pytest.mark.parametrize("chi, kappa_tau", POINTS, ids=["F>0", "F<0"])
+    def test_ies_varphi(self, chi, kappa_tau):
+        p = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        want = ies.IesConfig(0.7, ies.optimal_varphi(p))
+        assert ies.IesConfig(0.7, None).operating_point(p) == (p, want)
+        assert scheme_moments(p, ies.IesConfig(0.7, None)) == scheme_moments(p, want)
+        assert ies.ies_moments(p, ies.IesConfig(0.7, None)) == ies.ies_moments(p, want)
+
+    @pytest.mark.parametrize("chi, kappa_tau", POINTS, ids=["Gs>0", "Gs<0"])
+    def test_ics_theta(self, chi, kappa_tau):
+        p = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        want = ics.IcsConfig(0.15, ics.optimal_theta(p, 0.15))
+        assert ics.IcsConfig(0.15, None).operating_point(p) == (p, want)
+        assert scheme_moments(p, ics.IcsConfig(0.15, None)) == scheme_moments(p, want)
+        assert ics.ics_moments(p, ics.IcsConfig(0.15, None)) == ics.ics_moments(p, want)
+
+    def test_combined_theta_means_zero(self):
+        assert combined.CombinedConfig(1.0, None) == combined.CombinedConfig(1.0, 0.0)
+        assert combined.CombinedConfig(1.0, None).theta == 0.0
+
+    def test_library_defaults_unchanged(self):
+        assert ies.IesConfig(0.7).varphi == 0.0 and ics.IcsConfig(0.15).theta == 0.0
+        assert combined.CombinedConfig(1.0).theta == 0.0
+
+
+class TestStandardConfig:
+    def test_is_ies_without_squeezing(self):
+        p = make_params(kappa_tau=0.7)
+        assert ies.StandardConfig() == ies.StandardConfig(0.0, 0.0)
+        assert ies.StandardConfig().operating_point(p) == (p, ies.StandardConfig())
+        assert ies.StandardConfig().moments(p) == ies.IesConfig(0.0, 0.0).moments(p)
+
+    @pytest.mark.parametrize("fields", [(0.5, 0.0), (0.0, 1.0), (0.0, None), (math.nan, 0.0)])
+    def test_fields_are_fixed(self, fields):
+        with pytest.raises(ValueError, match="standard readout has r = 0 and varphi = 0"):
+            ies.StandardConfig(*fields)
+
+
+@pytest.mark.parametrize("cfg, keys", [
+    (ies.StandardConfig(), "n_tau"),
+    (ies.IesConfig(0.5, None), "r varphi noise_shape n_tau"),
+    (ics.IcsConfig(0.15, None), "omega_2ph theta lambda_re lambda_im r_out n_tau"),
+    (combined.CombinedConfig(1.0, delta_r=0.1), "r theta varphi delta_r delta_p epsilon omega_sq "
+     "delta_c omega_2ph chi_sq psi_sq g delta_q n_critical n_beta_up n_beta_down"),
+], ids=["standard", "ies", "ics", "combined"])
+def test_record_fields(cfg, keys):
+    # each config names its own record fields, in the order the CLI prints them
+    p, cfg = cfg.operating_point(make_params())
+    fields = cfg.record_fields(p)
+    assert list(fields) == keys.split()
+    assert all(math.isfinite(value) for value in fields.values())
 
 
 def counting(monkeypatch, owner, name, calls):
