@@ -41,6 +41,13 @@ _DEFAULTS = {
 }
 # _DEFAULTS is the one key table: the --flags, the option merge and the sweepable list
 _SWEEPABLE = ("kappa_tau", *(k for k in _DEFAULTS if k != "kappa"))
+# the flags of every command that evaluates a scheme, as (flags, keywords) in --help order
+_SCHEME_FLAGS = (
+    (("--config",), {"help": "key=value config file (INI sections)"}),
+    (("--scheme",), {"choices": SCHEMES}),
+    *((("--" + key.replace("_", "-"),), {"dest": key, "type": float}) for key in _DEFAULTS),
+    (("--kappa-tau",), {"dest": "kappa_tau", "type": float, "help": "set tau from kappa*tau"}),
+)
 
 
 def fmt(value) -> str:
@@ -255,51 +262,44 @@ def _wigner_window(states: list[phasespace.GaussianState2D]) -> float:
     return math.ceil(2.0 * half) / 2.0
 
 
-def _write_wigner(outdir: str, stem: str, params, cfg, resolution: int,
-                  window: float | None, diagnostics: list[dict]) -> None:
-    from . import phasespace
-    states = phasespace.pointer_state(params, cfg)
-    half = window if window is not None else _wigner_window(list(states.values()))
-    for state, st in states.items():
-        x, y, w = phasespace.wigner_grid(st, (-half, half), resolution)
-        path = os.path.join(outdir, f"{stem}_{state.name.lower()}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,y,w\n")
-            for yv, row in zip(y.tolist(), w.tolist()):
-                fh.writelines(f"{fmt(xv)},{fmt(yv)},{fmt(wv)}\n"
-                              for xv, wv in zip(x.tolist(), row))
-        diag = phasespace.ellipse(st)
-        diagnostics.append({"grid": f"{stem}_{state.name.lower()}",
-                            "kappa_tau": params.kappa_tau,
-                            "state": state.name.lower(),
-                            "mean_x": st.mean[0], "mean_y": st.mean[1],
-                            "theta_N": diag.theta_N, "xi2_N": diag.xi2_N,
-                            "xi2_dB": diag.xi2_dB, "window": half,
-                            "resolution": resolution})
-        print(f"wrote {path}")
-
-
 def cmd_wigner(args) -> int:
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
-    diagnostics: list[dict] = []
     if args.preset:
         from .figures import PHASE_SPACE_SETTINGS
         setting = PHASE_SPACE_SETTINGS.get(args.preset)
         if setting is None:
             raise ValueError(f"unknown preset {args.preset!r}; "
                              f"options: {sorted(PHASE_SPACE_SETTINGS)}")
-        for kt in (1.0, 2.0, 5.0):
-            params, cfg = setting(kt)
-            _write_wigner(outdir, f"{args.preset}_kt{kt:g}", params, cfg,
-                          args.resolution, args.window, diagnostics)
         stem = args.preset
+        # lazily, so the files of the points before a failing one are still written
+        points = ((f"{stem}_kt{kt:g}", *setting(kt)) for kt in (1.0, 2.0, 5.0))
     else:
         opts = resolve_options(args)
-        params, cfg, _, _ = _scheme_point(opts)
-        _write_wigner(outdir, f"wigner_{opts['scheme']}", params, cfg,
-                      args.resolution, args.window, diagnostics)
         stem = f"wigner_{opts['scheme']}"
+        points = [(stem, *_scheme_point(opts)[:2])]
+    from . import phasespace
+    diagnostics: list[dict] = []
+    for grid, params, cfg in points:
+        states = phasespace.pointer_state(params, cfg)
+        half = args.window if args.window is not None else _wigner_window(list(states.values()))
+        for state, st in states.items():
+            name = f"{grid}_{state.name.lower()}"
+            x, y, w = phasespace.wigner_grid(st, (-half, half), args.resolution)
+            path = os.path.join(outdir, f"{name}.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("x,y,w\n")
+                for yv, row in zip(y.tolist(), w.tolist()):
+                    fh.writelines(f"{fmt(xv)},{fmt(yv)},{fmt(wv)}\n"
+                                  for xv, wv in zip(x.tolist(), row))
+            diag = phasespace.ellipse(st)
+            diagnostics.append({"grid": name, "kappa_tau": params.kappa_tau,
+                                "state": state.name.lower(),
+                                "mean_x": st.mean[0], "mean_y": st.mean[1],
+                                "theta_N": diag.theta_N, "xi2_N": diag.xi2_N,
+                                "xi2_dB": diag.xi2_dB, "window": half,
+                                "resolution": args.resolution})
+            print(f"wrote {path}")
     diag_path = os.path.join(outdir, f"{stem}_diagnostics.csv")
     with open(diag_path, "w", encoding="utf-8") as fh:
         write_csv(fh, diagnostics)
@@ -323,80 +323,57 @@ def cmd_mismatch(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+_OUTPUT = (("--output", "-o"), {})
+_OUTPUT_DIR = (("--output-dir",), {"default": "."})
+_GNUPLOT = (("--gnuplot",), {"action": "store_true"})
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file (INI sections)")
-    sub.add_argument("--scheme", choices=SCHEMES)
-    for key in _DEFAULTS:
-        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
-    sub.add_argument("--kappa-tau", dest="kappa_tau", type=float,
-                     help="set tau from kappa*tau")
+# command -> (handler, help, takes the scheme flags, its own options as (flags, keywords));
+# a callable `choices` is read only when its command runs
+COMMANDS = {
+    "snr": (cmd_snr, "evaluate one operating point", True, (
+        _OUTPUT, (("--format",), {"choices": ("kv", "csv"), "default": "kv"}))),
+    "figure": (cmd_figure, "write reference-figure CSV data", False, (
+        (("name",), {"choices": lambda: importlib.import_module(".figures", __package__).FIGURES}),
+        _OUTPUT_DIR, _GNUPLOT)),
+    "sweep": (cmd_sweep, "sweep one parameter to CSV", True, (
+        (("--var",), {"required": True}),
+        (("--start",), {"type": float, "required": True}),
+        (("--stop",), {"type": float, "required": True}),
+        (("--count",), {"type": int, "required": True}),
+        (("--spacing",), {"choices": ("linear", "log"), "default": "linear"}),
+        _OUTPUT, _GNUPLOT)),
+    "oracle-check": (cmd_oracle_check, "compare analytics with the brute-force oracle", True, (
+        (("--steps",), {"type": int}), (("--tol",), {"type": float, "default": 1e-3}))),
+    "wigner": (cmd_wigner, "phase-space grids of the pointer states", True, (
+        (("--preset",), {"help": "figS2, figS4 or figS5"}),
+        (("--window",), {"type": float, "help": "half-width of the square grid"}),
+        (("--resolution",), {"type": int, "default": 201}), _OUTPUT_DIR)),
+    "mismatch": (cmd_mismatch, "combined scheme with parameter mismatches", True, (_OUTPUT,)),
+}
 
 
-class _FigureNames:
-    """figures.FIGURES, imported when first iterated; build_parser sets it as choices only
-    after add_argument, which iterates choices and so would import figures for every command."""
-    def __iter__(self):
-        from .figures import FIGURES
-        return iter(FIGURES)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command name, with the options of `command` alone."""
     parser = argparse.ArgumentParser(
         prog="readout",
         description="Dispersive-readout SNR with injected and intracavity squeezing")
     subs = parser.add_subparsers(dest="command", required=True)
-    flags = argparse.ArgumentParser(add_help=False)     # the shared flags, declared once
-    _add_param_flags(flags)
-
-    sp = subs.add_parser("snr", parents=[flags], help="evaluate one operating point")
-    sp.add_argument("--output", "-o")
-    sp.add_argument("--format", choices=("kv", "csv"), default="kv")
-    sp.set_defaults(func=cmd_snr)
-
-    sp = subs.add_parser("figure", help="write reference-figure CSV data")
-    sp.add_argument("name").choices = _FigureNames()
-    sp.add_argument("--output-dir", default=".")
-    sp.add_argument("--gnuplot", action="store_true")
-    sp.set_defaults(func=cmd_figure)
-
-    sp = subs.add_parser("sweep", parents=[flags], help="sweep one parameter to CSV")
-    sp.add_argument("--var", required=True)
-    sp.add_argument("--start", type=float, required=True)
-    sp.add_argument("--stop", type=float, required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    sp.add_argument("--output", "-o")
-    sp.add_argument("--gnuplot", action="store_true")
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = subs.add_parser("oracle-check", parents=[flags],
-                         help="compare analytics with the brute-force oracle")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.set_defaults(func=cmd_oracle_check)
-
-    sp = subs.add_parser("wigner", parents=[flags],
-                         help="phase-space grids of the pointer states")
-    sp.add_argument("--preset", help="figS2, figS4 or figS5")
-    sp.add_argument("--window", type=float, help="half-width of the square grid")
-    sp.add_argument("--resolution", type=int, default=201)
-    sp.add_argument("--output-dir", default=".")
-    sp.set_defaults(func=cmd_wigner)
-
-    sp = subs.add_parser("mismatch", parents=[flags],
-                         help="combined scheme with parameter mismatches")
-    sp.add_argument("--output", "-o")
-    sp.set_defaults(func=cmd_mismatch)
-
+    for name, (_, help_text, scheme_flags, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if name != command:
+            continue
+        for flags, keywords in (_SCHEME_FLAGS if scheme_flags else ()) + options:
+            choices = keywords.get("choices")
+            sub.add_argument(*flags, **(dict(keywords, choices=choices()) if callable(choices)
+                                        else keywords))
     return parser
 
 
 def main(argv: Iterable[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

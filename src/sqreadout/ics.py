@@ -64,14 +64,15 @@ class IcsConfig(Record):
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: two-photon-driven cavity with vacuum input, from its stationary state."""
         from .oracle import LinearReadoutSystem
-        _require_stable(params, self)
+        params, cfg = self.operating_point(params)
+        _require_stable(params, cfg)
         k = params.kappa
         s = int(state)
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
-        ph = complex(math.cos(self.theta), math.sin(self.theta))
-        drift = ((-1j * s * params.chi - k / 2.0, -2j * self.omega_2ph * ph),
-                 (2j * self.omega_2ph * ph.conjugate(), 1j * s * params.chi - k / 2.0))
-        init = ics_initial_correlations(k, self)
+        ph = complex(math.cos(cfg.theta), math.sin(cfg.theta))
+        drift = ((-1j * s * params.chi - k / 2.0, -2j * cfg.omega_2ph * ph),
+                 (2j * cfg.omega_2ph * ph.conjugate(), 1j * s * params.chi - k / 2.0))
+        init = ics_initial_correlations(k, cfg)
         return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), init,
                                    ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
 
@@ -132,9 +133,14 @@ def _lambda_sq(chi, omega_2ph):
 
 
 def ics_lambda(chi: float, omega_2ph: float) -> complex:
-    """Oscillation rate lambda = sqrt(chi^2 - 4 Omega^2), principal branch."""
-    x = _lambda_sq(chi, omega_2ph)
-    return complex(math.sqrt(x), 0.0) if x >= 0 else complex(0.0, math.sqrt(-x))
+    """Oscillation rate lambda = sqrt(chi^2 - 4 Omega^2), principal branch.
+
+    The rates are scaled by a power of two, exactly, so chi^2 cannot overflow.
+    """
+    e = math.frexp(max(abs(chi), 2.0 * abs(omega_2ph)))[1]
+    x = _lambda_sq(math.ldexp(chi, -e), math.ldexp(omega_2ph, -e))
+    root = math.ldexp(math.sqrt(abs(x)), e)
+    return complex(root, 0.0) if x >= 0 else complex(0.0, root)
 
 
 def _stability(kappa, chi, omega_2ph):

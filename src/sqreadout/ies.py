@@ -43,19 +43,20 @@ class IesConfig(Record):
                 "n_tau": ies_photon_number(params, self, params.tau)}
 
     def moments(self, params: ReadoutParams) -> MeasurementMoments:
+        params, cfg = self.operating_point(params)      # an unset varphi: the optimal one
         return MeasurementMoments(*(ies_signal(params, s) for s in QubitState),
-                                  *(ies_noise(params, self, s) for s in QubitState))
+                                  *(ies_noise(params, cfg, s) for s in QubitState))
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""
         from .oracle import LinearReadoutSystem
+        params, cfg = self.operating_point(params)
         k = params.kappa
         s = int(state)
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
         drift = ((-1j * s * params.chi - k / 2.0, 0.0), (0.0, 1j * s * params.chi - k / 2.0))
-        n_in = math.sinh(self.r) ** 2
-        m_in = 0.5 * math.sinh(2.0 * self.r) * complex(math.cos(self.varphi),
-                                                       math.sin(self.varphi))
+        n_in = math.sinh(cfg.r) ** 2
+        m_in = 0.5 * math.sinh(2.0 * cfg.r) * complex(math.cos(cfg.varphi), math.sin(cfg.varphi))
         return LinearReadoutSystem(drift, a_bar, (n_in, m_in), (n_in, m_in),
                                    ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-# the search box constants and bisect are core's, re-exported
-from .core import PSI_BOUNDS_DEFAULT, R_MAX_DEFAULT, Record, bisect  # noqa: F401
+from .core import R_MAX_DEFAULT, Record
 from . import ies, ics
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

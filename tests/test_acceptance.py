@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from sqreadout.core import (QubitState, ReadoutParams, fidelity_and_error,
+from sqreadout.core import (QubitState, ReadoutParams, bisect, fidelity_and_error,
                             required_tone_amplitude, snr, standard_readout_moments)
 from sqreadout import combined, figures, ics, ies, optimize, oracle, phasespace
 
@@ -148,7 +148,7 @@ def test_criterion_04b_long_time_snr_ratio():
 def test_criterion_04c_short_time_omega_sq():
     x, _ = _short_time_peak()
     # x* solves d/dx [sin x/x^2 - 2(1 - cos x)/x^3] = 0
-    x_star = optimize.bisect(
+    x_star = bisect(
         lambda v: v * v * math.cos(v) - 4.0 * v * math.sin(v) + 6.0 * (1.0 - math.cos(v)),
         2.0, 3.0, 1e-12)
     # the leading-order shape holds up to O(kappa*tau) corrections

@@ -1,13 +1,18 @@
+import argparse
 import ast
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sqreadout import cli, ies
 from sqreadout.core import MeasurementMoments, Record, standard_readout_moments
@@ -381,6 +386,23 @@ class TestWignerCommand:
             assert up == pytest.approx(-down, abs=1e-6)
             assert up != 0.0
 
+    def test_preset_keeps_the_files_before_a_failing_point(self, monkeypatch, tmp_path, capsys):
+        from sqreadout import figures
+        from sqreadout.core import StabilityError
+        setting = figures.PHASE_SPACE_SETTINGS["figS5"]
+
+        def fails_at_2(kappa_tau):
+            if kappa_tau == 2.0:
+                raise StabilityError("no point at kappa*tau = 2")
+            return setting(kappa_tau)
+
+        monkeypatch.setitem(figures.PHASE_SPACE_SETTINGS, "figS5", fails_at_2)
+        assert run_cli(["wigner", "--preset", "figS5", "--resolution", "16",
+                        "--output-dir", str(tmp_path)]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["figS5_kt1_down.csv",
+                                                              "figS5_kt1_up.csv"]
+        assert capsys.readouterr().out.count("wrote") == 2
+
     def test_mismatched_combined_exits_2(self, tmp_path, capsys):
         # the mismatch noise is known on the squeezed quadrature only, so the
         # off-axis probes of the pointer-state reconstruction are refused
@@ -582,3 +604,67 @@ class TestSchemeTable:
                  and node.value in cli.SCHEMES and id(node) not in keys]
         assert stray == []
         assert len(keys) == len(cli.SCHEMES) == 4
+
+
+class TestCommandTable:
+    def test_only_the_running_command_has_options(self):
+        parser = cli.build_parser("snr")
+        args = parser.parse_args(["snr", "--scheme", "ies", "--r", "0.5", "--format", "csv"])
+        assert (args.command, args.scheme, args.r, args.format) == ("snr", "ies", 0.5, "csv")
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subs.choices) == list(cli.COMMANDS)
+        options = {name: [a.option_strings for a in sub._actions]
+                   for name, sub in subs.choices.items()}
+        assert options.pop("snr")[-2:] == [["--output", "-o"], ["--format"]]
+        assert options == {name: [["-h", "--help"]] for name in options}
+
+
+ODD_VALUES = ("0", "-0", "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "-1e-300", "1e5",
+              "-1e5")
+SCHEME_FLOATS = [*("--" + key.replace("_", "-") for key in cli._DEFAULTS), "--kappa-tau"]
+# the float options of each drawn command besides the scheme flags; figure takes no numbers
+OWN_FLOATS = {"snr": (), "mismatch": (), "oracle-check": ("--tol",), "wigner": ("--window",),
+              "sweep": ("--start", "--stop")}
+MESSAGES = {2: "configuration error:|usage:", 3: "stability error:", 4: "solver error:"}
+
+
+@st.composite
+def odd_argvs(draw):
+    """An argv with odd values on one to three float flags; wigner still needs --output-dir."""
+    command = draw(st.sampled_from(sorted(OWN_FLOATS)))
+    argv = [command, "--scheme", draw(st.sampled_from(sorted(cli.SCHEMES)))]
+    if command == "sweep":
+        argv += ["--var", draw(st.sampled_from(cli._SWEEPABLE)), "--start", "0.5", "--stop", "2",
+                 "--count", str(draw(st.integers(-1, 5))),
+                 "--spacing", draw(st.sampled_from(("linear", "log")))]
+    elif command == "wigner":
+        argv += ["--resolution", str(draw(st.integers(16, 32)))]
+    flags = draw(st.lists(st.sampled_from(SCHEME_FLOATS + list(OWN_FLOATS[command])),
+                          min_size=1, max_size=3, unique=True))
+    # --flag=value, or argparse would read a value such as -inf as an option
+    return argv + [f"{flag}={draw(st.sampled_from(ODD_VALUES))}" for flag in flags]
+
+
+class TestOddInputs:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=odd_argvs())
+    @example(argv=["snr", "--scheme", "ics", "--kappa=1e300", "--chi=1e300"])  # chi^2 overflowed
+    def test_documented_exit_and_finite_output(self, tmp_path, argv):
+        if argv[0] == "wigner":
+            argv = [*argv, "--output-dir", str(tmp_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:       # argparse rejects the argv
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert not {"nan", "inf", "-inf"} & set(re.split(r"[\s,=()]+", out.lower()))
+        elif code == 1:                     # an oracle disagreement, between finite moments
+            sides = re.findall(r"(?:analytic|oracle)=(\S+)", out)
+            assert argv[0] == "oracle-check" and sides
+            assert all(math.isfinite(float(side)) for side in sides)
+        else:
+            assert code in MESSAGES and re.search(f"^({MESSAGES[code]})", err, re.M), (code, err)

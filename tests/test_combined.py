@@ -231,8 +231,7 @@ class TestSolveOmegaSq:
 
 def scalar_walk_omega_sq(params, r, epsilon=0.05, grid_points=4096):
     """Reference: the point-by-point scan that picked the bracket before the array pass."""
-    from sqreadout.core import BracketError
-    from sqreadout.optimize import bisect
+    from sqreadout.core import BracketError, bisect
 
     k = params.kappa
     chi = params.chi
@@ -297,8 +296,7 @@ def sign_changes(f):
 
 def full_scan_omega_sq(params, r, epsilon, scan):
     """Reference: the root from the first sign change of full_scan, as before the coarse pass."""
-    from sqreadout.core import BracketError
-    from sqreadout.optimize import bisect
+    from sqreadout.core import BracketError, bisect
 
     lo, hi, grid, f = scan
     hit = sign_changes(f)

@@ -37,6 +37,13 @@ class TestLambda:
         assert lam.real == pytest.approx(0.0, abs=1e-15)
         assert lam.imag == pytest.approx(0.4, rel=1e-12)
 
+    def test_rates_near_the_float_limit(self):
+        # chi^2 alone overflows; lambda itself is in range
+        assert ics.ics_lambda(1e300, 0.0) == 1e300
+        assert ics.ics_lambda(1e300, 1e300).imag == pytest.approx(math.sqrt(3.0) * 1e300,
+                                                                  rel=1e-15)
+        assert ics.ics_lambda(0.0, 0.0) == 0.0
+
 
 class TestStability:
     def test_real_lambda_stable(self):

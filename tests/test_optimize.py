@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqreadout.core import BracketError, QubitState, ReadoutParams
+from sqreadout.core import PSI_BOUNDS_DEFAULT, BracketError, QubitState, ReadoutParams, bisect
 from sqreadout import ics, ies, optimize
 
 R_MAX = optimize.R_MAX_DEFAULT
@@ -73,16 +73,16 @@ def scan_maximize_over_box(objective, bounds):
 
 class TestBisect:
     def test_linear(self):
-        assert optimize.bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(
+        assert bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_cosine(self):
-        assert optimize.bisect(math.cos, 1.0, 2.0, 1e-12) == pytest.approx(
+        assert bisect(math.cos, 1.0, 2.0, 1e-12) == pytest.approx(
             math.pi / 2.0, abs=1e-11)
 
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
-            optimize.bisect(lambda x: x + 5.0, 0.0, 1.0, 1e-6)
+            bisect(lambda x: x + 5.0, 0.0, 1.0, 1e-6)
 
     def test_call_count_bound(self):
         counter = {"n": 0}
@@ -92,7 +92,7 @@ class TestBisect:
             return x - 0.37
 
         tol = 1e-9
-        optimize.bisect(f, 0.0, 1.0, tol)
+        bisect(f, 0.0, 1.0, tol)
         # two endpoint evaluations plus the bisection steps
         assert counter["n"] <= math.ceil(math.log2(1.0 / tol)) + 4
 
@@ -100,7 +100,7 @@ class TestBisect:
         f = lambda x: math.tanh(x - 0.3)
         prev = None
         for tol in (1e-3, 1e-6, 1e-9, 1e-12):
-            x = optimize.bisect(f, -1.0, 1.0, tol)
+            x = bisect(f, -1.0, 1.0, tol)
             res = abs(f(x))
             if prev is not None:
                 assert res <= prev
@@ -322,7 +322,7 @@ def public_ics_objective(kappa_tau, fix_chi=None):
 def random_points(count, seed):
     """(kappa_tau, psi, r, chi) drawn over the search boxes, log-uniform in kappa_tau."""
     rng = np.random.default_rng(seed)
-    return [(float(10 ** rng.uniform(-2, 2)), float(rng.uniform(*optimize.PSI_BOUNDS_DEFAULT)),
+    return [(float(10 ** rng.uniform(-2, 2)), float(rng.uniform(*PSI_BOUNDS_DEFAULT)),
              float(rng.uniform(0.0, R_MAX)), float(rng.uniform(0.05, 2.0)))
             for _ in range(count)]
 
@@ -391,8 +391,8 @@ class TestArrayObjective:
     def test_ies(self, r_max):
         rng = np.random.default_rng(3)
         for kt in 10 ** rng.uniform(-2, 2, 30):
-            psi = np.concatenate([rng.uniform(*optimize.PSI_BOUNDS_DEFAULT, 60),
-                                  optimize.PSI_BOUNDS_DEFAULT])
+            psi = np.concatenate([rng.uniform(*PSI_BOUNDS_DEFAULT, 60),
+                                  PSI_BOUNDS_DEFAULT])
             _, objective, _ = ies.IesConfig.search(float(kt), r_max)
             scalar = [objective(float(p)) for p in psi]
             np.testing.assert_allclose(objective(psi), scalar, rtol=1e-9, atol=1e-13)

@@ -8,7 +8,7 @@ import sqreadout
 # the names `from sqreadout import ...` has always offered, by the submodule defining them
 EXPORTS = {
     "core": ["DegenerateNoiseError", "MeasurementMoments", "QubitState", "ReadoutParams",
-             "ReadoutSummary", "ReadoutError", "StabilityError", "fidelity_and_error",
+             "ReadoutSummary", "ReadoutError", "StabilityError", "bisect", "fidelity_and_error",
              "psi_from_rate", "required_tone_amplitude", "scheme_moments", "snr",
              "standard_readout_moments", "summarize"],
     "ies": ["IesConfig", "ies_moments", "ies_noise", "ies_noise_shape", "ies_photon_number",
@@ -21,7 +21,7 @@ EXPORTS = {
                  "separation_components", "solve_omega_sq"],
     "oracle": ["LinearReadoutSystem", "OracleResult", "build_system", "commutator_defect",
                "oracle_check", "oracle_moments"],
-    "optimize": ["OptimumReport", "bisect", "maximize_snr"],
+    "optimize": ["OptimumReport", "maximize_snr"],
     "phasespace": ["EllipseDiagnostics", "GaussianState2D", "ellipse", "pointer_state",
                    "reconstruct_state", "wigner_grid"],
 }

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from sqreadout.core import ReadoutParams, scheme_moments
+from sqreadout.core import QubitState, ReadoutParams, scheme_moments
 from sqreadout import combined, ics, ies, oracle, phasespace
 
 
@@ -97,6 +97,22 @@ class TestUnsetFields:
         assert ics.IcsConfig(0.15, None).operating_point(p) == (p, want)
         assert scheme_moments(p, ics.IcsConfig(0.15, None)) == scheme_moments(p, want)
         assert ics.ics_moments(p, ics.IcsConfig(0.15, None)) == ics.ics_moments(p, want)
+
+    @pytest.mark.parametrize("chi, kappa_tau", POINTS, ids=["F>0", "F<0"])
+    def test_ies_methods_fill_varphi(self, chi, kappa_tau):
+        # the config's own moments and oracle model run at its operating point too
+        p = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        unset, want = ies.IesConfig(0.5, None), ies.IesConfig(0.5, ies.optimal_varphi(p))
+        assert unset.moments(p) == want.moments(p)
+        for state in QubitState:
+            assert unset.linear_system(p, state) == want.linear_system(p, state)
+
+    @pytest.mark.parametrize("chi, kappa_tau", POINTS, ids=["Gs>0", "Gs<0"])
+    def test_ics_linear_system_fills_theta(self, chi, kappa_tau):
+        p = ReadoutParams(1.0, chi, 1.0, 0.0, math.pi / 2.0, kappa_tau)
+        unset, want = ics.IcsConfig(0.1, None), ics.IcsConfig(0.1, ics.optimal_theta(p, 0.1))
+        for state in QubitState:
+            assert unset.linear_system(p, state) == want.linear_system(p, state)
 
     def test_combined_theta_means_zero(self):
         assert combined.CombinedConfig(1.0, None) == combined.CombinedConfig(1.0, 0.0)
