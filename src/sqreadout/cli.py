@@ -283,9 +283,11 @@ def cmd_wigner(args) -> int:
     for grid, params, cfg in points:
         states = phasespace.pointer_state(params, cfg)
         half = args.window if args.window is not None else _wigner_window(list(states.values()))
-        for state, st in states.items():
+        # both grids of a point before either file, so a non-finite one leaves none
+        grids = [phasespace.wigner_grid(st, (-half, half), args.resolution)
+                 for st in states.values()]
+        for (state, st), (x, y, w) in zip(states.items(), grids):
             name = f"{grid}_{state.name.lower()}"
-            x, y, w = phasespace.wigner_grid(st, (-half, half), args.resolution)
             path = os.path.join(outdir, f"{name}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("x,y,w\n")
@@ -381,8 +383,22 @@ def main(argv: Iterable[str] | None = None) -> int:
         print(f"stability error: {exc}", file=sys.stderr)
         return EXIT_STABILITY
     except (ReadoutError, ArithmeticError) as exc:     # overflow, division by zero
-        print(f"solver error: {exc}", file=sys.stderr)
+        print(f"solver error: {_solver_message(exc)}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+def _solver_message(exc: Exception) -> str:
+    """The message of a numerical failure.  An overflow names the innermost public
+    function of the traceback, the quantity that left the float range: x ** y only
+    says (34, 'Numerical result out of range')."""
+    if not isinstance(exc, OverflowError):
+        return str(exc)
+    names, tb = [], exc.__traceback__
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    name = next((n for n in reversed(names) if n[0] not in "_<"), names[-1])
+    return f"{name} overflowed: {exc.args[-1] if exc.args else 'overflow'}"
 
 
 if __name__ == "__main__":

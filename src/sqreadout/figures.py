@@ -48,22 +48,28 @@ def _mismatch_snrs(kappa_tau: float, delta_ps: Iterable[float]) -> list[float]:
     return [snr(combined.combined_moments(p, replace(cfg, delta_p=dp))) for dp in delta_ps]
 
 
-def kappa_tau_grid(start: float = 1e-2, stop: float = 1e2, count: int = 25) -> np.ndarray:
+def kappa_tau_grid(start: float = 1e-2, stop: float = 1e2, count: int = 25) -> list[float]:
     import numpy as np
-    return np.geomspace(start, stop, count)
+    return np.geomspace(start, stop, count).tolist()
 
 
-def _kappa_taus(grid: Iterable[float] | None, *default: float) -> np.ndarray:
-    """A builder's kappa*tau values: its grid as an array, else kappa_tau_grid(*default)."""
-    import numpy as np
-    return kappa_tau_grid(*default) if grid is None else np.asarray(list(grid))
+def _kappa_taus(grid: Iterable[float] | None, *default: float) -> list[float]:
+    """A builder's kappa*tau values as floats: its grid, else kappa_tau_grid(*default)."""
+    return kappa_tau_grid(*default) if grid is None else [float(kt) for kt in grid]
+
+
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """count evenly spaced floats from start to stop, the values of numpy.linspace."""
+    if count < 2:
+        return [start] * count
+    step = (stop - start) / (count - 1)
+    return [i * step + start for i in range(count - 1)] + [stop]
 
 
 def fig2a_rows() -> list[dict]:
     """Dispersive-coupling enhancement chi_sq/chi versus omega_sq."""
-    import numpy as np
     rows = []
-    for w in np.linspace(0.0, 50.0, 201):
+    for w in _linspace(0.0, 50.0, 201):
         row = {"omega_sq_over_kappa": w}
         for eps in (0.1, 0.05):
             tag = f"enhancement_eps_{eps:g}".replace(".", "_")
@@ -157,12 +163,8 @@ def _fig3_point(kt: float) -> dict:
 
 
 def fig3_rows(grid: Iterable[float] | None = None) -> list[dict]:
-    import numpy as np
-    if grid is None:
-        # keep the reference points kappa*tau = 0.2 and 1 on the grid
-        kts = np.unique(np.concatenate([kappa_tau_grid(0.05, 10.0, 20), [0.2, 1.0]]))
-    else:
-        kts = np.asarray(list(grid))
+    # the default grid keeps the reference points kappa*tau = 0.2 and 1
+    kts = sorted({*kappa_tau_grid(0.05, 10.0, 20), 0.2, 1.0}) if grid is None else _kappa_taus(grid)
     return [_fig3_point(kt) for kt in kts]
 
 
@@ -183,8 +185,8 @@ def fig4a_rows(grid: Iterable[float] | None = None) -> list[dict]:
 
 def fig4b_rows(kappa_tau: float = 1.0, count: int = 41) -> list[dict]:
     """SNR versus the mismatch magnitude at fixed kappa*tau."""
-    import numpy as np
-    deltas = np.linspace(0.0, 0.2, count)
+    kappa_tau = float(kappa_tau)
+    deltas = _linspace(0.0, 0.2, count)
     return [{"delta": d, "snr_vs_delta_p": snr_p,
              "snr_vs_delta_r": combined_snr(kappa_tau, delta_r=d, delta_p=0.05)}
             for d, snr_p in zip(deltas, _mismatch_snrs(kappa_tau, deltas))]

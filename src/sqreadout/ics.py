@@ -14,12 +14,12 @@ branch), so no branch of lambda, no complex arithmetic in lambda and no floor
 at the exceptional point chi = 2 Omega is needed.  The paper's angle psi,
 tan psi = 2 lambda/kappa, enters only as kappa^2/4 + lambda^2 =
 (kappa^2/4)/cos^2 psi.  Each form is written once with a function namespace
-fn: math for the public scalar API, numpy for the optimizer's search grid,
-mpmath for a high-precision check.  ics_moments answers for both qubit states
-at once: one stability check and one kernel, _signal_pair, give the mean
-records of both states together with the integrals i_c, i_s that the noise
-(_noise_components) takes from it, so lambda^2, the integrals and the
-sigma-independent phase factors are computed once per evaluation.
+fn: math for the public scalar API and the search's scalar points, numpy for
+the optimizer's 2-D search grid, mpmath for a high-precision check.  One
+kernel answers for both qubit states: _pair_kernel, built once for a kappa*tau,
+tone and phases, maps (chi, Omega) to the mean records of both states and the
+noise decomposition (G0, Gs, Gc), which shares the signal's integrals i_c, i_s.
+ics_moments, ics_noise_components and the SNR search all run it.
 """
 
 from __future__ import annotations
@@ -86,24 +86,30 @@ class IcsConfig(Record):
         linear in phase = sin(2 phi_h - theta), so phase = sign(Gs) (-1 on a
         tie).  At r_max <= ln 10 every point is stable and stationary: 4 Omega
         <= 0.82 kappa and lambda^2 >= -4 Omega^2 > -kappa^2/4.  objective(psi, r)
-        is the SNR, a float from the scalar closed forms or an array in one
-        numpy pass; point(psi, r) is (SNR, argmax record).
+        is the SNR: a float from the scalar pair kernel, built once here, or an
+        array in one numpy pass (numpy loads only then); point(psi, r) is
+        (SNR, argmax record).
         """
-        import numpy as np
+        pair = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 0.0)
 
         def scored(psi, r):
-            fn = np if isinstance(r, np.ndarray) else math
+            if getattr(r, "ndim", 0) == 0:
+                fn, kernel = math, pair
+            else:
+                import numpy as fn
+                kernel = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 0.0, fn)
             omega = _omega_from_r(1.0, r, fn)
-            lam = 0.5 * fn.tan(psi)
-            chi = fn.sqrt(lam * lam + 4.0 * omega * omega) if fix_chi is None else fix_chi
-            integrals, up, down = _signal_pair(kappa_tau, chi, omega, 1.0, SEARCH_PHI_IN,
-                                               SEARCH_PHI_H, 0.0, fn)
-            g0, gs, _ = _noise_components(kappa_tau, chi, omega, integrals)
+            if fix_chi is None:
+                lam = 0.5 * fn.tan(psi)
+                chi = fn.sqrt(lam * lam + 4.0 * omega * omega)
+            else:
+                chi = fix_chi
+            up, down, g0, gs, _ = kernel(chi, omega)
             sep, noise = abs(up - down), 2.0 * g0 - 2.0 * abs(gs)
             if fn is math:
                 return (sep / math.sqrt(noise) if noise > 0 else 0.0), gs
             positive = noise > 0
-            return np.where(positive, sep / np.sqrt(np.where(positive, noise, 1.0)), 0.0), gs
+            return fn.where(positive, sep / fn.sqrt(fn.where(positive, noise, 1.0)), 0.0), gs
 
         def point(psi, r):
             snr, gs = scored(psi, r)
@@ -185,7 +191,7 @@ def _oscillation(x, t, fn=math):
     or an array: this is the one place where the two take different paths.
     """
     mu = fn.sqrt(abs(x))
-    if getattr(x, "ndim", 0) == 0:
+    if type(x) is float or getattr(x, "ndim", 0) == 0:
         if x < 0:
             em = fn.expm1(-2.0 * mu * t)
             return fn.exp((mu - 0.5) * t), 1.0 + 0.5 * em, -0.5 * em / mu, 0.5 * mu * em
@@ -203,43 +209,48 @@ def _oscillation(x, t, fn=math):
     return fn.exp((mu_neg - 0.5) * t), c, s, fn.where(neg, 0.5 * mu * em, mu * sn)
 
 
-def _integrals(x, t, fn=math):
-    """(i_c, i_s): the integrals over [0, t] of e^{-u/2} cos(lambda u) and of
-    e^{-u/2} sin(lambda u)/lambda, at kappa = 1 and lambda^2 = x.
-
-    int_0^t e^{M u} du = M^{-1} (e^{M t} - 1) = i_c + i_s N, with
-    M^{-1} = -(1/2 + N)/(1/4 + lambda^2).  At small t, i_s and t - i_c are
-    O(t^2) differences of O(1) terms and keep about 16 + 2 log10(t) digits.
-    """
-    g, c, s, xs = _oscillation(x, t, fn)
-    den = x + 0.25
-    return (0.5 + g * (xs - 0.5 * c)) / den, (1.0 - g * (c + 0.5 * s)) / den
-
-
-def _mean_field_terms(chi, om, alpha_in, phi_in, theta, fn=math):
-    """(lambda^2, pref, e_in, e_out): the sigma-independent factors of the driven
-    mean field at kappa = 1, e_in = e^{i phi_in} and e_out = e^{i (theta - phi_in)}."""
-    x = _lambda_sq(chi, om)
-    e_in = fn.cos(phi_in) + 1j * fn.sin(phi_in)
-    e_out = fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in)
-    return x, 2.0 * alpha_in / (1.0 + 4.0 * x), e_in, e_out
+def _tone_phases(phi_in, theta, fn=math):
+    """(e_in, e_out) = (e^{i phi_in}, e^{i (theta - phi_in)})."""
+    return (fn.cos(phi_in) + 1j * fn.sin(phi_in),
+            fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in))
 
 
 def _state_terms(chi, om, x, e_in, e_out, sigma):
     """(t0, ts) for qubit state sigma = +-1, from <a(0)> = 0:
 
-    <a(t)> = pref [t0 (1 - g C) + ts g S], with (g, C, S) from _oscillation.
+    <a(t)> = pref [t0 (1 - g C) + ts g S], with pref = 2 alpha_in/(1 + 4 lambda^2)
+    and (g, C, S) from _oscillation.
     """
     return (4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in,
             -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out))
 
 
+def _state_parts(chi, om, x, alpha_in, er, ei, o_r, o_i):
+    """(pref, t0 and ts of sigma = +1, t0 and ts of sigma = -1) of _state_terms,
+    each of t0 and ts as its real and imaginary parts, with e_in = er + i ei and
+    e_out = o_r + i o_i, for the scalar pair kernel.
+
+    The complex products are spelled out in real arithmetic: each part is the
+    float that CPython's complex product gives, up to the sign of a zero.  numpy's
+    complex loops may fuse a multiply and an add, so arrays keep _state_terms.
+    """
+    q4, q2, x2, two = 4.0 * om, 2.0 * om, 2.0 * x, 2.0 * chi
+    dr, di = -(q4 * o_i), q4 * o_r                  # 4i Omega e_out
+    hr, hi = -(q2 * o_i), q2 * o_r                  # 2i Omega e_out
+    return (2.0 * alpha_in / (1.0 + 4.0 * x),
+            dr - (er + two * ei), di - (ei - two * er),
+            -(x2 * er - chi * ei + hr), -(x2 * ei + chi * er + hi),
+            dr - (er - two * ei), di - (ei + two * er),
+            -(x2 * er + chi * ei + hr), -(x2 * ei - chi * er + hi))
+
+
 def _mean_field(t, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
     """<a(t)> at kappa = 1 for qubit state sigma = +-1, from <a(0)> = 0."""
-    x, pref, e_in, e_out = _mean_field_terms(chi, om, alpha_in, phi_in, theta, fn)
+    x = _lambda_sq(chi, om)
+    e_in, e_out = _tone_phases(phi_in, theta, fn)
     t0, ts = _state_terms(chi, om, x, e_in, e_out, sigma)
     g, c, s, _ = _oscillation(x, t, fn)
-    return pref * (t0 * (1.0 - g * c) + ts * (g * s))
+    return 2.0 * alpha_in / (1.0 + 4.0 * x) * (t0 * (1.0 - g * c) + ts * (g * s))
 
 
 def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
@@ -253,27 +264,6 @@ def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
                        p.phi_in, cfg.theta, int(state))
 
 
-def _signal_pair(kt, chi, om, alpha_in, phi_in, phi_h, theta, fn=math):
-    """((i_c, i_s), <M>_up, <M>_down) at kappa = 1: the mean homodyne record of
-    both qubit states and the integrals (see _integrals) that the noise shares.
-
-    The integral of <a_out(t)> over [0, kt] is, term by term,
-    a_bar kt + pref [t0 kt + ts i_s - t0 i_c].  lambda^2, the integrals, e_in,
-    e_out, pref, a_bar and the homodyne projection are computed once; only t0
-    and ts depend on sigma.
-    """
-    x, pref, e_in, e_out = _mean_field_terms(chi, om, alpha_in, phi_in, theta, fn)
-    i_c, i_s = _integrals(x, kt, fn)
-    a_bar = alpha_in * e_in
-    c_h, s_h = fn.cos(phi_h), fn.sin(phi_h)
-    means = []
-    for sigma in (1, -1):
-        t0, ts = _state_terms(chi, om, x, e_in, e_out, sigma)
-        j = a_bar * kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
-        means.append(2.0 * (j.real * c_h + j.imag * s_h))
-    return (i_c, i_s), means[0], means[1]
-
-
 def _sandwich(p, q, x, om, den):
     """(tr T, T_12, (T_11 - T_22)/(a + b)) of T = (p + q N)(V_0 - V_s)(p + q N)^T
     at kappa = 1; none of the three depends on sigma.
@@ -283,24 +273,35 @@ def _sandwich(p, q, x, om, den):
     [[2a, 1], [1, -2b]], den = 1/4 + lambda^2, the stationary one under the
     qubit shift, M V_s + V_s M^T = -1.
     """
-    d0 = (1.0 - 4.0 * om) * (1.0 + 4.0 * om)
+    q4, q2, w2 = 4.0 * om, 2.0 * om, om * om
+    d0 = (1.0 - q4) * (1.0 + q4)
     dd = 16.0 * om * om / d0                    # diagonal of V_0 - 1
-    d12 = om / den - 4.0 * om / d0              # off-diagonal of V_0 - V_s
-    pp, pq, qq, w2 = p * p, p * q, q * q, om * om
-    return (pp * (2.0 * dd - 8.0 * w2 / den) - 8.0 * om * pq * d12
-            + qq * (dd * (2.0 * x + 16.0 * w2) + 8.0 * w2 * x / den),
-            pp * d12 - 4.0 * om * pq * (dd + x / den) - qq * x * d12,
-            2.0 * om * pp / den + 2.0 * pq * d12 - 2.0 * om * qq * (2.0 * dd + x / den))
+    d12 = om / den - q4 / d0                    # off-diagonal of V_0 - V_s
+    pp, pq, qq, dd2, w8, xd = p * p, p * q, q * q, 2.0 * dd, 8.0 * w2, x / den
+    return (pp * (dd2 - w8 / den) - 8.0 * om * pq * d12
+            + qq * (dd * (2.0 * x + 16.0 * w2) + w8 * x / den),
+            pp * d12 - q4 * pq * (dd + xd) - qq * x * d12,
+            q2 * pp / den + 2.0 * pq * d12 - q2 * qq * (dd2 + xd))
 
 
-def _noise_components(kt, chi, om, integrals):
-    """(G0, Gs, Gc) at kappa = 1, from integrals = (i_c, i_s) of _integrals at
-    lambda^2 and kt, as _signal_pair returns them; the rest is arithmetic.
+def _pair_kernel(kt, alpha_in, phi_in, phi_h, theta, fn=math):
+    """(chi, Omega) -> (<M>_up, <M>_down, G0, Gs, Gc) at kappa = 1, for this kt,
+    tone and phases; the phase factors e_in, e_out, a_bar and the homodyne
+    projection are computed here, once, and the kernel does the rest.
 
-    For the quadrature h = (cos phi, sin phi), phi = phi_h - theta/2, of the
+    Signal: with i_c, i_s the integrals over [0, kt] of e^{-u/2} cos(lambda u)
+    and of e^{-u/2} sin(lambda u)/lambda, int_0^kt e^{M u} du = M^{-1} (e^{M kt} - 1)
+    = i_c + i_s N, M^{-1} = -(1/2 + N)/(1/4 + lambda^2).  At small kt, i_s and
+    kt - i_c are O(kt^2) differences of O(1) terms and keep about
+    16 + 2 log10(kt) digits.  The integral of <a_out(t)> over [0, kt] is, term by
+    term, a_bar kt + pref [t0 kt + ts i_s - t0 i_c] (_state_terms, spelled out in
+    real arithmetic by _state_parts on the scalar path); only t0 and ts depend on
+    sigma.
+
+    Noise: for the quadrature h = (cos phi, sin phi), phi = phi_h - theta/2, of the
     record, <M_N^2> = kt + h^T W h with
         W = 2 Phi2 (V_s - 1) + Psi (V_0 - V_s) Psi^T
-    (V_0 and V_s as in _sandwich), where Psi = int_0^kt e^{M u} du = i_c + i_s N and
+    (V_0 and V_s as in _sandwich), where Psi = i_c + i_s N and
     Phi2 = int_0^kt Psi(u) du = M^{-1} (Psi - kt) = f0 + f1 N.  So G0 = kt + tr W/2,
     Gs = -W_12 and sigma chi Gc = (W_11 - W_22)/2, whose factor a + b = 2 sigma chi
     is divided out in closed form.  These equal the G0, Gs and Gc of the paper's
@@ -308,15 +309,54 @@ def _noise_components(kt, chi, om, integrals):
     of V_0 only multiplies entries of Psi, which are O(kt) without cancellation,
     so the noise keeps its digits up to threshold.
     """
-    x = _lambda_sq(chi, om)
-    i_c, i_s = integrals
-    den = 0.25 + x
-    f0 = (0.5 * (kt - i_c) + x * i_s) / den
-    f1 = (kt - i_c - 0.5 * i_s) / den
-    tr, t12, y = _sandwich(i_c, i_s, x, om, den)
-    return (kt + 4.0 * om * om * (2.0 * f0 + f1) / den + 0.5 * tr,
-            2.0 * om * (f0 - 2.0 * x * f1) / den - t12,
-            y - 2.0 * om * (2.0 * f0 + f1) / den)
+    e_in, e_out = _tone_phases(phi_in, theta, fn)
+    a_kt = alpha_in * e_in * kt
+    c_h, s_h = fn.cos(phi_h), fn.sin(phi_h)
+    if fn is math:
+        akr, aki = a_kt.real, a_kt.imag
+        er, ei, o_r, o_i = e_in.real, e_in.imag, e_out.real, e_out.imag
+
+        def records(chi, om, x, i_c, i_s):
+            pref, u0r, u0i, usr, usi, d0r, d0i, dsr, dsi = _state_parts(chi, om, x, alpha_in,
+                                                                        er, ei, o_r, o_i)
+            # J = a_bar kt + pref (jr + i ji) per state.  CPython before 3.14 multiplies
+            # the float pref by the complex jr + i ji as complex(pref, 0) times it; the
+            # zero terms of that product are kept, so a zero mean (alpha_in = 0) keeps
+            # its sign too
+            jr, ji = u0r * kt + usr * i_s - u0r * i_c, u0i * kt + usi * i_s - u0i * i_c
+            up = 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h + (aki + (pref * ji + 0.0 * jr)) * s_h)
+            jr, ji = d0r * kt + dsr * i_s - d0r * i_c, d0i * kt + dsi * i_s - d0i * i_c
+            return up, 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h
+                              + (aki + (pref * ji + 0.0 * jr)) * s_h)
+    else:
+        def records(chi, om, x, i_c, i_s):
+            pref, means = 2.0 * alpha_in / (1.0 + 4.0 * x), []
+            for sigma in (1, -1):
+                t0, ts = _state_terms(chi, om, x, e_in, e_out, sigma)
+                j = a_kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
+                means.append(2.0 * (j.real * c_h + j.imag * s_h))
+            return means
+
+    def pair(chi, om):
+        x = _lambda_sq(chi, om)
+        g, c, s, xs = _oscillation(x, kt, fn)
+        den = x + 0.25
+        i_c = (0.5 + g * (xs - 0.5 * c)) / den
+        i_s = (1.0 - g * (c + 0.5 * s)) / den
+        # each array goes once it is used, so a numpy grid pass holds fewer at a time
+        # and grows the heap (page faults) about half as often
+        del g, c, s, xs
+        f0 = (0.5 * (kt - i_c) + x * i_s) / den
+        f1 = (kt - i_c - 0.5 * i_s) / den
+        f, q2 = 2.0 * f0 + f1, 2.0 * om
+        tr, t12, y = _sandwich(i_c, i_s, x, om, den)
+        g0, gs, gc = (kt + 4.0 * om * om * f / den + 0.5 * tr,
+                      q2 * (f0 - 2.0 * x * f1) / den - t12, y - q2 * f / den)
+        del f0, f1, f, tr, t12, y
+        up, down = records(chi, om, x, i_c, i_s)
+        return up, down, g0, gs, gc
+
+    return pair
 
 
 def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, float, float]:
@@ -326,8 +366,7 @@ def ics_noise_components(params: ReadoutParams, cfg: IcsConfig) -> tuple[float, 
     """
     _require_stable(params, cfg)
     p = params.normalized()
-    om = cfg.omega_2ph / params.kappa
-    return _noise_components(p.tau, p.chi, om, _integrals(_lambda_sq(p.chi, om), p.tau))
+    return _pair_kernel(p.tau, 0.0, 0.0, 0.0, 0.0)(p.chi, cfg.omega_2ph / params.kappa)[2:]
 
 
 def ics_squeeze_param(kappa: float, omega_2ph: float) -> float:
@@ -386,21 +425,19 @@ def ics_initial_correlations(kappa: float, cfg: IcsConfig) -> tuple[float, compl
 
 
 def ics_moments(params: ReadoutParams, cfg: IcsConfig) -> MeasurementMoments:
-    """Signal and noise for both qubit states, from one _signal_pair.
+    """Signal and noise for both qubit states, from one _pair_kernel call.
 
     The separation <M>_up - <M>_down equals the factored closed form
     (16 (chi/kappa) a / sqrt(kappa)) cos^2 psi sin(phi_h - phi_in) {kappa tau - ...}
     with tan(psi) = 2 lambda / kappa, evaluated here through the per-state means
     so it stays regular at sin(2 psi) = 0.  The noises follow the decomposition of
-    ics_noise_components, taken on the pair's integrals.
+    ics_noise_components.
     """
     params, cfg = cfg.operating_point(params)       # an unset theta: the optimal one
     _require_stable(params, cfg)
     p = params.normalized()
-    om = cfg.omega_2ph / params.kappa
-    integrals, up, down = _signal_pair(p.tau, p.chi, om, p.alpha_in, p.phi_in, p.phi_h,
-                                       cfg.theta)
-    g0, gs, gc = _noise_components(p.tau, p.chi, om, integrals)
+    up, down, g0, gs, gc = _pair_kernel(p.tau, p.alpha_in, p.phi_in, p.phi_h, cfg.theta)(
+        p.chi, cfg.omega_2ph / params.kappa)
     d = 2.0 * p.phi_h - cfg.theta
     common = g0 - math.sin(d) * gs
     split = p.chi * math.cos(d) * gc

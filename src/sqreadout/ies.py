@@ -3,9 +3,10 @@
 The cavity obeys  da/dt = -(i sigma chi + kappa/2) a - sqrt(kappa) a_in  with a
 white squeezed input of parameter r and reference phase varphi; the cavity
 fluctuations start in the corresponding stationary squeezed state while the
-coherent tone switches on at t = 0.  The signal and the noise shape F are
-written once with a function namespace fn: math for scalars, numpy for the
-optimizer's search grid.
+coherent tone switches on at t = 0.  The signal of both qubit states and the
+noise shape F come from one kernel, _pair_kernel, built once for a kappa*tau,
+tone and homodyne phase and written once with a function namespace fn: math
+for scalars, numpy for arrays.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class IesConfig(Record):
 
     def moments(self, params: ReadoutParams) -> MeasurementMoments:
         params, cfg = self.operating_point(params)      # an unset varphi: the optimal one
-        return MeasurementMoments(*(ies_signal(params, s) for s in QubitState),
-                                  *(ies_noise(params, cfg, s) for s in QubitState))
+        p = params.normalized()
+        up, down, _ = _pair_kernel(p.tau, p.alpha_in, p.phi_in, p.phi_h)(p.chi)
+        return MeasurementMoments(up, down, *(ies_noise(params, cfg, s) for s in QubitState))
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""
@@ -68,24 +70,26 @@ class IesConfig(Record):
         when fix_chi pins chi.  The summed noise 2 kappa tau [cosh 2r + phase F
         sinh 2r] is linear in phase = cos(varphi - 2 phi_h), so phase = -sign(F),
         and it is least at tanh 2r = |F|, clipped to [0, r_max]; r_max = 0 is
-        the standard readout.  objective(psi) is the SNR, a float from the
-        scalar closed forms or an array in one numpy pass; point(psi) is
-        (SNR, argmax record).
+        the standard readout.  objective(psi) is the SNR: a float from the
+        scalar pair kernel, built once here, or an array in one numpy pass
+        (numpy loads only then); point(psi) is (SNR, argmax record).
         """
-        import numpy as np
         tanh_max = math.tanh(2.0 * r_max)
+        pair = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H)
 
         def scored(psi):
-            fn = np if isinstance(psi, np.ndarray) else math
-            chi = 0.5 * fn.tan(psi)
-            sep = abs(_signal(kappa_tau, chi, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 1, fn)
-                      - _signal(kappa_tau, chi, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, -1, fn))
-            shape = _noise_shape(kappa_tau, chi, fn)
+            if getattr(psi, "ndim", 0) == 0:
+                fn, kernel = math, pair
+            else:
+                import numpy as fn
+                kernel = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, fn)
+            up, down, shape = kernel(0.5 * fn.tan(psi))
+            sep = abs(up - down)
             f = abs(shape)
             if fn is math:
                 r = r_max if f >= tanh_max else 0.5 * math.atanh(f)
             else:
-                r = np.where(f >= tanh_max, r_max, 0.5 * np.arctanh(np.minimum(f, tanh_max)))
+                r = fn.where(f >= tanh_max, r_max, 0.5 * fn.arctanh(fn.minimum(f, tanh_max)))
             # positive while |F| < coth(2 r_max); a physical F has |F| <= 1
             noise = 2.0 * kappa_tau * (fn.cosh(2.0 * r) - f * fn.sinh(2.0 * r))
             return sep / fn.sqrt(noise), r, shape
@@ -113,35 +117,49 @@ class StandardConfig(IesConfig):
         return {"n_tau": ies_photon_number(params, self, params.tau)}
 
 
-def _integrated_output_mean(tau, chi, alpha_in, phi_in, sigma, fn=math):
-    """Integral of <a_out(t)> over [0, tau] at kappa = 1, from the exact mean field.
+def _pair_kernel(kt, alpha_in, phi_in, phi_h, fn=math):
+    """chi -> (<M>_up, <M>_down, F) at kappa = 1, for this kt, tone and homodyne
+    phase: the mean homodyne record of both qubit states and the noise shape
+    F(tau) of ies_noise_shape.  a_bar, the homodyne rotation and the factors of
+    kt are computed here, once.
 
     <a(t)> = i a_bar / z * (1 - exp(-izt)) with z = sigma chi - i/2, so the
-    integral is a_bar tau + (i a_bar / z) B with B = tau - (1 - e^w)/(iz),
-    w = -iz tau, which stays regular for every chi.  B = iz tau^2 phi2(w) with
-    phi2(w) = (e^w - 1 - w)/w^2, whose two leading orders cancel in the direct
-    form: below |w| = 0.005 phi2 is summed as its Taylor series to w^6; above
-    it the rounding of the direct form stays below 5e-14 of the cavity term.
-    fn is the function namespace: math for scalars, numpy to broadcast over arrays.
+    integral of <a_out(t)> over [0, kt] is a_bar kt + (i a_bar / z) B with
+    B = kt - (1 - e^w)/(iz), w = -iz kt, which stays regular for every chi.
+    B = iz kt^2 phi2(w) with phi2(w) = (e^w - 1 - w)/w^2, whose two leading
+    orders cancel in the direct form: below |w| = 0.005 phi2 is summed as its
+    Taylor series to w^6; above it the rounding of the direct form stays below
+    5e-14 of the cavity term.  chi is a float (math) or an array (numpy).
     """
     a_bar = alpha_in * cmath.exp(1j * phi_in)
-    z = sigma * chi - 0.5j
-    w = -1j * z * tau
-    taylor = 1.0                    # 2 phi2(w) = 1 + w/3 (1 + w/4 (1 + ... (1 + w/8)))
-    for m in range(8, 2, -1):
-        taylor = 1.0 + w * taylor / m
-    series = 0.5j * z * tau * tau * taylor
-    if fn is math:
-        bracket = series if abs(w) < 0.005 else tau - (1.0 - cmath.exp(w)) / (1j * z)
-    else:
-        bracket = fn.where(abs(w) < 0.005, series, tau - (1.0 - fn.exp(w)) / (1j * z))
-    return a_bar * tau + 1j * a_bar / z * bracket
+    a_kt, i_a = a_bar * kt, 1j * a_bar
+    rot = cmath.exp(-1j * phi_h)
+    scale, tilt = 1.0 / (2.0 * kt), 3.0 - 2.0 * kt
+    decay, half_decay = math.exp(-kt), 4.0 * math.exp(-kt / 2.0)
+    exp, atan, cos, sin = ((cmath.exp, math.atan, math.cos, math.sin) if fn is math
+                           else (fn.exp, fn.arctan, fn.cos, fn.sin))
 
+    def mean(z):
+        w = -1j * z * kt
+        bracket = kt - (1.0 - exp(w)) / (1j * z)
+        small = abs(w) < 0.005
+        if fn is not math or small:
+            taylor = 1.0            # 2 phi2(w) = 1 + w/3 (1 + w/4 (1 + ... (1 + w/8)))
+            for m in range(8, 2, -1):
+                taylor = 1.0 + w * taylor / m
+            series = 0.5j * z * kt * kt * taylor
+            bracket = series if fn is math else fn.where(small, series, bracket)
+        return 2.0 * ((a_kt + i_a / z * bracket) * rot).real
 
-def _signal(kt, chi, alpha_in, phi_in, phi_h, sigma, fn=math):
-    """Mean homodyne record <M> at kappa = 1 for qubit state sigma = +-1."""
-    j = _integrated_output_mean(kt, chi, alpha_in, phi_in, sigma, fn)
-    return 2.0 * (j * cmath.exp(-1j * phi_h)).real
+    def pair(chi):
+        psi = atan(2.0 * chi)
+        ct = chi * kt
+        return mean(chi - 0.5j), mean(-chi - 0.5j), scale * (
+            3.0 + 3.0 * cos(2.0 * psi) - tilt * cos(4.0 * psi) - 3.0 * cos(6.0 * psi)
+            + 4.0 * cos(psi) * sin(2.0 * psi)
+            * (decay * sin(3.0 * psi + 2.0 * ct) - half_decay * sin(3.0 * psi + ct)))
+
+    return pair
 
 
 def ies_signal(params: ReadoutParams, state: QubitState) -> float:
@@ -153,7 +171,8 @@ def ies_signal(params: ReadoutParams, state: QubitState) -> float:
     but is evaluated unfactored so sin(2 psi) = 0 needs no special casing.
     """
     p = params.normalized()
-    return _signal(p.tau, p.chi, p.alpha_in, p.phi_in, p.phi_h, int(state))
+    up, down, _ = _pair_kernel(p.tau, p.alpha_in, p.phi_in, p.phi_h)(p.chi)
+    return up if state == QubitState.UP else down
 
 
 def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float:
@@ -178,18 +197,6 @@ def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float
     return kt * _stable_squeeze_mix(cfg.r, -0.5 * bracket / kt)
 
 
-def _noise_shape(kt, chi, fn=math):
-    """F(tau) of ies_noise_shape at kappa = 1, for scalars (math) or arrays (numpy)."""
-    psi = (math.atan if fn is math else fn.arctan)(2.0 * chi)
-    ct = chi * kt
-    return (1.0 / (2.0 * kt)) * (
-        3.0 + 3.0 * fn.cos(2.0 * psi) - (3.0 - 2.0 * kt) * fn.cos(4.0 * psi)
-        - 3.0 * fn.cos(6.0 * psi)
-        + 4.0 * fn.cos(psi) * fn.sin(2.0 * psi)
-        * (math.exp(-kt) * fn.sin(3.0 * psi + 2.0 * ct)
-           - 4.0 * math.exp(-kt / 2.0) * fn.sin(3.0 * psi + ct)))
-
-
 def ies_noise_shape(params: ReadoutParams) -> float:
     """Shape factor F(tau) of the squeezing-sensitive part of the summed noise.
 
@@ -200,7 +207,7 @@ def ies_noise_shape(params: ReadoutParams) -> float:
     p = params.normalized()
     if not p.tau > 0:
         raise ValueError("kappa*tau must be positive")
-    return _noise_shape(p.tau, p.chi)
+    return _pair_kernel(p.tau, 0.0, 0.0, 0.0)(p.chi)[2]
 
 
 def ies_photon_number(params: ReadoutParams, cfg: IesConfig, t: float) -> float:

@@ -2,15 +2,18 @@
 
 The SNR surfaces carry trigonometric ripples from the exp(-kappa*tau/2)
 transients, so the search is a dense coarse grid followed by coordinate-wise
-golden-section refinement rather than anything gradient-based.  The grid is
-one array evaluation of the objective, which only picks the best cell; that
-cell and every refinement point are evaluated with floats, so each value a
-search returns comes from the scalar closed forms.  Each scheme's config type
-supplies its own box and objective (IesConfig.search, IcsConfig.search).
+golden-section refinement rather than anything gradient-based.  A box with one
+free axis scans its grid with one scalar objective call per point; a box with
+two is one array evaluation of the objective on the numpy grid, which only
+picks the best cell.  That cell and every refinement point are evaluated with
+floats, so each value a search returns comes from the scalar closed forms, and
+a one-axis search loads no numpy.  Each scheme's config type supplies its own
+box and objective (IesConfig.search, IcsConfig.search).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -55,18 +58,18 @@ def maximize_over_box(objective: Callable[..., float],
                       bounds: Sequence[tuple[float, float]]) -> tuple[float, list, int, bool]:
     """64-point grid per axis, then coordinate-descent golden sections to 1e-6.
 
-    objective takes one coordinate per axis.  The grid is one call with the
-    ij-indexed numpy meshgrid of the axes, and it only picks the best cell:
-    ties break deterministically toward the smallest coordinates, last
-    coordinate first.  That cell and every refinement point are evaluated with
-    float coordinates, so the returned value never falls below the scalar value
-    of the chosen cell.  A refinement interval that reaches the box edge also
-    evaluates the edge, which wins if it is better.  Returns (best_value,
-    argmax, evaluations, converged); evaluations counts grid cells and
-    refinement points (the chosen cell once), and converged means a sweep
+    objective takes one coordinate per axis.  The grid only picks the best cell:
+    a NaN cell never wins, and ties break deterministically toward the smallest
+    coordinates, last coordinate first.  With at most one free axis the grid is
+    one scalar call per point; with more it is one call with the ij-indexed
+    numpy meshgrid of the axes.  The chosen cell and every refinement point are
+    evaluated with float coordinates, so the returned value never falls below
+    the scalar value of the chosen cell.  A refinement interval that reaches the
+    box edge also evaluates the edge, which wins if it is better.  Returns
+    (best_value, argmax, evaluations, converged); evaluations counts grid cells
+    and refinement points (the chosen cell once), and converged means a sweep
     moved no coordinate by 1e-6 within 200 sweeps.
     """
-    import numpy as np
     n, tol = 64, 1e-6
     axes = []
     for lo, hi in bounds:
@@ -77,14 +80,23 @@ def maximize_over_box(objective: Callable[..., float],
         else:
             axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
 
-    shape = tuple(len(axis) for axis in axes)
-    grid = np.broadcast_to(objective(*np.meshgrid(*axes, indexing="ij")), shape)
-    # a NaN cell never wins; the first maximum along the reversed axes breaks ties
-    ranked = np.where(np.isnan(grid), -np.inf, grid).transpose().ravel()
-    best = np.unravel_index(int(np.argmax(ranked)), shape[::-1])[::-1]
-    x = [axis[i] for axis, i in zip(axes, best)]
-    best_val = objective(*x)
-    evals = grid.size
+    if sum(len(axis) > 1 for axis in axes) <= 1:
+        cells = [list(cell) for cell in itertools.product(*axes)]
+        values = [objective(*cell) for cell in cells]
+        # a NaN cell never wins; the first maximum breaks ties
+        ranked = [-math.inf if v != v else v for v in values]
+        best = ranked.index(max(ranked))
+        x, best_val, evals = cells[best], values[best], len(cells)
+    else:
+        import numpy as np
+        shape = tuple(len(axis) for axis in axes)
+        grid = np.broadcast_to(objective(*np.meshgrid(*axes, indexing="ij")), shape)
+        # a NaN cell never wins; the first maximum along the reversed axes breaks ties
+        ranked = np.where(np.isnan(grid), -np.inf, grid).transpose().ravel()
+        best = np.unravel_index(int(np.argmax(ranked)), shape[::-1])[::-1]
+        x = [axis[i] for axis, i in zip(axes, best)]
+        best_val = objective(*x)
+        evals = grid.size
 
     converged = False
     for _ in range(200):
@@ -137,14 +149,17 @@ def maximize_snr(scheme: str, kappa_tau: float,
     the fixed-coupling reference curves: for 'ies' and 'standard' it pins psi,
     and a box with no free axis is evaluated once, without a search; for 'ics'
     only r is searched.  The SNR is linear in alpha_in, so scale best_snr for
-    another amplitude.  Deterministic: identical inputs yield identical reports.
+    another amplitude.  Deterministic: identical inputs yield identical reports,
+    whose values are Python floats.
     """
     if scheme not in _SEARCHES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SEARCHES)}")
     if not kappa_tau > 0:
         raise ValueError("kappa_tau must be positive")
     config, r_max = _SEARCHES[scheme]
-    bounds, objective, point = config.search(kappa_tau, r_max, fix_chi)
+    # floats, so that a numpy scalar input makes neither slow arithmetic nor numpy fields
+    bounds, objective, point = config.search(float(kappa_tau), r_max,
+                                             None if fix_chi is None else float(fix_chi))
     if all(lo == hi for lo, hi in bounds):
         x, evals, converged = [lo for lo, _ in bounds], 0, True
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import IndefiniteCovarianceError, QubitState, ReadoutParams, Record
+from .core import IndefiniteCovarianceError, QubitState, ReadoutError, ReadoutParams, Record
 
 PROBE_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
 VACUUM_VARIANCE = 0.25
@@ -94,7 +94,9 @@ def wigner_grid(state: GaussianState2D, window: tuple[float, float],
     """Sample W(X, Y) on a square grid; returns (x, y, W) with W[iy, ix].
 
     W = exp(-G^T D^-1 G / 2) / (2 pi sqrt(det D)); the grid sum times the cell
-    area approaches 1 once the window covers the state.
+    area approaches 1 once the window covers the state.  A window so wide that
+    the quadratic form overflows (inf - inf) makes a non-finite W, which raises
+    ReadoutError.
     """
     import numpy as np
     lo, hi = window
@@ -108,8 +110,11 @@ def wigner_grid(state: GaussianState2D, window: tuple[float, float],
     y = np.linspace(lo, hi, resolution)
     gx = x[None, :] - state.mean[0]
     gy = y[:, None] - state.mean[1]
-    quad = (yy * gx ** 2 - 2.0 * xy * gx * gy + xx * gy ** 2) / det
-    w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (yy * gx ** 2 - 2.0 * xy * gx * gy + xx * gy ** 2) / det
+        w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+    if not np.isfinite(w).all():
+        raise ReadoutError(f"Wigner function W not finite on the window [{lo:g}, {hi:g}]")
     return x, y, w
 
 

@@ -9,6 +9,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +141,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("solver error:")
 
+    @pytest.mark.parametrize("argv, quantity", [
+        (["snr", "--scheme", "combined", "--epsilon", "1e300"], "critical_photon_number"),
+        (["mismatch", "--scheme", "combined", "--epsilon", "1e300"], "critical_photon_number"),
+        (["snr", "--scheme", "combined", "--omega-sq", "1e300"], "from_squeeze"),
+        (["snr", "--scheme", "ies", "--alpha-in", "1e300"], "ies_photon_number"),
+        (["snr", "--scheme", "ies", "--r", "400"], "ies_noise"),
+    ], ids=["snr-epsilon", "mismatch-epsilon", "combined-omega-sq", "ies-alpha-in", "ies-r"])
+    def test_overflow_names_the_quantity(self, capsys, argv, quantity):
+        # x ** 2 out of range says only (34, 'Numerical result out of range'); the
+        # message names the innermost public function, not a private helper
+        with pytest.warns(UserWarning) if "--epsilon" in argv else contextlib.nullcontext():
+            assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver error: {quantity} overflowed: ") and "(34," not in err
+
+
     @pytest.mark.parametrize("extra", [[], ["--theta", "0"]], ids=["optimal-theta", "theta-0"])
     def test_ics_long_time_overflow_exit_code(self, extra, tmp_path):
         # stable (|lambda| = 0.48 kappa) at a kappa*tau where cosh(|lambda| tau) alone
@@ -159,6 +177,17 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert "configuration error: window must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_non_finite_wigner_grid_is_solver_error(self, capsys, tmp_path):
+        # a window so wide that the quadratic form of W overflows to inf - inf
+        argv = ["wigner", "--scheme", "ies", "--resolution", "16", "--window", "1e300",
+                "--output-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)      # numpy's overflow warnings
+            assert run_cli(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver error: Wigner function W not finite")
+        assert captured.out == "" and not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_oracle_tol_is_config_error(self, capsys, tol):
@@ -535,6 +564,26 @@ print(json.dumps(results))
                  ["wigner", "--preset", "figS5", "--resolution", "16", "--output-dir", str(tmp_path)]]
         assert self.run(argvs) == [[0, False], [0, True]]
 
+    def test_fixed_coupling_builders_run_without_numpy(self, tmp_path):
+        # floats from the given grids, pure-Python linspaces and one-axis searches on a
+        # scalar grid: only the default kappa*tau grids (numpy.geomspace) load numpy
+        code = """
+import contextlib, io, json, sys
+from sqreadout import cli, figures
+figures.fig2a_rows()
+figures.fig2a_inset_rows(grid=[1e-3, 1.0])
+figures.fig2b_rows(grid=[0.01, 1.0])
+figures.fig2c_rows(grid=[3.0])
+figures.fig3_rows(grid=[0.2, 1.0])
+figures.fig4a_rows(grid=[0.5])
+figures.fig4b_rows(kappa_tau=2.0, count=5)
+figures.figS5_rows(r=1.05)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["figure", "fig4b", "--output-dir", sys.argv[1]])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+        assert fresh_interpreter(code, str(tmp_path)) == [0, False]
+
     def test_each_command_loads_only_its_modules(self, tmp_path):
         # fresh interpreters: the cli imports core alone, snr adds its scheme's module and
         # oracle-check also the oracle; no command loads dataclasses (or the inspect it
@@ -650,9 +699,12 @@ class TestOddInputs:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=odd_argvs())
     @example(argv=["snr", "--scheme", "ics", "--kappa=1e300", "--chi=1e300"])  # chi^2 overflowed
+    # the quadratic form of W overflowed to inf - inf: 128 nan values, exit 0
+    @example(argv=["wigner", "--scheme", "ies", "--resolution", "16", "--window=1e300"])
     def test_documented_exit_and_finite_output(self, tmp_path, argv):
+        outdir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))    # one per example
         if argv[0] == "wigner":
-            argv = [*argv, "--output-dir", str(tmp_path)]
+            argv = [*argv, "--output-dir", str(outdir)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -668,3 +720,6 @@ class TestOddInputs:
             assert all(math.isfinite(float(side)) for side in sides)
         else:
             assert code in MESSAGES and re.search(f"^({MESSAGES[code]})", err, re.M), (code, err)
+        for path in outdir.iterdir():
+            words = set(re.split(r"[\s,=()]+", path.read_text(encoding="utf-8").lower()))
+            assert not {"nan", "inf", "-inf"} & words, path.name

@@ -1,8 +1,9 @@
 """Contract of the figure builders: the keywords they take and the tables they share."""
 
+import numpy as np
 import pytest
 
-from sqreadout import cli, combined, figures
+from sqreadout import cli, combined, figures, optimize
 from sqreadout.core import fidelity_and_error
 
 
@@ -117,3 +118,48 @@ class TestFig3OneTable:
         with pytest.raises(SystemExit) as exc:
             cli.main(["figure", "fig3b", "--output-dir", str(tmp_path)])
         assert exc.value.code == 2
+
+
+def numeric_fields(rows):
+    return [(key, value) for row in rows for key, value in row.items()
+            if not isinstance(value, str)]
+
+
+class TestFloatFields:
+    """Every number a fixed-coupling builder or the SNR search hands out is a Python
+    float, for numpy grid values too: a numpy scalar would make every later scalar
+    operation a numpy-scalar operation."""
+
+    EXPLICIT = {
+        "fig2a_inset": lambda: figures.fig2a_inset_rows(grid=np.array([1e-3, 2.0])),
+        "fig2b": lambda: figures.fig2b_rows(grid=np.array([0.05, 3.0])),
+        "fig2c": lambda: figures.fig2c_rows(grid=np.array([1.0])),
+        "fig3": lambda: figures.fig3_rows(grid=np.array([0.2, 4.0])),
+        "fig4a": lambda: figures.fig4a_rows(grid=np.array([0.7])),
+        "fig4b": lambda: figures.fig4b_rows(kappa_tau=np.float64(2.0), count=3),
+        "figS5": lambda: figures.figS5_rows(r=1.05),
+    }
+    DEFAULT = {
+        "fig2a": figures.fig2a_rows, "fig2a_inset": figures.fig2a_inset_rows,
+        "fig2b": figures.fig2b_rows, "fig2c": figures.fig2c_rows, "fig3": figures.fig3_rows,
+        "fig4a": figures.fig4a_rows, "fig4b": figures.fig4b_rows, "figS5": figures.figS5_rows,
+    }
+
+    @pytest.mark.parametrize("name", EXPLICIT)
+    def test_explicit_grids(self, name):
+        fields = numeric_fields(self.EXPLICIT[name]())
+        assert fields and [key for key, value in fields if type(value) is not float] == []
+
+    @pytest.mark.parametrize("name", DEFAULT)
+    def test_default_grids(self, name):
+        fields = numeric_fields(self.DEFAULT[name]())
+        assert fields and [key for key, value in fields if type(value) is not float] == []
+
+    @pytest.mark.parametrize("scheme", ["standard", "ies", "ics"])
+    @pytest.mark.parametrize("fix_chi", [np.float64(0.5), None], ids=["fixed_chi", "free"])
+    def test_optimum_reports(self, scheme, fix_chi):
+        for kappa_tau in (np.float64(0.3), 3.0):
+            report = optimize.maximize_snr(scheme, kappa_tau, fix_chi=fix_chi)
+            values = [report.best_snr, *report.argmax.values()]
+            assert [type(value) for value in values] == [float] * len(values)
+            assert (type(report.evaluations), type(report.converged)) == (int, bool)

@@ -9,6 +9,7 @@ from sqreadout import ics, ies, oracle
 from sqreadout.core import standard_readout_moments
 
 import mp_reference
+import reference_forms
 
 
 def make_params(kappa_tau=1.0, chi=0.5, alpha_in=1.0, phi_in=0.0,
@@ -167,8 +168,8 @@ class TestSignal:
         for _ in range(50):
             p, cfg = stable_draw(rng)
             q = p.normalized()
-            _, up, down = ics._signal_pair(q.tau, q.chi, cfg.omega_2ph / p.kappa, q.alpha_in,
-                                           q.phi_in, q.phi_h, cfg.theta)
+            up, down, *_ = ics._pair_kernel(q.tau, q.alpha_in, q.phi_in, q.phi_h, cfg.theta)(
+                q.chi, cfg.omega_2ph / p.kappa)
             m = ics.ics_moments(p, cfg)
             assert (m.signal_up, m.signal_down) == (up, down)
             assert m.separation == abs(up - down)
@@ -193,14 +194,16 @@ class TestSignal:
 
 def per_state_signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
     """<M> at kappa = 1 for one qubit state, as written before the pair kernel:
-    lambda^2, the integrals and every phase factor are computed again for each sigma."""
+    lambda^2, the integrals and every phase factor are computed again for each
+    sigma, in complex arithmetic."""
     x = chi * chi - 4.0 * om * om
     e_in = fn.cos(phi_in) + 1j * fn.sin(phi_in)
     e_out = fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in)
     t0 = 4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in
     ts = -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out)
     pref = 2.0 * alpha_in / (1.0 + 4.0 * x)
-    i_c, i_s = ics._integrals(x, kt, fn)
+    g, c, s, xs = ics._oscillation(x, kt, fn)
+    i_c, i_s = (0.5 + g * (xs - 0.5 * c)) / (x + 0.25), (1.0 - g * (c + 0.5 * s)) / (x + 0.25)
     a_bar = alpha_in * (fn.cos(phi_in) + 1j * fn.sin(phi_in))
     j = a_bar * kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
     return 2.0 * (j.real * fn.cos(phi_h) + j.imag * fn.sin(phi_h))
@@ -227,27 +230,29 @@ class TestSignalPair:
         rng = np.random.default_rng(int(kt * 1e4))
         kt, chi, om, a, phi_in, phi_h, theta = pair_arguments(rng, kt, 30)
         assert np.count_nonzero(chi * chi - 4.0 * om * om == 0.0) == 10
+        pair = ics._pair_kernel(kt, a, phi_in, phi_h, theta)
         for c, w in zip(chi.tolist(), om.tolist()):
-            integrals, up, down = ics._signal_pair(kt, c, w, a, phi_in, phi_h, theta)
+            up, down, *noise = pair(c, w)
             assert up == per_state_signal(kt, c, w, a, phi_in, phi_h, theta, 1)
             assert down == per_state_signal(kt, c, w, a, phi_in, phi_h, theta, -1)
             p = ReadoutParams(1.0, c, a, phi_in, phi_h, kt)
             cfg = ics.IcsConfig(w, theta)
             m = ics.ics_moments(p, cfg)
             assert (up, down) == (m.signal_up, m.signal_down)
-            assert ics._noise_components(kt, c, w, integrals) == ics.ics_noise_components(p, cfg)
+            assert tuple(noise) == ics.ics_noise_components(p, cfg)
 
     @pytest.mark.parametrize("kt", KAPPA_TAUS)
     def test_arrays(self, kt):
         rng = np.random.default_rng(int(kt * 1e4) + 1)
         kt, chi, om, a, phi_in, phi_h, theta = pair_arguments(rng, kt, 30)
-        integrals, up, down = ics._signal_pair(kt, chi, om, a, phi_in, phi_h, theta, np)
+        up, down, *noise = ics._pair_kernel(kt, a, phi_in, phi_h, theta, np)(chi, om)
         assert np.array_equal(up, per_state_signal(kt, chi, om, a, phi_in, phi_h, theta, 1, np))
         assert np.array_equal(down, per_state_signal(kt, chi, om, a, phi_in, phi_h, theta, -1,
                                                      np))
-        for got, want in zip(ics._noise_components(kt, chi, om, integrals),
-                             ics._noise_components(kt, chi, om, ics._integrals(
-                                 ics._lambda_sq(chi, om), kt, np))):
+        x = chi * chi - 4.0 * om * om
+        g, c, s, xs = ics._oscillation(x, kt, np)
+        integrals = (0.5 + g * (xs - 0.5 * c)) / (x + 0.25), (1.0 - g * (c + 0.5 * s)) / (x + 0.25)
+        for got, want in zip(noise, reference_forms.noise_components(kt, chi, om, integrals)):
             assert np.array_equal(got, want)
 
 

@@ -71,6 +71,51 @@ def scan_maximize_over_box(objective, bounds):
     return best_val, x, evals, converged
 
 
+def array_grid_maximize_over_box(objective, bounds):
+    """Reference: maximize_over_box with its grid as one array call for every box, as it
+    was before a box with one free axis became a scalar scan."""
+    n, tol = 64, 1e-6
+    axes = [[lo] if hi == lo else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+            for lo, hi in bounds]
+    shape = tuple(len(axis) for axis in axes)
+    grid = np.broadcast_to(objective(*np.meshgrid(*axes, indexing="ij")), shape)
+    ranked = np.where(np.isnan(grid), -np.inf, grid).transpose().ravel()
+    best = np.unravel_index(int(np.argmax(ranked)), shape[::-1])[::-1]
+    x = [axis[i] for axis, i in zip(axes, best)]
+    best_val = objective(*x)
+    evals = grid.size
+    converged = False
+    for _ in range(200):
+        moved = 0.0
+        for i, (lo, hi) in enumerate(bounds):
+            if hi == lo:
+                continue
+            cell = (hi - lo) / (n - 1)
+            a, b = max(lo, x[i] - cell), min(hi, x[i] + cell)
+
+            def slice_f(xi, i=i):
+                trial = list(x)
+                trial[i] = xi
+                return objective(*trial)
+
+            xi, vi, used = optimize.golden_section_max(slice_f, a, b, tol)
+            evals += used
+            for edge, reached in ((lo, a == lo), (hi, b == hi)):
+                if reached:
+                    v_edge = slice_f(edge)
+                    evals += 1
+                    if v_edge > vi:
+                        xi, vi = edge, v_edge
+            if vi > best_val:
+                moved = max(moved, abs(xi - x[i]))
+                x[i] = xi
+                best_val = vi
+        if moved < tol:
+            converged = True
+            break
+    return best_val, x, evals, converged
+
+
 class TestBisect:
     def test_linear(self):
         assert bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(
@@ -160,6 +205,24 @@ class TestMaximizeOverBox:
         val, x, _, converged = optimize.maximize_over_box(objective, bounds)
         ref_val, ref_x, _, ref_converged = scan_maximize_over_box(objective, bounds)
         assert (val, x, converged) == (ref_val, ref_x, ref_converged)
+
+
+    @pytest.mark.parametrize("objective", [
+        lambda a, b: -np.round(4.0 * ((a - 0.5) ** 2 + (b - 0.4) ** 2)),
+        lambda a, b: np.round(np.sin(7 * a) * np.cos(5 * b) + 0.3 * a, 1),
+        lambda a, b: np.where(b < 0.6, np.nan, -(a - 0.3) ** 2 - (b - 0.7) ** 2),
+        lambda a, b: b - 3.0 * a,
+    ], ids=["plateau", "rippled_plateaus", "nan_region", "edge"])
+    @pytest.mark.parametrize("bounds", [[(0.3, 0.3), (0.1, 0.9)], [(0.0, 1.0), (0.8, 0.8)]],
+                             ids=["free_b", "free_a"])
+    def test_one_free_axis_matches_the_array_grid(self, objective, bounds):
+        # the scalar grid keeps the array grid's rules: NaN never wins, the first maximum does
+        got = optimize.maximize_over_box(objective, bounds)
+        assert got == array_grid_maximize_over_box(objective, bounds)
+
+    def test_one_free_axis_of_nan_picks_its_first_cell(self):
+        val, x, evals, converged = optimize.maximize_over_box(lambda a: math.nan, [(0.2, 1.0)])
+        assert math.isnan(val) and x == [0.2] and evals > 64 and converged
 
 
 class TestMaximizeSnr:
@@ -452,3 +515,15 @@ class TestMaximizeSnrMatchesScan:
                 assert 0.0 < report.best_snr / val - 1.0 < 1.1e-9
             else:
                 assert (report.best_snr, argmax) == (val, (psi, r, phase)), (i, kt)
+
+
+@pytest.mark.parametrize("scheme, fix_chi", [("ies", None), ("standard", None), ("ics", 0.5)])
+def test_one_axis_searches_match_the_array_grid(scheme, fix_chi):
+    # the one-axis searches scan their grid with scalar calls; on this grid no cell the
+    # numpy pass would pick differs from the one the scalar scan picks
+    config, r_max = SEARCHES[scheme]
+    for kt in COMPARISON_GRID:
+        bounds, objective, point = config.search(kt, r_max, fix_chi)
+        _, x, evals, converged = array_grid_maximize_over_box(objective, bounds)
+        report = optimize.maximize_snr(scheme, kt, fix_chi=fix_chi)
+        assert report == optimize.OptimumReport(*point(*x), evals + 1, converged), kt

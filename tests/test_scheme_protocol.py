@@ -168,11 +168,17 @@ class TestSharedWork:
 
     def test_ics_one_kernel(self, monkeypatch):
         calls = {}
-        for name in ("_signal_pair", "_integrals", "_require_stable"):
+        for name in ("_pair_kernel", "_oscillation", "_require_stable"):
             counting(monkeypatch, ics, name, calls)
         p = ReadoutParams(1.0, 0.5, 1.0, 0.0, math.pi / 2.0, 3.16)
         ics.ics_moments(p, ics.IcsConfig(0.15, 0.3))
-        assert calls == {"_signal_pair": 1, "_integrals": 1, "_require_stable": 1}
+        assert calls == {"_pair_kernel": 1, "_oscillation": 1, "_require_stable": 1}
+
+    def test_ies_one_kernel(self, monkeypatch):
+        calls = {}
+        counting(monkeypatch, ies, "_pair_kernel", calls)
+        ies.ies_moments(make_params(), ies.IesConfig(0.5, 0.3))
+        assert calls == {"_pair_kernel": 1}
 
     @pytest.mark.parametrize("delta_r, delta_p, mismatch_derives", [
         (0.0, 0.0, 0), (0.1, 0.05, 1)], ids=["matched", "mismatched"])
