@@ -1,8 +1,9 @@
 """Command-line front end: scheme evaluation, figure data, sweeps, validation.
 
 Exit codes: 0 ok, 1 oracle disagreement (oracle-check only), 2 configuration
-error, 3 stability error, 4 solver or other numerical failure.  All CSV output
-is deterministic (12 significant digits, '.' decimal separator, no locale).
+error, 3 stability error, 4 solver or other numerical failure; each distinct
+warning prints once on stderr as 'warning: <message>'.  All CSV output is
+deterministic (12 significant digits, '.' decimal separator, no locale).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import importlib
 import math
 import os
 import sys
+import warnings
 from typing import Iterable, Sequence
 
 from .core import (DEFAULT_EPSILON, ReadoutError, ReadoutParams, StabilityError, psi_from_rate,
@@ -96,12 +98,16 @@ def load_config(path: str, scheme_hint: str | None) -> dict:
     import configparser
 
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ValueError(f"cannot read config file {path!r}")
-    opts = dict(parser.items("readout")) if parser.has_section("readout") else {}
-    scheme = scheme_hint or opts.get("scheme")
-    if scheme and parser.has_section(scheme):
-        opts.update(parser.items(scheme))
+    try:
+        if not parser.read(path):
+            raise ValueError(f"cannot read config file {path!r}")
+        opts = dict(parser.items("readout")) if parser.has_section("readout") else {}
+        scheme = scheme_hint or opts.get("scheme")
+        if scheme and parser.has_section(scheme):
+            opts.update(parser.items(scheme))
+    except configparser.Error as exc:     # no section header, a duplicate key, a bare '%'
+        one_line = " ".join(str(exc).split())       # a missing header's message spans three
+        raise ValueError(f"malformed config file {path!r}: {one_line}") from exc
     return opts
 
 
@@ -374,17 +380,22 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 def main(argv: Iterable[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    try:
-        return COMMANDS[args.command][0](args)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StabilityError as exc:
-        print(f"stability error: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
-    except (ReadoutError, ArithmeticError) as exc:     # overflow, division by zero
-        print(f"solver error: {_solver_message(exc)}", file=sys.stderr)
-        return EXIT_SOLVER
+    # recorded under the caller's filters, which are restored on exit
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = COMMANDS[args.command][0](args), None
+        except (ValueError, KeyError, OSError) as exc:
+            code, error = EXIT_CONFIG, f"configuration error: {exc}"
+        except StabilityError as exc:
+            code, error = EXIT_STABILITY, f"stability error: {exc}"
+        except (ReadoutError, ArithmeticError) as exc:     # overflow, division by zero
+            code, error = EXIT_SOLVER, f"solver error: {_solver_message(exc)}"
+    # each distinct message once, without its source line, before the error
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(error, file=sys.stderr)
+    return code
 
 
 def _solver_message(exc: Exception) -> str:

@@ -41,8 +41,8 @@ def chi_sq(g: float, r: float, omega_sq: float, epsilon: float) -> float:
 
 
 def _chi_sq_function(g: float, r: float, epsilon: float):
-    """omega_sq -> chi_sq(g, r, omega_sq, epsilon) for a float or an array, with
-    chi, cosh r and sinh^2 r computed once; chi_sq checks (g, epsilon), this does not."""
+    """omega_sq -> chi_sq(g, r, omega_sq, epsilon) for a float omega_sq, with chi,
+    cosh r and sinh^2 r computed once; chi_sq checks (g, epsilon), this does not."""
     chi = g * epsilon
     ch, sh2 = math.cosh(r), math.sinh(r) ** 2
     return lambda omega_sq: chi * (ch + sh2 / (ch + 2.0 * omega_sq * epsilon / g))

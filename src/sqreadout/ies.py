@@ -5,8 +5,7 @@ white squeezed input of parameter r and reference phase varphi; the cavity
 fluctuations start in the corresponding stationary squeezed state while the
 coherent tone switches on at t = 0.  The signal of both qubit states and the
 noise shape F come from one kernel, _pair_kernel, built once for a kappa*tau,
-tone and homodyne phase and written once with a function namespace fn: math
-for scalars, numpy for arrays.
+tone and homodyne phase.
 """
 
 from __future__ import annotations
@@ -70,29 +69,20 @@ class IesConfig(Record):
         when fix_chi pins chi.  The summed noise 2 kappa tau [cosh 2r + phase F
         sinh 2r] is linear in phase = cos(varphi - 2 phi_h), so phase = -sign(F),
         and it is least at tanh 2r = |F|, clipped to [0, r_max]; r_max = 0 is
-        the standard readout.  objective(psi) is the SNR: a float from the
-        scalar pair kernel, built once here, or an array in one numpy pass
-        (numpy loads only then); point(psi) is (SNR, argmax record).
+        the standard readout.  objective(psi) is the SNR of a float psi from
+        the pair kernel, built once here; point(psi) is (SNR, argmax record).
         """
         tanh_max = math.tanh(2.0 * r_max)
         pair = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H)
 
         def scored(psi):
-            if getattr(psi, "ndim", 0) == 0:
-                fn, kernel = math, pair
-            else:
-                import numpy as fn
-                kernel = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, fn)
-            up, down, shape = kernel(0.5 * fn.tan(psi))
+            up, down, shape = pair(0.5 * math.tan(psi))
             sep = abs(up - down)
             f = abs(shape)
-            if fn is math:
-                r = r_max if f >= tanh_max else 0.5 * math.atanh(f)
-            else:
-                r = fn.where(f >= tanh_max, r_max, 0.5 * fn.arctanh(fn.minimum(f, tanh_max)))
+            r = r_max if f >= tanh_max else 0.5 * math.atanh(f)
             # positive while |F| < coth(2 r_max); a physical F has |F| <= 1
-            noise = 2.0 * kappa_tau * (fn.cosh(2.0 * r) - f * fn.sinh(2.0 * r))
-            return sep / fn.sqrt(noise), r, shape
+            noise = 2.0 * kappa_tau * (math.cosh(2.0 * r) - f * math.sinh(2.0 * r))
+            return sep / math.sqrt(noise), r, shape
 
         def point(psi):
             snr, r, shape = scored(psi)
@@ -117,7 +107,7 @@ class StandardConfig(IesConfig):
         return {"n_tau": ies_photon_number(params, self, params.tau)}
 
 
-def _pair_kernel(kt, alpha_in, phi_in, phi_h, fn=math):
+def _pair_kernel(kt, alpha_in, phi_in, phi_h):
     """chi -> (<M>_up, <M>_down, F) at kappa = 1, for this kt, tone and homodyne
     phase: the mean homodyne record of both qubit states and the noise shape
     F(tau) of ies_noise_shape.  a_bar, the homodyne rotation and the factors of
@@ -128,27 +118,25 @@ def _pair_kernel(kt, alpha_in, phi_in, phi_h, fn=math):
     B = kt - (1 - e^w)/(iz), w = -iz kt, which stays regular for every chi.
     B = iz kt^2 phi2(w) with phi2(w) = (e^w - 1 - w)/w^2, whose two leading
     orders cancel in the direct form: below |w| = 0.005 phi2 is summed as its
-    Taylor series to w^6; above it the rounding of the direct form stays below
-    5e-14 of the cavity term.  chi is a float (math) or an array (numpy).
+    Taylor series to w^6; above it the direct form is used, whose rounding
+    stays below 5e-14 of the cavity term.  chi is a float.
     """
     a_bar = alpha_in * cmath.exp(1j * phi_in)
     a_kt, i_a = a_bar * kt, 1j * a_bar
     rot = cmath.exp(-1j * phi_h)
     scale, tilt = 1.0 / (2.0 * kt), 3.0 - 2.0 * kt
     decay, half_decay = math.exp(-kt), 4.0 * math.exp(-kt / 2.0)
-    exp, atan, cos, sin = ((cmath.exp, math.atan, math.cos, math.sin) if fn is math
-                           else (fn.exp, fn.arctan, fn.cos, fn.sin))
+    exp, atan, cos, sin = cmath.exp, math.atan, math.cos, math.sin
 
     def mean(z):
         w = -1j * z * kt
-        bracket = kt - (1.0 - exp(w)) / (1j * z)
-        small = abs(w) < 0.005
-        if fn is not math or small:
+        if abs(w) < 0.005:
             taylor = 1.0            # 2 phi2(w) = 1 + w/3 (1 + w/4 (1 + ... (1 + w/8)))
             for m in range(8, 2, -1):
                 taylor = 1.0 + w * taylor / m
-            series = 0.5j * z * kt * kt * taylor
-            bracket = series if fn is math else fn.where(small, series, bracket)
+            bracket = 0.5j * z * kt * kt * taylor
+        else:
+            bracket = kt - (1.0 - exp(w)) / (1j * z)
         return 2.0 * ((a_kt + i_a / z * bracket) * rot).real
 
     def pair(chi):

@@ -150,11 +150,32 @@ class TestExitCodes:
     ], ids=["snr-epsilon", "mismatch-epsilon", "combined-omega-sq", "ies-alpha-in", "ies-r"])
     def test_overflow_names_the_quantity(self, capsys, argv, quantity):
         # x ** 2 out of range says only (34, 'Numerical result out of range'); the
-        # message names the innermost public function, not a private helper
-        with pytest.warns(UserWarning) if "--epsilon" in argv else contextlib.nullcontext():
-            assert run_cli(argv) == 4
+        # message names the innermost public function, not a private helper.  A large
+        # epsilon is named once, in plain words, before the error
+        assert run_cli(argv) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"solver error: {quantity} overflowed: ") and "(34," not in err
+        warning = ("warning: epsilon=1e+300 is large; the dispersive picture is dubious\n"
+                   if "--epsilon" in argv else "")
+        assert err.startswith(f"{warning}solver error: {quantity} overflowed: ")
+        assert "(34," not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["snr", "--scheme", "combined", "--epsilon", "0.3"],
+        ["mismatch", "--scheme", "combined", "--epsilon", "0.3"],
+        ["sweep", "--scheme", "combined", "--epsilon", "0.3", "--var", "kappa_tau",
+         "--start", "0.5", "--stop", "2", "--count", "3"],
+    ], ids=["snr", "mismatch", "sweep"])
+    def test_warning_is_one_plain_line(self, capsys, argv):
+        # chi_sq warns from two call sites (and once per sweep point); stderr names the
+        # message once, without source paths
+        assert run_cli(argv) == 0
+        loud = capsys.readouterr()
+        assert loud.err == "warning: epsilon=0.3 is large; the dispersive picture is dubious\n"
+        # the caller's filters decide what is recorded, and stdout does not change
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_cli(argv) == 0
+        assert capsys.readouterr() == (loud.out, "")
 
 
     @pytest.mark.parametrize("extra", [[], ["--theta", "0"]], ids=["optimal-theta", "theta-0"])
@@ -251,6 +272,20 @@ varphi = 3.141592653589793
         expected = capsys.readouterr().out
         assert run_cli(["snr", "--config", str(with_empty)]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("text, detail", [
+        ("r = 0.5\n", "File contains no section headers."),
+        ("[ies]\nr = 0.5\nr = 0.6\n", "option 'r' in section 'ies' already exists"),
+        ("[readout]\nscheme = ies\n\n[ies]\nr = 5%\n", "'%' must be followed by '%' or '('"),
+    ], ids=["no-section-header", "duplicate-option", "bare-percent"])
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, text, detail):
+        # configparser's errors are bad input (exit 2), not a traceback with exit 1
+        cfg = tmp_path / "readout.ini"
+        cfg.write_text(text)
+        assert run_cli(["snr", "--scheme", "ies", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and detail in err
+        assert err.startswith(f"configuration error: malformed config file {str(cfg)!r}: ")
 
 
 class TestSweep:
@@ -566,7 +601,8 @@ print(json.dumps(results))
 
     def test_fixed_coupling_builders_run_without_numpy(self, tmp_path):
         # floats from the given grids, pure-Python linspaces and one-axis searches on a
-        # scalar grid: only the default kappa*tau grids (numpy.geomspace) load numpy
+        # scalar grid, the free IES searches of figS1 and figS2 among them: only the
+        # default kappa*tau grids (numpy.geomspace) load numpy
         code = """
 import contextlib, io, json, sys
 from sqreadout import cli, figures
@@ -578,6 +614,8 @@ figures.fig3_rows(grid=[0.2, 1.0])
 figures.fig4a_rows(grid=[0.5])
 figures.fig4b_rows(kappa_tau=2.0, count=5)
 figures.figS5_rows(r=1.05)
+figures.figS1_rows(grid=[0.3, 3.0])
+figures.figS2_rows(grid=[1.0])
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["figure", "fig4b", "--output-dir", sys.argv[1]])
 print(json.dumps([code, "numpy" in sys.modules]))
