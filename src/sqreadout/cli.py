@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 oracle disagreement (oracle-check only), 2 configuration
 error, 3 stability error, 4 solver or other numerical failure; each distinct
-warning prints once on stderr as 'warning: <message>'.  All CSV output is
+warning prints once on stderr as 'warning: <message>', and one that the caller's
+filters raise (-W error) is a configuration error.  All CSV output is
 deterministic (12 significant digits, '.' decimal separator, no locale).
 """
 
@@ -390,6 +391,8 @@ def main(argv: Iterable[str] | None = None) -> int:
             code, error = EXIT_STABILITY, f"stability error: {exc}"
         except (ReadoutError, ArithmeticError) as exc:     # overflow, division by zero
             code, error = EXIT_SOLVER, f"solver error: {_solver_message(exc)}"
+        except Warning as exc:          # raised by the caller's filters, as -W error does
+            code, error = EXIT_CONFIG, f"configuration error: {exc}"
     # each distinct message once, without its source line, before the error
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)

@@ -214,30 +214,13 @@ def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down):
                - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
 
 
-def _separation_components_signed(params: ReadoutParams,
-                                  disp: DispersiveParams) -> tuple[float, float]:
-    """Signed (parallel, perpendicular/e^{2r}) separations in units alpha_in/sqrt(kappa)."""
-    p = params.normalized()
-    kt = p.tau
-    pp, pm = disp.psi_sigma_up, disp.psi_sigma_down
-    vp = disp.omega_sigma_up / params.kappa * kt
-    vm = disp.omega_sigma_down / params.kappa * kt
-    decay = math.exp(-kt / 2.0)
-    par = ((2.0 - kt + 2.0 * math.cos(2 * pm) + 2.0 * math.cos(2 * pp))
-           * (math.cos(2 * pm) - math.cos(2 * pp))
-           - decay * (math.cos(vm) + 2.0 * math.cos(2 * pm + vm) + math.cos(4 * pm + vm)
-                      - 4.0 * math.cos(pp) ** 2 * math.cos(2 * pp + vp)))
-    perp = _perp_separation(kt, pp, pm, vp, vm)
-    return 2.0 * p.alpha_in * par, 2.0 * p.alpha_in * perp
-
-
 def _perp_function(params: ReadoutParams, r: float, epsilon: float):
-    """omega_sq -> the signed perpendicular separation of _separation_components_signed.
+    """omega_sq -> the signed perpendicular separation, before the e^{2r} gain.
 
     Built once per solve: chi, cosh r, sinh^2 r and 2 alpha_in/sqrt(kappa) are
     computed here, not per omega_sq; (g, epsilon) are checked by the chi_sq
     calls of solve_omega_sq's lower-edge loop.  It gives the bits of the
-    perpendicular part of _separation_components_signed.
+    perpendicular part of separation_components.
     """
     k = params.kappa
     kt = params.kappa_tau
@@ -258,12 +241,17 @@ def separation_components(params: ReadoutParams, disp: DispersiveParams,
                           r: float) -> tuple[float, float]:
     """|<M>_up - <M>_down| along and perpendicular to the measurement direction.
 
-    The parallel component (phases 2 phi_h = theta, phi_in = phi_h) carries no
-    net squeezing factor; the perpendicular one (theta - 2 phi_h = pi,
-    phi_in - phi_h = pi/2) is amplified by e^{2r}.
+    The parallel component is the combined_signal difference at the phases
+    2 phi_h = theta = 0, phi_in = phi_h, and carries no net squeezing factor; the
+    perpendicular one (theta - 2 phi_h = pi, phi_in - phi_h = pi/2) is amplified by e^{2r}.
     """
-    par, perp = _separation_components_signed(params, disp)
-    return abs(par), math.exp(2.0 * r) * abs(perp)
+    up, down = (combined_signal(params.with_(phi_h=0.0, phi_in=0.0), disp, r, 0.0, s)
+                for s in QubitState)
+    p = params.normalized()
+    perp = 2.0 * p.alpha_in * _perp_separation(p.tau, disp.psi_sigma_up, disp.psi_sigma_down,
+                                               disp.omega_sigma_up / params.kappa * p.tau,
+                                               disp.omega_sigma_down / params.kappa * p.tau)
+    return abs(up - down), math.exp(2.0 * r) * abs(perp)
 
 
 def solve_omega_sq(params: ReadoutParams, r: float,
@@ -467,20 +455,23 @@ class CombinedConfig(Record):
         return MeasurementMoments(*signals, *noises)
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
-        """Oracle model: the Bogoliubov mode fed by its residual input noise, lab-frame output."""
-        from .oracle import LinearReadoutSystem
+        """Oracle model: the cavity mode a under H = omega_sigma beta^dag beta, beta =
+        cosh(r_c) a + e^{i theta} sinh(r_c) a^dag (detuning omega_sigma cosh 2r_c, two-photon
+        rate omega_sigma sinh 2r_c), fed by the tone and the injected squeezed vacuum, from
+        the beta vacuum (the squeezed vacuum of -r_c).  Only omega_sigma = omega_sq +- chi_sq
+        (DispersiveParams) is shared with the closed forms: chi_sq comes from the qubit's
+        nonlinearity at order epsilon, which no linear model can check."""
+        from .oracle import LinearReadoutSystem, squeezed_vacuum
         k = params.kappa
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
         om = self.dispersive(params).omega_sigma(state)
-        drift = ((-1j * om - k / 2.0, 0.0), (0.0, 1j * om - k / 2.0))
-        budget = input_noise_budget(self.r_c, self.r, self.theta, self.varphi)
-        r_c = self.r_c
+        det, pump = om * math.cosh(2.0 * self.r_c), om * math.sinh(2.0 * self.r_c)
         ph = complex(math.cos(self.theta), math.sin(self.theta))
-        beta_in = math.cosh(r_c) * a_bar + ph * math.sinh(r_c) * a_bar.conjugate()
-        out = ((math.cosh(r_c), -ph * math.sinh(r_c)),
-               (-ph.conjugate() * math.sinh(r_c), math.cosh(r_c)))
-        return LinearReadoutSystem(drift, beta_in, budget, (0.0, 0.0),
-                                   out, params.phi_h, k, params.tau)
+        drift = ((-1j * det - k / 2.0, -1j * pump * ph),
+                 (1j * pump * ph.conjugate(), 1j * det - k / 2.0))
+        return LinearReadoutSystem(drift, a_bar, squeezed_vacuum(self.r, self.varphi),
+                                   squeezed_vacuum(-self.r_c, self.theta), params.phi_h, k,
+                                   params.tau)
 
 
 def operating_params(params: ReadoutParams, cfg: CombinedConfig) -> ReadoutParams:

@@ -13,7 +13,8 @@ coefficients, which are entire in lambda^2 (cosh and sinh on the imaginary
 branch), so no branch of lambda, no complex arithmetic in lambda and no floor
 at the exceptional point chi = 2 Omega is needed.  The paper's angle psi,
 tan psi = 2 lambda/kappa, enters only as kappa^2/4 + lambda^2 =
-(kappa^2/4)/cos^2 psi.  Each form is written once with a function namespace
+(kappa^2/4)/cos^2 psi.  Each form, the mean field's complex products too
+(_state_parts), is written once in real arithmetic with a function namespace
 fn: math for the public scalar API and the search's scalar points, numpy for
 the optimizer's 2-D search grid, mpmath for a high-precision check.  One
 kernel answers for both qubit states: _pair_kernel, built once for a kappa*tau,
@@ -73,8 +74,7 @@ class IcsConfig(Record):
         drift = ((-1j * s * params.chi - k / 2.0, -2j * cfg.omega_2ph * ph),
                  (2j * cfg.omega_2ph * ph.conjugate(), 1j * s * params.chi - k / 2.0))
         init = ics_initial_correlations(k, cfg)
-        return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), init,
-                                   ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
+        return LinearReadoutSystem(drift, a_bar, (0.0, 0.0), init, params.phi_h, k, params.tau)
 
     @staticmethod
     def search(kappa_tau: float, r_max: float, fix_chi: float | None = None):
@@ -215,24 +215,16 @@ def _tone_phases(phi_in, theta, fn=math):
             fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in))
 
 
-def _state_terms(chi, om, x, e_in, e_out, sigma):
-    """(t0, ts) for qubit state sigma = +-1, from <a(0)> = 0:
-
-    <a(t)> = pref [t0 (1 - g C) + ts g S], with pref = 2 alpha_in/(1 + 4 lambda^2)
-    and (g, C, S) from _oscillation.
-    """
-    return (4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in,
-            -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out))
-
-
 def _state_parts(chi, om, x, alpha_in, er, ei, o_r, o_i):
-    """(pref, t0 and ts of sigma = +1, t0 and ts of sigma = -1) of _state_terms,
-    each of t0 and ts as its real and imaginary parts, with e_in = er + i ei and
-    e_out = o_r + i o_i, for the scalar pair kernel.
+    """(pref, t0 and ts of sigma = +1, t0 and ts of sigma = -1), each of t0 and ts as
+    its real and imaginary parts, with e_in = er + i ei and e_out = o_r + i o_i:
 
+    <a(t)> = pref [t0 (1 - g C) + ts g S] for qubit state sigma = +-1 from <a(0)> = 0,
+    with pref = 2 alpha_in/(1 + 4 lambda^2), (g, C, S) from _oscillation,
+    t0 = 4i Omega e_out - (1 - 2i sigma chi) e_in and
+    ts = -[(2 lambda^2 + i sigma chi) e_in + 2i Omega e_out].
     The complex products are spelled out in real arithmetic: each part is the
-    float that CPython's complex product gives, up to the sign of a zero.  numpy's
-    complex loops may fuse a multiply and an add, so arrays keep _state_terms.
+    float that CPython's complex product gives, up to the sign of a zero.
     """
     q4, q2, x2, two = 4.0 * om, 2.0 * om, 2.0 * x, 2.0 * chi
     dr, di = -(q4 * o_i), q4 * o_r                  # 4i Omega e_out
@@ -248,9 +240,12 @@ def _mean_field(t, chi, om, alpha_in, phi_in, theta, sigma, fn=math):
     """<a(t)> at kappa = 1 for qubit state sigma = +-1, from <a(0)> = 0."""
     x = _lambda_sq(chi, om)
     e_in, e_out = _tone_phases(phi_in, theta, fn)
-    t0, ts = _state_terms(chi, om, x, e_in, e_out, sigma)
+    pref, *parts = _state_parts(chi, om, x, alpha_in, e_in.real, e_in.imag, e_out.real,
+                                e_out.imag)
+    t0r, t0i, tsr, tsi = parts[:4] if sigma > 0 else parts[4:]
     g, c, s, _ = _oscillation(x, t, fn)
-    return 2.0 * alpha_in / (1.0 + 4.0 * x) * (t0 * (1.0 - g * c) + ts * (g * s))
+    u, v = 1.0 - g * c, g * s
+    return pref * (t0r * u + tsr * v + 1j * (t0i * u + tsi * v))
 
 
 def ics_mean_field(params: ReadoutParams, cfg: IcsConfig, state: QubitState,
@@ -294,9 +289,8 @@ def _pair_kernel(kt, alpha_in, phi_in, phi_h, theta, fn=math):
     = i_c + i_s N, M^{-1} = -(1/2 + N)/(1/4 + lambda^2).  At small kt, i_s and
     kt - i_c are O(kt^2) differences of O(1) terms and keep about
     16 + 2 log10(kt) digits.  The integral of <a_out(t)> over [0, kt] is, term by
-    term, a_bar kt + pref [t0 kt + ts i_s - t0 i_c] (_state_terms, spelled out in
-    real arithmetic by _state_parts on the scalar path); only t0 and ts depend on
-    sigma.
+    term, a_bar kt + pref [t0 kt + ts i_s - t0 i_c] (t0 and ts of _state_parts, in
+    real arithmetic for every number type); only t0 and ts depend on sigma.
 
     Noise: for the quadrature h = (cos phi, sin phi), phi = phi_h - theta/2, of the
     record, <M_N^2> = kt + h^T W h with
@@ -311,31 +305,22 @@ def _pair_kernel(kt, alpha_in, phi_in, phi_h, theta, fn=math):
     """
     e_in, e_out = _tone_phases(phi_in, theta, fn)
     a_kt = alpha_in * e_in * kt
+    akr, aki = a_kt.real, a_kt.imag
+    er, ei, o_r, o_i = e_in.real, e_in.imag, e_out.real, e_out.imag
     c_h, s_h = fn.cos(phi_h), fn.sin(phi_h)
-    if fn is math:
-        akr, aki = a_kt.real, a_kt.imag
-        er, ei, o_r, o_i = e_in.real, e_in.imag, e_out.real, e_out.imag
 
-        def records(chi, om, x, i_c, i_s):
-            pref, u0r, u0i, usr, usi, d0r, d0i, dsr, dsi = _state_parts(chi, om, x, alpha_in,
-                                                                        er, ei, o_r, o_i)
-            # J = a_bar kt + pref (jr + i ji) per state.  CPython before 3.14 multiplies
-            # the float pref by the complex jr + i ji as complex(pref, 0) times it; the
-            # zero terms of that product are kept, so a zero mean (alpha_in = 0) keeps
-            # its sign too
-            jr, ji = u0r * kt + usr * i_s - u0r * i_c, u0i * kt + usi * i_s - u0i * i_c
-            up = 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h + (aki + (pref * ji + 0.0 * jr)) * s_h)
-            jr, ji = d0r * kt + dsr * i_s - d0r * i_c, d0i * kt + dsi * i_s - d0i * i_c
-            return up, 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h
-                              + (aki + (pref * ji + 0.0 * jr)) * s_h)
-    else:
-        def records(chi, om, x, i_c, i_s):
-            pref, means = 2.0 * alpha_in / (1.0 + 4.0 * x), []
-            for sigma in (1, -1):
-                t0, ts = _state_terms(chi, om, x, e_in, e_out, sigma)
-                j = a_kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
-                means.append(2.0 * (j.real * c_h + j.imag * s_h))
-            return means
+    def records(chi, om, x, i_c, i_s):
+        pref, u0r, u0i, usr, usi, d0r, d0i, dsr, dsi = _state_parts(chi, om, x, alpha_in,
+                                                                    er, ei, o_r, o_i)
+        # J = a_bar kt + pref (jr + i ji) per state.  CPython before 3.14 multiplies
+        # the float pref by the complex jr + i ji as complex(pref, 0) times it; the
+        # zero terms of that product are kept, so a zero mean (alpha_in = 0) keeps
+        # its sign too
+        jr, ji = u0r * kt + usr * i_s - u0r * i_c, u0i * kt + usi * i_s - u0i * i_c
+        up = 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h + (aki + (pref * ji + 0.0 * jr)) * s_h)
+        jr, ji = d0r * kt + dsr * i_s - d0r * i_c, d0i * kt + dsi * i_s - d0i * i_c
+        return up, 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h
+                          + (aki + (pref * ji + 0.0 * jr)) * s_h)
 
     def pair(chi, om):
         x = _lambda_sq(chi, om)

@@ -50,16 +50,14 @@ class IesConfig(Record):
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""
-        from .oracle import LinearReadoutSystem
+        from .oracle import LinearReadoutSystem, squeezed_vacuum
         params, cfg = self.operating_point(params)
         k = params.kappa
         s = int(state)
         a_bar = params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in))
         drift = ((-1j * s * params.chi - k / 2.0, 0.0), (0.0, 1j * s * params.chi - k / 2.0))
-        n_in = math.sinh(cfg.r) ** 2
-        m_in = 0.5 * math.sinh(2.0 * cfg.r) * complex(math.cos(cfg.varphi), math.sin(cfg.varphi))
-        return LinearReadoutSystem(drift, a_bar, (n_in, m_in), (n_in, m_in),
-                                   ((1.0, 0.0), (0.0, 1.0)), params.phi_h, k, params.tau)
+        noise = squeezed_vacuum(cfg.r, cfg.varphi)
+        return LinearReadoutSystem(drift, a_bar, noise, noise, params.phi_h, k, params.tau)
 
     @staticmethod
     def search(kappa_tau: float, r_max: float, fix_chi: float | None = None):

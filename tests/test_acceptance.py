@@ -234,7 +234,7 @@ def _oracle_separation(params, disp, phi_h):
         system = oracle.LinearReadoutSystem(
             np.diag([-1j * om - k / 2.0, 1j * om - k / 2.0]),
             params.alpha_in * complex(math.cos(params.phi_in), math.sin(params.phi_in)),
-            (0.0, 0j), (0.0, 0j), np.eye(2), phi_h, k, params.tau)
+            (0.0, 0j), (0.0, 0j), phi_h, k, params.tau)
         res = oracle.oracle_moments(system)
         means.append(res.richardson[0])
         residual += abs(res.residual[0])

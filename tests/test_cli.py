@@ -116,6 +116,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and message in err
 
+    EPSILON_WARNING = "epsilon=0.3 is large; the dispersive picture is dubious"
+
+    def test_warning_raised_as_error_is_config_error(self, capsys):
+        # a caller's error filter turns chi_sq's warning into an exception
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["snr", "--scheme", "combined", "--epsilon", "0.3"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {self.EPSILON_WARNING}\n"
+
+    @pytest.mark.parametrize("how", ["-W", "PYTHONWARNINGS"])
+    def test_warning_filter_of_the_interpreter(self, how):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        flags = ["-W", "error"] if how == "-W" else []
+        if how == "PYTHONWARNINGS":
+            env["PYTHONWARNINGS"] = "error"
+        proc = subprocess.run([sys.executable, *flags, "-m", "sqreadout.cli", "snr", "--scheme",
+                               "combined", "--epsilon", "0.3"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"configuration error: {self.EPSILON_WARNING}\n"
+
     def test_negative_noise_exit_code(self, monkeypatch, capsys):
         # a closed form that goes negative is a numerical failure, not a bad option
         monkeypatch.setattr(ies, "ies_noise", lambda *args, **kwargs: -1.0)

@@ -193,9 +193,8 @@ class TestSolveOmegaSq:
         w = combined.solve_omega_sq(p, r, epsilon)
         assert w == pytest.approx(root, abs=1e-4)
         # the signed perpendicular separation changes sign across the root
-        below, above = (combined._separation_components_signed(
-            p, combined.DispersiveParams.derive(1.0, chi, r, w * f, epsilon))[1]
-            for f in (1.0 - 1e-8, 1.0 + 1e-8))
+        perp = combined._perp_function(p, r, epsilon)
+        below, above = (perp(w * f) for f in (1.0 - 1e-8, 1.0 + 1e-8))
         assert below * above < 0
 
     @pytest.mark.parametrize("epsilon, chi", [(math.nan, 0.5), (0.05, 0.0), (0.05, -0.5),
@@ -212,13 +211,14 @@ class TestSolveOmegaSq:
 
     def test_bisection_function_is_the_scalar_separation(self):
         # the function bisect refines is built once per solve; at every omega_sq
-        # it gives the bits of _separation_components_signed
+        # it gives the bits of the perpendicular part of separation_components
         rng = np.random.default_rng(17)
         for p, r, eps in seeded_operating_points(60, seed=23):
             perp = combined._perp_function(p, r, eps)
             for w in (10.0 ** rng.uniform(-1.0, 2.0, 10) * p.kappa).tolist():
                 disp = combined.DispersiveParams.derive(p.kappa, p.chi, r, w, eps)
-                assert perp(w) == combined._separation_components_signed(p, disp)[1]
+                got = math.exp(2.0 * r) * abs(perp(w))
+                assert got == combined.separation_components(p, disp, r)[1]
 
     def test_monotone_bridge_between_limits(self):
         # the root decreases monotonically from ~pi/tau at short times to the
@@ -236,9 +236,7 @@ def scalar_walk_omega_sq(params, r, epsilon=0.05, grid_points=4096):
     k = params.kappa
     chi = params.chi
 
-    def perp_at(w):
-        disp = combined.DispersiveParams.derive(k, chi, r, w, epsilon)
-        return combined._separation_components_signed(params, disp)[1]
+    perp_at = combined._perp_function(params, r, epsilon)
 
     w = 0.5 * k
     for _ in range(8):

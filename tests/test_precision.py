@@ -124,7 +124,8 @@ class TestIcsInitialCorrelationsNearThreshold:
 
 
 class TestIcsRealFormsInMpmath:
-    """sqreadout's real-valued ICS forms run on mpmath numbers equal the references."""
+    """sqreadout's real-valued ICS forms run on mpmath numbers equal the references: the
+    pair kernel and the mean field run _state_parts, the one spelling floats run too."""
 
     POINTS = [(0.01, 0.5, 0.15), (1.0, 0.2, 0.1), (1.0, 0.2, 0.15), (3.0, 1.3, 0.05),
               (100.0, 0.0, 0.24), (0.3, 0.7, 0.2)]
