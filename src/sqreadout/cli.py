@@ -139,7 +139,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def _scheme_point(opts: dict):
-    """Operating point of the chosen scheme: (params, cfg, moments, extra record fields).
+    """Operating point of the chosen scheme: (params, cfg).
 
     cfg.operating_point resolves unset fields (None) and applies the scheme's phase
     convention, so the moments, the oracle and the pointer states share one point.
@@ -147,16 +147,16 @@ def _scheme_point(opts: dict):
     module, name, keys = SCHEMES[opts["scheme"]]
     params = ReadoutParams(*(opts[key] for key in _PARAM_KEYS))
     cfg = getattr(importlib.import_module(module, __package__), name)(**{k: opts[k] for k in keys})
-    params, cfg = cfg.operating_point(params)
-    return params, cfg, cfg.moments(params), cfg.record_fields(params)
+    return cfg.operating_point(params)
 
 
 def evaluate_record(opts: dict) -> dict:
     """Full summary record (inputs, SNR/fidelity, derived quantities) for one point."""
-    params, _, moments, extra = _scheme_point(opts)
+    params, cfg = _scheme_point(opts)
+    moments = cfg.moments(params)
     record = {"scheme": opts["scheme"], **{key: opts[key] for key in _PARAM_KEYS},
               "kappa_tau": params.kappa_tau, "psi": psi_from_rate(params.chi, params.kappa),
-              **extra}
+              **cfg.record_fields(params)}
     summary = summarize(moments)
     record.update(signal_up=moments.signal_up, signal_down=moments.signal_down,
                   noise_up=moments.noise_up, noise_down=moments.noise_down,
@@ -238,7 +238,8 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     from .oracle import oracle_check
     opts = resolve_options(args)
-    params, cfg, analytic, _ = _scheme_point(opts)
+    params, cfg = _scheme_point(opts)
+    analytic = cfg.moments(params)
     report = oracle_check(params, cfg, analytic, steps=args.steps, tol=args.tol)
     stream = sys.stdout
     stream.write(f"scheme={opts['scheme']} tol={fmt(report['tol'])}\n")
@@ -284,7 +285,7 @@ def cmd_wigner(args) -> int:
     else:
         opts = resolve_options(args)
         stem = f"wigner_{opts['scheme']}"
-        points = [(stem, *_scheme_point(opts)[:2])]
+        points = [(stem, *_scheme_point(opts))]
     from . import phasespace
     diagnostics: list[dict] = []
     for grid, params, cfg in points:
@@ -321,7 +322,8 @@ def cmd_mismatch(args) -> int:
     if "delta_p" not in opts:       # a config without delta_p has no mismatch to analyse
         raise ValueError("mismatch analysis applies to the combined scheme")
     record = evaluate_record(opts)
-    record["snr_matched"] = snr(_scheme_point(dict(opts, delta_r=0.0, delta_p=0.0))[2])
+    params, cfg = _scheme_point(dict(opts, delta_r=0.0, delta_p=0.0))
+    record["snr_matched"] = snr(cfg.moments(params))
     snr_std = snr(standard_readout_moments(ReadoutParams(*(opts[k] for k in _PARAM_KEYS))))
     record["snr_std"] = snr_std
     record["snr_over_e_r_snr_std"] = record["snr"] / (math.exp(opts["r"]) * snr_std)

@@ -79,8 +79,12 @@ class BogoliubovFrame(Record):
     theta: float
 
     def __post_init__(self):
-        if not self.delta_c ** 2 > 4.0 * self.omega_2ph ** 2:
-            raise ValueError("need delta_c^2 > 4 Omega^2 for a real mode frequency")
+        # delta_c - 2|Omega| = omega_sq e^{-2 r_c} > 0, but from r_c ~ 9.5 on the two round to
+        # within a unit of each other, either way: compared unsquared, within a few units
+        if not self.omega_sq > 0:
+            raise ValueError("omega_sq must be positive")
+        if not 2.0 * abs(self.omega_2ph) <= abs(self.delta_c) * (1.0 + 1e-15):
+            raise ValueError("need delta_c > 2|Omega| for a real mode frequency")
         if self.r_c < 0:
             raise ValueError("frame squeeze parameter must be non-negative")
         object.__setattr__(self, "theta", reduce_angle(self.theta))
@@ -91,9 +95,9 @@ class BogoliubovFrame(Record):
 
         tanh(2 r_c) = 2 Omega / delta_c and omega_sq = sqrt(delta_c^2 - 4 Omega^2).
         """
-        if not omega_sq > 0:
-            raise ValueError("omega_sq must be positive")
         delta_c = omega_sq * math.cosh(2.0 * r_c)
+        if math.isinf(delta_c):
+            raise OverflowError("delta_c out of range")
         omega_2ph = 0.5 * omega_sq * math.sinh(2.0 * r_c)
         return cls(delta_c, omega_2ph, r_c, omega_sq, theta)
 
@@ -399,6 +403,8 @@ class CombinedConfig(Record):
         if not self.epsilon > 0 or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be a finite positive number, got {self.epsilon}")
         require_finite(self, ("r", "theta", "delta_r", "delta_p", "omega_sq"))
+        if self.omega_sq is not None and not self.omega_sq > 0:
+            raise ValueError("omega_sq must be positive")
         object.__setattr__(self, "theta", reduce_angle(self.theta or 0.0))
         object.__setattr__(self, "delta_p", reduce_angle(self.delta_p))
 

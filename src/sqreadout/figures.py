@@ -29,8 +29,11 @@ def _params(kappa_tau: float, alpha_in: float = 1.0) -> ReadoutParams:
     return ReadoutParams(1.0, CHI_DEFAULT, alpha_in, 0.0, math.pi / 2.0, kappa_tau)
 
 
-def _std_snr(kappa_tau: float) -> float:
-    return snr(standard_readout_moments(_params(kappa_tau)))
+def _std_columns(kappa_tau: float) -> dict:
+    """The standard-readout reference curves: its SNR, times e^r and times e^2r."""
+    std = snr(standard_readout_moments(_params(kappa_tau)))
+    return {"snr_std": std, "snr_std_e_r": math.exp(R_DEFAULT) * std,
+            "snr_std_e_2r": math.exp(2.0 * R_DEFAULT) * std}
 
 
 def combined_snr(kappa_tau: float, delta_r: float = 0.0, delta_p: float = 0.0) -> float:
@@ -80,9 +83,8 @@ def fig2a_rows() -> list[dict]:
 
 def fig2a_inset_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """omega_sq nulling the perpendicular separation, versus kappa*tau."""
-    kts = _kappa_taus(grid, 1e-3, 1e3, 25)
     rows = []
-    for kt in kts:
+    for kt in _kappa_taus(grid, 1e-3, 1e3, 25):
         w = combined.solve_omega_sq(_params(kt), R_DEFAULT)
         rows.append({"kappa_tau": kt, "omega_sq_over_kappa": w,
                      "omega_sq_tau": w * kt})
@@ -90,7 +92,6 @@ def fig2a_inset_rows(grid: Iterable[float] | None = None) -> list[dict]:
 
 
 def _scheme_snrs(kt: float) -> dict:
-    std = _std_snr(kt)
     ies_opt = optimize.maximize_snr("ies", kt, fix_chi=CHI_DEFAULT)
     ics_opt = optimize.maximize_snr("ics", kt, fix_chi=CHI_DEFAULT)
     return {
@@ -98,9 +99,7 @@ def _scheme_snrs(kt: float) -> dict:
         "snr_combined": combined_snr(kt),
         "snr_ies_opt": ies_opt.best_snr,
         "snr_ics_opt": ics_opt.best_snr,
-        "snr_std": std,
-        "snr_std_e_r": math.exp(R_DEFAULT) * std,
-        "snr_std_e_2r": math.exp(2.0 * R_DEFAULT) * std,
+        **_std_columns(kt),
         "r_opt_ies": ies_opt.argmax["r"],
         "r_opt_ics": ics_opt.argmax["r"],
     }
@@ -108,28 +107,24 @@ def _scheme_snrs(kt: float) -> dict:
 
 def fig2b_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """SNR versus kappa*tau for all schemes plus the reference curves."""
-    kts = _kappa_taus(grid)
-    return [_scheme_snrs(kt) for kt in kts]
+    return [_scheme_snrs(kt) for kt in _kappa_taus(grid)]
+
+
+def _error_row(fig2b_row: dict) -> dict:
+    """The fig2c row of a fig2b row: the measurement error of each scheme's SNR."""
+    return {"kappa_tau": fig2b_row["kappa_tau"],
+            **{f"error_{tag}": fidelity_and_error(fig2b_row[f"snr_{tag}"])[1]
+               for tag in ("combined", "ies_opt", "ics_opt", "std")}}
 
 
 def fig2c_rows(grid: Iterable[float] | None = None) -> list[dict]:
-    """Measurement error versus kappa*tau for all schemes."""
-    rows = []
-    for base in fig2b_rows(grid):
-        rows.append({
-            "kappa_tau": base["kappa_tau"],
-            "error_combined": fidelity_and_error(base["snr_combined"])[1],
-            "error_ies_opt": fidelity_and_error(base["snr_ies_opt"])[1],
-            "error_ics_opt": fidelity_and_error(base["snr_ics_opt"])[1],
-            "error_std": fidelity_and_error(base["snr_std"])[1],
-        })
-    return rows
+    """Measurement error versus kappa*tau for all schemes, from the fig2b rows."""
+    return [_error_row(row) for row in fig2b_rows(grid)]
 
 
 def _fig3_point(kt: float) -> dict:
     """Required tone amplitude for SNR = 1 and the implied photon numbers."""
-    row = {"kappa_tau": kt}
-    tau = kt
+    row = {"kappa_tau": kt}     # tau = kappa*tau at kappa = 1
 
     # the root does not depend on alpha_in, so one solve serves both amplitudes
     p1 = _params(kt)
@@ -137,27 +132,27 @@ def _fig3_point(kt: float) -> dict:
     a_comb = required_tone_amplitude(snr(combined.combined_moments(p1, cfg)), 1.0)
     p = _params(kt, a_comb)
     disp = cfg.dispersive(p)
-    n_comb = max(combined.beta_photon_number(p, disp, R_DEFAULT, s, tau) for s in QubitState)
     row["alpha_combined"] = a_comb
-    row["n_combined"] = n_comb
+    row["n_combined"] = max(combined.beta_photon_number(p, disp, R_DEFAULT, s, kt)
+                            for s in QubitState)
 
     ies_opt = optimize.maximize_snr("ies", kt, fix_chi=CHI_DEFAULT)
     a_ies = required_tone_amplitude(ies_opt.best_snr, 1.0)
     cfg_i = ies.IesConfig(ies_opt.argmax["r"], 0.0)
     row["alpha_ies"] = a_ies
-    row["n_ies"] = ies.ies_photon_number(_params(kt, a_ies), cfg_i, tau)
+    row["n_ies"] = ies.ies_photon_number(_params(kt, a_ies), cfg_i, kt)
 
     ics_opt = optimize.maximize_snr("ics", kt, fix_chi=CHI_DEFAULT)
     a_ics = required_tone_amplitude(ics_opt.best_snr, 1.0)
     p_ics = _params(kt, a_ics)
-    omega = ics.ics_omega_from_r(1.0, ics_opt.argmax["r"])
+    omega = ics_opt.argmax["omega_2ph_over_kappa"]
     cfg_c = ics.IcsConfig(omega, ics.optimal_theta(p_ics, omega))
     row["alpha_ics"] = a_ics
-    row["n_ics"] = ics.ics_photon_number(p_ics, cfg_c, tau)
+    row["n_ics"] = ics.ics_photon_number(p_ics, cfg_c, kt)
 
-    a_std = required_tone_amplitude(_std_snr(kt), 1.0)
+    a_std = required_tone_amplitude(_std_columns(kt)["snr_std"], 1.0)
     row["alpha_std"] = a_std
-    row["n_std"] = ies.ies_photon_number(_params(kt, a_std), ies.IesConfig(0.0, 0.0), tau)
+    row["n_std"] = ies.ies_photon_number(_params(kt, a_std), ies.IesConfig(0.0, 0.0), kt)
     row["n_critical"] = 1.0 / (4.0 * EPS_DEFAULT ** 2)
     return row
 
@@ -170,13 +165,9 @@ def fig3_rows(grid: Iterable[float] | None = None) -> list[dict]:
 
 def fig4a_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Mismatched-scheme SNR versus kappa*tau for the standard mismatch set."""
-    kts = _kappa_taus(grid)
     rows = []
-    for kt in kts:
-        std = _std_snr(kt)
-        row = {"kappa_tau": kt, "snr_std": std,
-               "snr_std_e_r": math.exp(R_DEFAULT) * std,
-               "snr_std_e_2r": math.exp(2.0 * R_DEFAULT) * std}
+    for kt in _kappa_taus(grid):
+        row = {"kappa_tau": kt, **_std_columns(kt)}
         for dp, value in zip(MISMATCH_SET, _mismatch_snrs(kt, MISMATCH_SET)):
             row[f"snr_dp_{dp:g}".replace(".", "_")] = value
         rows.append(row)
@@ -192,32 +183,28 @@ def fig4b_rows(kappa_tau: float = 1.0, count: int = 41) -> list[dict]:
             for d, snr_p in zip(deltas, _mismatch_snrs(kappa_tau, deltas))]
 
 
-def figS1_rows(grid: Iterable[float] | None = None) -> list[dict]:
-    """Free (psi, r) optimum of the injected-squeezing readout versus kappa*tau."""
-    kts = _kappa_taus(grid)
+def _free_optimum_rows(scheme: str, coupling: str, grid: Iterable[float] | None) -> list[dict]:
+    """Free (psi, r) optimum of a squeezed scheme, with its optimal coupling (chi or
+    lambda) over kappa, beside the free standard optimum, versus kappa*tau."""
     rows = []
-    for kt in kts:
-        best = optimize.maximize_snr("ies", kt)
+    for kt in _kappa_taus(grid):
+        best = optimize.maximize_snr(scheme, kt)
         std = optimize.maximize_snr("standard", kt)
-        rows.append({"kappa_tau": kt, "snr_ies_opt": best.best_snr,
+        rows.append({"kappa_tau": kt, f"snr_{scheme}_opt": best.best_snr,
                      "psi_opt": best.argmax["psi"], "r_opt": best.argmax["r"],
-                     "chi_opt_over_kappa": best.argmax["chi_over_kappa"],
+                     f"{coupling}_opt_over_kappa": best.argmax[f"{coupling}_over_kappa"],
                      "snr_std_opt": std.best_snr, "psi_std_opt": std.argmax["psi"]})
     return rows
+
+
+def figS1_rows(grid: Iterable[float] | None = None) -> list[dict]:
+    """Free (psi, r) optimum of the injected-squeezing readout versus kappa*tau."""
+    return _free_optimum_rows("ies", "chi", grid)
 
 
 def figS3_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Free (psi, r) optimum of the intracavity-squeezing readout versus kappa*tau."""
-    kts = _kappa_taus(grid)
-    rows = []
-    for kt in kts:
-        best = optimize.maximize_snr("ics", kt)
-        std = optimize.maximize_snr("standard", kt)
-        rows.append({"kappa_tau": kt, "snr_ics_opt": best.best_snr,
-                     "psi_opt": best.argmax["psi"], "r_opt": best.argmax["r"],
-                     "lambda_opt_over_kappa": best.argmax["lambda_over_kappa"],
-                     "snr_std_opt": std.best_snr, "psi_std_opt": std.argmax["psi"]})
-    return rows
+    return _free_optimum_rows("ics", "lambda", grid)
 
 
 def ies_optimal_setting(kappa_tau: float) -> tuple[ReadoutParams, ies.IesConfig]:
@@ -257,9 +244,8 @@ PHASE_SPACE_SETTINGS = {
 
 
 def _ellipse_rows(name: str, grid: Iterable[float] | None) -> list[dict]:
-    kts = _kappa_taus(grid, 0.1, 10.0, 17)
     rows = []
-    for kt in kts:
+    for kt in _kappa_taus(grid, 0.1, 10.0, 17):
         p, cfg = PHASE_SPACE_SETTINGS[name](kt)
         row = {"kappa_tau": kt}
         for state, st in phasespace.pointer_state(p, cfg).items():
@@ -299,11 +285,16 @@ def figS5_rows(r: float = R_FIGS5) -> list[dict]:
     return rows
 
 
+def _fig2bc_tables() -> dict[str, list[dict]]:
+    rows = fig2b_rows()
+    return {"fig2b": rows, "fig2c": [_error_row(row) for row in rows]}
+
+
 _FIGURE_BUILDERS = {
     "fig2a": lambda: {"fig2a": fig2a_rows(), "fig2a_inset": fig2a_inset_rows()},
-    "fig2b": lambda: {"fig2b": fig2b_rows()},
-    "fig2c": lambda: {"fig2c": fig2c_rows()},
-    # fig3a and fig3b plot the same table: one build, written under both stems
+    # fig2c is the error map of the fig2b SNRs, and fig3a and fig3b plot the same
+    # table: one build each, written under both stems
+    "fig2b": _fig2bc_tables,
     "fig3a": lambda: dict.fromkeys(("fig3a", "fig3b"), fig3_rows()),
     "fig4a": lambda: {"fig4a": fig4a_rows()},
     "fig4b": lambda: {"fig4b": fig4b_rows()},

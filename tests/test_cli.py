@@ -165,7 +165,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, quantity", [
         (["snr", "--scheme", "combined", "--epsilon", "1e300"], "critical_photon_number"),
         (["mismatch", "--scheme", "combined", "--epsilon", "1e300"], "critical_photon_number"),
-        (["snr", "--scheme", "combined", "--omega-sq", "1e300"], "from_squeeze"),
+        # delta_c = omega_sq cosh 2r is printed; at omega_sq = 1e300 it is 5e301, in range
+        (["snr", "--scheme", "combined", "--omega-sq", "1e308"], "from_squeeze"),
         (["snr", "--scheme", "ies", "--alpha-in", "1e300"], "ies_photon_number"),
         (["snr", "--scheme", "ies", "--r", "400"], "ies_noise"),
     ], ids=["snr-epsilon", "mismatch-epsilon", "combined-omega-sq", "ies-alpha-in", "ies-r"])
@@ -179,6 +180,42 @@ class TestExitCodes:
                    if "--epsilon" in argv else "")
         assert err.startswith(f"{warning}solver error: {quantity} overflowed: ")
         assert "(34," not in err
+
+    def test_oracle_check_skips_the_record_fields(self, capsys):
+        # the photon number of this tone overflows, but oracle-check prints only moments
+        assert run_cli(["oracle-check", "--scheme", "ies", "--alpha-in", "1e200"]) == 0
+        assert capsys.readouterr().out.endswith("passed=True\n")
+
+    @pytest.mark.parametrize("command", ["snr", "mismatch", "sweep"])
+    def test_negative_frame_squeeze_fails_only_the_record(self, capsys, command):
+        # r + delta_r < 0: the closed forms and the oracle hold, the printed frame does not
+        argv = ["--scheme", "combined", "--r", "0.05", "--delta-r", "-0.1"]
+        assert run_cli(["oracle-check", *argv]) == 0
+        assert capsys.readouterr().out.endswith("passed=True\n")
+        sweep = ["--var", "tau", "--start", "1", "--stop", "2", "--count", "2"]
+        assert run_cli([command, *argv, *(sweep if command == "sweep" else [])]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: frame squeeze parameter must be non-negative\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["snr", "--scheme", "combined", "--r", "9.5"],
+        ["mismatch", "--scheme", "combined", "--r", "9.5", "--delta-r", "0.1", "--delta-p", "0.05"],
+        ["snr", "--scheme", "combined", "--omega-sq", "1e300"],
+    ], ids=["snr-r", "mismatch-r", "snr-omega-sq"])
+    def test_frame_at_large_squeeze_or_frequency(self, capsys, argv):
+        # delta_c and 2 Omega round to one float (r = 9.5) or square out of range
+        # (omega_sq = 1e300), though the frame is real and every printed field finite
+        assert run_cli(argv) == 0
+        rec = parse_kv(capsys.readouterr().out)
+        assert all(math.isfinite(float(value)) for key, value in rec.items() if key != "scheme")
+
+    @pytest.mark.parametrize("command", ["snr", "oracle-check", "wigner", "mismatch"])
+    @pytest.mark.parametrize("omega_sq", ["-1", "0"])
+    def test_non_positive_omega_sq_is_config_error(self, capsys, tmp_path, command, omega_sq):
+        extra = ["--output-dir", str(tmp_path)] if command == "wigner" else []
+        assert run_cli([command, "--scheme", "combined", f"--omega-sq={omega_sq}", *extra]) == 2
+        assert capsys.readouterr().err == "configuration error: omega_sq must be positive\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["snr", "--scheme", "combined", "--epsilon", "0.3"],

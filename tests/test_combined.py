@@ -587,9 +587,33 @@ class TestFrameAndMismatchTypes:
         with pytest.raises(ValueError, match="epsilon"):
             combined.CombinedConfig(r=LN10, epsilon=epsilon)
 
+    @pytest.mark.parametrize("omega_sq", [0.0, -1.0])
+    def test_config_rejects_non_positive_omega_sq(self, omega_sq):
+        with pytest.raises(ValueError, match="omega_sq must be positive"):
+            combined.CombinedConfig(r=1.0, omega_sq=omega_sq)
+
     def test_frame_validation(self):
         with pytest.raises(ValueError):
             combined.BogoliubovFrame(1.0, 0.6, 0.5, 0.1, 0.0)
+        with pytest.raises(ValueError, match="omega_sq must be positive"):
+            combined.BogoliubovFrame.from_squeeze(0.0, 0.5)
+
+    @pytest.mark.parametrize("r_c", [9.0, 9.5, 12.0, 300.0])
+    def test_frame_where_its_frequencies_round_together(self, r_c):
+        # from r_c ~ 9.5 on, omega_sq cosh 2r_c and omega_sq sinh 2r_c round to one float,
+        # or sinh to the larger: the frame is still real
+        frame = combined.BogoliubovFrame.from_squeeze(1e-100, r_c)
+        assert frame.delta_c == pytest.approx(2.0 * frame.omega_2ph, rel=1e-15)
+
+    @pytest.mark.parametrize("omega_sq, r_c", [(1e300, 0.5 * math.log(10.0)), (1e307, 1.0)])
+    def test_frame_squares_no_frequency(self, omega_sq, r_c):
+        # delta_c^2 would overflow, though delta_c itself is in range
+        frame = combined.BogoliubovFrame.from_squeeze(omega_sq, r_c)
+        assert math.isfinite(frame.delta_c) and frame.delta_c > 2.0 * frame.omega_2ph
+
+    def test_frame_out_of_range_overflows(self):
+        with pytest.raises(OverflowError):
+            combined.BogoliubovFrame.from_squeeze(1e308, math.log(10.0))
 
     def test_mismatch_params(self):
         mm = combined.MismatchParams.derive(1.0, 0.3, 0.1, 0.05)

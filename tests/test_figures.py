@@ -63,9 +63,86 @@ def test_fig2c_is_the_error_of_fig2b():
     kt = 0.3
     snrs = figures.fig2b_rows(grid=[kt])[0]
     errors = figures.fig2c_rows(grid=[kt])[0]
+    assert list(errors) == ["kappa_tau", "error_combined", "error_ies_opt", "error_ics_opt",
+                            "error_std"]
     assert errors["kappa_tau"] == kt
     for scheme in ("combined", "ies_opt", "ics_opt", "std"):
         assert errors[f"error_{scheme}"] == fidelity_and_error(snrs[f"snr_{scheme}"])[1]
+
+
+class TestFig2OneTable:
+    def test_fig2b_gives_fig2c_from_one_build(self, monkeypatch):
+        calls = []
+        real = figures.fig2b_rows
+
+        def counted(grid=None):
+            calls.append(grid)
+            return real(grid=[0.05, 1.0, 20.0] if grid is None else grid)
+
+        monkeypatch.setattr(figures, "fig2b_rows", counted)
+        tables = figures.figure_tables("fig2b")
+        assert list(tables) == ["fig2b", "fig2c"] and len(calls) == 1
+        want = figures.fig2c_rows()
+        assert [{k: v.hex() for k, v in row.items()} for row in tables["fig2c"]] == [
+            {k: v.hex() for k, v in row.items()} for row in want]
+        assert tables["fig2b"] == real(grid=[0.05, 1.0, 20.0])
+
+    def test_fig2c_is_no_longer_a_figure(self, tmp_path):
+        assert "fig2c" not in figures.FIGURES
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figure", "fig2c", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_figure_fig2b_writes_both_csvs(self, monkeypatch, tmp_path):
+        real = figures.fig2b_rows
+        monkeypatch.setattr(figures, "fig2b_rows", lambda grid=None: real(grid=grid or [1.0]))
+        assert cli.main(["figure", "fig2b", "--output-dir", str(tmp_path)]) == 0
+        header, row = (tmp_path / "fig2c.csv").read_text().splitlines()
+        errors = figures.fig2c_rows(grid=[1.0])[0]
+        assert header == ",".join(errors)
+        assert row == ",".join(cli.fmt(v) for v in errors.values())
+
+
+class TestFreeOptimumTables:
+    """figS1 and figS3 are one free-optimum table, for IES and for ICS: its columns,
+    in order, and its values are the two searches' own."""
+
+    @pytest.mark.parametrize("name, scheme, coupling, grid", [
+        ("figS1", "ies", "chi", [0.05, 1.0, 20.0]),
+        ("figS3", "ics", "lambda", [0.1, 3.0]),
+    ])
+    def test_columns_and_values(self, name, scheme, coupling, grid):
+        rows = getattr(figures, f"{name}_rows")(grid=grid)
+        assert [row["kappa_tau"] for row in rows] == grid
+        for kt, row in zip(grid, rows):
+            best = optimize.maximize_snr(scheme, kt)
+            std = optimize.maximize_snr("standard", kt)
+            assert row == {"kappa_tau": kt, f"snr_{scheme}_opt": best.best_snr,
+                           "psi_opt": best.argmax["psi"], "r_opt": best.argmax["r"],
+                           f"{coupling}_opt_over_kappa": best.argmax[f"{coupling}_over_kappa"],
+                           "snr_std_opt": std.best_snr, "psi_std_opt": std.argmax["psi"]}
+            assert list(row) == ["kappa_tau", f"snr_{scheme}_opt", "psi_opt", "r_opt",
+                                 f"{coupling}_opt_over_kappa", "snr_std_opt", "psi_std_opt"]
+
+    # figS1 at kappa*tau = 1 and figS3 at 3 as built before the two builders became one;
+    # the searches stop at a width of 1e-6 in (psi, r), so a numpy build that rounds a grid
+    # cell otherwise may move an argmax within that width, and the optimum by far less
+    RECORDED = {
+        "figS1": (1.0, {"snr_ies_opt": 0.8024389350804252, "psi_opt": 1.468551496887085,
+                        "r_opt": 0.5487435539767724, "chi_opt_over_kappa": 4.873170122542823,
+                        "snr_std_opt": 0.7408388942906748, "psi_std_opt": 1.4214143791430378}),
+        "figS3": (3.0, {"snr_ics_opt": 2.926190034244159, "psi_opt": 1.2283604826231498,
+                        "r_opt": 1.4189166380774352, "lambda_opt_over_kappa": 1.4026036731096443,
+                        "snr_std_opt": 2.7267033278745174, "psi_std_opt": 1.1909652112043687}),
+    }
+
+    @pytest.mark.parametrize("name", RECORDED)
+    def test_recorded_values(self, name):
+        kt, want = self.RECORDED[name]
+        row = getattr(figures, f"{name}_rows")(grid=[kt])[0]
+        assert list(row) == ["kappa_tau", *want]
+        for key, value in want.items():
+            assert row[key] == pytest.approx(value, rel=1e-10 if key.startswith("snr") else 1e-5)
 
 
 class TestPhaseSpaceSettings:
