@@ -17,8 +17,8 @@ import math
 import warnings
 
 from .core import (DEFAULT_EPSILON, MeasurementMoments, QubitState, ReadoutParams, BracketError,
-                   Record, _stable_squeeze_mix, bisect, psi_from_rate, reduce_angle, replace,
-                   require_finite, scheme_moments)
+                   Record, _bisect_bracket, _stable_squeeze_mix, psi_from_rate, reduce_angle,
+                   replace, require_finite, scheme_moments)
 
 _SCAN_POINTS = 4096     # geometric cells of the omega_sq root scan
 
@@ -70,36 +70,31 @@ def input_noise_budget(r_c: float, r: float, theta: float,
 
 
 class BogoliubovFrame(Record):
-    """Pump-frame cavity parameters that diagonalize to the Bogoliubov mode."""
+    """Pump-frame cavity parameters that diagonalize to the Bogoliubov mode, stored as
+    (omega_sq, r_c, theta): delta_c = omega_sq cosh 2r_c, omega_2ph = omega_sq sinh(2r_c)/2."""
 
-    delta_c: float
-    omega_2ph: float
-    r_c: float
     omega_sq: float
-    theta: float
+    r_c: float
+    theta: float = 0.0
 
     def __post_init__(self):
-        # delta_c - 2|Omega| = omega_sq e^{-2 r_c} > 0, but from r_c ~ 9.5 on the two round to
-        # within a unit of each other, either way: compared unsquared, within a few units
         if not self.omega_sq > 0:
             raise ValueError("omega_sq must be positive")
-        if not 2.0 * abs(self.omega_2ph) <= abs(self.delta_c) * (1.0 + 1e-15):
-            raise ValueError("need delta_c > 2|Omega| for a real mode frequency")
         if self.r_c < 0:
             raise ValueError("frame squeeze parameter must be non-negative")
         object.__setattr__(self, "theta", reduce_angle(self.theta))
+        self.delta_c        # a detuning out of the float range raises here
 
-    @classmethod
-    def from_squeeze(cls, omega_sq: float, r_c: float, theta: float = 0.0) -> "BogoliubovFrame":
-        """Build the frame from the mode frequency and squeeze parameter.
-
-        tanh(2 r_c) = 2 Omega / delta_c and omega_sq = sqrt(delta_c^2 - 4 Omega^2).
-        """
-        delta_c = omega_sq * math.cosh(2.0 * r_c)
-        if math.isinf(delta_c):
+    @property
+    def delta_c(self) -> float:
+        delta_c = self.omega_sq * math.cosh(2.0 * self.r_c)
+        if not math.isfinite(delta_c):
             raise OverflowError("delta_c out of range")
-        omega_2ph = 0.5 * omega_sq * math.sinh(2.0 * r_c)
-        return cls(delta_c, omega_2ph, r_c, omega_sq, theta)
+        return delta_c
+
+    @property
+    def omega_2ph(self) -> float:
+        return 0.5 * self.omega_sq * math.sinh(2.0 * self.r_c)
 
 
 class DispersiveParams(Record):
@@ -188,21 +183,28 @@ def combined_signal(params: ReadoutParams, disp: DispersiveParams, r: float,
     Assumes the tone phase maximizes the Bogoliubov drive, 2 phi_in = theta,
     so the effective tone amplitude is alpha_in * e^r.
     """
+    return _signal_pair(params, disp, r, theta)[state != QubitState.UP]
+
+
+def _signal_pair(params, disp, r, theta):
+    """(<M>_up, <M>_down) of combined_signal; state-independent factors computed once."""
     if abs(reduce_angle(2.0 * params.phi_in - theta)) > 1e-9:
         raise ValueError("combined signal requires the tone phase choice 2*phi_in = theta")
     p = params.normalized()
-    kt = p.tau
-    om = disp.omega_sigma(state) / params.kappa
-    psi = disp.psi_sigma(state)
-    thp = 2.0 * psi + p.phi_h - p.phi_in
-    thm = 2.0 * psi - p.phi_h - p.phi_in
-    c2 = math.cos(psi) ** 2
-    ch, sh = math.cosh(r), math.sinh(r)
-    pref = 2.0 * p.alpha_in * math.exp(r)
-    return pref * ((2.0 - kt + 2.0 * math.cos(2.0 * psi))
-                   * (math.cos(thp) * ch - math.cos(thm + theta) * sh)
-                   - 4.0 * math.exp(-kt / 2.0) * c2
-                   * (math.cos(thp + om * kt) * ch - math.cos(thm + theta + om * kt) * sh))
+    kt, ch, sh = p.tau, math.cosh(r), math.sinh(r)
+    pref, lead, decay = 2.0 * p.alpha_in * math.exp(r), 2.0 - kt, 4.0 * math.exp(-kt / 2.0)
+
+    def combined_signal(omega, psi):    # named for the quantity an overflow message names
+        om_t = omega / params.kappa * kt
+        thp = 2.0 * psi + p.phi_h - p.phi_in
+        thm = 2.0 * psi - p.phi_h - p.phi_in
+        return pref * ((lead + 2.0 * math.cos(2.0 * psi))
+                       * (math.cos(thp) * ch - math.cos(thm + theta) * sh)
+                       - decay * math.cos(psi) ** 2
+                       * (math.cos(thp + om_t) * ch - math.cos(thm + theta + om_t) * sh))
+
+    return (combined_signal(disp.omega_sigma_up, disp.psi_sigma_up),
+            combined_signal(disp.omega_sigma_down, disp.psi_sigma_down))
 
 
 def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down):
@@ -219,13 +221,9 @@ def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down):
 
 
 def _perp_function(params: ReadoutParams, r: float, epsilon: float):
-    """omega_sq -> the signed perpendicular separation, before the e^{2r} gain.
-
-    Built once per solve: chi, cosh r, sinh^2 r and 2 alpha_in/sqrt(kappa) are
-    computed here, not per omega_sq; (g, epsilon) are checked by the chi_sq
-    calls of solve_omega_sq's lower-edge loop.  It gives the bits of the
-    perpendicular part of separation_components.
-    """
+    """omega_sq -> the signed perpendicular separation before the e^{2r} gain, with the bits of
+    separation_components.  Built once per solve, which checks (g, epsilon): chi, cosh r,
+    sinh^2 r and 2 alpha_in/sqrt(kappa) are computed here, not per omega_sq."""
     k = params.kappa
     kt = params.kappa_tau
     coupling = _chi_sq_function(params.chi / epsilon, r, epsilon)
@@ -249,8 +247,7 @@ def separation_components(params: ReadoutParams, disp: DispersiveParams,
     2 phi_h = theta = 0, phi_in = phi_h, and carries no net squeezing factor; the
     perpendicular one (theta - 2 phi_h = pi, phi_in - phi_h = pi/2) is amplified by e^{2r}.
     """
-    up, down = (combined_signal(params.with_(phi_h=0.0, phi_in=0.0), disp, r, 0.0, s)
-                for s in QubitState)
+    up, down = _signal_pair(params.with_(phi_h=0.0, phi_in=0.0), disp, r, 0.0)
     p = params.normalized()
     perp = 2.0 * p.alpha_in * _perp_separation(p.tau, disp.psi_sigma_up, disp.psi_sigma_down,
                                                disp.omega_sigma_up / params.kappa * p.tau,
@@ -269,18 +266,21 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     whose start is a zero), then walks that step in strides of 64, 8 and 1.
     Its one-cell bracket is a full scan's first sign change whenever no step
     it passes over holds an even number of them; the physical separation
-    changes sign once on the grid.  Bisection refines the bracket to
-    1e-10*kappa on the same _perp_function.
+    changes sign once on the grid.  Bisection refines that bracket, from the end
+    values the walk has evaluated, to 1e-10*kappa on the same _perp_function.
     The root runs from ~pi/tau at short times to (kappa/2)sec(psi_sq) at long times.
     """
     k = params.kappa
-    chi = params.chi
-    # lower edge: self-consistent long-time frequency (kappa/2)sec(psi_sq)
-    w = 0.5 * k
-    for _ in range(8):
-        csq = chi_sq(chi / epsilon, r, w, epsilon)
-        w = 0.5 * k * math.sqrt(1.0 + (2.0 * csq / k) ** 2)
-    lo = 0.99 * w
+    g = params.chi / epsilon
+    # lower edge: self-consistent long-time frequency (kappa/2)sec(psi_sq), eight steps
+    # from kappa/2; the first, through chi_sq, checks (g, epsilon)
+    def edge(csq):
+        return 0.5 * k * math.sqrt(1.0 + (2.0 * csq / k) ** 2)
+    csq = chi_sq(g, r, 0.5 * k, epsilon)
+    coupling = _chi_sq_function(g, r, epsilon)
+    for _ in range(7):
+        csq = coupling(edge(csq))
+    lo = 0.99 * edge(csq)
     # strong chi e^r at small epsilon can lift lo past 10 kappa
     hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
 
@@ -301,7 +301,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
             raise BracketError(
                 f"no perpendicular-separation sign change in omega_sq/kappa "
                 f"in [{lo / k:g}, {hi / k:g}]")
-    return bisect(perp, a, b, tol=1e-10 * k)
+    return _bisect_bracket(perp, a, fa, b, 1e-10 * k)
 
 
 def beta_photon_number(params: ReadoutParams, disp: DispersiveParams, r: float,
@@ -354,6 +354,11 @@ def mismatch_noise(params: ReadoutParams, disp: DispersiveParams, r: float,
     kappa*tau*exp(-2r) when both mismatches vanish.  Off that angle the
     formula does not hold, so any other phi_h raises ValueError.
     """
+    return _mismatch_noise_pair(params, disp, r, mismatch, theta)[state != QubitState.UP]
+
+
+def _mismatch_noise_pair(params, disp, r, mismatch, theta):
+    """(up, down) of mismatch_noise; state-independent factors computed once."""
     if abs(reduce_angle(2.0 * params.phi_h - theta)) > 1e-9:
         raise ValueError("mismatched-scheme noise is known only on the squeezed "
                          "quadrature 2*phi_h = theta")
@@ -361,25 +366,29 @@ def mismatch_noise(params: ReadoutParams, disp: DispersiveParams, r: float,
     kt = p.tau
     r_c = r + mismatch.delta_r
     varphi = theta - math.pi - mismatch.delta_p
-    psi = disp.psi_sigma(state)
-    om_t = disp.omega_sigma(state) / params.kappa * kt
 
     r0_term = kt * _stable_squeeze_mix(r, -math.cos(varphi - theta))
-    r1_term = (8.0 * math.exp(-2.0 * r_c - kt / 2.0) * math.cos(psi) ** 2
-               * (math.cosh(kt / 2.0) - math.cos(om_t))
-               * (1.0 - math.cosh(2.0 * r_c) * math.cosh(2.0 * r)
-                  - math.cos(theta - varphi) * math.sinh(2.0 * r_c) * math.sinh(2.0 * r)))
+    r1_mix = (1.0 - math.cosh(2.0 * r_c) * math.cosh(2.0 * r)
+              - math.cos(theta - varphi) * math.sinh(2.0 * r_c) * math.sinh(2.0 * r))
 
-    def ang(n: int) -> float:
-        return n * psi + theta - mismatch.phi0
+    def mismatch_noise(omega, psi):     # named for the quantity an overflow message names
+        # the factors of kt that can overflow stay here, so an overflow names this function
+        om_t = omega / params.kappa * kt
 
-    r2_term = (math.exp(-2.0 * r_c - kt) * math.sinh(2.0 * mismatch.r0) * math.cos(psi)
-               * (math.exp(kt) * ((1.0 - 2.0 * kt) * math.cos(ang(1))
-                                  - 2.0 * (1.0 - kt) * math.cos(ang(3))
-                                  - 3.0 * math.cos(ang(5)))
-                  + 8.0 * math.exp(kt / 2.0) * math.cos(psi) * math.cos(ang(4) + om_t)
-                  - 4.0 * math.cos(psi) ** 2 * math.cos(ang(3) + 2.0 * om_t)))
-    return r0_term + r1_term + r2_term
+        def ang(n: int) -> float:
+            return n * psi + theta - mismatch.phi0
+        r1_term = (8.0 * math.exp(-2.0 * r_c - kt / 2.0) * math.cos(psi) ** 2
+                   * (math.cosh(kt / 2.0) - math.cos(om_t)) * r1_mix)
+        r2_term = (math.exp(-2.0 * r_c - kt) * math.sinh(2.0 * mismatch.r0) * math.cos(psi)
+                   * (math.exp(kt) * ((1.0 - 2.0 * kt) * math.cos(ang(1))
+                                      - 2.0 * (1.0 - kt) * math.cos(ang(3))
+                                      - 3.0 * math.cos(ang(5)))
+                      + 8.0 * math.exp(kt / 2.0) * math.cos(psi) * math.cos(ang(4) + om_t)
+                      - 4.0 * math.cos(psi) ** 2 * math.cos(ang(3) + 2.0 * om_t)))
+        return r0_term + r1_term + r2_term
+
+    return (mismatch_noise(disp.omega_sigma_up, disp.psi_sigma_up),
+            mismatch_noise(disp.omega_sigma_down, disp.psi_sigma_down))
 
 
 class CombinedConfig(Record):
@@ -431,7 +440,7 @@ class CombinedConfig(Record):
     def record_fields(self, params: ReadoutParams) -> dict:
         """The scheme's own fields of the output record, at its operating point."""
         disp = self.dispersive(params)
-        frame = BogoliubovFrame.from_squeeze(self.omega_sq, self.r_c, self.theta)
+        frame = BogoliubovFrame(self.omega_sq, self.r_c, self.theta)
         return {"r": self.r, "theta": self.theta, "varphi": self.varphi,
                 "delta_r": self.delta_r, "delta_p": self.delta_p,
                 "epsilon": self.epsilon, "omega_sq": self.omega_sq,
@@ -451,13 +460,12 @@ class CombinedConfig(Record):
 
     def moments(self, params: ReadoutParams) -> MeasurementMoments:
         disp = self.dispersive(params)
-        signals = [combined_signal(params, disp, self.r_c, self.theta, s) for s in QubitState]
+        signals = _signal_pair(params, disp, self.r_c, self.theta)
         if self.matched:
             noises = [combined_noise(params, self.r, self.theta)] * 2
         else:
             mm = MismatchParams.derive(self.r, self.theta, self.delta_r, self.delta_p)
-            noises = [mismatch_noise(params, disp, self.r, mm, self.theta, s)
-                      for s in QubitState]
+            noises = _mismatch_noise_pair(params, disp, self.r, mm, self.theta)
         return MeasurementMoments(*signals, *noises)
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:

@@ -301,8 +301,12 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> flo
         return hi
     if fa * fb > 0:
         raise BracketError(f"f({lo:g})={fa:g} and f({hi:g})={fb:g} do not bracket a root")
-    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
-    a, b = lo, hi
+    return _bisect_bracket(f, lo, fa, hi, tol)
+
+
+def _bisect_bracket(f, a, fa, b, tol):
+    """bisect's loop on a < b, where fa = f(a) and f(b) are non-zero and of opposite sign."""
+    max_iter = math.ceil(math.log2((b - a) / tol)) + 2
     for _ in range(max_iter):
         if b - a <= tol:
             break

@@ -71,14 +71,14 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
 
 def fig2a_rows() -> list[dict]:
     """Dispersive-coupling enhancement chi_sq/chi versus omega_sq."""
-    rows = []
-    for w in _linspace(0.0, 50.0, 201):
-        row = {"omega_sq_over_kappa": w}
-        for eps in (0.1, 0.05):
-            tag = f"enhancement_eps_{eps:g}".replace(".", "_")
-            row[tag] = combined.chi_sq(CHI_DEFAULT / eps, R_DEFAULT, w, eps) / CHI_DEFAULT
-        rows.append(row)
-    return rows
+    curves = {}
+    for eps in (0.1, 0.05):
+        g = CHI_DEFAULT / eps
+        combined.chi_sq(g, R_DEFAULT, 0.0, eps)     # checks (g, epsilon) once per curve
+        curves[f"enhancement_eps_{eps:g}".replace(".", "_")] = combined._chi_sq_function(
+            g, R_DEFAULT, eps)
+    return [{"omega_sq_over_kappa": w, **{tag: f(w) / CHI_DEFAULT for tag, f in curves.items()}}
+            for w in _linspace(0.0, 50.0, 201)]
 
 
 def fig2a_inset_rows(grid: Iterable[float] | None = None) -> list[dict]:

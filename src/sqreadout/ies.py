@@ -46,7 +46,7 @@ class IesConfig(Record):
         params, cfg = self.operating_point(params)      # an unset varphi: the optimal one
         p = params.normalized()
         up, down, _ = _pair_kernel(p.tau, p.alpha_in, p.phi_in, p.phi_h)(p.chi)
-        return MeasurementMoments(up, down, *(ies_noise(params, cfg, s) for s in QubitState))
+        return MeasurementMoments(up, down, *_noise_pair(p, cfg))
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the squeezed white input also fills the cavity at t = 0."""
@@ -157,8 +157,7 @@ def ies_signal(params: ReadoutParams, state: QubitState) -> float:
     but is evaluated unfactored so sin(2 psi) = 0 needs no special casing.
     """
     p = params.normalized()
-    up, down, _ = _pair_kernel(p.tau, p.alpha_in, p.phi_in, p.phi_h)(p.chi)
-    return up if state == QubitState.UP else down
+    return _pair_kernel(p.tau, p.alpha_in, p.phi_in, p.phi_h)(p.chi)[state != QubitState.UP]
 
 
 def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float:
@@ -167,20 +166,24 @@ def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float
     The sigma-dependent rotation enters every phase as sigma*psi and
     sigma*chi*tau; at r = 0 the result is exactly kappa*tau.
     """
-    p = params.normalized()
-    kt = p.tau
-    s = int(state)
-    psi = s * psi_from_rate(p.chi, 1.0)
-    ct = s * p.chi * p.tau
-    d = cfg.varphi - 2.0 * p.phi_h
-    bracket = (3.0 * math.cos(d)
-               - (3.0 - 2.0 * kt) * math.cos(4.0 * psi - d)
-               + 6.0 * math.sin(2.0 * psi) * math.sin(4.0 * psi - d)
-               - 16.0 * math.exp(-kt / 2.0) * math.cos(psi) * math.sin(2.0 * psi)
-               * math.sin(3.0 * psi - d + ct)
-               + 4.0 * math.exp(-kt) * math.cos(psi) * math.sin(2.0 * psi)
-               * math.sin(3.0 * psi - d + 2.0 * ct))
-    return kt * _stable_squeeze_mix(cfg.r, -0.5 * bracket / kt)
+    return _noise_pair(params.normalized(), cfg)[state != QubitState.UP]
+
+
+def _noise_pair(p, cfg):
+    """(up, down) of ies_noise at normalized params p; state-independent factors computed once."""
+    kt, d = p.tau, cfg.varphi - 2.0 * p.phi_h
+    const, tilt = 3.0 * math.cos(d), 3.0 - 2.0 * kt
+    half_decay, decay = 16.0 * math.exp(-kt / 2.0), 4.0 * math.exp(-kt)
+
+    def ies_noise(psi, ct):     # named for the quantity an overflow message names
+        c1, s2 = math.cos(psi), math.sin(2.0 * psi)
+        bracket = (const - tilt * math.cos(4.0 * psi - d) + 6.0 * s2 * math.sin(4.0 * psi - d)
+                   - half_decay * c1 * s2 * math.sin(3.0 * psi - d + ct)
+                   + decay * c1 * s2 * math.sin(3.0 * psi - d + 2.0 * ct))
+        return kt * _stable_squeeze_mix(cfg.r, -0.5 * bracket / kt)
+
+    psi, ct = psi_from_rate(p.chi, 1.0), p.chi * p.tau     # sigma = -1 negates both exactly
+    return ies_noise(psi, ct), ies_noise(-psi, -ct)
 
 
 def ies_noise_shape(params: ReadoutParams) -> float:

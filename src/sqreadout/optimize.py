@@ -108,8 +108,8 @@ def maximize_over_box(objective: Callable[..., float],
             a = max(lo, x[i] - cell)
             b = min(hi, x[i] + cell)
 
-            def slice_f(xi: float, i=i) -> float:
-                trial = list(x)
+            trial = list(x)     # x changes only after this line search
+            def slice_f(xi: float, i=i, trial=trial) -> float:
                 trial[i] = xi
                 return objective(*trial)
 

@@ -1,17 +1,26 @@
-"""The ICS and IES scalar closed forms as written before the lean search kernels.
+"""Closed forms as written before the kernels and pair forms that replaced them.
 
-Each call recomputed every factor: lambda^2, the tone and homodyne phase
-factors, e^{-kappa tau/2} and e^{-kappa tau}, and (for IES) the Taylor series
-of the short-time bracket on both sides of |w| = 0.005.  sqreadout's kernels
-hoist the factors that stay fixed and run the same float operations in the
-same order, so they must give the same bits as these.  Only the scalar
-(math) paths are kept; everything works at kappa = 1.
+The ICS and IES scalar forms below predate the lean search kernels.  Each call
+recomputed every factor: lambda^2, the tone and homodyne phase factors,
+e^{-kappa tau/2} and e^{-kappa tau}, and (for IES) the Taylor series of the
+short-time bracket on both sides of |w| = 0.005.  sqreadout's kernels hoist the
+factors that stay fixed and run the same float operations in the same order, so
+they must give the same bits as these.  Only the scalar (math) paths are kept;
+they work at kappa = 1.
+
+The per-state forms at the end (the combined signal and mismatch noise, the IES
+noise, separation_components and bisect) predate the pair forms that compute
+both qubit states in one pass and the bisection that starts from a bracket with
+known end values.  They take the library's records, as the forms they stand for
+did, and the pair forms must give their bits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+from sqreadout.core import reduce_angle
 
 SEARCH_PHI_IN, SEARCH_PHI_H = 0.0, math.pi / 2.0
 
@@ -155,3 +164,122 @@ def ies_objective(kappa_tau, r_max):
         return sep / math.sqrt(noise), r, shape
 
     return scored
+
+
+# ------------------------------------------------------- per-state forms
+
+
+def stable_squeeze_mix(r, c):
+    return math.exp(-2.0 * r) + (1.0 - c) * math.sinh(2.0 * r)
+
+
+def ies_noise(params, cfg, state):
+    p = params.normalized()
+    kt = p.tau
+    s = int(state)
+    psi = s * math.atan(2.0 * p.chi / 1.0)
+    ct = s * p.chi * p.tau
+    d = cfg.varphi - 2.0 * p.phi_h
+    bracket = (3.0 * math.cos(d)
+               - (3.0 - 2.0 * kt) * math.cos(4.0 * psi - d)
+               + 6.0 * math.sin(2.0 * psi) * math.sin(4.0 * psi - d)
+               - 16.0 * math.exp(-kt / 2.0) * math.cos(psi) * math.sin(2.0 * psi)
+               * math.sin(3.0 * psi - d + ct)
+               + 4.0 * math.exp(-kt) * math.cos(psi) * math.sin(2.0 * psi)
+               * math.sin(3.0 * psi - d + 2.0 * ct))
+    return kt * stable_squeeze_mix(cfg.r, -0.5 * bracket / kt)
+
+
+def combined_signal(params, disp, r, theta, state):
+    if abs(reduce_angle(2.0 * params.phi_in - theta)) > 1e-9:
+        raise ValueError("combined signal requires the tone phase choice 2*phi_in = theta")
+    p = params.normalized()
+    kt = p.tau
+    om = disp.omega_sigma(state) / params.kappa
+    psi = disp.psi_sigma(state)
+    thp = 2.0 * psi + p.phi_h - p.phi_in
+    thm = 2.0 * psi - p.phi_h - p.phi_in
+    c2 = math.cos(psi) ** 2
+    ch, sh = math.cosh(r), math.sinh(r)
+    pref = 2.0 * p.alpha_in * math.exp(r)
+    return pref * ((2.0 - kt + 2.0 * math.cos(2.0 * psi))
+                   * (math.cos(thp) * ch - math.cos(thm + theta) * sh)
+                   - 4.0 * math.exp(-kt / 2.0) * c2
+                   * (math.cos(thp + om * kt) * ch - math.cos(thm + theta + om * kt) * sh))
+
+
+def mismatch_noise(params, disp, r, mismatch, theta, state):
+    if abs(reduce_angle(2.0 * params.phi_h - theta)) > 1e-9:
+        raise ValueError("mismatched-scheme noise is known only on the squeezed "
+                         "quadrature 2*phi_h = theta")
+    p = params.normalized()
+    kt = p.tau
+    r_c = r + mismatch.delta_r
+    varphi = theta - math.pi - mismatch.delta_p
+    psi = disp.psi_sigma(state)
+    om_t = disp.omega_sigma(state) / params.kappa * kt
+
+    r0_term = kt * stable_squeeze_mix(r, -math.cos(varphi - theta))
+    r1_term = (8.0 * math.exp(-2.0 * r_c - kt / 2.0) * math.cos(psi) ** 2
+               * (math.cosh(kt / 2.0) - math.cos(om_t))
+               * (1.0 - math.cosh(2.0 * r_c) * math.cosh(2.0 * r)
+                  - math.cos(theta - varphi) * math.sinh(2.0 * r_c) * math.sinh(2.0 * r)))
+
+    def ang(n):
+        return n * psi + theta - mismatch.phi0
+
+    r2_term = (math.exp(-2.0 * r_c - kt) * math.sinh(2.0 * mismatch.r0) * math.cos(psi)
+               * (math.exp(kt) * ((1.0 - 2.0 * kt) * math.cos(ang(1))
+                                  - 2.0 * (1.0 - kt) * math.cos(ang(3))
+                                  - 3.0 * math.cos(ang(5)))
+                  + 8.0 * math.exp(kt / 2.0) * math.cos(psi) * math.cos(ang(4) + om_t)
+                  - 4.0 * math.cos(psi) ** 2 * math.cos(ang(3) + 2.0 * om_t)))
+    return r0_term + r1_term + r2_term
+
+
+def perp_separation(kt, psi_up, psi_down, phase_up, phase_down):
+    return ((2.0 - kt + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
+            - (2.0 - kt + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
+            - math.exp(-kt / 2.0)
+            * (math.sin(phase_down) + 2.0 * math.sin(2 * psi_down + phase_down)
+               + math.sin(4 * psi_down + phase_down)
+               - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
+
+
+def separation_components(params, disp, r):
+    up, down = (combined_signal(params.with_(phi_h=0.0, phi_in=0.0), disp, r, 0.0, s)
+                for s in (1, -1))
+    p = params.normalized()
+    perp = 2.0 * p.alpha_in * perp_separation(p.tau, disp.psi_sigma_up, disp.psi_sigma_down,
+                                              disp.omega_sigma_up / params.kappa * p.tau,
+                                              disp.omega_sigma_down / params.kappa * p.tau)
+    return abs(up - down), math.exp(2.0 * r) * abs(perp)
+
+
+def bisect(f, lo, hi, tol):
+    """Bracketed bisection that evaluates both ends of its bracket first."""
+    if not hi > lo:
+        raise ValueError("need hi > lo")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0:
+        return lo
+    if fb == 0.0:
+        return hi
+    if fa * fb > 0:
+        raise ValueError("no bracket")
+    max_iter = math.ceil(math.log2((hi - lo) / tol)) + 2
+    a, b = lo, hi
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)

@@ -108,7 +108,7 @@ class TestExitCodes:
     ], ids=["snr", "wigner"])
     def test_numerical_failure_exit_code(self, monkeypatch, capsys, tmp_path, command, message):
         # zero noise on both quadratures: no SNR and a singular pointer-state covariance
-        monkeypatch.setattr(ies, "ies_noise", lambda *args, **kwargs: 0.0)
+        monkeypatch.setattr(ies, "_noise_pair", lambda *args, **kwargs: (0.0, 0.0))
         args = [command, "--scheme", "standard"]
         if command == "wigner":
             args += ["--resolution", "17", "--window", "2", "--output-dir", str(tmp_path)]
@@ -139,7 +139,7 @@ class TestExitCodes:
 
     def test_negative_noise_exit_code(self, monkeypatch, capsys):
         # a closed form that goes negative is a numerical failure, not a bad option
-        monkeypatch.setattr(ies, "ies_noise", lambda *args, **kwargs: -1.0)
+        monkeypatch.setattr(ies, "_noise_pair", lambda *args, **kwargs: (-1.0, -1.0))
         assert run_cli(["snr", "--scheme", "standard"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and "non-negative" in err
@@ -166,7 +166,7 @@ class TestExitCodes:
         (["snr", "--scheme", "combined", "--epsilon", "1e300"], "critical_photon_number"),
         (["mismatch", "--scheme", "combined", "--epsilon", "1e300"], "critical_photon_number"),
         # delta_c = omega_sq cosh 2r is printed; at omega_sq = 1e300 it is 5e301, in range
-        (["snr", "--scheme", "combined", "--omega-sq", "1e308"], "from_squeeze"),
+        (["snr", "--scheme", "combined", "--omega-sq", "1e308"], "delta_c"),
         (["snr", "--scheme", "ies", "--alpha-in", "1e300"], "ies_photon_number"),
         (["snr", "--scheme", "ies", "--r", "400"], "ies_noise"),
     ], ids=["snr-epsilon", "mismatch-epsilon", "combined-omega-sq", "ies-alpha-in", "ies-r"])
@@ -448,12 +448,12 @@ class TestOracleCheckCommand:
         assert capsys.readouterr().out.strip().endswith("passed=True")
 
     def test_negative_control(self, monkeypatch):
-        true_noise = ies.ies_noise
+        true_noise = ies._noise_pair
 
-        def corrupted(params, cfg, state):
-            return 1.01 * true_noise(params, cfg, state)
+        def corrupted(params, cfg):
+            return tuple(1.01 * noise for noise in true_noise(params, cfg))
 
-        monkeypatch.setattr(ies, "ies_noise", corrupted)
+        monkeypatch.setattr(ies, "_noise_pair", corrupted)
         assert run_cli(["oracle-check", "--scheme", "ies", "--r", "0.5",
                         "--steps", "4096"]) != 0
 

@@ -180,7 +180,7 @@ class TestSolveOmegaSq:
         # a sign-definite separation on the scanned grid; the scan itself must give up
         monkeypatch.setattr(combined, "_perp_separation",
                             lambda kt, psi_up, *rest: 0.0 * psi_up + 1.0)
-        monkeypatch.setattr(combined, "bisect", never_called)
+        monkeypatch.setattr(combined, "_bisect_bracket", never_called)
         with pytest.raises(BracketError, match=r"in omega_sq/kappa in \[4\.90\d*, 10\]"):
             combined.solve_omega_sq(make_params(), LN10)
 
@@ -340,7 +340,7 @@ class TestOmegaSqCoarseToFineScan:
 
     def test_walk_evaluates_at_most_36_full_scan_points(self, monkeypatch):
         # four strides of at most 8 steps each, every step ending on a full-scan grid point
-        real_function, real_bisect = combined._perp_function, combined.bisect
+        real_function, real_bisect = combined._perp_function, combined._bisect_bracket
         for kappa_tau in (1e-3, 0.3, 3.0, 300.0):
             p = make_params(kappa_tau=kappa_tau)
             grid = set(full_scan(p, LN10)[2].tolist())
@@ -354,16 +354,30 @@ class TestOmegaSqCoarseToFineScan:
                     return perp(omega_sq)
                 return record
 
-            def counted(f, lo, hi, tol):
+            def counted(f, a, fa, b, tol):
                 before_bisection.append(len(scanned))
-                return real_bisect(f, lo, hi, tol)
+                return real_bisect(f, a, fa, b, tol)
 
             with monkeypatch.context() as m:
                 m.setattr(combined, "_perp_function", recorded)
-                m.setattr(combined, "bisect", counted)
+                m.setattr(combined, "_bisect_bracket", counted)
                 combined.solve_omega_sq(p, LN10)
             assert len(before_bisection) == 1 and 0 < before_bisection[0] <= 4 * 9, kappa_tau
             assert all(w in grid for w in scanned[:before_bisection[0]]), kappa_tau
+
+    @pytest.mark.parametrize("kappa_tau, evaluations", [
+        (1e-3, 61), (0.3, 47), (3.0, 43), (300.0, 38)])
+    def test_bisection_starts_from_the_walk_bracket(self, monkeypatch, kappa_tau, evaluations):
+        # 63 / 49 / 45 / 40 separations when the bisection evaluated its bracket ends again
+        real_function, scanned = combined._perp_function, []
+
+        def recorded(params, r, epsilon):
+            perp = real_function(params, r, epsilon)
+            return lambda omega_sq: scanned.append(omega_sq) or perp(omega_sq)
+
+        monkeypatch.setattr(combined, "_perp_function", recorded)
+        combined.solve_omega_sq(make_params(kappa_tau=kappa_tau), LN10)
+        assert len(scanned) == evaluations
 
 
 class TestOmegaSqArrayScan:
@@ -576,7 +590,7 @@ class TestCombinedMoments:
 
 class TestFrameAndMismatchTypes:
     def test_frame_round_trip(self):
-        frame = combined.BogoliubovFrame.from_squeeze(3.0, 0.7, 0.4)
+        frame = combined.BogoliubovFrame(3.0, 0.7, 0.4)
         assert math.sqrt(frame.delta_c ** 2 - 4.0 * frame.omega_2ph ** 2) == pytest.approx(
             frame.omega_sq, rel=1e-12)
         assert 0.5 * math.atanh(2.0 * frame.omega_2ph / frame.delta_c) == pytest.approx(
@@ -593,27 +607,39 @@ class TestFrameAndMismatchTypes:
             combined.CombinedConfig(r=1.0, omega_sq=omega_sq)
 
     def test_frame_validation(self):
-        with pytest.raises(ValueError):
-            combined.BogoliubovFrame(1.0, 0.6, 0.5, 0.1, 0.0)
         with pytest.raises(ValueError, match="omega_sq must be positive"):
-            combined.BogoliubovFrame.from_squeeze(0.0, 0.5)
+            combined.BogoliubovFrame(0.0, 0.5)
+        with pytest.raises(ValueError, match="frame squeeze parameter must be non-negative"):
+            combined.BogoliubovFrame(1.0, -0.1)
+
+    def test_frame_stores_only_what_the_others_derive_from(self):
+        # a detuning and two-photon rate that disagree with (omega_sq, r_c) cannot be given
+        assert combined.BogoliubovFrame._fields == ("omega_sq", "r_c", "theta")
+        with pytest.raises(TypeError):
+            combined.BogoliubovFrame(1.0, 0.1, 5.0, 100.0, 0.0)
+        frame = combined.BogoliubovFrame(2.5, 1.3, 7.0)
+        assert frame.theta == reduce_angle(7.0)
+        assert frame.delta_c == 2.5 * math.cosh(2.0 * 1.3)
+        assert frame.omega_2ph == 0.5 * 2.5 * math.sinh(2.0 * 1.3)
 
     @pytest.mark.parametrize("r_c", [9.0, 9.5, 12.0, 300.0])
     def test_frame_where_its_frequencies_round_together(self, r_c):
         # from r_c ~ 9.5 on, omega_sq cosh 2r_c and omega_sq sinh 2r_c round to one float,
         # or sinh to the larger: the frame is still real
-        frame = combined.BogoliubovFrame.from_squeeze(1e-100, r_c)
+        frame = combined.BogoliubovFrame(1e-100, r_c)
         assert frame.delta_c == pytest.approx(2.0 * frame.omega_2ph, rel=1e-15)
 
     @pytest.mark.parametrize("omega_sq, r_c", [(1e300, 0.5 * math.log(10.0)), (1e307, 1.0)])
     def test_frame_squares_no_frequency(self, omega_sq, r_c):
         # delta_c^2 would overflow, though delta_c itself is in range
-        frame = combined.BogoliubovFrame.from_squeeze(omega_sq, r_c)
+        frame = combined.BogoliubovFrame(omega_sq, r_c)
         assert math.isfinite(frame.delta_c) and frame.delta_c > 2.0 * frame.omega_2ph
 
     def test_frame_out_of_range_overflows(self):
-        with pytest.raises(OverflowError):
-            combined.BogoliubovFrame.from_squeeze(1e308, math.log(10.0))
+        # a non-finite detuning fails at construction
+        for omega_sq, r_c in ((1e308, math.log(10.0)), (1.0, math.nan)):
+            with pytest.raises(OverflowError, match="delta_c out of range"):
+                combined.BogoliubovFrame(omega_sq, r_c)
 
     def test_mismatch_params(self):
         mm = combined.MismatchParams.derive(1.0, 0.3, 0.1, 0.05)

@@ -232,7 +232,7 @@ class TestBuildSystem:
             raise AssertionError("the oracle model called a closed form")
 
         for name in ("input_noise_budget", "mismatch_noise", "combined_signal",
-                     "combined_noise"):
+                     "combined_noise", "_signal_pair", "_mismatch_noise_pair"):
             monkeypatch.setattr(combined, name, closed_form)
         p, cfg = combined.CombinedConfig(r=1.3, theta=0.4, delta_r=delta_r,
                                          delta_p=delta_p).operating_point(make_params())

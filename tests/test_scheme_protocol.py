@@ -180,6 +180,24 @@ class TestSharedWork:
         ies.ies_moments(make_params(), ies.IesConfig(0.5, 0.3))
         assert calls == {"_pair_kernel": 1}
 
+    def test_ies_one_noise_pair(self, monkeypatch):
+        calls = {}
+        for name in ("_noise_pair", "ies_noise"):
+            counting(monkeypatch, ies, name, calls)
+        ies.ies_moments(make_params(), ies.IesConfig(0.5, 0.3))
+        assert calls == {"_noise_pair": 1}
+
+    @pytest.mark.parametrize("delta_r, delta_p, noise_pairs", [
+        (0.0, 0.0, 0), (0.1, 0.05, 1)], ids=["matched", "mismatched"])
+    def test_combined_one_pair_each(self, monkeypatch, delta_r, delta_p, noise_pairs):
+        cfg = combined.CombinedConfig(r=1.0, delta_r=delta_r, delta_p=delta_p)
+        op, solved = cfg.operating_point(make_params())
+        calls = {}
+        for name in ("_signal_pair", "_mismatch_noise_pair", "combined_signal", "mismatch_noise"):
+            counting(monkeypatch, combined, name, calls)
+        combined.combined_moments(op, solved)
+        assert calls == {"_signal_pair": 1, **({"_mismatch_noise_pair": 1} if noise_pairs else {})}
+
     @pytest.mark.parametrize("delta_r, delta_p, mismatch_derives", [
         (0.0, 0.0, 0), (0.1, 0.05, 1)], ids=["matched", "mismatched"])
     def test_combined_one_derive(self, monkeypatch, delta_r, delta_p, mismatch_derives):
