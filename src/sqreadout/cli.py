@@ -246,9 +246,8 @@ def cmd_oracle_check(args) -> int:
     for name, entry in report["states"].items():
         for field in ("mean", "var"):
             a, o = entry[f"{field}_analytic"], entry[f"{field}_oracle"]
-            dev = abs(a - o) / max(abs(o), 1e-30)
             stream.write(f"{name.lower()} {field}: analytic={fmt(a)} oracle={fmt(o)} "
-                         f"rel_dev={fmt(dev)} ok={entry[f'{field}_ok']}\n")
+                         f"rel_dev={fmt(_rel_dev(a, o))} ok={entry[f'{field}_ok']}\n")
         stream.write(f"{name.lower()} steps={entry['steps']} "
                      f"richardson_residual=({fmt(entry['residual'][0])},"
                      f"{fmt(entry['residual'][1])})\n")
@@ -257,9 +256,15 @@ def cmd_oracle_check(args) -> int:
     snr_o = sep_o / math.sqrt(up["var_oracle"] + down["var_oracle"])
     snr_a = snr(analytic)
     stream.write(f"snr_analytic={fmt(snr_a)} snr_oracle={fmt(snr_o)} "
-                 f"rel_dev={fmt(abs(snr_a - snr_o) / max(snr_o, 1e-30))}\n")
+                 f"rel_dev={fmt(_rel_dev(snr_a, snr_o))}\n")
     stream.write(f"passed={report['passed']}\n")
     return EXIT_OK if report["passed"] else 1
+
+
+def _rel_dev(analytic: float, oracle: float) -> float:
+    """|analytic - oracle| / |oracle|, floored at 1e-30 and at 1e-30 |analytic|: a zero oracle
+    value under a huge analytic one (both SNRs below the means' rounding) reads 1e30, not inf."""
+    return abs(analytic - oracle) / max(abs(oracle), 1e-30 * max(1.0, abs(analytic)))
 
 
 def _wigner_window(states: list[phasespace.GaussianState2D]) -> float:

@@ -49,24 +49,20 @@ def _chi_sq_function(g: float, r: float, epsilon: float):
 
 
 def input_noise_budget(r_c: float, r: float, theta: float,
-                       varphi: float) -> tuple[float, complex]:
+                       delta_p: float) -> tuple[float, complex]:
     """Thermal and two-photon noise (N, M) seen by the Bogoliubov-mode input.
 
-    Both vanish at the matched point r_c = r, theta - varphi = pi; residues
-    below the rounding floor of the cancellation are returned as exact zeros.
+    With Delta = r_c - r and theta - varphi = pi + delta_p,
+    N = sinh^2 Delta + sin^2(delta_p/2) sinh 2r_c sinh 2r and
+    M = e^{i theta}/2 [sinh 2Delta + 2 sin^2(delta_p/2) cosh 2r_c sinh 2r + i sin delta_p sinh 2r],
+    the paper's sums of O(cosh^2 2r) terms with their cancellation done in closed form, so
+    both are exact to rounding and exactly zero at the matched point.
     """
-    chc, shc = math.cosh(r_c), math.sinh(r_c)
-    ch, sh = math.cosh(r), math.sinh(r)
-    n = (chc ** 2 * sh ** 2 + shc ** 2 * ch ** 2
-         + 0.5 * math.cos(theta - varphi) * math.sinh(2 * r_c) * math.sinh(2 * r))
-    m = 0.5 * (cmath.exp(1j * varphi) * chc ** 2 * math.sinh(2 * r)
-               + cmath.exp(1j * theta) * math.sinh(2 * r_c) * sh ** 2
-               + cmath.exp(1j * theta) * math.sinh(2 * r_c) * ch ** 2
-               + cmath.exp(1j * (2 * theta - varphi)) * shc ** 2 * math.sinh(2 * r))
-    floor = 1e-12 * (chc * ch) ** 2
-    if abs(n) < floor and abs(m) < floor:
-        return 0.0, 0j
-    return max(n, 0.0), m
+    d, s2, sh = r_c - r, math.sin(0.5 * delta_p) ** 2, math.sinh(2.0 * r)
+    n = math.sinh(d) ** 2 + s2 * math.sinh(2.0 * r_c) * sh
+    m = cmath.rect(0.5, theta) * complex(math.sinh(2.0 * d) + 2.0 * s2 * math.cosh(2.0 * r_c) * sh,
+                                         math.sin(delta_p) * sh)
+    return n, m
 
 
 class BogoliubovFrame(Record):
@@ -142,7 +138,8 @@ class DispersiveParams(Record):
 
 
 class MismatchParams(Record):
-    """Imperfect matching r_c = r + delta_r, theta - varphi = pi + delta_p."""
+    """Imperfect matching r_c = r + delta_r, theta - varphi = pi + delta_p: the input budget
+    (n_thermal, m_corr) = (N, M) of input_noise_budget, r0 = asinh(2|M|)/2, phi0 = arg M."""
 
     delta_r: float
     delta_p: float
@@ -154,17 +151,14 @@ class MismatchParams(Record):
     @classmethod
     def derive(cls, r: float, theta: float, delta_r: float, delta_p: float) -> "MismatchParams":
         r_c = r + delta_r
-        varphi = theta - math.pi - delta_p
-        n, m = input_noise_budget(r_c, r, theta, varphi)
-        # the transformed pure squeezed input keeps |M| = sinh(2 r0)/2 with
-        # N = sinh^2(r0); near the matched point N is quadratically small and
-        # rounding-fragile, so r0 is anchored on |M| instead
+        n, m = input_noise_budget(r_c, r, theta, delta_p)
+        # the transformed pure squeezed input keeps |M| = sinh(2 r0)/2 with N = sinh^2(r0)
         r0 = 0.5 * math.asinh(2.0 * abs(m))
         phi0 = cmath.phase(m) if abs(m) > 0 else 0.0
         rounding = 1e-8 * math.cosh(r_c) ** 2 * math.cosh(r) ** 2
         if abs(n - math.sinh(r0) ** 2) > rounding * (1.0 + n):
             raise ValueError("input correlations lost purity; inconsistent (N, M) pair")
-        return cls(delta_r, delta_p, math.sinh(r0) ** 2, m, r0, reduce_angle(phi0))
+        return cls(delta_r, delta_p, n, m, r0, reduce_angle(phi0))
 
 
 def combined_noise(params: ReadoutParams, r: float, theta: float = 0.0) -> float:
@@ -286,14 +280,15 @@ def solve_omega_sq(params: ReadoutParams, r: float,
 
     ratio = (hi / lo) ** (1.0 / _SCAN_POINTS)
     perp = _perp_function(params, r, epsilon)
-    a, fa = lo, perp(lo)
+    a, fa, b, fb = lo, perp(lo), None, None
     for stride in (512, 64, 8, 1):      # cells per step, at most 8 steps per stride
+        end, f_end = b, fb      # the coarser step's end: the eighth step lands on its bits
         for _ in range(8):
             if fa == 0.0:
                 return a
             # stride more factors of the running product, multiplied left to right
             b = math.prod(itertools.repeat(ratio, stride), start=a)
-            fb = perp(b)
+            fb = f_end if b == end else perp(b)
             if fa * fb < 0:
                 break
             a, fa = b, fb
@@ -350,41 +345,40 @@ def mismatch_noise(params: ReadoutParams, disp: DispersiveParams, r: float,
     """Homodyne noise with imperfect matching, at the squeezed angle 2 phi_h = theta.
 
     Sum of the white-noise floor R0, a transient filtered through the cavity R1,
-    and the two-photon correlation contribution R2; collapses to
-    kappa*tau*exp(-2r) when both mismatches vanish.  Off that angle the
+    and the two-photon correlation contribution R2, the last two built from the input
+    budget (N, M) that mismatch holds; collapses to kappa*tau*exp(-2r) when both
+    mismatches vanish, and stays finite at any kappa*tau.  Off that angle the
     formula does not hold, so any other phi_h raises ValueError.
     """
     return _mismatch_noise_pair(params, disp, r, mismatch, theta)[state != QubitState.UP]
 
 
 def _mismatch_noise_pair(params, disp, r, mismatch, theta):
-    """(up, down) of mismatch_noise; state-independent factors computed once."""
+    """(up, down) of mismatch_noise; state-independent factors computed once.  R1 mixes by -2N,
+    R2 has the amplitude sinh 2r0 = 2|M| and the phase phi0 = arg M, and the factors of kt enter
+    as e^{-kt/2} cosh(kt/2) = (1 + e^{-kt})/2 and e^{-kt} e^{kt} = 1, so none grows with kt."""
     if abs(reduce_angle(2.0 * params.phi_h - theta)) > 1e-9:
         raise ValueError("mismatched-scheme noise is known only on the squeezed "
                          "quadrature 2*phi_h = theta")
-    p = params.normalized()
-    kt = p.tau
-    r_c = r + mismatch.delta_r
-    varphi = theta - math.pi - mismatch.delta_p
+    kt = params.normalized().tau
+    gain = math.exp(-2.0 * (r + mismatch.delta_r))     # e^{-2 r_c}
+    decay, decay2 = math.exp(-kt / 2.0), math.exp(-kt)
+    r0_term = kt * _stable_squeeze_mix(r, math.cos(mismatch.delta_p))
+    r1_amp, r1_rest = -16.0 * gain * mismatch.n_thermal, 0.5 * (1.0 + decay2)
+    r2_amp = 2.0 * gain * abs(mismatch.m_corr)
 
-    r0_term = kt * _stable_squeeze_mix(r, -math.cos(varphi - theta))
-    r1_mix = (1.0 - math.cosh(2.0 * r_c) * math.cosh(2.0 * r)
-              - math.cos(theta - varphi) * math.sinh(2.0 * r_c) * math.sinh(2.0 * r))
-
-    def mismatch_noise(omega, psi):     # named for the quantity an overflow message names
-        # the factors of kt that can overflow stay here, so an overflow names this function
+    def mismatch_noise(omega, psi):
         om_t = omega / params.kappa * kt
+        c = math.cos(psi)
 
         def ang(n: int) -> float:
             return n * psi + theta - mismatch.phi0
-        r1_term = (8.0 * math.exp(-2.0 * r_c - kt / 2.0) * math.cos(psi) ** 2
-                   * (math.cosh(kt / 2.0) - math.cos(om_t)) * r1_mix)
-        r2_term = (math.exp(-2.0 * r_c - kt) * math.sinh(2.0 * mismatch.r0) * math.cos(psi)
-                   * (math.exp(kt) * ((1.0 - 2.0 * kt) * math.cos(ang(1))
-                                      - 2.0 * (1.0 - kt) * math.cos(ang(3))
-                                      - 3.0 * math.cos(ang(5)))
-                      + 8.0 * math.exp(kt / 2.0) * math.cos(psi) * math.cos(ang(4) + om_t)
-                      - 4.0 * math.cos(psi) ** 2 * math.cos(ang(3) + 2.0 * om_t)))
+        r1_term = r1_amp * c ** 2 * (r1_rest - decay * math.cos(om_t))
+        r2_term = (r2_amp * c
+                   * ((1.0 - 2.0 * kt) * math.cos(ang(1)) - 2.0 * (1.0 - kt) * math.cos(ang(3))
+                      - 3.0 * math.cos(ang(5))
+                      + 8.0 * decay * c * math.cos(ang(4) + om_t)
+                      - 4.0 * decay2 * c ** 2 * math.cos(ang(3) + 2.0 * om_t)))
         return r0_term + r1_term + r2_term
 
     return (mismatch_noise(disp.omega_sigma_up, disp.psi_sigma_up),

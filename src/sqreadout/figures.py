@@ -153,7 +153,7 @@ def _fig3_point(kt: float) -> dict:
     a_std = required_tone_amplitude(_std_columns(kt)["snr_std"], 1.0)
     row["alpha_std"] = a_std
     row["n_std"] = ies.ies_photon_number(_params(kt, a_std), ies.IesConfig(0.0, 0.0), kt)
-    row["n_critical"] = 1.0 / (4.0 * EPS_DEFAULT ** 2)
+    row["n_critical"] = disp.critical_photon_number
     return row
 
 

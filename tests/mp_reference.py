@@ -1,4 +1,4 @@
-"""Sixty-digit references for the ICS and IES closed forms.
+"""Sixty-digit references for the ICS, IES and mismatched combined closed forms.
 
 Each function transcribes the complex-arithmetic closed form of the paper's
 supplemental material (the form sqreadout evaluated before its ICS forms were
@@ -129,3 +129,46 @@ def ies_signal(kt, chi, alpha_in, phi_in, phi_h, sigma):
         z = sigma * mp.mpf(chi) - 0.5j
         cavity = 1j * a_bar / z * (tau - (1 - mp.exp(-1j * z * tau)) / (1j * z))
         return 2 * mp.re((a_bar * tau + cavity) * mp.expj(-mp.mpf(phi_h)))
+
+
+def input_noise_budget(r_c, r, theta, delta_p):
+    """(N, M) of the combined scheme's Bogoliubov-mode input as the paper writes them, sums of
+    O(cosh^2 2r) terms in theta and varphi = theta - pi - delta_p that cancel at the matched
+    point (to ~1e-57 here, not to exact zeros)."""
+    with mp.workdps(DPS):
+        r_c, r, theta = mp.mpf(r_c), mp.mpf(r), mp.mpf(theta)
+        varphi = theta - mp.pi - mp.mpf(delta_p)
+        chc, shc, ch, sh = mp.cosh(r_c), mp.sinh(r_c), mp.cosh(r), mp.sinh(r)
+        n = (chc ** 2 * sh ** 2 + shc ** 2 * ch ** 2
+             + mp.cos(theta - varphi) * mp.sinh(2 * r_c) * mp.sinh(2 * r) / 2)
+        m = (mp.expj(varphi) * chc ** 2 * mp.sinh(2 * r)
+             + mp.expj(theta) * mp.sinh(2 * r_c) * (sh ** 2 + ch ** 2)
+             + mp.expj(2 * theta - varphi) * shc ** 2 * mp.sinh(2 * r)) / 2
+        return n, m
+
+
+def mismatch_noise(kt, omega, psi, r, r_c, theta, delta_p):
+    """R0 + R1 + R2 of the mismatched combined scheme at kappa = 1 on the squeezed quadrature
+    2 phi_h = theta, for a qubit state of frequency omega and angle psi, as the paper writes
+    it: R1 mixes by 1 - cosh 2r_c cosh 2r - cos(theta - varphi) sinh 2r_c sinh 2r and R2 has
+    the squeeze r0 and phase phi0 of the budget above, with the factors
+    e^{-2r_c - kt/2} cosh(kt/2) and e^{-2r_c - kt} e^{kt} that overflow a float."""
+    with mp.workdps(DPS):
+        kt, om, psi, r, r_c, theta = (mp.mpf(x) for x in (kt, omega, psi, r, r_c, theta))
+        varphi = theta - mp.pi - mp.mpf(delta_p)
+        _, m = input_noise_budget(r_c, r, theta, delta_p)
+        r0, phi0 = mp.asinh(2 * abs(m)) / 2, mp.arg(m)
+        om_t, c = om * kt, mp.cos(psi)
+
+        def ang(n):
+            return n * psi + theta - phi0
+        r0_term = kt * (mp.cosh(2 * r) + mp.cos(varphi - theta) * mp.sinh(2 * r))
+        r1_term = (8 * mp.exp(-2 * r_c - kt / 2) * c ** 2 * (mp.cosh(kt / 2) - mp.cos(om_t))
+                   * (1 - mp.cosh(2 * r_c) * mp.cosh(2 * r)
+                      - mp.cos(theta - varphi) * mp.sinh(2 * r_c) * mp.sinh(2 * r)))
+        r2_term = (mp.exp(-2 * r_c - kt) * mp.sinh(2 * r0) * c
+                   * (mp.exp(kt) * ((1 - 2 * kt) * mp.cos(ang(1)) - 2 * (1 - kt) * mp.cos(ang(3))
+                                    - 3 * mp.cos(ang(5)))
+                      + 8 * mp.exp(kt / 2) * c * mp.cos(ang(4) + om_t)
+                      - 4 * c ** 2 * mp.cos(ang(3) + 2 * om_t)))
+        return r0_term + r1_term + r2_term

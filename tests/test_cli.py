@@ -181,6 +181,22 @@ class TestExitCodes:
         assert err.startswith(f"{warning}solver error: {quantity} overflowed: ")
         assert "(34," not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["snr", "--scheme", "combined", "--delta-r", "0.1", "--kappa-tau", "800"],
+        ["mismatch", "--scheme", "combined", "--delta-r", "0.1", "--kappa-tau", "800"],
+        ["oracle-check", "--scheme", "combined", "--delta-r", "0.1", "--delta-p", "0.05",
+         "--kappa-tau", "800"],
+    ], ids=["snr", "mismatch", "oracle-check"])
+    def test_mismatched_combined_at_long_times(self, capsys, argv):
+        # the paper's factors e^{-2r_c - kappa tau} e^{kappa tau} leave the float range above
+        # kappa*tau = 709.78; their finite product is the one the noise uses
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert "noise_up=" in out or "var:" in out
+        assert not re.search(r"\b(nan|inf)\b", out)
+        if argv[0] == "oracle-check":
+            assert out.endswith("passed=True\n")
+
     def test_oracle_check_skips_the_record_fields(self, capsys):
         # the photon number of this tone overflows, but oracle-check prints only moments
         assert run_cli(["oracle-check", "--scheme", "ies", "--alpha-in", "1e200"]) == 0
@@ -797,6 +813,9 @@ class TestOddInputs:
     @example(argv=["snr", "--scheme", "ics", "--kappa=1e300", "--chi=1e300"])  # chi^2 overflowed
     # the quadratic form of W overflowed to inf - inf: 128 nan values, exit 0
     @example(argv=["wigner", "--scheme", "ies", "--resolution", "16", "--window=1e300"])
+    # the means agree to rounding and the oracle SNR is 0: its rel_dev overflowed to inf, exit 0
+    @example(argv=["oracle-check", "--scheme", "ies", "--alpha-in=1e300", "--phi-in=1e300",
+                   "--phi-h=1e300"])
     def test_documented_exit_and_finite_output(self, tmp_path, argv):
         outdir = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))    # one per example
         if argv[0] == "wigner":

@@ -47,17 +47,17 @@ class TestChiSq:
 
 class TestInputNoiseBudget:
     def test_matched_cancellation(self):
-        n, m = combined.input_noise_budget(LN10, LN10, 0.7, 0.7 - math.pi)
+        n, m = combined.input_noise_budget(LN10, LN10, 0.7, 0.0)
         assert n == 0.0
         assert m == 0.0
 
     def test_trivial_vacuum(self):
-        n, m = combined.input_noise_budget(0.0, 0.0, 0.3, 1.0)
+        n, m = combined.input_noise_budget(0.0, 0.0, 0.3, 0.3 - math.pi - 1.0)
         assert n == 0.0 and m == 0.0
 
     def test_pure_degree_mismatch(self):
         r = 0.8
-        n, _ = combined.input_noise_budget(r + 0.1, r, 0.0, -math.pi)
+        n, _ = combined.input_noise_budget(r + 0.1, r, 0.0, 0.0)
         assert n == pytest.approx(math.sinh(0.1) ** 2, rel=1e-12)
         assert n == pytest.approx(0.01003, abs=2e-5)
 
@@ -66,7 +66,7 @@ class TestInputNoiseBudget:
         for _ in range(50):
             rc, r = rng.uniform(0.0, 2.0, 2)
             th, ph = rng.uniform(-math.pi, math.pi, 2)
-            n, m = combined.input_noise_budget(rc, r, th, ph)
+            n, m = combined.input_noise_budget(rc, r, th, th - math.pi - ph)
             assert abs(m) <= math.sqrt(n * (n + 1.0)) + 1e-9
             assert abs(m) == pytest.approx(math.sqrt(n * (n + 1.0)), abs=1e-9)
 
@@ -366,9 +366,11 @@ class TestOmegaSqCoarseToFineScan:
             assert all(w in grid for w in scanned[:before_bisection[0]]), kappa_tau
 
     @pytest.mark.parametrize("kappa_tau, evaluations", [
-        (1e-3, 61), (0.3, 47), (3.0, 43), (300.0, 38)])
+        (1e-3, 61), (0.3, 47), (1.0, 41), (3.0, 43), (100.0, 37), (300.0, 37)])
     def test_bisection_starts_from_the_walk_bracket(self, monkeypatch, kappa_tau, evaluations):
-        # 63 / 49 / 45 / 40 separations when the bisection evaluated its bracket ends again
+        # 63 / 49 / 45 / 40 separations at 1e-3 / 0.3 / 3 / 300 when the bisection evaluated
+        # its bracket ends again, and 38 at 100 and 300 when a finer stride's eighth step
+        # evaluated the coarser step's end again
         real_function, scanned = combined._perp_function, []
 
         def recorded(params, r, epsilon):
@@ -378,6 +380,7 @@ class TestOmegaSqCoarseToFineScan:
         monkeypatch.setattr(combined, "_perp_function", recorded)
         combined.solve_omega_sq(make_params(kappa_tau=kappa_tau), LN10)
         assert len(scanned) == evaluations
+        assert len(set(scanned)) == evaluations
 
 
 class TestOmegaSqArrayScan:

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sqreadout.core import QubitState, ReadoutParams, StabilityError, replace
 from sqreadout import combined, ics, ies, oracle
@@ -356,6 +356,11 @@ class TestCombinedAgainstOracle:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(point=mismatched_points())
+    # long times, where the paper's factor e^{kappa tau} leaves the float range from 709.78
+    @example(point=(make_params(kappa_tau=300.0),
+                    combined.CombinedConfig(r=math.log(10.0), delta_r=0.1, delta_p=0.05)))
+    @example(point=(make_params(kappa_tau=800.0),
+                    combined.CombinedConfig(r=math.log(10.0), delta_r=0.1, delta_p=0.05)))
     def test_within_the_oracle_residual(self, point):
         # 10 K -> 2K residuals bound the oracle's own error; the 1e-12 relative floor is
         # the rounding of the closed forms and of the oracle's sums

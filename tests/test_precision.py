@@ -1,6 +1,7 @@
-"""The ICS and IES closed forms judged against 60-digit references.
+"""The ICS, IES and mismatched combined closed forms judged against 60-digit references.
 
-mp_reference evaluates the paper's complex-arithmetic closed forms in mpmath.
+mp_reference evaluates the paper's complex-arithmetic closed forms in mpmath,
+and the mismatched combined budget and noise as the paper writes them.
 sqreadout evaluates real-valued forms of the ICS ones; the float results are
 compared with the references, and the same sqreadout source run on mpmath
 numbers shows that the two forms are the same functions.  Where a compared
@@ -13,10 +14,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sqreadout import ics, ies, oracle
+from sqreadout import combined, figures, ics, ies, oracle
 from sqreadout.core import QubitState, ReadoutParams
 
 import mp_reference as ref
+
+LN10 = math.log(10.0)
 
 
 def rel_err(got, want):
@@ -168,3 +171,53 @@ class TestIesShortTimeSignal:
             for s in QubitState:
                 got = ies.ies_signal(ReadoutParams(1.0, chi, 1.0, phi_in, phi_h, kt), s)
                 assert rel_err(got, ref.ies_signal(kt, chi, 1.0, phi_in, phi_h, int(s))) < 1e-12
+
+
+def mismatches(rng, n):
+    """0, +-U(0, 0.2) or +-10^U(-8, -1), a third each."""
+    kind, sign = rng.integers(0, 3, n), rng.choice([-1.0, 1.0], n)
+    size = np.where(kind == 1, rng.uniform(0.0, 0.2, n), 10 ** rng.uniform(-8.0, -1.0, n))
+    return np.where(kind == 0, 0.0, sign * size).tolist()
+
+
+class TestMismatchAgainstReference:
+    """The combined scheme's input budget (N, M) and mismatched noise R0 + R1 + R2 against
+    the paper's forms, whose O(cosh^2 2r) sums and factors e^{kt} float arithmetic cannot hold."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0, LN10])
+    def test_budget_exactly_zero_when_matched(self, r):
+        for theta in (0.0, 0.7, -2.5, math.pi):
+            n, m = combined.input_noise_budget(r, r, theta, 0.0)
+            assert (n, m) == (0.0, 0j) and type(n) is float and type(m) is complex
+        mm = combined.MismatchParams.derive(r, 0.7, 0.0, 0.0)
+        assert (mm.n_thermal, mm.m_corr, mm.r0, mm.phi0) == (0.0, 0j, 0.0, 0.0)
+
+    def test_budget_against_60_digits(self):
+        rng = np.random.default_rng(29)
+        n = 2000
+        r = rng.uniform(0.0, LN10, n).tolist()
+        theta = rng.uniform(-math.pi, math.pi, n).tolist()
+        for sq, dr, dp, th in zip(r, mismatches(rng, n), mismatches(rng, n), theta):
+            r_c = max(sq + dr, 0.0)
+            got_n, got_m = combined.input_noise_budget(r_c, sq, th, dp)
+            if r_c == sq and dp == 0.0:
+                assert (got_n, got_m) == (0.0, 0j)
+                continue
+            want_n, want_m = ref.input_noise_budget(r_c, sq, th, dp)
+            assert rel_err(got_n, want_n) < 1e-14, (r_c, sq, th, dp)
+            assert rel_err(got_m, want_m) < 1e-14, (r_c, sq, th, dp)
+
+    @pytest.mark.parametrize("kt", figures.kappa_tau_grid()
+                             + [300.0, 700.0, 710.0, 800.0, 1500.0, 1e4])
+    def test_noise_against_60_digits(self, kt):
+        # finite where the paper's e^{-2r_c - kt} e^{kt} leaves the float range (kt > 709.78)
+        for dr, dp in ((0.1, 0.1), (0.1, 0.05), (0.1, 0.01), (0.0, 0.05), (0.2, 0.05),
+                       (0.1, 0.0), (0.1, 0.2), (-0.1, -0.05), (1e-6, 1e-6)):
+            cfg = combined.CombinedConfig(r=LN10, delta_r=dr, delta_p=dp)
+            p, cfg = cfg.operating_point(ReadoutParams(1.0, 0.5, 1.0, 0.0, 0.0, kt))
+            disp = cfg.dispersive(p)
+            m = cfg.moments(p)
+            for s in QubitState:
+                want = ref.mismatch_noise(kt, disp.omega_sigma(s), disp.psi_sigma(s), LN10,
+                                          LN10 + dr, 0.0, dp)
+                assert rel_err(m.of(s)[1], want) < 1e-12, (kt, dr, dp, s)
