@@ -41,14 +41,22 @@ def combined_snr(kappa_tau: float, delta_r: float = 0.0, delta_p: float = 0.0) -
     return snr(combined.combined_moments(_params(kappa_tau), cfg))
 
 
-def _mismatch_snrs(kappa_tau: float, delta_ps: Iterable[float]) -> list[float]:
-    """combined_snr(kappa_tau, delta_r=0.1, delta_p=dp) for each dp, from one omega_sq solve.
+def _mismatch_snr(kappa_tau: float):
+    """(delta_r, delta_p) -> combined_snr(kappa_tau, delta_r, delta_p), with one omega_sq
+    solve per delta_r; each builder call makes its own.
 
     The root depends on r_c = r + delta_r but not on delta_p.
     """
     p = _params(kappa_tau)
-    _, cfg = combined.CombinedConfig(r=R_DEFAULT, delta_r=0.1).operating_point(p)
-    return [snr(combined.combined_moments(p, replace(cfg, delta_p=dp))) for dp in delta_ps]
+    roots = {}
+
+    def mismatch_snr(delta_r: float, delta_p: float) -> float:
+        if delta_r not in roots:
+            _, roots[delta_r] = combined.CombinedConfig(
+                r=R_DEFAULT, delta_r=delta_r).operating_point(p)
+        return snr(combined.combined_moments(p, replace(roots[delta_r], delta_p=delta_p)))
+
+    return mismatch_snr
 
 
 def kappa_tau_grid(start: float = 1e-2, stop: float = 1e2, count: int = 25) -> list[float]:
@@ -168,19 +176,19 @@ def fig4a_rows(grid: Iterable[float] | None = None) -> list[dict]:
     rows = []
     for kt in _kappa_taus(grid):
         row = {"kappa_tau": kt, **_std_columns(kt)}
-        for dp, value in zip(MISMATCH_SET, _mismatch_snrs(kt, MISMATCH_SET)):
-            row[f"snr_dp_{dp:g}".replace(".", "_")] = value
+        mismatch_snr = _mismatch_snr(kt)
+        for dp in MISMATCH_SET:
+            row[f"snr_dp_{dp:g}".replace(".", "_")] = mismatch_snr(0.1, dp)
         rows.append(row)
     return rows
 
 
 def fig4b_rows(kappa_tau: float = 1.0, count: int = 41) -> list[dict]:
-    """SNR versus the mismatch magnitude at fixed kappa*tau."""
-    kappa_tau = float(kappa_tau)
-    deltas = _linspace(0.0, 0.2, count)
-    return [{"delta": d, "snr_vs_delta_p": snr_p,
-             "snr_vs_delta_r": combined_snr(kappa_tau, delta_r=d, delta_p=0.05)}
-            for d, snr_p in zip(deltas, _mismatch_snrs(kappa_tau, deltas))]
+    """SNR versus the mismatch magnitude at fixed kappa*tau: delta_p at delta_r = 0.1, and
+    delta_r at delta_p = 0.05, whose delta_r = 0.1 point shares the first column's root."""
+    mismatch_snr = _mismatch_snr(float(kappa_tau))
+    return [{"delta": d, "snr_vs_delta_p": mismatch_snr(0.1, d),
+             "snr_vs_delta_r": mismatch_snr(d, 0.05)} for d in _linspace(0.0, 0.2, count)]
 
 
 def _free_optimum_rows(scheme: str, coupling: str, grid: Iterable[float] | None) -> list[dict]:

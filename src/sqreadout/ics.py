@@ -93,7 +93,7 @@ class IcsConfig(Record):
         pair = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 0.0)
 
         def scored(psi, r):
-            if getattr(r, "ndim", 0) == 0:
+            if type(r) is float or getattr(r, "ndim", 0) == 0:
                 fn, kernel = math, pair
             else:
                 import numpy as fn
@@ -309,19 +309,6 @@ def _pair_kernel(kt, alpha_in, phi_in, phi_h, theta, fn=math):
     er, ei, o_r, o_i = e_in.real, e_in.imag, e_out.real, e_out.imag
     c_h, s_h = fn.cos(phi_h), fn.sin(phi_h)
 
-    def records(chi, om, x, i_c, i_s):
-        pref, u0r, u0i, usr, usi, d0r, d0i, dsr, dsi = _state_parts(chi, om, x, alpha_in,
-                                                                    er, ei, o_r, o_i)
-        # J = a_bar kt + pref (jr + i ji) per state.  CPython before 3.14 multiplies
-        # the float pref by the complex jr + i ji as complex(pref, 0) times it; the
-        # zero terms of that product are kept, so a zero mean (alpha_in = 0) keeps
-        # its sign too
-        jr, ji = u0r * kt + usr * i_s - u0r * i_c, u0i * kt + usi * i_s - u0i * i_c
-        up = 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h + (aki + (pref * ji + 0.0 * jr)) * s_h)
-        jr, ji = d0r * kt + dsr * i_s - d0r * i_c, d0i * kt + dsi * i_s - d0i * i_c
-        return up, 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h
-                          + (aki + (pref * ji + 0.0 * jr)) * s_h)
-
     def pair(chi, om):
         x = _lambda_sq(chi, om)
         g, c, s, xs = _oscillation(x, kt, fn)
@@ -338,8 +325,17 @@ def _pair_kernel(kt, alpha_in, phi_in, phi_h, theta, fn=math):
         g0, gs, gc = (kt + 4.0 * om * om * f / den + 0.5 * tr,
                       q2 * (f0 - 2.0 * x * f1) / den - t12, y - q2 * f / den)
         del f0, f1, f, tr, t12, y
-        up, down = records(chi, om, x, i_c, i_s)
-        return up, down, g0, gs, gc
+        pref, u0r, u0i, usr, usi, d0r, d0i, dsr, dsi = _state_parts(chi, om, x, alpha_in,
+                                                                    er, ei, o_r, o_i)
+        # J = a_bar kt + pref (jr + i ji) per state.  CPython before 3.14 multiplies
+        # the float pref by the complex jr + i ji as complex(pref, 0) times it; the
+        # zero terms of that product are kept, so a zero mean (alpha_in = 0) keeps
+        # its sign too
+        jr, ji = u0r * kt + usr * i_s - u0r * i_c, u0i * kt + usi * i_s - u0i * i_c
+        up = 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h + (aki + (pref * ji + 0.0 * jr)) * s_h)
+        jr, ji = d0r * kt + dsr * i_s - d0r * i_c, d0i * kt + dsi * i_s - d0i * i_c
+        return up, 2.0 * ((akr + (pref * jr - 0.0 * ji)) * c_h
+                          + (aki + (pref * ji + 0.0 * jr)) * s_h), g0, gs, gc
 
     return pair
 

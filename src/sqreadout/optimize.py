@@ -7,8 +7,10 @@ free axis scans its grid with one scalar objective call per point; a box with
 two is one array evaluation of the objective on the numpy grid, which only
 picks the best cell.  That cell and every refinement point are evaluated with
 floats, so each value a search returns comes from the scalar closed forms, and
-a one-axis search loads no numpy.  Each scheme's config type supplies its own
-box and objective (IesConfig.search, IcsConfig.search).
+a one-axis search loads no numpy.  A one-axis refinement that stays inside the
+box stops after one sweep, without a second that would only confirm it.  Each
+scheme's config type supplies its own box and objective (IesConfig.search,
+IcsConfig.search).
 """
 
 from __future__ import annotations
@@ -64,11 +66,18 @@ def maximize_over_box(objective: Callable[..., float],
     one scalar call per point; with more it is one call with the ij-indexed
     numpy meshgrid of the axes.  The chosen cell and every refinement point are
     evaluated with float coordinates, so the returned value never falls below
-    the scalar value of the chosen cell.  A refinement interval that reaches the
-    box edge also evaluates the edge, which wins if it is better.  Returns
-    (best_value, argmax, evaluations, converged); evaluations counts grid cells
-    and refinement points (the chosen cell once), and converged means a sweep
-    moved no coordinate by 1e-6 within 200 sweeps.
+    the scalar value of the chosen cell.  Each sweep brackets every free axis
+    by one grid cell on either side of the current point, clipped to the box.
+    A bracket that reaches the box edge also evaluates the edge, which wins if
+    it is better; with one free axis the edge is a grid node, whose grid value
+    is used.  A search stops after a sweep that moves no coordinate by 1e-6, or,
+    with one free axis, after a sweep whose bracket lies strictly inside the box
+    and whose refined point lies more than 1e-6 inside that bracket: it is the
+    bracket's maximum to 1e-6, and a further sweep would only confirm it.
+    Returns (best_value, argmax, evaluations, converged); evaluations counts
+    grid cells and refinement points, each point once (neither the chosen cell
+    nor an edge taken from the grid again), and converged means the search
+    stopped by one of those rules within 200 sweeps.
     """
     n, tol = 64, 1e-6
     axes = []
@@ -80,13 +89,19 @@ def maximize_over_box(objective: Callable[..., float],
         else:
             axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
 
-    if sum(len(axis) > 1 for axis in axes) <= 1:
+    free = [i for i, axis in enumerate(axes) if len(axis) > 1]
+    edge_values = {}    # box edge -> its grid value, for one free axis
+    if len(free) <= 1:
         cells = [list(cell) for cell in itertools.product(*axes)]
         values = [objective(*cell) for cell in cells]
         # a NaN cell never wins; the first maximum breaks ties
         ranked = [-math.inf if v != v else v for v in values]
         best = ranked.index(max(ranked))
         x, best_val, evals = cells[best], values[best], len(cells)
+        if free:
+            (lo, hi), axis = bounds[free[0]], axes[free[0]]
+            edge_values = {edge: values[j] for edge, j in ((lo, 0), (hi, -1))
+                           if axis[j] == edge}
     else:
         import numpy as np
         shape = tuple(len(axis) for axis in axes)
@@ -100,7 +115,7 @@ def maximize_over_box(objective: Callable[..., float],
 
     converged = False
     for _ in range(200):
-        moved = 0.0
+        moved, settled = 0.0, False
         for i, (lo, hi) in enumerate(bounds):
             if hi == lo:
                 continue
@@ -115,18 +130,22 @@ def maximize_over_box(objective: Callable[..., float],
 
             xi, vi, used = golden_section_max(slice_f, a, b, tol)
             evals += used
+            settled = len(free) == 1 and lo < a and b < hi and xi - a > tol and b - xi > tol
             # golden sections never sample the ends of their interval
             for edge, reached in ((lo, a == lo), (hi, b == hi)):
                 if reached:
-                    v_edge = slice_f(edge)
-                    evals += 1
+                    if edge in edge_values:
+                        v_edge = edge_values[edge]
+                    else:
+                        v_edge = slice_f(edge)
+                        evals += 1
                     if v_edge > vi:
                         xi, vi = edge, v_edge
             if vi > best_val:
                 moved = max(moved, abs(xi - x[i]))
                 x[i] = xi
                 best_val = vi
-        if moved < tol:
+        if moved < tol or settled:
             converged = True
             break
     return best_val, x, evals, converged

@@ -807,7 +807,9 @@ def odd_argvs(draw):
 
 
 class TestOddInputs:
-    @settings(max_examples=150, deadline=None,
+    # derandomized, so the verdict depends on the code alone; argvs that once failed are
+    # examples, kept whatever the draws
+    @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=odd_argvs())
     @example(argv=["snr", "--scheme", "ics", "--kappa=1e300", "--chi=1e300"])  # chi^2 overflowed
