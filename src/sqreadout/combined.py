@@ -201,14 +201,14 @@ def _signal_pair(params, disp, r, theta):
             combined_signal(disp.omega_sigma_down, disp.psi_sigma_down))
 
 
-def _perp_separation(lead, decay, psi_up, psi_down, phase_up, phase_down):
+def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down):
     """Signed perpendicular separation over 2 alpha_in/sqrt(kappa), before the e^{2r} gain.
 
-    lead = 2 - kappa*tau, decay = e^{-kappa*tau/2} and phase_sigma = omega_sigma*tau.
+    phase_sigma = omega_sigma*tau.
     """
-    return ((lead + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
-            - (lead + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
-            - decay
+    return ((2.0 - kt + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
+            - (2.0 - kt + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
+            - math.exp(-kt / 2.0)
             * (math.sin(phase_down) + 2.0 * math.sin(2 * psi_down + phase_down)
                + math.sin(4 * psi_down + phase_down)
                - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
@@ -217,18 +217,16 @@ def _perp_separation(lead, decay, psi_up, psi_down, phase_up, phase_down):
 def _perp_function(params: ReadoutParams, r: float, epsilon: float):
     """omega_sq -> the signed perpendicular separation before the e^{2r} gain, with the bits of
     separation_components.  Built once per solve, which checks (g, epsilon): chi, cosh r,
-    sinh^2 r, 2 alpha_in/sqrt(kappa), 2 - kappa*tau and e^{-kappa*tau/2} are computed here,
-    not per omega_sq."""
+    sinh^2 r and 2 alpha_in/sqrt(kappa) are computed here, not per omega_sq."""
     k = params.kappa
     kt = params.kappa_tau
     coupling = _chi_sq_function(params.chi / epsilon, r, epsilon)
     amplitude = 2.0 * (params.alpha_in / math.sqrt(k))
-    lead, decay = 2.0 - kt, math.exp(-kt / 2.0)
 
     def perp(omega_sq):
         csq = coupling(omega_sq)
         up, down = omega_sq + csq, omega_sq - csq
-        return amplitude * _perp_separation(lead, decay, math.atan(2.0 * up / k),
+        return amplitude * _perp_separation(kt, math.atan(2.0 * up / k),
                                             math.atan(2.0 * down / k),
                                             up / k * kt, down / k * kt)
 
@@ -245,8 +243,7 @@ def separation_components(params: ReadoutParams, disp: DispersiveParams,
     """
     up, down = _signal_pair(params.with_(phi_h=0.0, phi_in=0.0), disp, r, 0.0)
     p = params.normalized()
-    perp = 2.0 * p.alpha_in * _perp_separation(2.0 - p.tau, math.exp(-p.tau / 2.0),
-                                               disp.psi_sigma_up, disp.psi_sigma_down,
+    perp = 2.0 * p.alpha_in * _perp_separation(p.tau, disp.psi_sigma_up, disp.psi_sigma_down,
                                                disp.omega_sigma_up / params.kappa * p.tau,
                                                disp.omega_sigma_down / params.kappa * p.tau)
     return abs(up - down), math.exp(2.0 * r) * abs(perp)

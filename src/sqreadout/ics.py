@@ -93,7 +93,7 @@ class IcsConfig(Record):
         pair = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 0.0)
 
         def scored(psi, r):
-            if type(r) is float or getattr(r, "ndim", 0) == 0:
+            if getattr(r, "ndim", 0) == 0:
                 fn, kernel = math, pair
             else:
                 import numpy as fn

@@ -7,10 +7,10 @@ free axis scans its grid with one scalar objective call per point; a box with
 two is one array evaluation of the objective on the numpy grid, which only
 picks the best cell.  That cell and every refinement point are evaluated with
 floats, so each value a search returns comes from the scalar closed forms, and
-a one-axis search loads no numpy.  A one-axis refinement that stays inside the
-box stops after one sweep, without a second that would only confirm it.  Each
-scheme's config type supplies its own box and objective (IesConfig.search,
-IcsConfig.search).
+a one-axis search loads no numpy.  From kappa*tau = 1 on, the fixed-coupling
+ICS search over r stops after its first sweep when that sweep stays inside the
+box (maximize_snr).  Each scheme's config type supplies its own box and
+objective (IesConfig.search, IcsConfig.search).
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 
 
 def maximize_over_box(objective: Callable[..., float],
-                      bounds: Sequence[tuple[float, float]]) -> tuple[float, list, int, bool]:
+                      bounds: Sequence[tuple[float, float]],
+                      settle: bool = False) -> tuple[float, list, int, bool]:
     """64-point grid per axis, then coordinate-descent golden sections to 1e-6.
 
     objective takes one coordinate per axis.  The grid only picks the best cell:
@@ -69,15 +70,17 @@ def maximize_over_box(objective: Callable[..., float],
     the scalar value of the chosen cell.  Each sweep brackets every free axis
     by one grid cell on either side of the current point, clipped to the box.
     A bracket that reaches the box edge also evaluates the edge, which wins if
-    it is better; with one free axis the edge is a grid node, whose grid value
-    is used.  A search stops after a sweep that moves no coordinate by 1e-6, or,
-    with one free axis, after a sweep whose bracket lies strictly inside the box
-    and whose refined point lies more than 1e-6 inside that bracket: it is the
-    bracket's maximum to 1e-6, and a further sweep would only confirm it.
-    Returns (best_value, argmax, evaluations, converged); evaluations counts
-    grid cells and refinement points, each point once (neither the chosen cell
-    nor an edge taken from the grid again), and converged means the search
-    stopped by one of those rules within 200 sweeps.
+    it is better.  A search stops after a sweep that moves no coordinate by
+    1e-6.  With settle, a box with one free axis also stops after a sweep whose
+    bracket lies strictly inside the box and whose refined point lies more than
+    1e-6 inside that bracket.  That point is the golden section's maximum of the
+    bracket to 1e-6; the search gives up the second sweep, which brackets it
+    again and may find a better point within that tolerance, or, on a top flat
+    to rounding, a point farther away.  Returns (best_value, argmax,
+    evaluations, converged); evaluations counts the grid cells and the
+    refinement points (a two-axis grid's chosen cell is evaluated again as a
+    float and not counted), and converged means the search stopped by one of
+    those rules within 200 sweeps.
     """
     n, tol = 64, 1e-6
     axes = []
@@ -89,19 +92,14 @@ def maximize_over_box(objective: Callable[..., float],
         else:
             axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
 
-    free = [i for i, axis in enumerate(axes) if len(axis) > 1]
-    edge_values = {}    # box edge -> its grid value, for one free axis
-    if len(free) <= 1:
+    free = sum(len(axis) > 1 for axis in axes)
+    if free <= 1:
         cells = [list(cell) for cell in itertools.product(*axes)]
         values = [objective(*cell) for cell in cells]
         # a NaN cell never wins; the first maximum breaks ties
         ranked = [-math.inf if v != v else v for v in values]
         best = ranked.index(max(ranked))
         x, best_val, evals = cells[best], values[best], len(cells)
-        if free:
-            (lo, hi), axis = bounds[free[0]], axes[free[0]]
-            edge_values = {edge: values[j] for edge, j in ((lo, 0), (hi, -1))
-                           if axis[j] == edge}
     else:
         import numpy as np
         shape = tuple(len(axis) for axis in axes)
@@ -130,15 +128,12 @@ def maximize_over_box(objective: Callable[..., float],
 
             xi, vi, used = golden_section_max(slice_f, a, b, tol)
             evals += used
-            settled = len(free) == 1 and lo < a and b < hi and xi - a > tol and b - xi > tol
+            settled = settle and free == 1 and lo < a and b < hi and xi - a > tol and b - xi > tol
             # golden sections never sample the ends of their interval
             for edge, reached in ((lo, a == lo), (hi, b == hi)):
                 if reached:
-                    if edge in edge_values:
-                        v_edge = edge_values[edge]
-                    else:
-                        v_edge = slice_f(edge)
-                        evals += 1
+                    v_edge = slice_f(edge)
+                    evals += 1
                     if v_edge > vi:
                         xi, vi = edge, v_edge
             if vi > best_val:
@@ -150,6 +145,12 @@ def maximize_over_box(objective: Callable[..., float],
             break
     return best_val, x, evals, converged
 
+
+#: the fixed-chi ICS search over r settles (maximize_over_box) from this kappa*tau on,
+#: where a second sweep moves r by at most 3.5e-7.  Below it the r top flattens, and
+#: rounding sets the argmax only to a few 1e-6.  The psi searches do not settle: their
+#: peaks are sharp, and a second sweep still raises the SNR by up to 2.2e-11.
+ICS_SETTLE_KAPPA_TAU = 1.0
 
 # scheme name -> (config type whose search runs, largest squeeze r)
 _SEARCHES = {"standard": (ies.IesConfig, 0.0), "ies": (ies.IesConfig, R_MAX_DEFAULT),
@@ -167,9 +168,10 @@ def maximize_snr(scheme: str, kappa_tau: float,
     fix_chi pins the dispersive coupling (in units of kappa), the convention of
     the fixed-coupling reference curves: for 'ies' and 'standard' it pins psi,
     and a box with no free axis is evaluated once, without a search; for 'ics'
-    only r is searched.  The SNR is linear in alpha_in, so scale best_snr for
-    another amplitude.  Deterministic: identical inputs yield identical reports,
-    whose values are Python floats.
+    only r is searched, and from kappa_tau = ICS_SETTLE_KAPPA_TAU on that search
+    settles (maximize_over_box).  The SNR is linear in alpha_in, so scale
+    best_snr for another amplitude.  Deterministic: identical inputs yield
+    identical reports, whose values are Python floats.
     """
     if scheme not in _SEARCHES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SEARCHES)}")
@@ -182,7 +184,8 @@ def maximize_snr(scheme: str, kappa_tau: float,
     if all(lo == hi for lo, hi in bounds):
         x, evals, converged = [lo for lo, _ in bounds], 0, True
     else:
-        _, x, evals, converged = maximize_over_box(objective, bounds)
+        settle = scheme == "ics" and kappa_tau >= ICS_SETTLE_KAPPA_TAU
+        _, x, evals, converged = maximize_over_box(objective, bounds, settle=settle)
     best_snr, argmax = point(*x)
     return OptimumReport(best_snr=best_snr, argmax=argmax,
                          evaluations=evals + 1, converged=converged)

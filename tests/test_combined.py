@@ -179,7 +179,7 @@ class TestSolveOmegaSq:
 
         # a sign-definite separation on the scanned grid; the scan itself must give up
         monkeypatch.setattr(combined, "_perp_separation",
-                            lambda lead, decay, psi_up, *rest: 0.0 * psi_up + 1.0)
+                            lambda kt, psi_up, *rest: 0.0 * psi_up + 1.0)
         monkeypatch.setattr(combined, "_bisect_bracket", never_called)
         with pytest.raises(BracketError, match=r"in omega_sq/kappa in \[4\.90\d*, 10\]"):
             combined.solve_omega_sq(make_params(), LN10)
@@ -402,7 +402,7 @@ class TestOmegaSqArrayScan:
         # the physical separation changes sign once on the grid, so an oscillating
         # stand-in checks that the first bracket is the one refined
         monkeypatch.setattr(combined, "_perp_separation",
-                            lambda lead, decay, psi_up, psi_down, phase_up, phase_down:
+                            lambda kt, psi_up, psi_down, phase_up, phase_down:
                             math.cos(phase_up))
         p = make_params(kappa_tau=3.0)
         perp = combined._perp_function(p, LN10, 0.05)

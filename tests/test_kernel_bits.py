@@ -124,7 +124,8 @@ SHIPPED_GRID = np.geomspace(1e-2, 1e2, 25).tolist()      # fig2b, fig2c, fig4a, 
 
 def reference_report(scheme, kappa_tau, fix_chi):
     """(best_snr, psi, r, phase, evaluations, converged) of maximize_snr's box search run
-    on the unhoisted objective; a two-axis grid evaluates it point by point."""
+    on the unhoisted objective, settling the ICS searches as maximize_snr does; a two-axis
+    grid evaluates it point by point."""
     config, r_max = SEARCHES[scheme]
     bounds, _, _ = config.search(kappa_tau, r_max, fix_chi)
     if config is ies.IesConfig:
@@ -139,7 +140,8 @@ def reference_report(scheme, kappa_tau, fix_chi):
     if all(lo == hi for lo, hi in bounds):
         x, evals, converged = [lo for lo, _ in bounds], 0, True
     else:
-        _, x, evals, converged = optimize.maximize_over_box(objective, bounds)
+        settle = scheme == "ics" and kappa_tau >= optimize.ICS_SETTLE_KAPPA_TAU
+        _, x, evals, converged = optimize.maximize_over_box(objective, bounds, settle=settle)
     if config is ies.IesConfig:
         snr, r, shape = scored(*x)
         return snr, x[0], r, -1.0 if shape >= 0 else 1.0, evals + 1, converged

@@ -116,29 +116,6 @@ def array_grid_maximize_over_box(objective, bounds):
     return best_val, x, evals, converged
 
 
-# An interior one-axis search stops after the sweep that finds its bracket's maximum,
-# where the old drivers above sweep again to confirm it (maximize_over_box).  Each point
-# lies within the 1e-6 golden-section tolerance of that maximum, so the two lie within
-# 2e-6 of each other.  The SNR moves by up to 1.7e-14 relative on the flat fixed-chi ICS
-# tops of COMPARISON_GRID and by up to 2.2e-11 on the sharp psi peaks of the free IES and
-# standard searches, inside the 1e-10 by which a same-numbers change may move an output.
-SETTLE_X = 2e-6
-SETTLE_VALUE = {"ics": 1e-12, "ies": 1e-10, "standard": 1e-10}
-
-
-def assert_old_optimum(got, ref, bounds, rel=1e-12, floor=0.0):
-    """(value, x) of a search against (value, x) of an old driver: equal, or an interior
-    one-axis search within SETTLE_X in its coordinate and rel (or floor) in value."""
-    (val, x), (ref_val, ref_x) = (got[0], list(got[1])), (ref[0], list(ref[1]))
-    if (val, x) == (ref_val, ref_x):
-        return
-    (i,) = [i for i, (lo, hi) in enumerate(bounds) if hi > lo]
-    lo, hi = bounds[i]
-    assert lo < x[i] < hi and math.fabs(x[i] - ref_x[i]) <= SETTLE_X, (got, ref)
-    assert x[:i] + x[i + 1:] == ref_x[:i] + ref_x[i + 1:], (got, ref)
-    assert val == pytest.approx(ref_val, rel=rel, abs=floor), (got, ref)
-
-
 class TestBisect:
     def test_linear(self):
         assert bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(
@@ -230,49 +207,60 @@ class TestMaximizeOverBox:
         assert (val, x, converged) == (ref_val, ref_x, ref_converged)
 
 
-    @pytest.mark.parametrize("objective, interior", [
-        (lambda a, b: -np.round(4.0 * ((a - 0.5) ** 2 + (b - 0.4) ** 2)), False),
-        (lambda a, b: np.round(np.sin(7 * a) * np.cos(5 * b) + 0.3 * a, 1), False),
-        (lambda a, b: np.where(b < 0.6, np.nan, -(a - 0.3) ** 2 - (b - 0.7) ** 2), True),
-        (lambda a, b: b - 3.0 * a, False),
+    @pytest.mark.parametrize("objective", [
+        lambda a, b: -np.round(4.0 * ((a - 0.5) ** 2 + (b - 0.4) ** 2)),
+        lambda a, b: np.round(np.sin(7 * a) * np.cos(5 * b) + 0.3 * a, 1),
+        lambda a, b: np.where(b < 0.6, np.nan, -(a - 0.3) ** 2 - (b - 0.7) ** 2),
+        lambda a, b: b - 3.0 * a,
     ], ids=["plateau", "rippled_plateaus", "nan_region", "edge"])
     @pytest.mark.parametrize("bounds", [[(0.3, 0.3), (0.1, 0.9)], [(0.0, 1.0), (0.8, 0.8)]],
                              ids=["free_b", "free_a"])
-    def test_one_free_axis_matches_the_array_grid(self, objective, interior, bounds):
-        # the scalar grid keeps the array grid's rules: NaN never wins, the first maximum
-        # does.  The interior maximum settles one sweep early, within tol^2 in value; the
-        # others keep every sweep and their bits, and take a box edge from the grid
-        val, x, evals, converged = optimize.maximize_over_box(objective, bounds)
-        ref_val, ref_x, ref_evals, ref_converged = array_grid_maximize_over_box(objective, bounds)
-        if interior:
-            assert_old_optimum((val, x), (ref_val, ref_x), bounds, floor=1e-12)
-            assert converged and evals < ref_evals
-        else:
-            assert (val, x, converged) == (ref_val, ref_x, ref_converged)
-            assert evals <= ref_evals
+    def test_one_free_axis_matches_the_array_grid(self, objective, bounds):
+        # the scalar grid keeps the array grid's rules: NaN never wins, the first maximum does
+        got = optimize.maximize_over_box(objective, bounds)
+        assert got == array_grid_maximize_over_box(objective, bounds)
 
     def test_one_free_axis_of_nan_picks_its_first_cell(self):
         val, x, evals, converged = optimize.maximize_over_box(lambda a: math.nan, [(0.2, 1.0)])
         assert math.isnan(val) and x == [0.2] and evals > 64 and converged
 
-    @pytest.mark.parametrize("peak", [0.0, 1.0, 0.49], ids=["lo", "hi", "interior"])
-    def test_one_free_axis_evaluates_each_point_once_at_the_edges(self, peak):
-        # a box edge is a grid node, so a bracket that reaches it takes the grid's value;
-        # evaluations counts every objective call
-        calls = []
-
+    def test_settle_stops_an_interior_search_after_one_sweep(self):
+        # the refined point is the first bracket's maximum to 1e-6; the old drivers sweep
+        # again around it
         def objective(a):
-            calls.append(a)
-            return -(a - peak) ** 2
+            return -(a - 0.49) ** 2
 
-        _, _, evals, converged = optimize.maximize_over_box(objective, [(0.0, 1.0)])
-        assert converged and evals == len(calls)
-        assert calls.count(0.0) == calls.count(1.0) == 1
+        bounds = [(0.0, 1.0)]
+        val, x, evals, converged = optimize.maximize_over_box(objective, bounds, settle=True)
+        ref_val, ref_x, ref_evals, _ = array_grid_maximize_over_box(objective, bounds)
+        cell = 1.0 / 63
+        best = round(0.49 / cell) * cell
+        first, first_val, used = optimize.golden_section_max(objective, best - cell,
+                                                             best + cell, 1e-6)
+        assert (val, x, evals, converged) == (first_val, [first], 64 + used, True)
+        assert ref_evals > evals and abs(x[0] - ref_x[0]) <= 1e-6
+        assert val == pytest.approx(ref_val, abs=1e-12)
+
+    @pytest.mark.parametrize("objective", [lambda a: -(a - 1.0) ** 2, lambda a: -a],
+                             ids=["hi_edge", "lo_edge"])
+    def test_settle_keeps_edge_brackets(self, objective):
+        # brackets that reach a box edge sweep as before, with the same bits
+        bounds = [(0.0, 1.0)]
+        got = optimize.maximize_over_box(objective, bounds, settle=True)
+        assert got == array_grid_maximize_over_box(objective, bounds)
+
+    def test_settle_leaves_two_axis_boxes_alone(self):
+        def objective(a, b):
+            return -(a - 0.41) ** 2 - (b - 0.53) ** 2
+
+        bounds = [(0.0, 1.0), (0.0, 1.0)]
+        assert (optimize.maximize_over_box(objective, bounds, settle=True)
+                == array_grid_maximize_over_box(objective, bounds))
 
     def test_refined_point_at_an_interior_bracket_end_sweeps_again(self):
         # a plateau that ends just inside the upper end of the first bracket, past which
-        # the objective drops: the first sweep refines to within tol of that end, so the
-        # search does not settle and sweeps again, as the old drivers do
+        # the objective drops: the first sweep refines to within tol of that end, so a
+        # settling search does not stop and sweeps again, as the old drivers do
         step = 31 / 63      # the grid node above the best cell, 30/63
         top = step - 0.5e-6
 
@@ -282,7 +270,7 @@ class TestMaximizeOverBox:
         a, b = 30 / 63 - 1 / 63, 30 / 63 + 1 / 63
         first, _, used = optimize.golden_section_max(objective, a, b, 1e-6)
         assert 0.0 <= b - first <= 1e-6
-        got = optimize.maximize_over_box(objective, [(0.0, 1.0)])
+        got = optimize.maximize_over_box(objective, [(0.0, 1.0)], settle=True)
         assert got == array_grid_maximize_over_box(objective, [(0.0, 1.0)])
         assert got[0] == top and got[2] > 64 + used
 
@@ -402,11 +390,9 @@ class TestIcsOneSearch:
     def test_matches_two_phase_search(self, kappa_tau, fix_chi):
         val, (psi, r), phase = two_phase_ics_search(kappa_tau, fix_chi)
         report = optimize.maximize_snr("ics", kappa_tau, fix_chi=fix_chi)
-        bounds, _, _ = ics.IcsConfig.search(kappa_tau, R_MAX, fix_chi)
-        assert_old_optimum((report.best_snr, [report.argmax["psi"], report.argmax["r"]]),
-                           (val, [psi, r]), bounds)
-        assert report.argmax["phase"] == phase
-        psi, r = report.argmax["psi"], report.argmax["r"]
+        assert_old_ics_optimum(report, val, r, kappa_tau)
+        assert (report.argmax["psi"], report.argmax["phase"]) == (psi, phase)
+        r = report.argmax["r"]
         assert report.argmax["omega_2ph_over_kappa"] == ics.ics_omega_from_r(1.0, r)
         if fix_chi is None:
             assert report.argmax["lambda_over_kappa"] == 0.5 * math.tan(psi)
@@ -556,12 +542,28 @@ COMPARISON_GRID = [float(kt) for kt in np.geomspace(1e-2, 1e2, 61)]
 # 3.5e-7 inside it, because its golden sections never sample the edge
 EDGE_MOVES = (13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 25, 26, 29)
 
+# From kappa*tau = 1 on, the fixed-chi ICS search stops after a sweep that stays inside
+# its r box, where the old drivers above sweep again (maximize_snr's settle).  A search
+# whose brackets reach a box edge keeps their bits; a settled one lies within SETTLE_X in
+# r and SETTLE_VALUE relative in the SNR of theirs.
+SETTLE_X, SETTLE_VALUE = 1e-6, 1e-12
+
+
+def assert_old_ics_optimum(report, ref_val, ref_r, kappa_tau):
+    """A fixed-chi ICS report against an old driver's (SNR, r), as judged above."""
+    r = report.argmax["r"]
+    if (report.best_snr, r) == (ref_val, ref_r):
+        return
+    assert kappa_tau >= optimize.ICS_SETTLE_KAPPA_TAU, (kappa_tau, report)
+    assert 0.0 < r < R_MAX and report.converged, (kappa_tau, report)
+    assert math.fabs(r - ref_r) <= SETTLE_X, (kappa_tau, r, ref_r)
+    assert report.best_snr == pytest.approx(ref_val, rel=SETTLE_VALUE), (kappa_tau, report)
+
 
 class TestMaximizeSnrMatchesScan:
     @pytest.mark.parametrize("scheme", ["ies", "standard", "ics"])
     @pytest.mark.parametrize("fix_chi", [0.5, None], ids=["fixed_chi", "free"])
     def test_comparison_grid(self, scheme, fix_chi):
-        config, r_max = SEARCHES[scheme]
         for i, kt in enumerate(COMPARISON_GRID):
             report = optimize.maximize_snr(scheme, kt, fix_chi=fix_chi)
             val, (psi, r, phase) = scan_maximize_snr(scheme, kt, fix_chi)
@@ -569,32 +571,46 @@ class TestMaximizeSnrMatchesScan:
             if scheme == "ics" and fix_chi is None and i in EDGE_MOVES:
                 assert argmax == (psi, R_MAX, phase) and r < R_MAX
                 assert 0.0 < report.best_snr / val - 1.0 < 1.1e-9
-                continue
-            assert report.converged and argmax[2] == phase, (i, kt)
-            # the IES squeeze follows psi in closed form, so only the searched axis is judged
-            axes = [argmax[0], argmax[1]] if scheme == "ics" else [argmax[0]]
-            ref_axes = [psi, r] if scheme == "ics" else [psi]
-            bounds, _, _ = config.search(kt, r_max, fix_chi)
-            assert_old_optimum((report.best_snr, axes), (val, ref_axes), bounds,
-                               rel=SETTLE_VALUE[scheme])
-            if axes == ref_axes:
-                assert argmax == (psi, r, phase), (i, kt)
+            elif scheme == "ics" and fix_chi is not None:
+                assert_old_ics_optimum(report, val, r, kt)
+                assert (argmax[0], argmax[2]) == (psi, phase), (i, kt)
+            else:
+                assert (report.best_snr, argmax) == (val, (psi, r, phase)), (i, kt)
 
 
 @pytest.mark.parametrize("scheme, fix_chi", [("ics", 0.5)])
 def test_one_axis_searches_match_the_array_grid(scheme, fix_chi):
     # the one-axis searches scan their grid with scalar calls; on this grid no cell the
     # numpy pass would pick differs from the one the scalar scan picks (only the ICS
-    # objective takes arrays)
+    # objective takes arrays).  Searches below kappa*tau = 1 or whose brackets reach the
+    # r edge keep every sweep and the same report; the others settle after one sweep
     config, r_max = SEARCHES[scheme]
+    settled = 0
     for kt in COMPARISON_GRID:
         bounds, objective, point = config.search(kt, r_max, fix_chi)
         _, x, evals, converged = array_grid_maximize_over_box(objective, bounds)
-        val, argmax = point(*x)
+        old = optimize.OptimumReport(*point(*x), evals + 1, converged)
         report = optimize.maximize_snr(scheme, kt, fix_chi=fix_chi)
-        assert_old_optimum((report.best_snr, [report.argmax["psi"], report.argmax["r"]]),
-                           (val, [argmax["psi"], argmax["r"]]), bounds)
-        assert report.converged == converged and report.evaluations <= evals + 1, kt
+        if report.evaluations == old.evaluations:
+            assert report == old, kt
+            continue
+        settled += 1
+        assert_old_ics_optimum(report, old.best_snr, old.argmax["r"], kt)
+        assert report.argmax["psi"] == old.argmax["psi"] and report.evaluations < old.evaluations
+    assert settled == 26     # kappa*tau from 1 to 46
+
+
+def test_flat_fixed_chi_top_keeps_its_sweeps():
+    # at kappa*tau = 0.464 the r top is flat to rounding over +-3e-6: a settled search
+    # would stop 1.76e-6 from the old drivers' r, whose own second sweep moved r by as
+    # much.  Below kappa*tau = 1 the search keeps its sweeps and the old report
+    kt = COMPARISON_GRID[25]
+    bounds, objective, point = ics.IcsConfig.search(kt, R_MAX, 0.5)
+    _, x, evals, converged = array_grid_maximize_over_box(objective, bounds)
+    report = optimize.maximize_snr("ics", kt, fix_chi=0.5)
+    assert report == optimize.OptimumReport(*point(*x), evals + 1, converged)
+    _, settled, _, _ = optimize.maximize_over_box(objective, bounds, settle=True)
+    assert math.fabs(settled[1] - x[1]) > SETTLE_X
 
 
 def test_interior_fixed_chi_search_makes_one_refinement_sweep():
@@ -606,11 +622,10 @@ def test_interior_fixed_chi_search_makes_one_refinement_sweep():
 
 def test_short_time_fixed_chi_search_keeps_its_sweeps():
     # at kappa*tau = 0.01 rounding sets the argmax, just below the r = ln 10 edge: every
-    # bracket reaches the edge, so the search keeps its three sweeps and the old bits,
-    # and takes the edge from the grid in each
+    # bracket reaches the edge, so the search keeps its three sweeps and the old report
     bounds, objective, point = ics.IcsConfig.search(0.01, R_MAX, 0.5)
     _, x, evals, converged = array_grid_maximize_over_box(objective, bounds)
     report = optimize.maximize_snr("ics", 0.01, fix_chi=0.5)
-    assert report == optimize.OptimumReport(*point(*x), evals + 1 - 3, converged)
+    assert report == optimize.OptimumReport(*point(*x), evals + 1, converged)
     assert report.argmax["r"] == 2.302574856124044
     assert report.best_snr == pytest.approx(2.356429417229637e-06, rel=1e-10)
