@@ -14,13 +14,13 @@ branch), so no branch of lambda, no complex arithmetic in lambda and no floor
 at the exceptional point chi = 2 Omega is needed.  The paper's angle psi,
 tan psi = 2 lambda/kappa, enters only as kappa^2/4 + lambda^2 =
 (kappa^2/4)/cos^2 psi.  Each form, the mean field's complex products too
-(_state_parts), is written once in real arithmetic with a function namespace
-fn: math for the public scalar API and the search's scalar points, numpy for
-the optimizer's 2-D search grid, mpmath for a high-precision check.  One
-kernel answers for both qubit states: _pair_kernel, built once for a kappa*tau,
-tone and phases, maps (chi, Omega) to the mean records of both states and the
-noise decomposition (G0, Gs, Gc), which shares the signal's integrals i_c, i_s.
-ics_moments, ics_noise_components and the SNR search all run it.
+(_state_parts), is written once in real arithmetic on scalars, with a function
+namespace fn: math for the public API and the SNR search, mpmath for a
+high-precision check.  One kernel answers for both qubit states: _pair_kernel,
+built once for a kappa*tau, tone and phases, maps (chi, Omega) to the mean
+records of both states and the noise decomposition (G0, Gs, Gc), which shares
+the signal's integrals i_c, i_s.  ics_moments, ics_noise_components and the SNR
+search all run it.
 """
 
 from __future__ import annotations
@@ -86,30 +86,21 @@ class IcsConfig(Record):
         linear in phase = sin(2 phi_h - theta), so phase = sign(Gs) (-1 on a
         tie).  At r_max <= ln 10 every point is stable and stationary: 4 Omega
         <= 0.82 kappa and lambda^2 >= -4 Omega^2 > -kappa^2/4.  objective(psi, r)
-        is the SNR: a float from the scalar pair kernel, built once here, or an
-        array in one numpy pass (numpy loads only then); point(psi, r) is
-        (SNR, argmax record).
+        is the SNR, a float from the pair kernel built once here, at float
+        coordinates; point(psi, r) is (SNR, argmax record).
         """
         pair = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 0.0)
 
         def scored(psi, r):
-            if getattr(r, "ndim", 0) == 0:
-                fn, kernel = math, pair
-            else:
-                import numpy as fn
-                kernel = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 0.0, fn)
-            omega = _omega_from_r(1.0, r, fn)
+            omega = _omega_from_r(1.0, r)
             if fix_chi is None:
-                lam = 0.5 * fn.tan(psi)
-                chi = fn.sqrt(lam * lam + 4.0 * omega * omega)
+                lam = 0.5 * math.tan(psi)
+                chi = math.sqrt(lam * lam + 4.0 * omega * omega)
             else:
                 chi = fix_chi
-            up, down, g0, gs, _ = kernel(chi, omega)
+            up, down, g0, gs, _ = pair(chi, omega)
             sep, noise = abs(up - down), 2.0 * g0 - 2.0 * abs(gs)
-            if fn is math:
-                return (sep / math.sqrt(noise) if noise > 0 else 0.0), gs
-            positive = noise > 0
-            return fn.where(positive, sep / fn.sqrt(fn.where(positive, noise, 1.0)), 0.0), gs
+            return (sep / math.sqrt(noise) if noise > 0 else 0.0), gs
 
         def point(psi, r):
             snr, gs = scored(psi, r)
@@ -187,26 +178,16 @@ def _oscillation(x, t, fn=math):
     branch (x < 0, mu = sqrt(-x)) the growth e^{mu t} of cosh and sinh moves
     into g = e^{(mu - 1/2) t}, which stays below 1 for mu < 1/2 at any t, and
     C = (1 + e^{-2 mu t})/2, S = (1 - e^{-2 mu t})/(2 mu), xS = -mu (1 - e^{-2 mu t})/2,
-    with expm1 keeping S accurate as mu -> 0.  t is a scalar and x a scalar
-    or an array: this is the one place where the two take different paths.
+    with expm1 keeping S accurate as mu -> 0.  x and t are scalars of one
+    number type (float or mpmath).
     """
     mu = fn.sqrt(abs(x))
-    if type(x) is float or getattr(x, "ndim", 0) == 0:
-        if x < 0:
-            em = fn.expm1(-2.0 * mu * t)
-            return fn.exp((mu - 0.5) * t), 1.0 + 0.5 * em, -0.5 * em / mu, 0.5 * mu * em
-        lt = mu * t
-        sn = fn.sin(lt)
-        return fn.exp(-0.5 * t), fn.cos(lt), (t * (sn / lt) if lt > 0 else t), mu * sn
-    neg = x < 0
-    mu_neg = fn.where(neg, mu, 0.0)
-    em = fn.expm1(-2.0 * mu_neg * t)
-    lt = fn.where(neg, 0.0, mu * t)
+    if x < 0:
+        em = fn.expm1(-2.0 * mu * t)
+        return fn.exp((mu - 0.5) * t), 1.0 + 0.5 * em, -0.5 * em / mu, 0.5 * mu * em
+    lt = mu * t
     sn = fn.sin(lt)
-    c = fn.where(neg, 1.0 + 0.5 * em, fn.cos(lt))
-    s = fn.where(neg, -0.5 * em / fn.where(neg, mu, 1.0),
-                 fn.where(lt > 0, t * (sn / fn.where(lt > 0, lt, 1.0)), t))
-    return fn.exp((mu_neg - 0.5) * t), c, s, fn.where(neg, 0.5 * mu * em, mu * sn)
+    return fn.exp(-0.5 * t), fn.cos(lt), (t * (sn / lt) if lt > 0 else t), mu * sn
 
 
 def _tone_phases(phi_in, theta, fn=math):
@@ -315,16 +296,12 @@ def _pair_kernel(kt, alpha_in, phi_in, phi_h, theta, fn=math):
         den = x + 0.25
         i_c = (0.5 + g * (xs - 0.5 * c)) / den
         i_s = (1.0 - g * (c + 0.5 * s)) / den
-        # each array goes once it is used, so a numpy grid pass holds fewer at a time
-        # and grows the heap (page faults) about half as often
-        del g, c, s, xs
         f0 = (0.5 * (kt - i_c) + x * i_s) / den
         f1 = (kt - i_c - 0.5 * i_s) / den
         f, q2 = 2.0 * f0 + f1, 2.0 * om
         tr, t12, y = _sandwich(i_c, i_s, x, om, den)
         g0, gs, gc = (kt + 4.0 * om * om * f / den + 0.5 * tr,
                       q2 * (f0 - 2.0 * x * f1) / den - t12, y - q2 * f / den)
-        del f0, f1, f, tr, t12, y
         pref, u0r, u0i, usr, usi, d0r, d0i, dsr, dsi = _state_parts(chi, om, x, alpha_in,
                                                                     er, ei, o_r, o_i)
         # J = a_bar kt + pref (jr + i ji) per state.  CPython before 3.14 multiplies
@@ -357,8 +334,8 @@ def ics_squeeze_param(kappa: float, omega_2ph: float) -> float:
     return math.log((kappa + 4.0 * omega_2ph) / (kappa - 4.0 * omega_2ph))
 
 
-def _omega_from_r(kappa, r, fn=math):
-    e = fn.exp(r)
+def _omega_from_r(kappa, r):
+    e = math.exp(r)
     return 0.25 * kappa * (e - 1.0) / (e + 1.0)
 
 

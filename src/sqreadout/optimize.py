@@ -1,16 +1,15 @@
 """SNR maximization over (psi, r) boxes.
 
 The SNR surfaces carry trigonometric ripples from the exp(-kappa*tau/2)
-transients, so the search is a dense coarse grid followed by coordinate-wise
-golden-section refinement rather than anything gradient-based.  A box with one
-free axis scans its grid with one scalar objective call per point; a box with
-two is one array evaluation of the objective on the numpy grid, which only
-picks the best cell.  That cell and every refinement point are evaluated with
-floats, so each value a search returns comes from the scalar closed forms, and
-a one-axis search loads no numpy.  From kappa*tau = 1 on, the fixed-coupling
-ICS search over r stops after its first sweep when that sweep stays inside the
-box (maximize_snr).  Each scheme's config type supplies its own box and
-objective (IesConfig.search, IcsConfig.search).
+transients, so the search is a coarse grid followed by coordinate-wise
+golden-section refinement rather than anything gradient-based; with two free
+axes, pattern moves along each sweep's displacement follow the diagonal
+(psi, r) ridge of the free ICS optimum.  Every point, grid cells included, is
+one scalar objective call, so a search returns values of the scalar closed
+forms and loads no numpy.  From kappa*tau = 1 on, the fixed-coupling ICS
+search over r stops after its first sweep when that sweep stays inside the box
+(maximize_snr).  Each scheme's config type supplies its own box and objective
+(IesConfig.search, IcsConfig.search).
 """
 
 from __future__ import annotations
@@ -59,61 +58,48 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 def maximize_over_box(objective: Callable[..., float],
                       bounds: Sequence[tuple[float, float]],
                       settle: bool = False) -> tuple[float, list, int, bool]:
-    """64-point grid per axis, then coordinate-descent golden sections to 1e-6.
+    """Coarse grid, then coordinate-descent golden sections to 1e-6 with pattern moves.
 
-    objective takes one coordinate per axis.  The grid only picks the best cell:
-    a NaN cell never wins, and ties break deterministically toward the smallest
-    coordinates, last coordinate first.  With at most one free axis the grid is
-    one scalar call per point; with more it is one call with the ij-indexed
-    numpy meshgrid of the axes.  The chosen cell and every refinement point are
-    evaluated with float coordinates, so the returned value never falls below
-    the scalar value of the chosen cell.  Each sweep brackets every free axis
-    by one grid cell on either side of the current point, clipped to the box.
-    A bracket that reaches the box edge also evaluates the edge, which wins if
-    it is better.  A search stops after a sweep that moves no coordinate by
-    1e-6.  With settle, a box with one free axis also stops after a sweep whose
-    bracket lies strictly inside the box and whose refined point lies more than
-    1e-6 inside that bracket.  That point is the golden section's maximum of the
-    bracket to 1e-6; the search gives up the second sweep, which brackets it
-    again and may find a better point within that tolerance, or, on a top flat
-    to rounding, a point farther away.  Returns (best_value, argmax,
-    evaluations, converged); evaluations counts the grid cells and the
-    refinement points (a two-axis grid's chosen cell is evaluated again as a
-    float and not counted), and converged means the search stopped by one of
-    those rules within 200 sweeps.
+    objective takes one float coordinate per axis and is called once per point.
+    The grid has 64 points per free axis when the box has one free axis and 16
+    when it has more.  It only picks the best cell: a NaN cell never wins, and
+    ties break deterministically toward the smallest coordinates, last
+    coordinate first.  Each sweep brackets every free axis by one grid cell on
+    either side of the current point, clipped to the box.  A bracket that
+    reaches the box edge also evaluates the edge, which wins if it is better.
+    With two or more free axes, a sweep from start to x is followed by pattern
+    moves (Hooke and Jeeves): start + 2^k (x - start), clipped to the box, for
+    k = 1, 2, ..., each kept while it improves the value, so the search follows
+    a diagonal ridge instead of crawling along it.  A search stops after a
+    sweep that moves no coordinate by 1e-6.  With settle, a box with one free
+    axis also stops after a sweep whose bracket lies strictly inside the box
+    and whose refined point lies more than 1e-6 inside that bracket.  That
+    point is the golden section's maximum of the bracket to 1e-6; the search
+    gives up the second sweep, which brackets it again and may find a better
+    point within that tolerance, or, on a top flat to rounding, a point farther
+    away.  Returns (best_value, argmax, evaluations, converged); evaluations
+    counts every objective call, and converged means the search stopped by one
+    of those rules within 200 sweeps.
     """
-    n, tol = 64, 1e-6
-    axes = []
-    for lo, hi in bounds:
-        if hi < lo:
-            raise ValueError("empty bounds")
-        if hi == lo:
-            axes.append([lo])
-        else:
-            axes.append([lo + (hi - lo) * i / (n - 1) for i in range(n)])
-
-    free = sum(len(axis) > 1 for axis in axes)
-    if free <= 1:
-        cells = [list(cell) for cell in itertools.product(*axes)]
-        values = [objective(*cell) for cell in cells]
-        # a NaN cell never wins; the first maximum breaks ties
-        ranked = [-math.inf if v != v else v for v in values]
-        best = ranked.index(max(ranked))
-        x, best_val, evals = cells[best], values[best], len(cells)
-    else:
-        import numpy as np
-        shape = tuple(len(axis) for axis in axes)
-        grid = np.broadcast_to(objective(*np.meshgrid(*axes, indexing="ij")), shape)
-        # a NaN cell never wins; the first maximum along the reversed axes breaks ties
-        ranked = np.where(np.isnan(grid), -np.inf, grid).transpose().ravel()
-        best = np.unravel_index(int(np.argmax(ranked)), shape[::-1])[::-1]
-        x = [axis[i] for axis, i in zip(axes, best)]
-        best_val = objective(*x)
-        evals = grid.size
+    tol = 1e-6
+    if any(hi < lo for lo, hi in bounds):
+        raise ValueError("empty bounds")
+    free = sum(hi > lo for lo, hi in bounds)
+    n = 64 if free <= 1 else 16
+    axes = [[lo] if hi == lo else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+            for lo, hi in bounds]
+    # the last coordinate outermost: the first maximum has the smallest coordinates,
+    # last coordinate first
+    cells = [list(cell[::-1]) for cell in itertools.product(*axes[::-1])]
+    values = [objective(*cell) for cell in cells]
+    # a NaN cell never wins
+    ranked = [-math.inf if v != v else v for v in values]
+    best = ranked.index(max(ranked))
+    x, best_val, evals = cells[best], values[best], len(cells)
 
     converged = False
     for _ in range(200):
-        moved, settled = 0.0, False
+        start, moved, settled = list(x), 0.0, False
         for i, (lo, hi) in enumerate(bounds):
             if hi == lo:
                 continue
@@ -143,6 +129,18 @@ def maximize_over_box(objective: Callable[..., float],
         if moved < tol or settled:
             converged = True
             break
+        # pattern moves (Hooke and Jeeves): 2, 4, 8, ... times the sweep's displacement
+        step = 2.0
+        while free > 1:
+            trial = [min(hi, max(lo, s + step * (xi - s)))
+                     for s, xi, (lo, hi) in zip(start, x, bounds)]
+            if trial == x:      # clipped to the point itself
+                break
+            v = objective(*trial)
+            evals += 1
+            if not v > best_val:
+                break
+            x, best_val, step = trial, v, 2.0 * step
     return best_val, x, evals, converged
 
 
@@ -169,14 +167,18 @@ def maximize_snr(scheme: str, kappa_tau: float,
     the fixed-coupling reference curves: for 'ies' and 'standard' it pins psi,
     and a box with no free axis is evaluated once, without a search; for 'ics'
     only r is searched, and from kappa_tau = ICS_SETTLE_KAPPA_TAU on that search
-    settles (maximize_over_box).  The SNR is linear in alpha_in, so scale
-    best_snr for another amplitude.  Deterministic: identical inputs yield
-    identical reports, whose values are Python floats.
+    settles (maximize_over_box).  A non-finite or non-positive kappa_tau, or a
+    non-finite fix_chi, raises ValueError.  The SNR is linear in alpha_in, so
+    scale best_snr for another amplitude.  evaluations counts every objective
+    call of the search plus the reported point.  Deterministic: identical
+    inputs yield identical reports, whose values are Python floats.
     """
     if scheme not in _SEARCHES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {sorted(_SEARCHES)}")
-    if not kappa_tau > 0:
-        raise ValueError("kappa_tau must be positive")
+    if not 0 < kappa_tau < math.inf:
+        raise ValueError(f"kappa_tau must be positive and finite, got {kappa_tau}")
+    if fix_chi is not None and not math.isfinite(fix_chi):
+        raise ValueError(f"fix_chi must be finite, got {fix_chi}")
     config, r_max = _SEARCHES[scheme]
     # floats, so that a numpy scalar input makes neither slow arithmetic nor numpy fields
     bounds, objective, point = config.search(float(kappa_tau), r_max,

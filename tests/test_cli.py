@@ -696,6 +696,18 @@ print(json.dumps([code, "numpy" in sys.modules]))
 """
         assert fresh_interpreter(code, str(tmp_path)) == [0, False]
 
+    def test_free_ics_builders_run_without_numpy(self):
+        # the free (psi, r) search scans a 16x16 grid with scalar calls, so figS3 and the
+        # figS4 pointer states at its optimum make no arrays either
+        code = """
+import json, sys
+from sqreadout import figures
+figures.figS3_rows(grid=[0.1, 1.0, 10.0])
+figures.figS4_rows(grid=[1.0])
+print(json.dumps("numpy" in sys.modules))
+"""
+        assert fresh_interpreter(code) is False
+
     def test_each_command_loads_only_its_modules(self, tmp_path):
         # fresh interpreters: the cli imports core alone, snr adds its scheme's module and
         # oracle-check also the oracle; no command loads dataclasses (or the inspect it

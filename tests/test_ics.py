@@ -192,21 +192,21 @@ class TestSignal:
         assert m.signal_up - m.signal_down == pytest.approx(val.real, rel=1e-9, abs=1e-10)
 
 
-def per_state_signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
+def per_state_signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma):
     """<M> at kappa = 1 for one qubit state, as written before the pair kernel:
     lambda^2, the integrals and every phase factor are computed again for each
     sigma, in complex arithmetic."""
     x = chi * chi - 4.0 * om * om
-    e_in = fn.cos(phi_in) + 1j * fn.sin(phi_in)
-    e_out = fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in)
+    e_in = math.cos(phi_in) + 1j * math.sin(phi_in)
+    e_out = math.cos(theta - phi_in) + 1j * math.sin(theta - phi_in)
     t0 = 4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in
     ts = -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out)
     pref = 2.0 * alpha_in / (1.0 + 4.0 * x)
-    g, c, s, xs = ics._oscillation(x, kt, fn)
+    g, c, s, xs = ics._oscillation(x, kt)
     i_c, i_s = (0.5 + g * (xs - 0.5 * c)) / (x + 0.25), (1.0 - g * (c + 0.5 * s)) / (x + 0.25)
-    a_bar = alpha_in * (fn.cos(phi_in) + 1j * fn.sin(phi_in))
+    a_bar = alpha_in * (math.cos(phi_in) + 1j * math.sin(phi_in))
     j = a_bar * kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
-    return 2.0 * (j.real * fn.cos(phi_h) + j.imag * fn.sin(phi_h))
+    return 2.0 * (j.real * math.cos(phi_h) + j.imag * math.sin(phi_h))
 
 
 def pair_arguments(rng, kt, n):
@@ -240,27 +240,11 @@ class TestSignalPair:
             m = ics.ics_moments(p, cfg)
             assert (up, down) == (m.signal_up, m.signal_down)
             assert tuple(noise) == ics.ics_noise_components(p, cfg)
-
-    @pytest.mark.parametrize("kt", KAPPA_TAUS)
-    def test_arrays(self, kt):
-        rng = np.random.default_rng(int(kt * 1e4) + 1)
-        kt, chi, om, a, phi_in, phi_h, theta = pair_arguments(rng, kt, 30)
-        up, down, *noise = ics._pair_kernel(kt, a, phi_in, phi_h, theta, np)(chi, om)
-        # arrays run the real spelling of the floats; numpy's elementary functions and
-        # complex loops round apart from libm's and CPython's in a few entries, by up to
-        # 1.1e-13 a max(kt, 1) where the short-time integrals cancel
-        pair = ics._pair_kernel(kt, a, phi_in, phi_h, theta)
-        floats = np.array([pair(c, w)[:2] for c, w in zip(chi.tolist(), om.tolist())]).T
-        floor = 1e-12 * a * max(kt, 1.0)
-        for sigma, got, want in ((1, up, floats[0]), (-1, down, floats[1])):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=floor)
-            np.testing.assert_allclose(got, per_state_signal(kt, chi, om, a, phi_in, phi_h, theta,
-                                                             sigma, np), rtol=0.0, atol=floor)
-        x = chi * chi - 4.0 * om * om
-        g, c, s, xs = ics._oscillation(x, kt, np)
-        integrals = (0.5 + g * (xs - 0.5 * c)) / (x + 0.25), (1.0 - g * (c + 0.5 * s)) / (x + 0.25)
-        for got, want in zip(noise, reference_forms.noise_components(kt, chi, om, integrals)):
-            assert np.array_equal(got, want)
+            x = c * c - 4.0 * w * w
+            g, co, si, xs = ics._oscillation(x, kt)
+            integrals = ((0.5 + g * (xs - 0.5 * co)) / (x + 0.25),
+                         (1.0 - g * (co + 0.5 * si)) / (x + 0.25))
+            assert tuple(noise) == reference_forms.noise_components(kt, c, w, integrals)
 
 
 class TestNoise:
