@@ -192,21 +192,35 @@ class TestSignal:
         assert m.signal_up - m.signal_down == pytest.approx(val.real, rel=1e-9, abs=1e-10)
 
 
-def per_state_signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma):
+def array_oscillation(x, t):
+    """ics._oscillation over an array of lambda^2, each branch picked by np.where."""
+    mu = np.sqrt(abs(x))
+    neg = x < 0
+    mu_neg = np.where(neg, mu, 0.0)
+    em = np.expm1(-2.0 * mu_neg * t)
+    lt = np.where(neg, 0.0, mu * t)
+    sn = np.sin(lt)
+    c = np.where(neg, 1.0 + 0.5 * em, np.cos(lt))
+    s = np.where(neg, -0.5 * em / np.where(neg, mu, 1.0),
+                 np.where(lt > 0, t * (sn / np.where(lt > 0, lt, 1.0)), t))
+    return np.exp((mu_neg - 0.5) * t), c, s, np.where(neg, 0.5 * mu * em, mu * sn)
+
+
+def per_state_signal(kt, chi, om, alpha_in, phi_in, phi_h, theta, sigma, fn=math):
     """<M> at kappa = 1 for one qubit state, as written before the pair kernel:
     lambda^2, the integrals and every phase factor are computed again for each
-    sigma, in complex arithmetic."""
+    sigma, in complex arithmetic.  With fn = np, chi and om are arrays."""
     x = chi * chi - 4.0 * om * om
-    e_in = math.cos(phi_in) + 1j * math.sin(phi_in)
-    e_out = math.cos(theta - phi_in) + 1j * math.sin(theta - phi_in)
+    e_in = fn.cos(phi_in) + 1j * fn.sin(phi_in)
+    e_out = fn.cos(theta - phi_in) + 1j * fn.sin(theta - phi_in)
     t0 = 4j * om * e_out - (1.0 - 2j * sigma * chi) * e_in
     ts = -((2.0 * x + 1j * sigma * chi) * e_in + 2j * om * e_out)
     pref = 2.0 * alpha_in / (1.0 + 4.0 * x)
-    g, c, s, xs = ics._oscillation(x, kt)
+    g, c, s, xs = (array_oscillation if fn is np else ics._oscillation)(x, kt)
     i_c, i_s = (0.5 + g * (xs - 0.5 * c)) / (x + 0.25), (1.0 - g * (c + 0.5 * s)) / (x + 0.25)
-    a_bar = alpha_in * (math.cos(phi_in) + 1j * math.sin(phi_in))
+    a_bar = alpha_in * (fn.cos(phi_in) + 1j * fn.sin(phi_in))
     j = a_bar * kt + pref * (t0 * kt + ts * i_s - t0 * i_c)
-    return 2.0 * (j.real * math.cos(phi_h) + j.imag * math.sin(phi_h))
+    return 2.0 * (j.real * fn.cos(phi_h) + j.imag * fn.sin(phi_h))
 
 
 def pair_arguments(rng, kt, n):
@@ -245,6 +259,27 @@ class TestSignalPair:
             integrals = ((0.5 + g * (xs - 0.5 * co)) / (x + 0.25),
                          (1.0 - g * (co + 0.5 * si)) / (x + 0.25))
             assert tuple(noise) == reference_forms.noise_components(kt, c, w, integrals)
+
+    @pytest.mark.parametrize("kt", KAPPA_TAUS)
+    def test_arrays(self, kt):
+        rng = np.random.default_rng(int(kt * 1e4) + 1)
+        kt, chi, om, a, phi_in, phi_h, theta = pair_arguments(rng, kt, 30)
+        pair = ics._pair_kernel(kt, a, phi_in, phi_h, theta)
+        up, down, *noise = np.array([pair(c, w) for c, w in zip(chi.tolist(), om.tolist())]).T
+        # the per-state form evaluated over whole arrays: numpy's elementary functions
+        # and complex loops round apart from libm's and CPython's in a few entries, by
+        # up to 1.1e-13 a max(kt, 1) where the short-time integrals cancel
+        floor = 1e-12 * a * max(kt, 1.0)
+        for sigma, got in ((1, up), (-1, down)):
+            np.testing.assert_allclose(got, per_state_signal(kt, chi, om, a, phi_in, phi_h, theta,
+                                                             sigma, np), rtol=0.0, atol=floor)
+        # the noise components over arrays of the kernel's own float integrals: numpy's
+        # +, *, / round as CPython's do, so the bits agree
+        x = chi * chi - 4.0 * om * om
+        g, c, s, xs = np.array([ics._oscillation(v, kt) for v in x.tolist()]).T
+        integrals = (0.5 + g * (xs - 0.5 * c)) / (x + 0.25), (1.0 - g * (c + 0.5 * s)) / (x + 0.25)
+        for got, want in zip(noise, reference_forms.noise_components(kt, chi, om, integrals)):
+            assert np.array_equal(got, want)
 
 
 class TestNoise:
