@@ -2,14 +2,15 @@
 
 The SNR surfaces carry trigonometric ripples from the exp(-kappa*tau/2)
 transients, so the search is a coarse grid followed by coordinate-wise
-golden-section refinement rather than anything gradient-based; with two free
-axes, pattern moves along each sweep's displacement follow the diagonal
-(psi, r) ridge of the free ICS optimum.  Every point, grid cells included, is
-one scalar objective call, so a search returns values of the scalar closed
-forms and loads no numpy.  From kappa*tau = 1 on, the fixed-coupling ICS
-search over r stops after its first sweep when that sweep stays inside the box
-(maximize_snr).  Each scheme's config type supplies its own box and objective
-(IesConfig.search, IcsConfig.search).
+golden-section refinement rather than anything gradient-based.  A box with one
+free axis finds its grid's best cell by a coarse-to-fine stride walk that sees
+10 to 17 of the 64 points; with two free axes, pattern moves along each sweep's
+displacement follow the diagonal (psi, r) ridge of the free ICS optimum.  Every
+point, grid cells included, is one scalar objective call, so a search returns
+values of the scalar closed forms and loads no numpy.  From kappa*tau = 1 on,
+the fixed-coupling ICS search over r stops after its first sweep when that
+sweep stays inside the box (maximize_snr).  Each scheme's config type supplies
+its own box and objective (IesConfig.search, IcsConfig.search).
 """
 
 from __future__ import annotations
@@ -35,7 +36,16 @@ class OptimumReport(Record):
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
                        tol: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi] to width tol; returns (x, f(x), evals)."""
+    """Golden-section maximization on [lo, hi] to width tol; returns (x, f(x), evals).
+
+    Ends that are not finite or not in order, or a tol that is not positive and
+    finite, raise ValueError: the bracket cannot shrink below a few ulps of its
+    ends, so tol <= 0 never ends.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"golden section ends must be finite and in order, got ({lo}, {hi})")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"golden section tol must be positive and finite, got {tol}")
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -55,6 +65,31 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return x, max(fc, fd), evals
 
 
+def _stride_walk(value: Callable[[int], float], n: int) -> tuple[int, float, int]:
+    """First maximum of value(0), ..., value(n - 1) by strides of 16, 4 and 1.
+
+    The first stride evaluates 0, 16, 32, ... and n - 1; each finer stride
+    evaluates only the open interval between the neighbours of the best point so
+    far, and no point is evaluated twice.  The best point is the first maximum of
+    the points seen, a NaN ranking as -inf.  That is the full scan's first
+    maximum when the values rise strictly up to it and never rise after it (a
+    leading NaN run does no harm once the first stride sees a value above
+    -inf).  Returns (index, value, evaluations).
+    """
+    seen: dict[int, float] = {}
+    best, top = 0, -math.inf
+    lo, hi = 0, n - 1
+    for stride in (16, 4, 1):
+        for i in (lo, *range(lo + stride, hi, stride), hi):
+            if i not in seen:
+                v = seen[i] = value(i)
+                if v > top or (v == top and i < best):     # a NaN never wins
+                    best, top = i, v
+        lo = max((i for i in seen if i < best), default=best)
+        hi = min((i for i in seen if i > best), default=best)
+    return best, seen[best], len(seen)
+
+
 def maximize_over_box(objective: Callable[..., float],
                       bounds: Sequence[tuple[float, float]],
                       settle: bool = False) -> tuple[float, list, int, bool]:
@@ -64,9 +99,14 @@ def maximize_over_box(objective: Callable[..., float],
     The grid has 64 points per free axis when the box has one free axis and 16
     when it has more.  It only picks the best cell: a NaN cell never wins, and
     ties break deterministically toward the smallest coordinates, last
-    coordinate first.  Each sweep brackets every free axis by one grid cell on
-    either side of the current point, clipped to the box.  A bracket that
-    reaches the box edge also evaluates the edge, which wins if it is better.
+    coordinate first.  A box with one free axis finds that cell by a walk of
+    strides 16, 4 and 1 over its 64 points (_stride_walk: 10 to 17 of them),
+    which picks the full scan's cell when the values rise strictly to their
+    first maximum and never rise after it; a box with more free axes scans its
+    whole grid, whose values need not be unimodal.  Each sweep brackets every
+    free axis by one grid cell on either side of the current point, clipped to
+    the box.  A bracket that reaches the box edge also evaluates the edge,
+    which wins if it is better.
     With two or more free axes, a sweep from start to x is followed by pattern
     moves (Hooke and Jeeves): start + 2^k (x - start), clipped to the box, for
     k = 1, 2, ..., each kept while it improves the value, so the search follows
@@ -80,22 +120,37 @@ def maximize_over_box(objective: Callable[..., float],
     away.  Returns (best_value, argmax, evaluations, converged); evaluations
     counts every objective call, and converged means the search stopped by one
     of those rules within 200 sweeps.
+    Non-finite or empty bounds raise ValueError.
     """
     tol = 1e-6
-    if any(hi < lo for lo, hi in bounds):
-        raise ValueError("empty bounds")
+    for lo, hi in bounds:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"non-finite bounds ({lo}, {hi})")
+        if hi < lo:
+            raise ValueError("empty bounds")
     free = sum(hi > lo for lo, hi in bounds)
     n = 64 if free <= 1 else 16
     axes = [[lo] if hi == lo else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
             for lo, hi in bounds]
-    # the last coordinate outermost: the first maximum has the smallest coordinates,
-    # last coordinate first
-    cells = [list(cell[::-1]) for cell in itertools.product(*axes[::-1])]
-    values = [objective(*cell) for cell in cells]
-    # a NaN cell never wins
-    ranked = [-math.inf if v != v else v for v in values]
-    best = ranked.index(max(ranked))
-    x, best_val, evals = cells[best], values[best], len(cells)
+    if free == 1:
+        k = next(i for i, ax in enumerate(axes) if len(ax) == n)
+
+        def grid_point(i: int) -> list:
+            point = [ax[0] for ax in axes]
+            point[k] = axes[k][i]
+            return point
+
+        best, best_val, evals = _stride_walk(lambda i: objective(*grid_point(i)), n)
+        x = grid_point(best)
+    else:
+        # the last coordinate outermost: the first maximum has the smallest coordinates,
+        # last coordinate first
+        cells = [list(cell[::-1]) for cell in itertools.product(*axes[::-1])]
+        values = [objective(*cell) for cell in cells]
+        # a NaN cell never wins
+        ranked = [-math.inf if v != v else v for v in values]
+        best = ranked.index(max(ranked))
+        x, best_val, evals = cells[best], values[best], len(cells)
 
     converged = False
     for _ in range(200):

@@ -1,11 +1,15 @@
 import itertools
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from sqreadout.core import PSI_BOUNDS_DEFAULT, BracketError, QubitState, ReadoutParams, bisect
 from sqreadout import ics, ies, optimize
+
+import mp_reference
 
 R_MAX = optimize.R_MAX_DEFAULT
 
@@ -72,24 +76,44 @@ def scan_maximize_over_box(objective, bounds):
     return best_val, x, evals, converged
 
 
-def array_grid_maximize_over_box(objective, bounds):
+def stride_walk_evaluations(values):
+    """Reference: how many of a one-axis grid's 64 values the stride walk evaluates.
+
+    The walk sees the points 0, 16, 32, 48 and 63, then each stride of 4 and of 1
+    between the neighbours (among the points seen) of the first maximum seen so
+    far, a NaN below every number.
+    """
+    seen = {0, 16, 32, 48, 63}
+    for stride in (4, 1):
+        best = max(sorted(seen), key=lambda i: -math.inf if math.isnan(values[i]) else values[i])
+        below = max([i for i in seen if i < best], default=best)
+        above = min([i for i in seen if i > best], default=best)
+        seen.update(range(below, above, stride))
+    return len(seen)
+
+
+def array_grid_maximize_over_box(objective, bounds, settle=False):
     """Reference: maximize_over_box as it was before a box with one free axis became a scalar
     scan: a 64-point grid per axis for every box, whose best cell is the first maximum
     along the reversed axes (NaN never wins), then sweeps without pattern moves.  The
-    former array pass is evaluated one point at a time, in the order of its ranking."""
+    former array pass is evaluated one point at a time, in the order of its ranking.  A
+    box with one free axis still picks its cell from the full scan, but counts the
+    evaluations of the stride walk, and with settle stops as maximize_over_box does."""
     n, tol = 64, 1e-6
     axes = [[lo] if hi == lo else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
             for lo, hi in bounds]
-    best_val, x, evals = -math.inf, None, 0
+    best_val, x, values = -math.inf, None, []
     for cell in itertools.product(*reversed(axes)):
         v = objective(*reversed(cell))
-        evals += 1
+        values.append(v)
         if x is None or v > best_val:
             best_val, x = (-math.inf if math.isnan(v) else v), list(reversed(cell))
     best_val = objective(*x)
+    free = sum(hi > lo for lo, hi in bounds)
+    evals = stride_walk_evaluations(values) if free == 1 else len(values)
     converged = False
     for _ in range(200):
-        moved = 0.0
+        moved, settled = 0.0, False
         for i, (lo, hi) in enumerate(bounds):
             if hi == lo:
                 continue
@@ -103,6 +127,8 @@ def array_grid_maximize_over_box(objective, bounds):
 
             xi, vi, used = optimize.golden_section_max(slice_f, a, b, tol)
             evals += used
+            settled = (settle and free == 1 and lo < a and b < hi
+                       and min(xi - a, b - xi) > tol)
             for edge, reached in ((lo, a == lo), (hi, b == hi)):
                 if reached:
                     v_edge = slice_f(edge)
@@ -113,7 +139,7 @@ def array_grid_maximize_over_box(objective, bounds):
                 moved = max(moved, abs(xi - x[i]))
                 x[i] = xi
                 best_val = vi
-        if moved < tol:
+        if moved < tol or settled:
             converged = True
             break
     return best_val, x, evals, converged
@@ -219,7 +245,38 @@ class TestBisect:
             prev = res
 
 
+class TestGoldenSection:
+    @pytest.mark.parametrize("lo, hi, tol, name", [
+        (0.0, 1.0, 0.0, "tol"), (0.0, 1.0, -1e-6, "tol"), (0.0, 1.0, math.nan, "tol"),
+        (0.0, 1.0, math.inf, "tol"), (0.0, math.inf, 1e-6, "ends"),
+        (-math.inf, 1.0, 1e-6, "ends"), (math.nan, 1.0, 1e-6, "ends"), (1.0, 0.0, 1e-6, "ends")],
+        ids=["zero_tol", "negative_tol", "nan_tol", "inf_tol", "inf_hi", "inf_lo", "nan_lo",
+             "reversed"])
+    def test_unusable_arguments_raise(self, lo, hi, tol, name):
+        # tol <= 0 spun forever once the bracket stalled a few ulps wide; reversed ends
+        # returned an unrefined probe point after two evaluations
+        calls = itertools.count()
+
+        def f(x):
+            if next(calls) > 10_000:
+                raise RuntimeError("golden section did not stop")
+            return -(x - 0.3) ** 2
+
+        with pytest.raises(ValueError, match=name):
+            optimize.golden_section_max(f, lo, hi, tol)
+
+
 class TestMaximizeOverBox:
+    @pytest.mark.parametrize("bounds", [
+        [(0.0, math.inf)], [(math.nan, 1.0)], [(0.0, math.nan)], [(-math.inf, 0.0)],
+        [(0.0, 1.0), (0.0, math.inf)]],
+        ids=["inf_hi", "nan_lo", "nan_hi", "inf_lo", "second_axis"])
+    def test_non_finite_bounds_are_named(self, bounds):
+        # each of these searched a NaN grid and reported (nan, [nan], 67-70, True)
+        bad = next(b for b in bounds if not all(map(math.isfinite, b)))
+        with pytest.raises(ValueError, match=re.escape(f"non-finite bounds {bad}")):
+            optimize.maximize_over_box(lambda *x: -sum(xi * xi for xi in x), bounds)
+
     def test_parabola_vertex(self):
         val, x, evals, converged = optimize.maximize_over_box(
             lambda a, b: -(a - 0.3) ** 2 - (b - 0.7) ** 2, [(0.0, 1.0), (0.0, 1.0)])
@@ -294,13 +351,16 @@ class TestMaximizeOverBox:
     @pytest.mark.parametrize("bounds", [[(0.3, 0.3), (0.1, 0.9)], [(0.0, 1.0), (0.8, 0.8)]],
                              ids=["free_b", "free_a"])
     def test_one_free_axis_matches_the_array_grid(self, objective, bounds):
-        # the scalar grid keeps the array grid's rules: NaN never wins, the first maximum does
+        # the stride walk picks the full grid's cell: NaN never wins, the first maximum does
         got = optimize.maximize_over_box(objective, bounds)
         assert got == array_grid_maximize_over_box(objective, bounds)
 
     def test_one_free_axis_of_nan_picks_its_first_cell(self):
         val, x, evals, converged = optimize.maximize_over_box(lambda a: math.nan, [(0.2, 1.0)])
-        assert math.isnan(val) and x == [0.2] and evals > 64 and converged
+        # the walk sees cells 0, 16, 32, 48, 63, then 4, 8, 12, then 1, 2, 3; the sweep
+        # adds one golden section over the first grid cell and the lower box edge
+        _, _, used = optimize.golden_section_max(lambda a: math.nan, 0.2, 0.2 + 0.8 / 63, 1e-6)
+        assert math.isnan(val) and x == [0.2] and evals == 11 + used + 1 and converged
 
     def test_settle_stops_an_interior_search_after_one_sweep(self):
         # the refined point is the first bracket's maximum to 1e-6; the old drivers sweep
@@ -315,7 +375,8 @@ class TestMaximizeOverBox:
         best = round(0.49 / cell) * cell
         first, first_val, used = optimize.golden_section_max(objective, best - cell,
                                                              best + cell, 1e-6)
-        assert (val, x, evals, converged) == (first_val, [first], 64 + used, True)
+        # the walk sees 17 of the 64 cells: 5 at stride 16, then 6 at strides 4 and 1
+        assert (val, x, evals, converged) == (first_val, [first], 17 + used, True)
         assert ref_evals > evals and abs(x[0] - ref_x[0]) <= 1e-6
         assert val == pytest.approx(ref_val, abs=1e-12)
 
@@ -350,7 +411,7 @@ class TestMaximizeOverBox:
         assert 0.0 <= b - first <= 1e-6
         got = optimize.maximize_over_box(objective, [(0.0, 1.0)], settle=True)
         assert got == array_grid_maximize_over_box(objective, [(0.0, 1.0)])
-        assert got[0] == top and got[2] > 64 + used
+        assert got[0] == top and got[2] > 17 + used
 
 
 class TestMaximizeSnr:
@@ -691,10 +752,10 @@ def test_flat_fixed_chi_top_keeps_its_sweeps():
 
 
 def test_interior_fixed_chi_search_makes_one_refinement_sweep():
-    # the 64-cell grid, one golden section over two r cells and the reported point; the
-    # old drivers sweep a second time (117 evaluations) to confirm the same maximum
+    # the stride walk's 17 of the 64 r cells, one golden section over two r cells and the
+    # reported point; the old drivers sweep a second time (+26) to confirm the same maximum
     report = optimize.maximize_snr("ics", 1.0, fix_chi=0.5)
-    assert report.evaluations == 64 + 26 + 1 and report.converged
+    assert report.evaluations == 17 + 26 + 1 and report.converged
 
 
 def test_short_time_fixed_chi_search_keeps_its_sweeps():
@@ -706,3 +767,56 @@ def test_short_time_fixed_chi_search_keeps_its_sweeps():
     assert report == optimize.OptimumReport(*point(*x), evals + 1, converged)
     assert report.argmax["r"] == 2.302574856124044
     assert report.best_snr == pytest.approx(2.356429417229637e-06, rel=1e-10)
+
+
+def full_grid_report(scheme, kappa_tau, fix_chi=None):
+    """Reference: maximize_snr with its one-axis grid scanned in full (the evaluations
+    still count the stride walk, see array_grid_maximize_over_box)."""
+    config, r_max = SEARCHES[scheme]
+    bounds, objective, point = config.search(kappa_tau, r_max, fix_chi)
+    settle = scheme == "ics" and kappa_tau >= optimize.ICS_SETTLE_KAPPA_TAU
+    _, x, evals, converged = array_grid_maximize_over_box(objective, bounds, settle=settle)
+    return optimize.OptimumReport(*point(*x), evals + 1, converged)
+
+
+@pytest.mark.parametrize("scheme, fix_chi, lo, hi", [
+    ("ies", None, 1e-4, 1e4), ("standard", None, 1e-4, 1e4),
+    ("ics", 0.05, 3e-3, 1e3), ("ics", 0.5, 3e-3, 1e3), ("ics", 5.0, 3e-3, 1e3)])
+def test_stride_walk_picks_the_full_grid_cell(scheme, fix_chi, lo, hi):
+    # every one-axis search of maximize_snr, the same report as with the full grid: the
+    # psi searches over eight decades, the fixed-chi ICS search over r from kappa*tau =
+    # 3e-3 on (below about 2e-3 rounding sets its cell, see the next test)
+    moved = [kt for kt in np.geomspace(lo, hi, 401).tolist()
+             if optimize.maximize_snr(scheme, kt, fix_chi=fix_chi)
+             != full_grid_report(scheme, kt, fix_chi)]
+    assert moved == []
+
+
+def mp_fixed_chi_ics_snr(kappa_tau, chi, r):
+    """The fixed-chi ICS search objective at 60 digits, at the float Omega of r."""
+    omega = ics._omega_from_r(1.0, r)
+    up, down = (mp_reference.ics_signal(kappa_tau, chi, omega, 1.0, 0.0, math.pi / 2.0, 0.0, s)
+                for s in (1, -1))
+    g0, gs, _ = mp_reference.ics_noise_components(kappa_tau, chi, omega)
+    with mpmath.workdps(mp_reference.DPS):
+        return abs(up - down) / mpmath.sqrt(2 * g0 - 2 * abs(gs))
+
+
+@pytest.mark.parametrize("chi, walk_better", [(0.05, False), (0.5, True)])
+def test_short_time_fixed_chi_cell_is_set_by_rounding(chi, walk_better):
+    # below kappa*tau ~ 2e-3 the float objective is rounding noise (the ICS mean keeps
+    # about 16 + 2 log10(kappa*tau) digits): at kappa*tau = 1e-4 the walk and the full
+    # grid pick different cells and report r and SNR apart (by 4.7 % at chi = 0.05, 8e-4
+    # at chi = 0.5), while their 60-digit SNRs differ by 1.1e-5 and 1.2e-6.  Each float
+    # SNR is farther from its own 60-digit value than that, so neither cell is chosen by
+    # the SNR, and both lie below the 60-digit value at the r = ln 10 edge.
+    kt = 1e-4
+    report, old = optimize.maximize_snr("ics", kt, fix_chi=chi), full_grid_report("ics", kt, chi)
+    r, old_r = report.argmax["r"], old.argmax["r"]
+    exact, old_exact = mp_fixed_chi_ics_snr(kt, chi, r), mp_fixed_chi_ics_snr(kt, chi, old_r)
+    edge = mp_fixed_chi_ics_snr(kt, chi, R_MAX)
+    facts = (r, old_r, report.best_snr, old.best_snr, float(exact), float(old_exact), float(edge))
+    assert r != old_r and report.best_snr != old.best_snr, facts
+    gap = abs(exact / old_exact - 1)
+    assert abs(report.best_snr / exact - 1) > gap and abs(old.best_snr / old_exact - 1) > gap, facts
+    assert (exact > old_exact) == walk_better and max(exact, old_exact) < edge, facts
