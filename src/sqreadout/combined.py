@@ -201,34 +201,37 @@ def _signal_pair(params, disp, r, theta):
             combined_signal(disp.omega_sigma_down, disp.psi_sigma_down))
 
 
-def _perp_separation(kt, psi_up, psi_down, phase_up, phase_down):
-    """Signed perpendicular separation over 2 alpha_in/sqrt(kappa), before the e^{2r} gain.
+def _perp_kernel(kt):
+    """(psi_up, psi_down, omega_up*tau, omega_down*tau) -> signed perpendicular separation over
+    2 alpha_in/sqrt(kappa) before the e^{2r} gain, at kappa*tau = kt; 2 - kt, e^{-kt/2} once."""
+    lead, decay = 2.0 - kt, math.exp(-kt / 2.0)
 
-    phase_sigma = omega_sigma*tau.
-    """
-    return ((2.0 - kt + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
-            - (2.0 - kt + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
-            - math.exp(-kt / 2.0)
-            * (math.sin(phase_down) + 2.0 * math.sin(2 * psi_down + phase_down)
-               + math.sin(4 * psi_down + phase_down)
-               - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
+    def perp_separation(psi_up, psi_down, phase_up, phase_down):
+        return ((lead + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
+                - (lead + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
+                - decay
+                * (math.sin(phase_down) + 2.0 * math.sin(2 * psi_down + phase_down)
+                   + math.sin(4 * psi_down + phase_down)
+                   - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
+
+    return perp_separation
 
 
 def _perp_function(params: ReadoutParams, r: float, epsilon: float):
     """omega_sq -> the signed perpendicular separation before the e^{2r} gain, with the bits of
     separation_components.  Built once per solve, which checks (g, epsilon): chi, cosh r,
-    sinh^2 r and 2 alpha_in/sqrt(kappa) are computed here, not per omega_sq."""
+    sinh^2 r, 2 alpha_in/sqrt(kappa) and the _perp_kernel are built here, not per omega_sq."""
     k = params.kappa
     kt = params.kappa_tau
+    separation = _perp_kernel(kt)
     coupling = _chi_sq_function(params.chi / epsilon, r, epsilon)
     amplitude = 2.0 * (params.alpha_in / math.sqrt(k))
 
     def perp(omega_sq):
         csq = coupling(omega_sq)
         up, down = omega_sq + csq, omega_sq - csq
-        return amplitude * _perp_separation(kt, math.atan(2.0 * up / k),
-                                            math.atan(2.0 * down / k),
-                                            up / k * kt, down / k * kt)
+        return amplitude * separation(math.atan(2.0 * up / k), math.atan(2.0 * down / k),
+                                      up / k * kt, down / k * kt)
 
     return perp
 
@@ -243,9 +246,9 @@ def separation_components(params: ReadoutParams, disp: DispersiveParams,
     """
     up, down = _signal_pair(params.with_(phi_h=0.0, phi_in=0.0), disp, r, 0.0)
     p = params.normalized()
-    perp = 2.0 * p.alpha_in * _perp_separation(p.tau, disp.psi_sigma_up, disp.psi_sigma_down,
-                                               disp.omega_sigma_up / params.kappa * p.tau,
-                                               disp.omega_sigma_down / params.kappa * p.tau)
+    perp = 2.0 * p.alpha_in * _perp_kernel(p.tau)(disp.psi_sigma_up, disp.psi_sigma_down,
+                                                  disp.omega_sigma_up / params.kappa * p.tau,
+                                                  disp.omega_sigma_down / params.kappa * p.tau)
     return abs(up - down), math.exp(2.0 * r) * abs(perp)
 
 
@@ -452,15 +455,27 @@ class CombinedConfig(Record):
             w = solve_omega_sq(params, self.r_c, self.epsilon)
         return DispersiveParams.derive(params.kappa, params.chi, self.r_c, w, self.epsilon)
 
-    def moments(self, params: ReadoutParams) -> MeasurementMoments:
+    def delta_p_moments(self, params: ReadoutParams):
+        """delta_p -> moments(params) with that delta_p, reduced like the field; the dispersive
+        parameters and the signals, which do not depend on delta_p, are derived once."""
         disp = self.dispersive(params)
         signals = _signal_pair(params, disp, self.r_c, self.theta)
-        if self.matched:
-            noises = [combined_noise(params, self.r, self.theta)] * 2
-        else:
-            mm = MismatchParams.derive(self.r, self.theta, self.delta_r, self.delta_p)
-            noises = _mismatch_noise_pair(params, disp, self.r, mm, self.theta)
-        return MeasurementMoments(*signals, *noises)
+
+        def moments(delta_p: float) -> MeasurementMoments:
+            if not math.isfinite(delta_p):
+                raise ValueError(f"delta_p must be finite, got {delta_p}")
+            delta_p = reduce_angle(delta_p)
+            if self.delta_r == 0.0 and delta_p == 0.0:
+                noises = [combined_noise(params, self.r, self.theta)] * 2
+            else:
+                mm = MismatchParams.derive(self.r, self.theta, self.delta_r, delta_p)
+                noises = _mismatch_noise_pair(params, disp, self.r, mm, self.theta)
+            return MeasurementMoments(*signals, *noises)
+
+        return moments
+
+    def moments(self, params: ReadoutParams) -> MeasurementMoments:
+        return self.delta_p_moments(params)(self.delta_p)
 
     def linear_system(self, params: ReadoutParams, state: QubitState) -> LinearReadoutSystem:
         """Oracle model: the cavity mode a under H = omega_sigma beta^dag beta, beta =

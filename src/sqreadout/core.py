@@ -166,8 +166,10 @@ class ReadoutParams(Record):
         return self.kappa * self.tau
 
     def normalized(self) -> "ReadoutParams":
-        """Equivalent parameter set in units kappa = 1."""
+        """Equivalent parameter set in units kappa = 1; at kappa = 1, the record itself."""
         k = self.kappa
+        if k == 1.0:
+            return self
         return ReadoutParams(1.0, self.chi / k, self.alpha_in / math.sqrt(k),
                              self.phi_in, self.phi_h, k * self.tau)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import (QubitState, ReadoutParams, fidelity_and_error, replace,
-                   required_tone_amplitude, snr, standard_readout_moments)
+from .core import (QubitState, ReadoutParams, fidelity_and_error, required_tone_amplitude,
+                   snr, standard_readout_moments)
 from . import combined, ics, ies, optimize, phasespace
 
 R_DEFAULT = math.log(10.0)
@@ -42,19 +42,17 @@ def combined_snr(kappa_tau: float, delta_r: float = 0.0, delta_p: float = 0.0) -
 
 
 def _mismatch_snr(kappa_tau: float):
-    """(delta_r, delta_p) -> combined_snr(kappa_tau, delta_r, delta_p), with one omega_sq
-    solve per delta_r; each builder call makes its own.
-
-    The root depends on r_c = r + delta_r but not on delta_p.
-    """
+    """(delta_r, delta_p) -> combined_snr(kappa_tau, delta_r, delta_p), per builder call.  Root,
+    dispersive parameters and signals need no delta_p: one CombinedConfig.delta_p_moments per
+    delta_r, which every delta_p column reads."""
     p = _params(kappa_tau)
-    roots = {}
+    maps = {}
 
     def mismatch_snr(delta_r: float, delta_p: float) -> float:
-        if delta_r not in roots:
-            _, roots[delta_r] = combined.CombinedConfig(
-                r=R_DEFAULT, delta_r=delta_r).operating_point(p)
-        return snr(combined.combined_moments(p, replace(roots[delta_r], delta_p=delta_p)))
+        if delta_r not in maps:
+            op, cfg = combined.CombinedConfig(r=R_DEFAULT, delta_r=delta_r).operating_point(p)
+            maps[delta_r] = cfg.delta_p_moments(op)
+        return snr(maps[delta_r](delta_p))
 
     return mismatch_snr
 
@@ -136,8 +134,8 @@ def _fig3_point(kt: float) -> dict:
 
     # the root does not depend on alpha_in, so one solve serves both amplitudes
     p1 = _params(kt)
-    _, cfg = combined.CombinedConfig(r=R_DEFAULT).operating_point(p1)
-    a_comb = required_tone_amplitude(snr(combined.combined_moments(p1, cfg)), 1.0)
+    op, cfg = combined.CombinedConfig(r=R_DEFAULT).operating_point(p1)
+    a_comb = required_tone_amplitude(snr(cfg.moments(op)), 1.0)
     p = _params(kt, a_comb)
     disp = cfg.dispersive(p)
     row["alpha_combined"] = a_comb

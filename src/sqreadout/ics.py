@@ -91,26 +91,28 @@ class IcsConfig(Record):
         """
         pair = _pair_kernel(kappa_tau, 1.0, SEARCH_PHI_IN, SEARCH_PHI_H, 0.0)
 
-        def scored(psi, r):
+        def coupling(psi, omega):
+            if fix_chi is not None:
+                return fix_chi
+            lam = 0.5 * math.tan(psi)
+            return math.sqrt(lam * lam + 4.0 * omega * omega)
+
+        def objective(psi, r):
             omega = _omega_from_r(1.0, r)
-            if fix_chi is None:
-                lam = 0.5 * math.tan(psi)
-                chi = math.sqrt(lam * lam + 4.0 * omega * omega)
-            else:
-                chi = fix_chi
-            up, down, g0, gs, _ = pair(chi, omega)
-            sep, noise = abs(up - down), 2.0 * g0 - 2.0 * abs(gs)
-            return (sep / math.sqrt(noise) if noise > 0 else 0.0), gs
+            up, down, g0, gs, _ = pair(coupling(psi, omega), omega)
+            noise = 2.0 * g0 - 2.0 * abs(gs)
+            return abs(up - down) / math.sqrt(noise) if noise > 0 else 0.0
 
         def point(psi, r):
-            snr, gs = scored(psi, r)
+            omega = _omega_from_r(1.0, r)
+            gs = pair(coupling(psi, omega), omega)[3]
             key, value = (("lambda_over_kappa", 0.5 * math.tan(psi)) if fix_chi is None
                           else ("chi_over_kappa", fix_chi))
-            return snr, {"psi": psi, "r": r, "phase": 1.0 if gs > 0 else -1.0,
-                         "omega_2ph_over_kappa": _omega_from_r(1.0, r), key: value}
+            return objective(psi, r), {"psi": psi, "r": r, "phase": 1.0 if gs > 0 else -1.0,
+                                       "omega_2ph_over_kappa": omega, key: value}
 
         box = [PSI_BOUNDS_DEFAULT if fix_chi is None else (0.0, 0.0), (0.0, r_max)]
-        return box, lambda psi, r: scored(psi, r)[0], point
+        return box, objective, point
 
 
 class StabilityReport(Record):

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from sqreadout.core import QubitState, ReadoutParams, reduce_angle, snr, standard_readout_moments
+from sqreadout.core import (QubitState, ReadoutParams, reduce_angle, replace, snr,
+                            standard_readout_moments)
 from sqreadout import combined, ies, oracle
 
 LN10 = math.log(10.0)
@@ -178,8 +179,8 @@ class TestSolveOmegaSq:
             raise AssertionError("bisection reached without a sign change")
 
         # a sign-definite separation on the scanned grid; the scan itself must give up
-        monkeypatch.setattr(combined, "_perp_separation",
-                            lambda kt, psi_up, *rest: 0.0 * psi_up + 1.0)
+        monkeypatch.setattr(combined, "_perp_kernel",
+                            lambda kt: lambda psi_up, *rest: 0.0 * psi_up + 1.0)
         monkeypatch.setattr(combined, "_bisect_bracket", never_called)
         with pytest.raises(BracketError, match=r"in omega_sq/kappa in \[4\.90\d*, 10\]"):
             combined.solve_omega_sq(make_params(), LN10)
@@ -401,8 +402,8 @@ class TestOmegaSqArrayScan:
     def test_first_of_several_sign_changes(self, monkeypatch):
         # the physical separation changes sign once on the grid, so an oscillating
         # stand-in checks that the first bracket is the one refined
-        monkeypatch.setattr(combined, "_perp_separation",
-                            lambda kt, psi_up, psi_down, phase_up, phase_down:
+        monkeypatch.setattr(combined, "_perp_kernel",
+                            lambda kt: lambda psi_up, psi_down, phase_up, phase_down:
                             math.cos(phase_up))
         p = make_params(kappa_tau=3.0)
         perp = combined._perp_function(p, LN10, 0.05)
@@ -543,6 +544,39 @@ class TestMismatch:
         ratio = snr(combined.combined_moments(p, cfg)) / (
             10.0 * snr(standard_readout_moments(p.with_(phi_h=math.pi / 2.0))))
         assert ratio == pytest.approx(0.7424, abs=2e-3)
+
+
+def moments_hex(m):
+    return [getattr(m, f).hex() for f in ("signal_up", "signal_down", "noise_up", "noise_down")]
+
+
+class TestDeltaPMap:
+    """One map per operating point gives the moments of every delta_p with the per-config bits."""
+
+    @pytest.mark.parametrize("kappa_tau, delta_r, theta", [
+        (1.0, 0.1, 0.0), (0.05, -0.07, 1.3), (20.0, 0.0, -2.9)])
+    def test_equals_a_config_per_delta_p(self, kappa_tau, delta_r, theta):
+        op, cfg = combined.CombinedConfig(r=LN10, theta=theta, delta_r=delta_r).operating_point(
+            make_params(kappa_tau=kappa_tau))
+        at = cfg.delta_p_moments(op)
+        # in (-pi, pi], at its edge, and outside it, where the map reduces like the field
+        for dp in (0.0, -0.0, 0.05, -0.2, math.pi, -math.pi, 3.5, -7.0, 2.0 * math.pi, 1e15):
+            expected = replace(cfg, delta_p=dp).moments(op)
+            assert moments_hex(at(dp)) == moments_hex(expected), dp
+
+    def test_matched_point(self):
+        op, cfg = combined.CombinedConfig(r=LN10).operating_point(make_params())
+        got = cfg.delta_p_moments(op)(0.0)
+        assert cfg.matched and moments_hex(got) == moments_hex(cfg.moments(op))
+        assert got.noise_up == got.noise_down == combined.combined_noise(op, LN10, cfg.theta)
+        # a multiple of 2 pi reduces to the matched point too
+        assert moments_hex(cfg.delta_p_moments(op)(-2.0 * math.pi)) == moments_hex(got)
+
+    @pytest.mark.parametrize("delta_p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_p_raises(self, delta_p):
+        op, cfg = combined.CombinedConfig(r=LN10, delta_r=0.1).operating_point(make_params())
+        with pytest.raises(ValueError, match="delta_p must be finite"):
+            cfg.delta_p_moments(op)(delta_p)
 
 
 class TestCombinedMoments:

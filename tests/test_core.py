@@ -164,6 +164,16 @@ class TestParams:
         with pytest.raises(ValueError):
             ReadoutParams(**base)
 
+    def test_normalized_is_the_record_at_unit_kappa(self):
+        p = ReadoutParams(1.0, 0.37, 1.9, 0.4, -1.1, 2.5)
+        assert p.normalized() is p
+
+    def test_normalized_rescales_other_kappa(self):
+        p = ReadoutParams(2.0, 0.37, 1.9, 0.4, -1.1, 2.5)
+        q = p.normalized()
+        assert [v.hex() for v in q._values()] == [
+            v.hex() for v in (1.0, 0.37 / 2.0, 1.9 / math.sqrt(2.0), 0.4, -1.1, 2.0 * 2.5)]
+
     def test_summary_consistency(self):
         m = standard_readout_moments(make_params())
         s = summarize(m)

@@ -59,6 +59,27 @@ class TestOneSolvePerRoot:
             assert row["snr_vs_delta_r"] == figures.combined_snr(1.0, delta_r=d, delta_p=0.05)
 
 
+class TestSharedOperatingPoint:
+    """fig4a and fig4b read every delta_p column from one map per delta_r, with the bits of the
+    per-point path combined_snr."""
+
+    @pytest.mark.parametrize("count", [41, 11])
+    def test_fig4b_equals_the_per_point_path(self, count):
+        for row in figures.fig4b_rows(count=count):
+            d = row["delta"]
+            assert row["snr_vs_delta_p"].hex() == figures.combined_snr(1.0, 0.1, d).hex(), d
+            assert row["snr_vs_delta_r"].hex() == figures.combined_snr(1.0, d, 0.05).hex(), d
+
+    def test_fig4a_equals_the_per_point_path(self):
+        kts = [0.013, 1.0, 57.0]
+        rows = figures.fig4a_rows(grid=kts)
+        assert [row["kappa_tau"] for row in rows] == kts
+        for kt, row in zip(kts, rows):
+            for dp in figures.MISMATCH_SET:
+                got = row[f"snr_dp_{dp:g}".replace(".", "_")]
+                assert got.hex() == figures.combined_snr(kt, 0.1, dp).hex(), (kt, dp)
+
+
 def test_fig2c_is_the_error_of_fig2b():
     kt = 0.3
     snrs = figures.fig2b_rows(grid=[kt])[0]
