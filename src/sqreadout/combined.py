@@ -20,7 +20,7 @@ from .core import (DEFAULT_EPSILON, MeasurementMoments, QubitState, ReadoutParam
                    Record, _bisect_bracket, _stable_squeeze_mix, psi_from_rate, reduce_angle,
                    replace, require_finite, scheme_moments)
 
-_SCAN_POINTS = 4096     # geometric cells of the omega_sq root scan
+_SCAN_POINTS = 4096     # geometric cells of the omega_sq root scan, in 8 steps of 512
 
 
 def chi_sq(g: float, r: float, omega_sq: float, epsilon: float) -> float:
@@ -258,13 +258,14 @@ def solve_omega_sq(params: ReadoutParams, r: float,
 
     The scan grid has _SCAN_POINTS geometric cells from lo, just below
     (kappa/2)sec(psi_sq), up to max(10 kappa, 5/tau, 1.5 lo), its points the
-    running products lo*ratio*ratio*... rounded step by step.  A scalar walk
-    takes steps of 512 cells up to the first step whose ends change sign (or
-    whose start is a zero), then walks that step in strides of 64, 8 and 1.
-    Its one-cell bracket is a full scan's first sign change whenever no step
-    it passes over holds an even number of them; the physical separation
-    changes sign once on the grid.  Bisection refines that bracket, from the end
-    values the walk has evaluated, to 1e-10*kappa on the same _perp_function.
+    running products lo*ratio*ratio*... rounded step by step.  A walk takes steps
+    of 512 cells up to the first whose ends change sign (or whose start is a zero),
+    then a safeguarded regula falsi on the cell index (Illinois) narrows that step
+    to one cell or a zero, in at most 1 + 8 + 16 separations.  That cell is a full
+    scan's first sign change whenever the step holds exactly one and no step before
+    it an even number; the physical separation changes sign once on the grid.
+    Bisection refines it, from the lower end value, to 1e-10*kappa on the same
+    _perp_function.
     The root runs from ~pi/tau at short times to (kappa/2)sec(psi_sq) at long times.
     """
     k = params.kappa
@@ -283,22 +284,38 @@ def solve_omega_sq(params: ReadoutParams, r: float,
 
     ratio = (hi / lo) ** (1.0 / _SCAN_POINTS)
     perp = _perp_function(params, r, epsilon)
-    a, fa, b, fb = lo, perp(lo), None, None
-    for stride in (512, 64, 8, 1):      # cells per step, at most 8 steps per stride
-        end, f_end = b, fb      # the coarser step's end: the eighth step lands on its bits
-        for _ in range(8):
-            if fa == 0.0:
-                return a
-            # stride more factors of the running product, multiplied left to right
-            b = math.prod(itertools.repeat(ratio, stride), start=a)
-            fb = f_end if b == end else perp(b)
-            if fa * fb < 0:
-                break
-            a, fa = b, fb
-        else:   # only the first stride can end without a bracket
-            raise BracketError(
-                f"no perpendicular-separation sign change in omega_sq/kappa "
-                f"in [{lo / k:g}, {hi / k:g}]")
+    a, fa = lo, perp(lo)
+    for _ in range(8):
+        if fa == 0.0:
+            return a
+        # 512 more factors of the running product, multiplied left to right
+        b = math.prod(itertools.repeat(ratio, 512), start=a)
+        fb = perp(b)
+        if fa * fb < 0:
+            break
+        a, fa = b, fb
+    else:
+        raise BracketError(
+            f"no perpendicular-separation sign change in omega_sq/kappa "
+            f"in [{lo / k:g}, {hi / k:g}]")
+    # Illinois steps halve an end value (ga, gb) that stays twice running; after a probe that
+    # leaves over half the bracket, or on a non-finite weight, bisect the index: <= 16 probes
+    n, ga, gb, stays, halve = 512, fa, fb, None, False
+    while n > 1:
+        weight = ga / (ga - gb)
+        bisect = halve or not math.isfinite(weight)
+        d = n // 2 if bisect else min(max(round(weight * n), 1), n - 1)
+        c = math.prod(itertools.repeat(ratio, d), start=a)
+        fc = perp(c)
+        if fc == 0.0:
+            return c
+        if fa * fc < 0:     # the sign change lies in (a, c): a stays
+            b, gb, left = c, fc, d
+            ga, stays = (0.5 * ga if stays == "a" else ga), "a"
+        else:
+            a, fa, ga, left = c, fc, fc, n - d
+            gb, stays = (0.5 * gb if stays == "b" else gb), "b"
+        halve, n = 2 * left > n, left
     return _bisect_bracket(perp, a, fa, b, 1e-10 * k)
 
 

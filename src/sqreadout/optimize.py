@@ -69,24 +69,25 @@ def _stride_walk(value: Callable[[int], float], n: int) -> tuple[int, float, int
     """First maximum of value(0), ..., value(n - 1) by strides of 16, 4 and 1.
 
     The first stride evaluates 0, 16, 32, ... and n - 1; each finer stride
-    evaluates only the open interval between the neighbours of the best point so
-    far, and no point is evaluated twice.  The best point is the first maximum of
-    the points seen, a NaN ranking as -inf.  That is the full scan's first
-    maximum when the values rise strictly up to it and never rise after it (a
-    leading NaN run does no harm once the first stride sees a value above
-    -inf).  Returns (index, value, evaluations).
+    evaluates only the open interval between the best point's neighbours among
+    the previous stride's points, and no point is evaluated twice.  The best
+    point is the first maximum of the points seen, a NaN ranking as -inf.  That
+    is the full scan's first maximum when the values rise strictly up to it and
+    never rise after it (a leading NaN run does no harm once the first stride
+    sees a value above -inf).  Returns (index, value, evaluations).
     """
     seen: dict[int, float] = {}
     best, top = 0, -math.inf
     lo, hi = 0, n - 1
     for stride in (16, 4, 1):
-        for i in (lo, *range(lo + stride, hi, stride), hi):
+        points = (lo, *range(lo + stride, hi, stride), hi)
+        for i in points:
             if i not in seen:
                 v = seen[i] = value(i)
                 if v > top or (v == top and i < best):     # a NaN never wins
                     best, top = i, v
-        lo = max((i for i in seen if i < best), default=best)
-        hi = min((i for i in seen if i > best), default=best)
+        at = points.index(best)
+        lo, hi = points[max(at - 1, 0)], points[min(at + 1, len(points) - 1)]
     return best, seen[best], len(seen)
 
 
@@ -100,13 +101,13 @@ def maximize_over_box(objective: Callable[..., float],
     when it has more.  It only picks the best cell: a NaN cell never wins, and
     ties break deterministically toward the smallest coordinates, last
     coordinate first.  A box with one free axis finds that cell by a walk of
-    strides 16, 4 and 1 over its 64 points (_stride_walk: 10 to 17 of them),
-    which picks the full scan's cell when the values rise strictly to their
-    first maximum and never rise after it; a box with more free axes scans its
-    whole grid, whose values need not be unimodal.  Each sweep brackets every
-    free axis by one grid cell on either side of the current point, clipped to
-    the box.  A bracket that reaches the box edge also evaluates the edge,
-    which wins if it is better.
+    strides 16, 4 and 1 over the coordinates lo + (hi - lo) * i / 63, computing
+    only the 10 to 17 that _stride_walk visits; it picks the full scan's cell when
+    the values rise strictly to their first maximum and never rise after it.  A
+    box with more free axes builds and scans its whole grid, whose values need not
+    be unimodal.  Each sweep brackets every free axis by one grid cell on either
+    side of the current point, clipped to the box.  A bracket that reaches the box
+    edge also evaluates the edge, which wins if it is better.
     With two or more free axes, a sweep from start to x is followed by pattern
     moves (Hooke and Jeeves): start + 2^k (x - start), clipped to the box, for
     k = 1, 2, ..., each kept while it improves the value, so the search follows
@@ -130,19 +131,20 @@ def maximize_over_box(objective: Callable[..., float],
             raise ValueError("empty bounds")
     free = sum(hi > lo for lo, hi in bounds)
     n = 64 if free <= 1 else 16
-    axes = [[lo] if hi == lo else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-            for lo, hi in bounds]
     if free == 1:
-        k = next(i for i, ax in enumerate(axes) if len(ax) == n)
-        x = [ax[0] for ax in axes]      # one point list, its free coordinate set per cell
+        k = next(i for i, (lo, hi) in enumerate(bounds) if hi > lo)
+        x = [lo for lo, _ in bounds]    # one point list, its free coordinate set per cell
+        base, width = bounds[k][0], bounds[k][1] - bounds[k][0]
 
         def grid_value(i: int) -> float:
-            x[k] = axes[k][i]
+            x[k] = base + width * i / (n - 1)
             return objective(*x)
 
         best, best_val, evals = _stride_walk(grid_value, n)
-        x[k] = axes[k][best]
+        x[k] = base + width * best / (n - 1)
     else:
+        axes = [[lo] if hi == lo else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+                for lo, hi in bounds]
         # the last coordinate outermost: the first maximum has the smallest coordinates,
         # last coordinate first
         cells = [list(cell[::-1]) for cell in itertools.product(*axes[::-1])]

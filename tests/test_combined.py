@@ -317,8 +317,29 @@ def figure_convention_points(count=101):
             yield ReadoutParams(1.0, 0.5, 1.0, 0.0, math.pi / 2.0, kt), r, 0.05
 
 
+def separations_before_bisection(monkeypatch, params, r=LN10):
+    """(root, the omega_sq values the solve separates at before its bisection)."""
+    real_function, real_bisect = combined._perp_function, combined._bisect_bracket
+    scanned, before_bisection = [], []
+
+    def recorded(params, r, epsilon):
+        perp = real_function(params, r, epsilon)
+        return lambda omega_sq: scanned.append(omega_sq) or perp(omega_sq)
+
+    def counted(f, a, fa, b, tol):
+        before_bisection.append(len(scanned))
+        return real_bisect(f, a, fa, b, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(combined, "_perp_function", recorded)
+        m.setattr(combined, "_bisect_bracket", counted)
+        root = combined.solve_omega_sq(params, r)
+    assert len(before_bisection) == 1
+    return root, scanned[:before_bisection[0]]
+
+
 class TestOmegaSqCoarseToFineScan:
-    """The strided walk, 512 down to 1 cell per step, picks the bracket of the full scan."""
+    """Steps of 512 cells, then a regula falsi on the cell index, pick the full scan's bracket."""
 
     @pytest.mark.parametrize("points", [
         lambda: seeded_operating_points(1200, seed=11),
@@ -339,39 +360,49 @@ class TestOmegaSqCoarseToFineScan:
             # one sign change on the full grid: no coarse cell can hide an even number
             assert sign_changes(scan[3]).size == 1, (p, r, eps)
 
+    def test_fig4b_roots_identical_to_full_scan(self):
+        # the roots fig4b_rows(count=11) solves at kappa*tau = 1, r_c = ln 10 + delta_r
+        from sqreadout import figures
+
+        for delta_r in figures._linspace(0.0, 0.2, 11):
+            cfg = combined.CombinedConfig(r=figures.R_DEFAULT, delta_r=delta_r)
+            op, cfg = cfg.operating_point(figures._params(1.0))
+            scan = full_scan(op, cfg.r_c, cfg.epsilon)
+            assert cfg.omega_sq == full_scan_omega_sq(op, cfg.r_c, cfg.epsilon, scan), delta_r
+
     def test_walk_evaluates_at_most_36_full_scan_points(self, monkeypatch):
-        # four strides of at most 8 steps each, every step ending on a full-scan grid point
-        real_function, real_bisect = combined._perp_function, combined._bisect_bracket
+        # lo and at most 8 steps of 512 cells, then at most 16 probes: a probe that does not
+        # halve the 512-cell bracket is followed by a bisection of the index.  Every point
+        # is the running product from lo, so it lies on the full-scan grid.
         for kappa_tau in (1e-3, 0.3, 3.0, 300.0):
             p = make_params(kappa_tau=kappa_tau)
             grid = set(full_scan(p, LN10)[2].tolist())
-            scanned, before_bisection = [], []
+            _, scanned = separations_before_bisection(monkeypatch, p)
+            assert 0 < len(scanned) <= 1 + 8 + 16, kappa_tau
+            assert all(w in grid for w in scanned), kappa_tau
 
-            def recorded(params, r, epsilon):
-                perp = real_function(params, r, epsilon)
-
-                def record(omega_sq):
-                    scanned.append(omega_sq)
-                    return perp(omega_sq)
-                return record
-
-            def counted(f, a, fa, b, tol):
-                before_bisection.append(len(scanned))
-                return real_bisect(f, a, fa, b, tol)
-
-            with monkeypatch.context() as m:
-                m.setattr(combined, "_perp_function", recorded)
-                m.setattr(combined, "_bisect_bracket", counted)
-                combined.solve_omega_sq(p, LN10)
-            assert len(before_bisection) == 1 and 0 < before_bisection[0] <= 4 * 9, kappa_tau
-            assert all(w in grid for w in scanned[:before_bisection[0]]), kappa_tau
+    @pytest.mark.parametrize("kernel", [
+        lambda phase: 1.0 if phase > 31.5 else -1e-9,
+        lambda phase: math.tanh(1e3 * (phase - 41.2)),
+        lambda phase: 1.0 if phase > 35.0 else -math.inf,
+    ], ids=["lopsided-step", "steep-tanh", "non-finite-weight"])
+    def test_safeguard_bounds_the_probes(self, monkeypatch, kernel):
+        # stand-ins that change sign inside the grid, whose up phase runs over [29.5, 44.7]
+        # at kappa*tau = 3: interpolation alone crawls along a lopsided step, and -inf makes
+        # the first interpolation weight NaN, which the index bisection replaces
+        monkeypatch.setattr(combined, "_perp_kernel",
+                            lambda kt: lambda psi_up, psi_down, phase_up, phase_down:
+                            kernel(phase_up))
+        p = make_params(kappa_tau=3.0)
+        root, scanned = separations_before_bisection(monkeypatch, p)
+        assert len(scanned) <= 1 + 8 + 16
+        assert root == scalar_walk_omega_sq(p, LN10)
 
     @pytest.mark.parametrize("kappa_tau, evaluations", [
-        (1e-3, 61), (0.3, 47), (1.0, 41), (3.0, 43), (100.0, 37), (300.0, 37)])
+        (1e-3, 50), (0.3, 35), (1.0, 29), (3.0, 31), (100.0, 31), (300.0, 29)])
     def test_bisection_starts_from_the_walk_bracket(self, monkeypatch, kappa_tau, evaluations):
-        # 63 / 49 / 45 / 40 separations at 1e-3 / 0.3 / 3 / 300 when the bisection evaluated
-        # its bracket ends again, and 38 at 100 and 300 when a finer stride's eighth step
-        # evaluated the coarser step's end again
+        # no omega_sq is separated twice: each probe lies strictly inside its bracket, and
+        # the bisection starts from the bracket and the lower end value the search holds
         real_function, scanned = combined._perp_function, []
 
         def recorded(params, r, epsilon):
