@@ -30,19 +30,21 @@ def chi_sq(g: float, r: float, omega_sq: float, epsilon: float) -> float:
     with chi = g*epsilon.  As epsilon -> 0 it tends to chi cosh 2r / cosh r,
     which is 0.990 chi e^r at e^r = 10; it reaches chi e^r only for large r.
     """
+    return chi_sq_function(g, r, epsilon)(omega_sq)
+
+
+def chi_sq_function(g: float, r: float, epsilon: float):
+    """omega_sq -> chi_sq(g, r, omega_sq, epsilon), chi, cosh r and sinh^2 r computed once.
+    g > 0, a finite r and a finite epsilon >= 0 are checked (ValueError); epsilon > 0.25 warns."""
     if not g > 0:
         raise ValueError("coupling g must be positive")
     if not epsilon >= 0 or not math.isfinite(epsilon):
         raise ValueError("epsilon must be a finite non-negative number")
+    if not math.isfinite(r):
+        raise ValueError(f"squeeze parameter r must be finite, got {r}")
     if epsilon > 0.25:
         warnings.warn(f"epsilon={epsilon:g} is large; the dispersive picture is dubious",
                       stacklevel=2)
-    return _chi_sq_function(g, r, epsilon)(omega_sq)
-
-
-def _chi_sq_function(g: float, r: float, epsilon: float):
-    """omega_sq -> chi_sq(g, r, omega_sq, epsilon) for a float omega_sq, with chi,
-    cosh r and sinh^2 r computed once; chi_sq checks (g, epsilon), this does not."""
     chi = g * epsilon
     ch, sh2 = math.cosh(r), math.sinh(r) ** 2
     return lambda omega_sq: chi * (ch + sh2 / (ch + 2.0 * omega_sq * epsilon / g))
@@ -219,12 +221,12 @@ def _perp_kernel(kt):
 
 def _perp_function(params: ReadoutParams, r: float, epsilon: float):
     """omega_sq -> the signed perpendicular separation before the e^{2r} gain, with the bits of
-    separation_components.  Built once per solve, which checks (g, epsilon): chi, cosh r,
-    sinh^2 r, 2 alpha_in/sqrt(kappa) and the _perp_kernel are built here, not per omega_sq."""
+    separation_components.  Built once per solve: chi, cosh r, sinh^2 r (chi_sq_function),
+    2 alpha_in/sqrt(kappa) and the _perp_kernel are built here, not per omega_sq."""
     k = params.kappa
     kt = params.kappa_tau
     separation = _perp_kernel(kt)
-    coupling = _chi_sq_function(params.chi / epsilon, r, epsilon)
+    coupling = chi_sq_function(params.chi / epsilon, r, epsilon)
     amplitude = 2.0 * (params.alpha_in / math.sqrt(k))
 
     def perp(omega_sq):
@@ -271,11 +273,11 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     k = params.kappa
     g = params.chi / epsilon
     # lower edge: self-consistent long-time frequency (kappa/2)sec(psi_sq), eight steps
-    # from kappa/2; the first, through chi_sq, checks (g, epsilon)
+    # from kappa/2 on one chi_sq_function, which checks (g, r, epsilon)
     def edge(csq):
         return 0.5 * k * math.sqrt(1.0 + (2.0 * csq / k) ** 2)
-    csq = chi_sq(g, r, 0.5 * k, epsilon)
-    coupling = _chi_sq_function(g, r, epsilon)
+    coupling = chi_sq_function(g, r, epsilon)
+    csq = coupling(0.5 * k)
     for _ in range(7):
         csq = coupling(edge(csq))
     lo = 0.99 * edge(csq)

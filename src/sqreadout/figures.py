@@ -79,10 +79,8 @@ def fig2a_rows() -> list[dict]:
     """Dispersive-coupling enhancement chi_sq/chi versus omega_sq."""
     curves = {}
     for eps in (0.1, 0.05):
-        g = CHI_DEFAULT / eps
-        combined.chi_sq(g, R_DEFAULT, 0.0, eps)     # checks (g, epsilon) once per curve
-        curves[f"enhancement_eps_{eps:g}".replace(".", "_")] = combined._chi_sq_function(
-            g, R_DEFAULT, eps)
+        curves[f"enhancement_eps_{eps:g}".replace(".", "_")] = combined.chi_sq_function(
+            CHI_DEFAULT / eps, R_DEFAULT, eps)
     return [{"omega_sq_over_kappa": w, **{tag: f(w) / CHI_DEFAULT for tag, f in curves.items()}}
             for w in _linspace(0.0, 50.0, 201)]
 
@@ -249,46 +247,38 @@ PHASE_SPACE_SETTINGS = {
 }
 
 
-def _ellipse_rows(name: str, grid: Iterable[float] | None) -> list[dict]:
+def _pointer_rows(setting, kappa_taus: Iterable[float], columns: tuple[str, ...]) -> list[dict]:
+    """Pointer-state columns of both qubit states at each kappa*tau, at the operating point
+    setting(kappa_tau); columns name them from mean_x, mean_y, theta_N, xi2 and xi2_dB."""
     rows = []
-    for kt in _kappa_taus(grid, 0.1, 10.0, 17):
-        p, cfg = PHASE_SPACE_SETTINGS[name](kt)
+    for kt in kappa_taus:
         row = {"kappa_tau": kt}
-        for state, st in phasespace.pointer_state(p, cfg).items():
+        for state, st in phasespace.pointer_state(*setting(kt)).items():
             diag = phasespace.ellipse(st)
+            values = {"mean_x": st.mean[0], "mean_y": st.mean[1], "theta_N": diag.theta_N,
+                      "xi2": diag.xi2_N, "xi2_dB": diag.xi2_dB}
             tag = state.name.lower()
-            row[f"theta_N_{tag}"] = diag.theta_N
-            row[f"xi2_{tag}"] = diag.xi2_N
-            row[f"xi2_dB_{tag}"] = diag.xi2_dB
+            row.update({f"{column}_{tag}": values[column] for column in columns})
         rows.append(row)
     return rows
 
 
 def figS2_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Squeeze direction and degree of the optimal-IES pointer states."""
-    return _ellipse_rows("figS2", grid)
+    return _pointer_rows(ies_optimal_setting, _kappa_taus(grid, 0.1, 10.0, 17),
+                         ("theta_N", "xi2", "xi2_dB"))
 
 
 def figS4_rows(grid: Iterable[float] | None = None) -> list[dict]:
     """Squeeze direction and degree of the optimal-ICS pointer states."""
-    return _ellipse_rows("figS4", grid)
+    return _pointer_rows(ics_optimal_setting, _kappa_taus(grid, 0.1, 10.0, 17),
+                         ("theta_N", "xi2", "xi2_dB"))
 
 
 def figS5_rows(r: float = R_FIGS5) -> list[dict]:
     """Combined-scheme pointer-state diagnostics at kappa*tau in {1, 2, 5}."""
-    rows = []
-    for kt in (1.0, 2.0, 5.0):
-        p, cfg = _combined_setting(kt, r)
-        row = {"kappa_tau": kt}
-        for state, st in phasespace.pointer_state(p, cfg).items():
-            diag = phasespace.ellipse(st)
-            tag = state.name.lower()
-            row[f"mean_x_{tag}"] = st.mean[0]
-            row[f"mean_y_{tag}"] = st.mean[1]
-            row[f"theta_N_{tag}"] = diag.theta_N
-            row[f"xi2_dB_{tag}"] = diag.xi2_dB
-        rows.append(row)
-    return rows
+    return _pointer_rows(lambda kt: _combined_setting(kt, r), (1.0, 2.0, 5.0),
+                         ("mean_x", "mean_y", "theta_N", "xi2_dB"))
 
 
 def _fig2bc_tables() -> dict[str, list[dict]]:

@@ -343,8 +343,9 @@ def _omega_from_r(kappa, r):
 
 def ics_omega_from_r(kappa: float, r: float) -> float:
     """Inverse map: two-photon amplitude giving output squeeze parameter r."""
-    if r < 0:
-        raise ValueError("squeeze parameter must be non-negative")
+    if not (0 < kappa < math.inf and 0 <= r < math.inf):
+        raise ValueError(f"kappa must be positive and the squeeze parameter non-negative, "
+                         f"both finite, got kappa={kappa}, r={r}")
     return _omega_from_r(kappa, r)
 
 

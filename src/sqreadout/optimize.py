@@ -9,13 +9,12 @@ displacement follow the diagonal (psi, r) ridge of the free ICS optimum.  Every
 point, grid cells included, is one scalar objective call, so a search returns
 values of the scalar closed forms and loads no numpy.  From kappa*tau = 1 on,
 the fixed-coupling ICS search over r stops after its first sweep when that
-sweep stays inside the box (maximize_snr).  Each scheme's config type supplies
+sweep stays inside the box (its _SEARCHES entry).  Each scheme's config type supplies
 its own box and objective (IesConfig.search, IcsConfig.search).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Sequence
 
@@ -65,21 +64,22 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
     return x, max(fc, fd), evals
 
 
-def _stride_walk(value: Callable[[int], float], n: int) -> tuple[int, float, int]:
-    """First maximum of value(0), ..., value(n - 1) by strides of 16, 4 and 1.
+def _stride_walk(value: Callable[[int], float], n: int,
+                 strides: Sequence[int]) -> tuple[int, float, int]:
+    """First maximum of value(0), ..., value(n - 1) by strides from coarse to fine, the last 1.
 
-    The first stride evaluates 0, 16, 32, ... and n - 1; each finer stride
-    evaluates only the open interval between the best point's neighbours among
-    the previous stride's points, and no point is evaluated twice.  The best
-    point is the first maximum of the points seen, a NaN ranking as -inf.  That
-    is the full scan's first maximum when the values rise strictly up to it and
-    never rise after it (a leading NaN run does no harm once the first stride
-    sees a value above -inf).  Returns (index, value, evaluations).
+    The first stride evaluates 0, stride, 2 stride, ... and n - 1; each finer stride
+    evaluates only the open interval between the best point's neighbours among the
+    previous stride's points, and no point is evaluated twice.  The best point is the
+    first maximum of the points seen, a NaN never winning, so stride 1 alone is the full
+    scan.  Strides 16, 4 and 1 find its first maximum when the values rise strictly up to
+    it and never rise after it (a leading NaN run does no harm once the first stride sees
+    a value above -inf).  Returns (index, value, evaluations).
     """
     seen: dict[int, float] = {}
     best, top = 0, -math.inf
     lo, hi = 0, n - 1
-    for stride in (16, 4, 1):
+    for stride in strides:
         points = (lo, *range(lo + stride, hi, stride), hi)
         for i in points:
             if i not in seen:
@@ -97,15 +97,15 @@ def maximize_over_box(objective: Callable[..., float],
     """Coarse grid, then coordinate-descent golden sections to 1e-6 with pattern moves.
 
     objective takes one float coordinate per axis and is called once per point.
-    The grid has 64 points per free axis when the box has one free axis and 16
-    when it has more.  It only picks the best cell: a NaN cell never wins, and
-    ties break deterministically toward the smallest coordinates, last
-    coordinate first.  A box with one free axis finds that cell by a walk of
-    strides 16, 4 and 1 over the coordinates lo + (hi - lo) * i / 63, computing
-    only the 10 to 17 that _stride_walk visits; it picks the full scan's cell when
-    the values rise strictly to their first maximum and never rise after it.  A
-    box with more free axes builds and scans its whole grid, whose values need not
-    be unimodal.  Each sweep brackets every free axis by one grid cell on either
+    The grid has 64 points per free axis when the box has one free axis and 16 when it
+    has more (one cell when it has none); it only picks the best cell.  Each cell is one
+    flat index, the first free axis varying fastest, each free coordinate
+    lo + (hi - lo) * i / (n - 1).  _stride_walk picks the cell, so a NaN cell never wins
+    and ties break toward the smallest coordinates, last coordinate first.  With one free
+    axis it walks strides 16, 4 and 1, computing only the 10 to 17 cells it visits, and
+    picks the full scan's cell when the values rise strictly to their first maximum and
+    never rise after it; with more it scans every cell (stride 1), as their values need
+    not be unimodal.  Each sweep brackets every free axis by one grid cell on either
     side of the current point, clipped to the box.  A bracket that reaches the box
     edge also evaluates the edge, which wins if it is better.
     With two or more free axes, a sweep from start to x is followed by pattern
@@ -129,30 +129,22 @@ def maximize_over_box(objective: Callable[..., float],
             raise ValueError(f"non-finite bounds ({lo}, {hi})")
         if hi < lo:
             raise ValueError("empty bounds")
-    free = sum(hi > lo for lo, hi in bounds)
+    grid = [(k, lo, hi - lo) for k, (lo, hi) in enumerate(bounds) if hi > lo]
+    free = len(grid)
     n = 64 if free <= 1 else 16
-    if free == 1:
-        k = next(i for i, (lo, hi) in enumerate(bounds) if hi > lo)
-        x = [lo for lo, _ in bounds]    # one point list, its free coordinate set per cell
-        base, width = bounds[k][0], bounds[k][1] - bounds[k][0]
+    x = [lo for lo, _ in bounds]    # one point list, its free coordinates set per cell
 
-        def grid_value(i: int) -> float:
+    def grid_point(cell: int) -> list:
+        # the first free axis varies fastest, so the first maximum has the smallest
+        # coordinates, last coordinate first
+        for k, base, width in grid:
+            cell, i = divmod(cell, n)
             x[k] = base + width * i / (n - 1)
-            return objective(*x)
+        return x
 
-        best, best_val, evals = _stride_walk(grid_value, n)
-        x[k] = base + width * best / (n - 1)
-    else:
-        axes = [[lo] if hi == lo else [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-                for lo, hi in bounds]
-        # the last coordinate outermost: the first maximum has the smallest coordinates,
-        # last coordinate first
-        cells = [list(cell[::-1]) for cell in itertools.product(*axes[::-1])]
-        values = [objective(*cell) for cell in cells]
-        # a NaN cell never wins
-        ranked = [-math.inf if v != v else v for v in values]
-        best = ranked.index(max(ranked))
-        x, best_val, evals = cells[best], values[best], len(cells)
+    best, best_val, evals = _stride_walk(lambda cell: objective(*grid_point(cell)), n ** free,
+                                         (16, 4, 1) if free == 1 else (1,))
+    grid_point(best)
 
     converged = False
     for _ in range(200):
@@ -207,24 +199,27 @@ def maximize_over_box(objective: Callable[..., float],
 #: peaks are sharp, and a second sweep still raises the SNR by up to 2.2e-11.
 ICS_SETTLE_KAPPA_TAU = 1.0
 
-# scheme name -> (config type whose search runs, largest squeeze r)
-_SEARCHES = {"standard": (ies.IesConfig, 0.0), "ies": (ies.IesConfig, R_MAX_DEFAULT),
-             "ics": (ics.IcsConfig, R_MAX_DEFAULT)}
+# scheme name -> (config type whose search runs, largest squeeze r, kappa*tau from which
+# the search settles)
+_SEARCHES = {"standard": (ies.IesConfig, 0.0, math.inf),
+             "ies": (ies.IesConfig, R_MAX_DEFAULT, math.inf),
+             "ics": (ics.IcsConfig, R_MAX_DEFAULT, ICS_SETTLE_KAPPA_TAU)}
 
 
 def maximize_snr(scheme: str, kappa_tau: float,
                  fix_chi: float | None = None) -> OptimumReport:
     """Maximize the scheme SNR at alpha_in = sqrt(kappa) over its config's search box.
 
-    The config type's search gives the box, the objective and the argmax
-    record, with r in [0, R_MAX_DEFAULT] ('standard' is 'ies' at r = 0).  The
-    noise phase (and, for 'ies', the squeeze r) is set analytically at each
+    Every scheme runs one path from its _SEARCHES entry: its config type's search gives the
+    box, the objective and the argmax record, with r in [0, R_MAX_DEFAULT] ('standard' is
+    'ies' at r = 0), and the search settles (maximize_over_box) from the entry's kappa_tau
+    on.  The noise phase (and, for 'ies', the squeeze r) is set analytically at each
     point, so 'ies' and 'standard' search psi alone and 'ics' searches (psi, r).
     fix_chi pins the dispersive coupling (in units of kappa), the convention of
     the fixed-coupling reference curves: for 'ies' and 'standard' it pins psi,
     and a box with no free axis is evaluated once, without a search; for 'ics'
-    only r is searched, and from kappa_tau = ICS_SETTLE_KAPPA_TAU on that search
-    settles (maximize_over_box).  Below kappa_tau ~ 2e-3 its optimum is set by rounding
+    only r is searched, settling from kappa_tau = ICS_SETTLE_KAPPA_TAU (the psi searches
+    never settle).  Below kappa_tau ~ 2e-3 the 'ics' optimum is set by rounding
     yet reports converged (at kappa_tau = 1e-4, chi = 0.05 kappa, 1.3 % above the 60-digit
     SNR at its r); exact short-time ICS forms (ROADMAP item 3) would mend it.  A non-finite
     or non-positive kappa_tau, or a non-finite fix_chi, raises ValueError.  The SNR is
@@ -238,15 +233,15 @@ def maximize_snr(scheme: str, kappa_tau: float,
         raise ValueError(f"kappa_tau must be positive and finite, got {kappa_tau}")
     if fix_chi is not None and not math.isfinite(fix_chi):
         raise ValueError(f"fix_chi must be finite, got {fix_chi}")
-    config, r_max = _SEARCHES[scheme]
+    config, r_max, settle_from = _SEARCHES[scheme]
     # floats, so that a numpy scalar input makes neither slow arithmetic nor numpy fields
     bounds, objective, point = config.search(float(kappa_tau), r_max,
                                              None if fix_chi is None else float(fix_chi))
     if all(lo == hi for lo, hi in bounds):
         x, evals, converged = [lo for lo, _ in bounds], 0, True
     else:
-        settle = scheme == "ics" and kappa_tau >= ICS_SETTLE_KAPPA_TAU
-        _, x, evals, converged = maximize_over_box(objective, bounds, settle=settle)
+        _, x, evals, converged = maximize_over_box(objective, bounds,
+                                                   settle=kappa_tau >= settle_from)
     best_snr, argmax = point(*x)
     return OptimumReport(best_snr=best_snr, argmax=argmax,
                          evaluations=evals + 1, converged=converged)

@@ -45,6 +45,14 @@ class TestChiSq:
         with pytest.warns(UserWarning):
             combined.chi_sq(1.0, 1.0, 3.0, 0.3)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_raises(self, r):
+        # chi_sq(1, nan, 1, 0.05) returned nan
+        with pytest.raises(ValueError, match="squeeze parameter r must be finite"):
+            combined.chi_sq(1.0, r, 1.0, 0.05)
+        with pytest.raises(ValueError, match="squeeze parameter r must be finite"):
+            combined.chi_sq_function(1.0, r, 0.05)
+
 
 class TestInputNoiseBudget:
     def test_matched_cancellation(self):

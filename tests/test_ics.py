@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestSqueezeParam:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             ics.ics_squeeze_param(1.0, 0.25)
+
+    @pytest.mark.parametrize("kappa, r", [
+        (1.0, math.inf), (1.0, math.nan), (1.0, -0.1), (-1.0, 1.0), (0.0, 1.0),
+        (math.nan, 1.0), (math.inf, 1.0)],
+        ids=["r-inf", "r-nan", "r-negative", "kappa-negative", "kappa-zero", "kappa-nan",
+             "kappa-inf"])
+    def test_inverse_rejects_bad_input(self, kappa, r):
+        # r = inf or nan gave nan, and kappa = -1 a negative amplitude (-0.1155 at r = 1)
+        with pytest.raises(ValueError, match=re.escape(f"got kappa={kappa}, r={r}")):
+            ics.ics_omega_from_r(kappa, r)
 
 
 class TestMeanField:

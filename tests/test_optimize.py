@@ -301,6 +301,18 @@ class TestMaximizeOverBox:
         assert x[0] == 0.5
         assert x[1] == pytest.approx(0.25, abs=1e-6)
 
+    def test_no_free_axis_is_one_cell(self):
+        val, x, evals, converged = optimize.maximize_over_box(lambda a, b: a - b,
+                                                             [(0.5, 0.5), (0.25, 0.25)])
+        assert (val, x, evals, converged) == (0.25, [0.5, 0.25], 1, True)
+
+    def test_two_axes_of_nan_pick_their_first_cell(self):
+        # compared by repr, as nan != nan; the 256 grid cells and one sweep
+        bounds = [(0.0, 1.0), (0.1, 0.9)]
+        got = optimize.maximize_over_box(lambda a, b: math.nan, bounds)
+        assert repr(got) == repr(pattern_scan_maximize_over_box(lambda a, b: math.nan, bounds))
+        assert repr(got) == repr((math.nan, [0.0, 0.1], 309, True))
+
     def test_edge_optimum_is_the_edge(self):
         # a ridge through grid cell (38, 62) that climbs to the upper b edge between
         # two a nodes: the grid picks an interior b and coordinate ascent walks b up
@@ -474,7 +486,7 @@ class TestMaximizeSnr:
                 box = [(0.0, 1.0)] if fix_chi is None else [(fix_chi, fix_chi)]
                 return box, objective, lambda psi: (objective(psi), {"psi": psi})
 
-        monkeypatch.setitem(optimize._SEARCHES, "parabola", (Parabola, 0.0))
+        monkeypatch.setitem(optimize._SEARCHES, "parabola", (Parabola, 0.0, math.inf))
         free = optimize.maximize_snr("parabola", 1.0)
         assert free.argmax["psi"] == pytest.approx(0.3, abs=1e-6) and free.converged
         assert free.evaluations > 64
