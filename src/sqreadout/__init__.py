@@ -12,12 +12,12 @@ _EXPORTS = {
     "core": "DegenerateNoiseError MeasurementMoments QubitState ReadoutParams ReadoutSummary "
             "ReadoutError StabilityError bisect fidelity_and_error psi_from_rate "
             "required_tone_amplitude scheme_moments snr standard_readout_moments summarize",
-    "ies": "IesConfig ies_moments ies_noise ies_noise_shape ies_photon_number ies_signal",
+    "ies": "IesConfig ies_moments ies_noise_shape ies_photon_number",
     "ics": "IcsConfig ics_lambda ics_mean_field ics_moments ics_photon_number "
            "ics_squeeze_param ics_omega_from_r ics_stability",
     "combined": "BogoliubovFrame CombinedConfig DispersiveParams MismatchParams asymptotic_snr "
-                "beta_photon_number chi_sq combined_moments combined_noise combined_signal "
-                "input_noise_budget mismatch_noise separation_components solve_omega_sq",
+                "beta_photon_number chi_sq combined_moments combined_noise input_noise_budget "
+                "separation_components solve_omega_sq",
     "oracle": "LinearReadoutSystem OracleResult build_system commutator_defect oracle_check "
               "oracle_moments",
     "optimize": "OptimumReport maximize_snr",

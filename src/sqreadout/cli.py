@@ -392,6 +392,9 @@ def main(argv: Iterable[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             code, error = COMMANDS[args.command][0](args), None
+        except BrokenPipeError:     # the reader closed stdout (| head): flush to devnull on exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code, error = EXIT_OK, None
         except (ValueError, KeyError, OSError) as exc:
             code, error = EXIT_CONFIG, f"configuration error: {exc}"
         except StabilityError as exc:

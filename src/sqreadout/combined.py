@@ -172,18 +172,9 @@ def combined_noise(params: ReadoutParams, r: float, theta: float = 0.0) -> float
     return params.kappa_tau * _stable_squeeze_mix(r, c)
 
 
-def combined_signal(params: ReadoutParams, disp: DispersiveParams, r: float,
-                    theta: float, state: QubitState) -> float:
-    """Mean homodyne record <M> of the matched scheme for one qubit state.
-
-    Assumes the tone phase maximizes the Bogoliubov drive, 2 phi_in = theta,
-    so the effective tone amplitude is alpha_in * e^r.
-    """
-    return _signal_pair(params, disp, r, theta)[state != QubitState.UP]
-
-
 def _signal_pair(params, disp, r, theta):
-    """(<M>_up, <M>_down) of combined_signal; state-independent factors computed once."""
+    """Matched-scheme mean records (<M>_up, <M>_down), shared factors computed once; the tone
+    phase 2 phi_in = theta maximizes the Bogoliubov drive, an effective tone alpha_in * e^r."""
     if abs(reduce_angle(2.0 * params.phi_in - theta)) > 1e-9:
         raise ValueError("combined signal requires the tone phase choice 2*phi_in = theta")
     p = params.normalized()
@@ -203,37 +194,25 @@ def _signal_pair(params, disp, r, theta):
             combined_signal(disp.omega_sigma_down, disp.psi_sigma_down))
 
 
-def _perp_kernel(kt):
-    """(psi_up, psi_down, omega_up*tau, omega_down*tau) -> signed perpendicular separation over
-    2 alpha_in/sqrt(kappa) before the e^{2r} gain, at kappa*tau = kt; 2 - kt, e^{-kt/2} once."""
-    lead, decay = 2.0 - kt, math.exp(-kt / 2.0)
-
-    def perp_separation(psi_up, psi_down, phase_up, phase_down):
-        return ((lead + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
-                - (lead + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
-                - decay
-                * (math.sin(phase_down) + 2.0 * math.sin(2 * psi_down + phase_down)
-                   + math.sin(4 * psi_down + phase_down)
-                   - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
-
-    return perp_separation
-
-
-def _perp_function(params: ReadoutParams, r: float, epsilon: float):
-    """omega_sq -> the signed perpendicular separation before the e^{2r} gain, with the bits of
-    separation_components.  Built once per solve: chi, cosh r, sinh^2 r (chi_sq_function),
-    2 alpha_in/sqrt(kappa) and the _perp_kernel are built here, not per omega_sq."""
+def _perp_function(params: ReadoutParams, coupling):
+    """omega_sq -> the signed perpendicular separation before the e^{2r} gain, with coupling
+    omega_sq -> chi_sq; 2 - kt, e^{-kt/2} and 2 alpha_in/sqrt(kappa) computed once."""
     k = params.kappa
     kt = params.kappa_tau
-    separation = _perp_kernel(kt)
-    coupling = chi_sq_function(params.chi / epsilon, r, epsilon)
+    lead, decay = 2.0 - kt, math.exp(-kt / 2.0)
     amplitude = 2.0 * (params.alpha_in / math.sqrt(k))
 
     def perp(omega_sq):
         csq = coupling(omega_sq)
         up, down = omega_sq + csq, omega_sq - csq
-        return amplitude * separation(math.atan(2.0 * up / k), math.atan(2.0 * down / k),
-                                      up / k * kt, down / k * kt)
+        psi_up, psi_down = math.atan(2.0 * up / k), math.atan(2.0 * down / k)
+        phase_up, phase_down = up / k * kt, down / k * kt
+        return amplitude * ((lead + 2.0 * math.cos(2 * psi_down)) * math.sin(2 * psi_down)
+                            - (lead + 2.0 * math.cos(2 * psi_up)) * math.sin(2 * psi_up)
+                            - decay
+                            * (math.sin(phase_down) + 2.0 * math.sin(2 * psi_down + phase_down)
+                               + math.sin(4 * psi_down + phase_down)
+                               - 4.0 * math.cos(psi_up) ** 2 * math.sin(2 * psi_up + phase_up)))
 
     return perp
 
@@ -242,15 +221,12 @@ def separation_components(params: ReadoutParams, disp: DispersiveParams,
                           r: float) -> tuple[float, float]:
     """|<M>_up - <M>_down| along and perpendicular to the measurement direction.
 
-    The parallel component is the combined_signal difference at the phases
-    2 phi_h = theta = 0, phi_in = phi_h, and carries no net squeezing factor; the
-    perpendicular one (theta - 2 phi_h = pi, phi_in - phi_h = pi/2) is amplified by e^{2r}.
+    The parallel component is the signal difference at 2 phi_h = theta = 0, phi_in = phi_h,
+    with no net squeezing factor; the perpendicular one (theta - 2 phi_h = pi, phi_in - phi_h
+    = pi/2), which the root solve nulls, is amplified by e^{2r}.
     """
     up, down = _signal_pair(params.with_(phi_h=0.0, phi_in=0.0), disp, r, 0.0)
-    p = params.normalized()
-    perp = 2.0 * p.alpha_in * _perp_kernel(p.tau)(disp.psi_sigma_up, disp.psi_sigma_down,
-                                                  disp.omega_sigma_up / params.kappa * p.tau,
-                                                  disp.omega_sigma_down / params.kappa * p.tau)
+    perp = _perp_function(params, lambda _: disp.chi_sq)(disp.omega_sq)
     return abs(up - down), math.exp(2.0 * r) * abs(perp)
 
 
@@ -267,7 +243,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     scan's first sign change whenever the step holds exactly one and no step before
     it an even number; the physical separation changes sign once on the grid.
     Bisection refines it, from the lower end value, to 1e-10*kappa on the same
-    _perp_function.
+    _perp_function, which shares the solve's one chi_sq_function.
     The root runs from ~pi/tau at short times to (kappa/2)sec(psi_sq) at long times.
     """
     k = params.kappa
@@ -285,7 +261,7 @@ def solve_omega_sq(params: ReadoutParams, r: float,
     hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
 
     ratio = (hi / lo) ** (1.0 / _SCAN_POINTS)
-    perp = _perp_function(params, r, epsilon)
+    perp = _perp_function(params, coupling)
     a, fa = lo, perp(lo)
     for _ in range(8):
         if fa == 0.0:
@@ -361,24 +337,13 @@ def asymptotic_snr(limit: str, params: ReadoutParams, disp: DispersiveParams,
     raise ValueError(f"limit must be 'short' or 'long', got {limit!r}")
 
 
-def mismatch_noise(params: ReadoutParams, disp: DispersiveParams, r: float,
-                   mismatch: MismatchParams, theta: float,
-                   state: QubitState) -> float:
-    """Homodyne noise with imperfect matching, at the squeezed angle 2 phi_h = theta.
-
-    Sum of the white-noise floor R0, a transient filtered through the cavity R1,
-    and the two-photon correlation contribution R2, the last two built from the input
-    budget (N, M) that mismatch holds; collapses to kappa*tau*exp(-2r) when both
-    mismatches vanish, and stays finite at any kappa*tau.  Off that angle the
-    formula does not hold, so any other phi_h raises ValueError.
-    """
-    return _mismatch_noise_pair(params, disp, r, mismatch, theta)[state != QubitState.UP]
-
-
 def _mismatch_noise_pair(params, disp, r, mismatch, theta):
-    """(up, down) of mismatch_noise; state-independent factors computed once.  R1 mixes by -2N,
-    R2 has the amplitude sinh 2r0 = 2|M| and the phase phi0 = arg M, and the factors of kt enter
-    as e^{-kt/2} cosh(kt/2) = (1 + e^{-kt})/2 and e^{-kt} e^{kt} = 1, so none grows with kt."""
+    """Homodyne noise (up, down) with imperfect matching, at the squeezed angle 2 phi_h = theta
+    (any other phi_h raises ValueError); state-independent factors computed once.  The white
+    floor R0 plus the cavity-filtered R1 and the two-photon R2 of the input budget (N, M):
+    R1 mixes by -2N, R2 has the amplitude sinh 2r0 = 2|M| and the phase phi0 = arg M, and the
+    factors of kt enter as e^{-kt/2} cosh(kt/2) = (1 + e^{-kt})/2 and e^{-kt} e^{kt} = 1, so
+    none grows with kt.  Matched, it collapses to kappa*tau*exp(-2r)."""
     if abs(reduce_angle(2.0 * params.phi_h - theta)) > 1e-9:
         raise ValueError("mismatched-scheme noise is known only on the squeezed "
                          "quadrature 2*phi_h = theta")

@@ -148,29 +148,10 @@ def _pair_kernel(kt, alpha_in, phi_in, phi_h):
     return pair
 
 
-def ies_signal(params: ReadoutParams, state: QubitState) -> float:
-    """Mean homodyne record <M> for one qubit state.
-
-    Independent of the injected squeezing; the pointer-state difference equals
-    the factored closed form
-    (4 a/sqrt(k)) sin(2 psi) sin(phi_h - phi_in) {k tau - 4 cos^2 psi [1 - ...]}
-    but is evaluated unfactored so sin(2 psi) = 0 needs no special casing.
-    """
-    p = params.normalized()
-    return _pair_kernel(p.tau, p.alpha_in, p.phi_in, p.phi_h)(p.chi)[state != QubitState.UP]
-
-
-def ies_noise(params: ReadoutParams, cfg: IesConfig, state: QubitState) -> float:
-    """Homodyne noise <M_N^2> for one qubit state under injected squeezing.
-
-    The sigma-dependent rotation enters every phase as sigma*psi and
-    sigma*chi*tau; at r = 0 the result is exactly kappa*tau.
-    """
-    return _noise_pair(params.normalized(), cfg)[state != QubitState.UP]
-
-
 def _noise_pair(p, cfg):
-    """(up, down) of ies_noise at normalized params p; state-independent factors computed once."""
+    """Homodyne noise <M_N^2> (up, down) under injected squeezing at normalized params p;
+    state-independent factors computed once.  The sigma-dependent rotation enters every
+    phase as sigma*psi and sigma*chi*tau; at r = 0 the result is exactly kappa*tau."""
     kt, d = p.tau, cfg.varphi - 2.0 * p.phi_h
     const, tilt = 3.0 * math.cos(d), 3.0 - 2.0 * kt
     half_decay, decay = 16.0 * math.exp(-kt / 2.0), 4.0 * math.exp(-kt)

@@ -1,4 +1,4 @@
-"""Sixty-digit references for the ICS, IES and mismatched combined closed forms.
+"""Sixty-digit references for the ICS, IES and combined closed forms.
 
 Each function transcribes the complex-arithmetic closed form of the paper's
 supplemental material (the form sqreadout evaluated before its ICS forms were
@@ -172,3 +172,51 @@ def mismatch_noise(kt, omega, psi, r, r_c, theta, delta_p):
                       + 8 * mp.exp(kt / 2) * c * mp.cos(ang(4) + om_t)
                       - 4 * c ** 2 * mp.cos(ang(3) + 2 * om_t)))
         return r0_term + r1_term + r2_term
+
+
+def chi_sq(chi, r, omega_sq, epsilon):
+    """Squeezing-enhanced coupling chi [cosh r + sinh^2 r / (cosh r + 2 omega_sq epsilon / g)]
+    with g = chi/epsilon."""
+    with mp.workdps(DPS):
+        chi, r, epsilon = mp.mpf(chi), mp.mpf(r), mp.mpf(epsilon)
+        g = chi / epsilon
+        return chi * (mp.cosh(r) + mp.sinh(r) ** 2 / (mp.cosh(r) + 2 * omega_sq * epsilon / g))
+
+
+def perp_separation(kt, chi, r, omega_sq, epsilon, alpha_in=1):
+    """Signed perpendicular separation 2 alpha_in (P_down - P_up) at kappa = 1, before the
+    e^{2r} gain, with omega_sigma = omega_sq +- chi_sq, tan psi_sigma = 2 omega_sigma and
+    P_sigma = (2 - kt + 2 cos 2psi_sigma) sin 2psi_sigma
+              - 4 e^{-kt/2} cos^2 psi_sigma sin(2 psi_sigma + omega_sigma kt)."""
+    with mp.workdps(DPS):
+        kt, omega_sq = mp.mpf(kt), mp.mpf(omega_sq)
+        csq = chi_sq(chi, r, omega_sq, epsilon)
+
+        def p(omega):
+            psi = mp.atan(2 * omega)
+            return ((2 - kt + 2 * mp.cos(2 * psi)) * mp.sin(2 * psi)
+                    - 4 * mp.exp(-kt / 2) * mp.cos(psi) ** 2 * mp.sin(2 * psi + omega * kt))
+        return 2 * mp.mpf(alpha_in) * (p(omega_sq - csq) - p(omega_sq + csq))
+
+
+def omega_sq_root(kt, chi, r, epsilon, points=64):
+    """The omega_sq in kappa units that nulls perp_separation: the first sign change of a
+    geometric scan with `points` cells, refined by mp.findroot inside that cell.  The scan
+    runs from 0.99 (kappa/2) sec psi_sq, the long-time root with tan psi_sq = 2 chi_sq at
+    that frequency, to max(10, 5/kt, 1.5 lo): the root runs from ~pi/tau at short times to
+    (kappa/2) sec psi_sq at long times.  Returns (root, number of sign changes of the scan)."""
+    with mp.workdps(DPS):
+        w = mp.mpf(1) / 2
+        for _ in range(200):
+            w, prev = mp.sqrt(1 + (2 * chi_sq(chi, r, w, epsilon)) ** 2) / 2, w
+            if abs(w - prev) < mp.mpf(10) ** (-DPS + 5) * w:
+                break
+        lo = mp.mpf("0.99") * w
+        hi = max(mp.mpf(10), 5 / mp.mpf(kt), mp.mpf("1.5") * lo)
+        grid = [lo * (hi / lo) ** (mp.mpf(i) / points) for i in range(points + 1)]
+        f = [perp_separation(kt, chi, r, x, epsilon) for x in grid]
+        changes = [i for i in range(points) if f[i] * f[i + 1] < 0]
+        a, b = grid[changes[0]], grid[changes[0] + 1]
+        root = mp.findroot(lambda x: perp_separation(kt, chi, r, x, epsilon), (a, b),
+                           solver="anderson")
+        return root, len(changes)

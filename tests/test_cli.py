@@ -137,6 +137,19 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"configuration error: {self.EPSILON_WARNING}\n"
 
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # a reader that stops after one line, as `| head -1` does: the 2,000 rows (~0.5 MB)
+        # overflow the pipe buffer, so the writer meets the closed pipe
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen([sys.executable, "-m", "sqreadout.cli", "sweep", "--scheme", "ies",
+                                 "--var", "kappa_tau", "--start", "0.01", "--stop", "100",
+                                 "--count", "2000", "--spacing", "log"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().startswith("kappa_tau,scheme,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, "")
+
     def test_negative_noise_exit_code(self, monkeypatch, capsys):
         # a closed form that goes negative is a numerical failure, not a bad option
         monkeypatch.setattr(ies, "_noise_pair", lambda *args, **kwargs: (-1.0, -1.0))

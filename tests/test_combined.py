@@ -1,11 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from sqreadout.core import (QubitState, ReadoutParams, reduce_angle, replace, snr,
-                            standard_readout_moments)
+from sqreadout.core import (QubitState, ReadoutParams, reduce_angle, replace, scheme_moments,
+                            snr, standard_readout_moments)
 from sqreadout import combined, ies, oracle
 
 LN10 = math.log(10.0)
@@ -113,15 +114,15 @@ class TestCombinedSignal:
     def test_reduces_to_standard_at_zero_detuning(self):
         p = make_params(phi_h=0.4, phi_in=0.0)
         disp = combined.DispersiveParams.derive(1.0, 0.5, 0.0, 1e-6, 0.05)
-        got = combined.combined_signal(p, disp, 0.0, 0.0, QubitState.UP)
-        expected = ies.ies_signal(p, QubitState.UP)
+        got = combined._signal_pair(p, disp, 0.0, 0.0)[0]
+        expected = ies.StandardConfig().moments(p).of(QubitState.UP)[0]
         assert got == pytest.approx(expected, rel=1e-4)
 
     def test_requires_tone_phase_convention(self):
         p = make_params(phi_in=0.3)
         disp = combined.DispersiveParams.derive(1.0, 0.5, 1.0, 3.0, 0.05)
         with pytest.raises(ValueError):
-            combined.combined_signal(p, disp, 1.0, 0.0, QubitState.UP)
+            combined._signal_pair(p, disp, 1.0, 0.0)
 
 
 class TestSeparationComponents:
@@ -151,8 +152,8 @@ class TestSeparationComponents:
         cfg = combined.CombinedConfig(r=LN10, omega_sq=4.0)
         disp = cfg.dispersive(p)
         op = combined.operating_params(p, cfg)
-        sep = abs(combined.combined_signal(op, disp, LN10, 0.0, QubitState.UP)
-                  - combined.combined_signal(op, disp, LN10, 0.0, QubitState.DOWN))
+        up, down = combined._signal_pair(op, disp, LN10, 0.0)
+        sep = abs(up - down)
         par, _ = combined.separation_components(p, disp, LN10)
         assert par == pytest.approx(sep, rel=1e-10)
 
@@ -187,8 +188,7 @@ class TestSolveOmegaSq:
             raise AssertionError("bisection reached without a sign change")
 
         # a sign-definite separation on the scanned grid; the scan itself must give up
-        monkeypatch.setattr(combined, "_perp_kernel",
-                            lambda kt: lambda psi_up, *rest: 0.0 * psi_up + 1.0)
+        monkeypatch.setattr(combined, "_perp_function", stand_in(lambda phase_up: 1.0))
         monkeypatch.setattr(combined, "_bisect_bracket", never_called)
         with pytest.raises(BracketError, match=r"in omega_sq/kappa in \[4\.90\d*, 10\]"):
             combined.solve_omega_sq(make_params(), LN10)
@@ -202,7 +202,7 @@ class TestSolveOmegaSq:
         w = combined.solve_omega_sq(p, r, epsilon)
         assert w == pytest.approx(root, abs=1e-4)
         # the signed perpendicular separation changes sign across the root
-        perp = combined._perp_function(p, r, epsilon)
+        perp = perp_function(p, r, epsilon)
         below, above = (perp(w * f) for f in (1.0 - 1e-8, 1.0 + 1e-8))
         assert below * above < 0
 
@@ -218,12 +218,23 @@ class TestSolveOmegaSq:
             w = combined.solve_omega_sq(make_params(), LN10, 0.3)
         assert w > 0.5
 
+    def test_one_coupling_per_solve(self):
+        # a solve builds one chi_sq_function, which warns once; moments derives chi_sq once more
+        for call, count in ((lambda: combined.solve_omega_sq(make_params(), LN10, 0.3), 1),
+                            (lambda: scheme_moments(make_params(),
+                                                    combined.CombinedConfig(r=LN10, epsilon=0.3)),
+                             2)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert len(caught) == count
+
     def test_bisection_function_is_the_scalar_separation(self):
         # the function bisect refines is built once per solve; at every omega_sq
         # it gives the bits of the perpendicular part of separation_components
         rng = np.random.default_rng(17)
         for p, r, eps in seeded_operating_points(60, seed=23):
-            perp = combined._perp_function(p, r, eps)
+            perp = perp_function(p, r, eps)
             for w in (10.0 ** rng.uniform(-1.0, 2.0, 10) * p.kappa).tolist():
                 disp = combined.DispersiveParams.derive(p.kappa, p.chi, r, w, eps)
                 got = math.exp(2.0 * r) * abs(perp(w))
@@ -238,6 +249,20 @@ class TestSolveOmegaSq:
         assert roots[-1] == pytest.approx(4.953, abs=0.01)
 
 
+def perp_function(params, r, epsilon):
+    """The solve's separation at (r, epsilon): _perp_function on its one coupling."""
+    return combined._perp_function(
+        params, combined.chi_sq_function(params.chi / epsilon, r, epsilon))
+
+
+def stand_in(kernel):
+    """A _perp_function whose separation is kernel(omega_up tau) on the solve's coupling."""
+    def build(params, coupling):
+        k, kt = params.kappa, params.kappa_tau
+        return lambda omega_sq: kernel((omega_sq + coupling(omega_sq)) / k * kt)
+    return build
+
+
 def scalar_walk_omega_sq(params, r, epsilon=0.05, grid_points=4096):
     """Reference: the point-by-point scan that picked the bracket before the array pass."""
     from sqreadout.core import BracketError, bisect
@@ -245,7 +270,7 @@ def scalar_walk_omega_sq(params, r, epsilon=0.05, grid_points=4096):
     k = params.kappa
     chi = params.chi
 
-    perp_at = combined._perp_function(params, r, epsilon)
+    perp_at = perp_function(params, r, epsilon)
 
     w = 0.5 * k
     for _ in range(8):
@@ -293,7 +318,7 @@ def full_scan(params, r, epsilon=0.05):
     hi = max(max(10.0, 5.0 / params.kappa_tau) * k, 1.5 * lo)
     ratio = (hi / lo) ** (1.0 / combined._SCAN_POINTS)
     grid = np.multiply.accumulate(np.concatenate(([lo], np.full(combined._SCAN_POINTS, ratio))))
-    perp = combined._perp_function(params, r, epsilon)
+    perp = perp_function(params, r, epsilon)
     return lo, hi, grid, np.array([perp(w) for w in grid.tolist()])
 
 
@@ -314,7 +339,7 @@ def full_scan_omega_sq(params, r, epsilon, scan):
     i = hit[0]
     if f[i] == 0.0:
         return float(grid[i])
-    return bisect(combined._perp_function(params, r, epsilon), float(grid[i]),
+    return bisect(perp_function(params, r, epsilon), float(grid[i]),
                   float(grid[i + 1]), tol=1e-10 * params.kappa)
 
 
@@ -330,8 +355,8 @@ def separations_before_bisection(monkeypatch, params, r=LN10):
     real_function, real_bisect = combined._perp_function, combined._bisect_bracket
     scanned, before_bisection = [], []
 
-    def recorded(params, r, epsilon):
-        perp = real_function(params, r, epsilon)
+    def recorded(*args):
+        perp = real_function(*args)
         return lambda omega_sq: scanned.append(omega_sq) or perp(omega_sq)
 
     def counted(f, a, fa, b, tol):
@@ -398,9 +423,7 @@ class TestOmegaSqCoarseToFineScan:
         # stand-ins that change sign inside the grid, whose up phase runs over [29.5, 44.7]
         # at kappa*tau = 3: interpolation alone crawls along a lopsided step, and -inf makes
         # the first interpolation weight NaN, which the index bisection replaces
-        monkeypatch.setattr(combined, "_perp_kernel",
-                            lambda kt: lambda psi_up, psi_down, phase_up, phase_down:
-                            kernel(phase_up))
+        monkeypatch.setattr(combined, "_perp_function", stand_in(kernel))
         p = make_params(kappa_tau=3.0)
         root, scanned = separations_before_bisection(monkeypatch, p)
         assert len(scanned) <= 1 + 8 + 16
@@ -413,8 +436,8 @@ class TestOmegaSqCoarseToFineScan:
         # the bisection starts from the bracket and the lower end value the search holds
         real_function, scanned = combined._perp_function, []
 
-        def recorded(params, r, epsilon):
-            perp = real_function(params, r, epsilon)
+        def recorded(*args):
+            perp = real_function(*args)
             return lambda omega_sq: scanned.append(omega_sq) or perp(omega_sq)
 
         monkeypatch.setattr(combined, "_perp_function", recorded)
@@ -441,11 +464,9 @@ class TestOmegaSqArrayScan:
     def test_first_of_several_sign_changes(self, monkeypatch):
         # the physical separation changes sign once on the grid, so an oscillating
         # stand-in checks that the first bracket is the one refined
-        monkeypatch.setattr(combined, "_perp_kernel",
-                            lambda kt: lambda psi_up, psi_down, phase_up, phase_down:
-                            math.cos(phase_up))
+        monkeypatch.setattr(combined, "_perp_function", stand_in(math.cos))
         p = make_params(kappa_tau=3.0)
-        perp = combined._perp_function(p, LN10, 0.05)
+        perp = perp_function(p, LN10, 0.05)
         f = [perp(w) for w in np.geomspace(4.0, 10.0, 500).tolist()]
         assert np.count_nonzero(np.diff(np.sign(f))) > 2
         assert combined.solve_omega_sq(p, LN10) == scalar_walk_omega_sq(p, LN10)
@@ -512,22 +533,20 @@ class TestMismatch:
         p, cfg = cfg.operating_point(make_params())
         disp = cfg.dispersive(p)
         mm = combined.MismatchParams.derive(LN10, 0.0, 0.1, 0.05)
-        on_axis = combined.mismatch_noise(p, disp, LN10, mm, 0.0, QubitState.UP)
+        on_axis = combined._mismatch_noise_pair(p, disp, LN10, mm, 0.0)[0]
         assert on_axis == pytest.approx(0.0679, abs=1e-4)
         for phi_h in (0.3, 1.0, math.pi / 4.0):
             with pytest.raises(ValueError, match="squeezed quadrature"):
-                combined.mismatch_noise(p.with_(phi_h=phi_h), disp, LN10, mm, 0.0,
-                                        QubitState.UP)
+                combined._mismatch_noise_pair(p.with_(phi_h=phi_h), disp, LN10, mm, 0.0)
         # phi_h = pi is the same quadrature as phi_h = 0
-        assert combined.mismatch_noise(p.with_(phi_h=math.pi), disp, LN10, mm, 0.0,
-                                       QubitState.UP) == on_axis
+        assert combined._mismatch_noise_pair(p.with_(phi_h=math.pi), disp, LN10, mm,
+                                             0.0)[0] == on_axis
 
     def test_matched_limit_exact(self):
         p = make_params()
         disp = combined.DispersiveParams.derive(1.0, 0.5, LN10, 5.0, 0.05)
         mm = combined.MismatchParams.derive(LN10, 0.0, 0.0, 0.0)
-        for s in QubitState:
-            got = combined.mismatch_noise(p, disp, LN10, mm, 0.0, s)
+        for got in combined._mismatch_noise_pair(p, disp, LN10, mm, 0.0):
             assert got == pytest.approx(p.kappa_tau * 1e-2, rel=1e-12)
 
     def test_continuity_near_matched_point(self):
@@ -543,8 +562,7 @@ class TestMismatch:
             cfg = combined.CombinedConfig(r=LN10, delta_r=dr, delta_p=dp)
             disp = cfg.dispersive(p)
             mm = combined.MismatchParams.derive(LN10, 0.0, dr, dp)
-            for s in QubitState:
-                noise = combined.mismatch_noise(p, disp, LN10, mm, 0.0, s)
+            for noise in combined._mismatch_noise_pair(p, disp, LN10, mm, 0.0):
                 assert noise > 0.0
                 # dips below the stationary floor are bounded linearly in the
                 # mismatch size (transient beta-vacuum start)
@@ -554,7 +572,7 @@ class TestMismatch:
             mm = combined.MismatchParams.derive(LN10, 0.0, scale, scale)
             cfg = combined.CombinedConfig(r=LN10, delta_r=scale, delta_p=scale)
             disp = cfg.dispersive(p)
-            noise = combined.mismatch_noise(p, disp, LN10, mm, 0.0, QubitState.UP)
+            noise = combined._mismatch_noise_pair(p, disp, LN10, mm, 0.0)[0]
             assert noise == pytest.approx(floor, rel=50.0 * scale + 1e-9)
 
     def test_delta_p_reduced_like_theta(self):

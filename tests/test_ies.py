@@ -26,13 +26,12 @@ def factored_separation(params):
 
 class TestSignal:
     def test_no_dispersive_shift(self):
-        p = make_params(chi=0.0)
-        assert ies.ies_signal(p, QubitState.UP) == ies.ies_signal(p, QubitState.DOWN)
+        m = ies.StandardConfig().moments(make_params(chi=0.0))
+        assert m.signal_up == m.signal_down
 
     def test_homodyne_aligned_with_tone(self):
-        p = make_params(phi_h=0.4, phi_in=0.4)
-        sep = ies.ies_signal(p, QubitState.UP) - ies.ies_signal(p, QubitState.DOWN)
-        assert sep == pytest.approx(0.0, abs=1e-12)
+        m = ies.StandardConfig().moments(make_params(phi_h=0.4, phi_in=0.4))
+        assert m.signal_up - m.signal_down == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_factored_form(self, seed):
@@ -41,7 +40,8 @@ class TestSignal:
                         alpha_in=rng.uniform(0.5, 2.0),
                         phi_in=rng.uniform(-math.pi, math.pi),
                         phi_h=rng.uniform(-math.pi, math.pi))
-        sep = ies.ies_signal(p, QubitState.UP) - ies.ies_signal(p, QubitState.DOWN)
+        m = ies.StandardConfig().moments(p)
+        sep = m.signal_up - m.signal_down
         assert sep == pytest.approx(factored_separation(p), rel=1e-11, abs=1e-12)
 
     def test_independent_of_squeezing(self):
@@ -59,7 +59,7 @@ class TestNoise:
         p = make_params(kappa_tau=kappa_tau)
         cfg = ies.IesConfig(0.0, 1.3)
         for s in QubitState:
-            assert ies.ies_noise(p, cfg, s) == pytest.approx(kappa_tau, rel=1e-15)
+            assert cfg.moments(p).of(s)[1] == pytest.approx(kappa_tau, rel=1e-15)
 
     def test_noise_floor(self):
         rng = np.random.default_rng(7)
@@ -69,7 +69,7 @@ class TestNoise:
             cfg = ies.IesConfig(rng.uniform(0.0, 1.6), rng.uniform(-math.pi, math.pi))
             floor = p.kappa_tau * math.exp(-2.0 * cfg.r)
             for s in QubitState:
-                assert ies.ies_noise(p, cfg, s) >= floor * (1.0 - 1e-12)
+                assert cfg.moments(p).of(s)[1] >= floor * (1.0 - 1e-12)
 
     def test_phase_extremum(self):
         p = make_params()
@@ -79,7 +79,7 @@ class TestNoise:
 
         def summed(varphi):
             cfg = ies.IesConfig(r, varphi)
-            return sum(ies.ies_noise(p, cfg, s) for s in QubitState)
+            return cfg.moments(p).noise_sum
 
         best = summed(2.0 * p.phi_h + math.pi)
         for delta in (0.05, -0.05, 0.2, -0.2):
@@ -108,7 +108,7 @@ class TestNoiseShape:
             p = make_params(kappa_tau=rng.uniform(0.1, 5.0), chi=rng.uniform(0.05, 2.0),
                             phi_h=rng.uniform(-math.pi, math.pi))
             cfg = ies.IesConfig(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
-            direct = sum(ies.ies_noise(p, cfg, s) for s in QubitState)
+            direct = cfg.moments(p).noise_sum
             shape = ies.ies_noise_shape(p)
             closed = 2.0 * p.kappa_tau * (
                 math.cosh(2 * cfg.r)

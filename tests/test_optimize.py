@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sqreadout.core import PSI_BOUNDS_DEFAULT, BracketError, QubitState, ReadoutParams, bisect
+from sqreadout.core import PSI_BOUNDS_DEFAULT, BracketError, ReadoutParams, bisect
 from sqreadout import ics, ies, optimize
 
 import mp_reference
@@ -508,7 +508,7 @@ class TestAnalyticIesSetting:
             varphi = math.pi + math.acos(phase)
             for r in np.linspace(0.0, optimize.R_MAX_DEFAULT, 4001):
                 cfg = ies.IesConfig(float(r), varphi)
-                noise = sum(ies.ies_noise(params, cfg, s) for s in QubitState)
+                noise = cfg.moments(params).noise_sum
                 brute = max(brute, sep / math.sqrt(noise))
         assert brute <= best.best_snr * (1.0 + 1e-12)
         assert brute >= best.best_snr * (1.0 - 1e-6)

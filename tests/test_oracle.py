@@ -131,7 +131,7 @@ class TestConvergence:
         # extrapolated error against the exact value
         p = make_params(chi=0.7)
         cfg = ies.IesConfig(0.6, 0.9)
-        analytic = ies.ies_noise(p, cfg, QubitState.UP)
+        analytic = cfg.moments(p).of(QubitState.UP)[1]
         system = oracle.build_system(p, cfg, QubitState.UP)
         res = oracle.oracle_moments(system, steps=4096)
         certificate = 2.0 * abs(res.residual[1])
@@ -143,7 +143,7 @@ class TestConvergence:
         # carries no discretization error even at coarse K
         p = make_params(chi=0.7, phi_h=0.3)
         cfg = ies.IesConfig(0.6, 0.9)
-        analytic = ies.ies_signal(p, QubitState.UP)
+        analytic = cfg.moments(p).of(QubitState.UP)[0]
         system = oracle.build_system(p, cfg, QubitState.UP)
         res = oracle.oracle_moments(system, steps=128)
         assert res.mean_M == pytest.approx(analytic, abs=1e-10)
@@ -153,9 +153,10 @@ class TestConvergence:
         # phi_h - phi_in = -pi/2 makes the mean a small difference of O(kappa*tau)
         # terms; E^n - I written with expm1 keeps the bin weights accurate there
         p = make_params(kappa_tau=kappa_tau, phi_in=math.pi / 2.0, phi_h=0.0)
-        system = oracle.build_system(p, ies.IesConfig(0.5, 0.0), QubitState.UP)
+        cfg = ies.IesConfig(0.5, 0.0)
+        system = oracle.build_system(p, cfg, QubitState.UP)
         res = oracle.oracle_moments(system, steps=4096)
-        assert res.mean_M == pytest.approx(ies.ies_signal(p, QubitState.UP), rel=rel, abs=0.0)
+        assert res.mean_M == pytest.approx(cfg.moments(p).of(QubitState.UP)[0], rel=rel, abs=0.0)
 
 
 class TestInvariants:
@@ -231,8 +232,8 @@ class TestBuildSystem:
         def closed_form(*args, **kwargs):
             raise AssertionError("the oracle model called a closed form")
 
-        for name in ("input_noise_budget", "mismatch_noise", "combined_signal",
-                     "combined_noise", "_signal_pair", "_mismatch_noise_pair"):
+        for name in ("input_noise_budget", "combined_noise", "_signal_pair",
+                     "_mismatch_noise_pair"):
             monkeypatch.setattr(combined, name, closed_form)
         p, cfg = combined.CombinedConfig(r=1.3, theta=0.4, delta_r=delta_r,
                                          delta_p=delta_p).operating_point(make_params())
@@ -352,7 +353,7 @@ def mismatched_points(draw):
 
 
 class TestCombinedAgainstOracle:
-    """combined_moments, mismatch_noise included, against the cavity-mode oracle model."""
+    """combined_moments, the mismatched noise included, against the cavity-mode oracle model."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(point=mismatched_points())

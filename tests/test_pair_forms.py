@@ -86,7 +86,7 @@ def checked_noise_pair(p, disp, r, mm, theta, point):
     1e-12.  Where the two forms differ by more than 1e-12 (at kappa*tau ~ 500, R0 and R2 can
     cancel to 1/300 of R0), the pair form must be the closer to 60 digits.  Returns the noises
     and how many were judged at 60 digits."""
-    got = [combined.mismatch_noise(p, disp, r, mm, theta, s) for s in QubitState]
+    got = list(combined._mismatch_noise_pair(p, disp, r, mm, theta))
     try:
         want = [ref.mismatch_noise(p, disp, r, mm, theta, s) for s in QubitState]
     except OverflowError:       # e^{kappa tau} above kappa*tau = 709.78
@@ -122,7 +122,7 @@ class TestCombinedPairs:
             p = operating(kappa, kt, chi, alpha, theta, phis[i], i % 2)
             disp = combined.DispersiveParams.derive(kappa, chi, r + dr, omega, eps)
             want = [ref.combined_signal(p, disp, r + dr, theta, s) for s in QubitState]
-            got = [combined.combined_signal(p, disp, r + dr, theta, s) for s in QubitState]
+            got = combined._signal_pair(p, disp, r + dr, theta)
             assert hexes(got) == hexes(want), (p, r, dr, theta, omega, eps)
 
     def test_mismatch_noise_matches_the_per_state_form(self):
@@ -171,9 +171,9 @@ class TestCombinedPairs:
         disp = combined.DispersiveParams.derive(1.0, 0.5, LN10, 5.0, 0.05)
         mm = combined.MismatchParams.derive(LN10, 0.0, 0.1, 0.05)
         with pytest.raises(ValueError, match="2\\*phi_in = theta"):
-            combined.combined_signal(p, disp, LN10, 0.0, QubitState.UP)
+            combined._signal_pair(p, disp, LN10, 0.0)
         with pytest.raises(ValueError, match="squeezed quadrature 2\\*phi_h = theta"):
-            combined.mismatch_noise(p, disp, LN10, mm, 0.0, QubitState.DOWN)
+            combined._mismatch_noise_pair(p, disp, LN10, mm, 0.0)
 
 
 class TestIesNoisePair:
@@ -187,7 +187,7 @@ class TestIesNoisePair:
             p = ReadoutParams(k, c, a, pi, ph, t / k)
             cfg = ies.IesConfig(sq, vp)
             want = [ref.ies_noise(p, cfg, s) for s in QubitState]
-            assert hexes(ies.ies_noise(p, cfg, s) for s in QubitState) == hexes(want), point
+            assert hexes(ies._noise_pair(p.normalized(), cfg)) == hexes(want), point
             assert hexes(cfg.moments(p)._values()[2:]) == hexes(want), point
 
 

@@ -1,7 +1,8 @@
-"""The ICS, IES and mismatched combined closed forms judged against 60-digit references.
+"""The ICS, IES and combined closed forms judged against 60-digit references.
 
 mp_reference evaluates the paper's complex-arithmetic closed forms in mpmath,
-and the mismatched combined budget and noise as the paper writes them.
+the mismatched combined budget and noise as the paper writes them, and the
+combined scheme's perpendicular separation and the omega_sq that nulls it.
 sqreadout evaluates real-valued forms of the ICS ones; the float results are
 compared with the references, and the same sqreadout source run on mpmath
 numbers shows that the two forms are the same functions.  Where a compared
@@ -157,8 +158,8 @@ class TestIesShortTimeSignal:
     def test_gap_point(self):
         # chi = kappa/2, phi_h - phi_in = -pi/2: the O(tau^2) part of each mean
         # cancels and <M> ~ -(kappa tau)^3 / 6
-        got = ies.ies_signal(ReadoutParams(1.0, 0.5, 1.0, math.pi / 2.0, 0.0, 1e-4),
-                             QubitState.UP)
+        got = ies.StandardConfig().moments(
+            ReadoutParams(1.0, 0.5, 1.0, math.pi / 2.0, 0.0, 1e-4)).of(QubitState.UP)[0]
         want = ref.ies_signal(1e-4, 0.5, 1.0, math.pi / 2.0, 0.0, 1)
         assert got == pytest.approx(-1.666625e-13, rel=1e-6)
         assert rel_err(got, want) < 1e-9
@@ -169,7 +170,8 @@ class TestIesShortTimeSignal:
         for chi in (0.05, 0.5, 2.0):
             phi_in, phi_h = rng.uniform(-math.pi, math.pi, 2)
             for s in QubitState:
-                got = ies.ies_signal(ReadoutParams(1.0, chi, 1.0, phi_in, phi_h, kt), s)
+                p = ReadoutParams(1.0, chi, 1.0, phi_in, phi_h, kt)
+                got = ies.StandardConfig().moments(p).of(s)[0]
                 assert rel_err(got, ref.ies_signal(kt, chi, 1.0, phi_in, phi_h, int(s))) < 1e-12
 
 
@@ -221,3 +223,69 @@ class TestMismatchAgainstReference:
                 want = ref.mismatch_noise(kt, disp.omega_sigma(s), disp.psi_sigma(s), LN10,
                                           LN10 + dr, 0.0, dp)
                 assert rel_err(m.of(s)[1], want) < 1e-12, (kt, dr, dp, s)
+
+
+U = 2.0 ** -53      # unit roundoff
+
+
+def perp_scale(kt, omega_up, omega_down, alpha_in=1.0):
+    """What one rounding can move the float perpendicular separation by, in units of U.  Each
+    term, at most 2 alpha_in (|2 - kt| + 4 + 4 e^{-kt/2}) in size, is rounded; so is each
+    omega_sigma = omega_sq +- chi_sq, by U omega_up, which moves a sin 2psi_sigma by up to
+    4 U omega_up / (1 + 4 omega_sigma^2) and a phase omega_sigma kt by U omega_up kt."""
+    decay, slowest = math.exp(-kt / 2.0), min(abs(omega_up), abs(omega_down))
+    return 2.0 * alpha_in * ((abs(2.0 - kt) + 4.0 + 4.0 * decay)
+                             * (1.0 + 4.0 * omega_up / (1.0 + 4.0 * slowest ** 2))
+                             + 4.0 * decay * omega_up * kt)
+
+
+def omega_sq_points(seed, n):
+    """(kappa*tau, chi, r, epsilon) at kappa = 1: kappa*tau in [1e-2, 1e3], chi in [0.05, 1.5]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield (float(10 ** rng.uniform(-2.0, 3.0)), float(rng.uniform(0.05, 1.5)),
+               float(rng.uniform(0.0, 2.5)), float(rng.choice([0.01, 0.05, 0.1, 0.2])))
+
+
+class TestOmegaSqAgainstReference:
+    """The perpendicular separation the omega_sq solve nulls, and its root, against 60 digits."""
+
+    def test_separation_against_60_digits(self):
+        # each term passes through at most 8 roundings; measured: at most 3.9 U perp_scale
+        # on 6,000 seeded points
+        rng = np.random.default_rng(37)
+        for kt, chi, r, eps in omega_sq_points(41, 400):
+            alpha, w = float(rng.choice([0.2, 1.0, 4.0])), float(10 ** rng.uniform(-1.0, 2.5))
+            disp = combined.DispersiveParams.derive(1.0, chi, r, w, eps)
+            got = combined.separation_components(ReadoutParams(1.0, chi, alpha, 0.0, 0.0, kt),
+                                                 disp, r)[1]
+            want = math.exp(2.0 * r) * abs(ref.perp_separation(kt, chi, r, w, eps, alpha))
+            bound = 8.0 * U * math.exp(2.0 * r) * perp_scale(kt, disp.omega_sigma_up,
+                                                             disp.omega_sigma_down, alpha)
+            assert abs(got - float(want)) <= bound, (kt, chi, r, eps, w)
+
+    def test_root_against_60_digits(self):
+        # the solve bisects a float sign change to within 5e-11 kappa; that sign change lies
+        # within delta/|slope| of the exact root, delta the float separation's error, which
+        # test_separation_against_60_digits bounds by 8 U perp_scale.  Measured on 300 seeded
+        # points: at most 0.54 U perp_scale/|slope| beyond 5e-11, and 3.0e-9 relative (near
+        # kappa*tau = 1e-2, where the separation is flattest)
+        for kt, chi, r, eps in omega_sq_points(43, 24):
+            w = combined.solve_omega_sq(ReadoutParams(1.0, chi, 1.0, 0.0, 0.0, kt), r, eps)
+            root, changes = ref.omega_sq_root(kt, chi, r, eps)
+            assert changes == 1, (kt, chi, r, eps)
+            slope = mp.diff(lambda x: ref.perp_separation(kt, chi, r, x, eps), root)
+            csq = ref.chi_sq(chi, r, root, eps)
+            scale = perp_scale(kt, float(root + csq), float(root - csq))
+            bound = 5e-11 + 8.0 * U * scale / abs(float(slope))
+            assert abs(w - float(root)) <= bound, (kt, chi, r, eps, w, root)
+
+    @pytest.mark.parametrize("kt", [1e-3, 3e-3, 1e-2])
+    def test_one_sign_change_near_the_root(self, kt):
+        # within a relative 1e-5 of the float root at the figures' point, the float separation
+        # changes sign many times below kappa*tau ~ 1e-2, where rounding sets its sign; the
+        # exact one changes sign once
+        w = combined.solve_omega_sq(ReadoutParams(1.0, 0.5, 1.0, 0.0, 0.0, kt), LN10, 0.05)
+        f = [ref.perp_separation(kt, 0.5, LN10, x, 0.05)
+             for x in np.linspace(w * (1.0 - 1e-5), w * (1.0 + 1e-5), 201).tolist()]
+        assert sum(a * b < 0 for a, b in zip(f, f[1:])) == 1
